@@ -14,7 +14,11 @@ part a^2 y0^2 r_s r_t (xi~ x eta~) in the open quadrant, a vertical-axis
 part y0^2 ||1/t||_psi (delta_0 x psi~), and a horizontal-axis part
 phi x delta_0.  An equivalent assembly writes the same measure as
 xi_x x eta~ plus signed corrections supported on the two axes; both forms
-are implemented and must agree atom for atom.
+are implemented and must agree atom for atom.  The general verdict uses
+the split form.  Flat instances keep their scalar criterion for psi and
+phi but share the decision, and use the correction form: their recorded
+reports carry its rounding, and the split form can differ in the last
+digit of a mass.
 
 When psi fails positivity the diagram is not even subnormal after deleting
 row 0; when only phi fails, the upper part is subnormal but no backward
@@ -26,10 +30,9 @@ second route to every answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import AtomAtZero, PreconditionViolated
+from .errors import PreconditionViolated
 from .diagram import FlatInstance, TCInstance
 from .measures import (
     POSITIVITY_REL_TOL,
@@ -108,8 +111,8 @@ def compute_phi(
     """The horizontal slack measure.
 
     Uses the signed integral of 1/t against psi, so it is defined whether
-    or not psi is positive; an atom of psi at the origin (impossible for
-    validated instances) raises AtomAtZero.
+    or not psi is positive; an atom of psi at the origin, which only the
+    tail can carry, makes that integral raise.
     """
     if psi is None:
         psi = compute_psi(instance)
@@ -129,13 +132,25 @@ def compute_phi(
     )
 
 
-def _diagnostics(instance: TCInstance, recip_t_psi: float) -> Diagnostics:
-    return Diagnostics(
-        recip_s_xi=instance.recip_s_xi,
-        recip_t_eta=instance.recip_t_eta,
-        recip_t_psi=recip_t_psi,
-        recip_t_eta_y_tail=instance.eta_y_tail.reciprocal_norm(),
-    )
+def _decide(
+    instance: TCInstance,
+    psi: SignedMeasure1D,
+    phi: SignedMeasure1D,
+    diag: Diagnostics,
+    tol: float,
+    form: BergerForm,
+) -> Verdict:
+    """The verdict once psi and phi are known: the first of them with a
+    negative atom gives the witness, otherwise the joint measure is
+    assembled in the given form."""
+    for name, measure in (("psi", psi), ("phi", phi)):
+        check = positivity(measure, tol)
+        if not check.positive:
+            witness = Witness(name, check.location, check.mass)
+            reason = f"{name} has a negative atom"
+            return Verdict(False, witness, None, diag, psi, phi, reason=reason)
+    mu = berger_measure(instance, tol=tol, form=form, psi=psi, phi=phi)
+    return Verdict(True, None, mu, diag, psi, phi)
 
 
 def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verdict:
@@ -145,34 +160,14 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
     signed reciprocal integral) so reports can show both measures.
     """
     psi = compute_psi(instance)
-    try:
-        recip_t_psi = psi.reciprocal_norm()
-    except AtomAtZero:
-        # 1/t fails to be integrable against the upper-part measure, which
-        # rules out any backward extension to row 0.
-        witness = Witness("psi", 0.0, psi.mass_at(0.0))
-        diag = Diagnostics(
-            recip_s_xi=instance.recip_s_xi,
-            recip_t_eta=instance.recip_t_eta,
-            recip_t_psi=math.inf,
-            recip_t_eta_y_tail=instance.eta_y_tail.reciprocal_norm(),
-        )
-        return Verdict(
-            False, witness, None, diag, psi, SignedMeasure1D(()),
-            reason="1/t is not integrable against the upper-part measure",
-        )
     phi = compute_phi(instance, psi)
-    diag = _diagnostics(instance, recip_t_psi)
-    psi_check = positivity(psi, tol)
-    if not psi_check.positive:
-        witness = Witness("psi", psi_check.location, psi_check.mass)
-        return Verdict(False, witness, None, diag, psi, phi, reason="psi has a negative atom")
-    phi_check = positivity(phi, tol)
-    if not phi_check.positive:
-        witness = Witness("phi", phi_check.location, phi_check.mass)
-        return Verdict(False, witness, None, diag, psi, phi, reason="phi has a negative atom")
-    mu = berger_measure(instance, tol=tol, psi=psi, phi=phi)
-    return Verdict(True, None, mu, diag, psi, phi)
+    diag = Diagnostics(
+        recip_s_xi=instance.recip_s_xi,
+        recip_t_eta=instance.recip_t_eta,
+        recip_t_psi=psi.reciprocal_norm(),
+        recip_t_eta_y_tail=instance.eta_y_tail.reciprocal_norm(),
+    )
+    return _decide(instance, psi, phi, diag, tol, "split")
 
 
 def berger_measure(
@@ -311,11 +306,12 @@ def backward_extension(
 def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
     """Subnormality of a flat instance through the scalar criterion.
 
-    Works entirely with the closed forms available in the flat case: psi is
-    supported on {b^2} union supp(sigma), the domination condition on xi_x
-    involves only the atoms at 0 and 1, and the reconstructed measure uses
-    eta~ = delta_{b^2}.  The verdict must coincide with
-    ``subnormality_verdict`` of the embedded instance.
+    psi, phi and the diagnostics come from the closed forms available in
+    the flat case: psi is supported on {b^2} union supp(sigma) and the
+    domination condition on xi_x involves only the atoms at 0 and 1.  The
+    decision and the joint measure are then the general ones, assembled in
+    the correction form on the embedded instance.  The verdict must
+    coincide with ``subnormality_verdict`` of the embedded instance.
     """
     b_sq = flat.b**2
     a_sq = flat.a**2
@@ -330,12 +326,10 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
     # (b/a) sqrt(m) >= y0 is exactly positivity of psi at the atom b^2.
     psi = combine([(1.0, tail), (-a_sq, dirac(b_sq))])
     recip_t_psi = recip_tail - a_sq / b_sq
-
-    xi_x = flat.xi_x
     phi = combine(
         [
-            (1.0, xi_x),
-            (-y0_sq * (recip_tail - a_sq / b_sq), dirac(0.0)),
+            (1.0, flat.xi_x),
+            (-y0_sq * recip_t_psi, dirac(0.0)),
             (-y0_sq * a_sq / b_sq, dirac(1.0)),
         ]
     )
@@ -345,26 +339,4 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
         recip_t_psi=recip_t_psi,
         recip_t_eta_y_tail=recip_tail,
     )
-    psi_check = positivity(psi, tol)
-    if not psi_check.positive:
-        witness = Witness("psi", psi_check.location, psi_check.mass)
-        return Verdict(False, witness, None, diag, psi, phi, reason="psi has a negative atom")
-    phi_check = positivity(phi, tol)
-    if not phi_check.positive:
-        witness = Witness("phi", phi_check.location, phi_check.mass)
-        return Verdict(False, witness, None, diag, psi, phi, reason="phi has a negative atom")
-
-    psi_pos = psi.as_positive(tol)
-    phi_pos = phi.as_positive(tol)
-    c_axis = y0_sq * (psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0)
-    origin = dirac(0.0)
-    bottom = dirac(b_sq)
-    terms = [(1.0, product(xi_x, bottom))]
-    if phi_pos.atoms:
-        terms.append((1.0, product(phi_pos, origin)))
-        terms.append((-1.0, product(phi_pos, bottom)))
-    if psi_pos.atoms:
-        terms.append((c_axis, product(origin, psi_pos.tilde())))
-        terms.append((-c_axis, product(origin, bottom)))
-    mu = combine(terms).as_positive(tol, probability=True)
-    return Verdict(True, None, mu, diag, psi, phi)
+    return _decide(flat.embed(), psi, phi, diag, tol, "correction")
