@@ -5,8 +5,9 @@ Commands: check (verdict only), reconstruct (verdict plus the joint
 measure), flat (the scalar criterion for flat instances), verify (verdict
 plus every brute-force oracle) and sweep (grid over one scalar parameter).
 Exit codes: 0 subnormal, 1 not subnormal, 2 invalid instance, 3 parse
-error.  Reports are byte-identical across runs; wall-clock timing goes to
-stderr only.
+error.  Every failure after parsing, including a numeric one, exits 2 with
+a message instead of a traceback.  Reports are byte-identical across runs;
+wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .errors import ParseError, TCShiftError, ValidationError
@@ -44,11 +46,40 @@ _TC_KEYS = ("xi_x", "eta_y", "xi", "eta")
 _FLAT_SCALARS = ("p", "q", "l", "m", "b", "a")
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ParseError(message)
+
+
+def _option(default: float, minimum: int, help_text: str):
+    return field(default=default, metadata={"min": minimum, "help": help_text})
+
+
 @dataclass(frozen=True)
 class Options:
-    tol: float = DEFAULT_CLI_TOL
-    order: int = DEFAULT_ORDER
-    window: int = DEFAULT_WINDOW
+    """Numerical settings: the file's ``options`` object, overridden by the
+    command-line flags of the same names.  The type of each default is the
+    option's type; a value of another type is a parse error, a value below
+    the minimum or not finite a validation error."""
+
+    tol: float = _option(DEFAULT_CLI_TOL, 0, "positivity tolerance")
+    order: int = _option(DEFAULT_ORDER, 0, "moment order for oracles")
+    window: int = _option(DEFAULT_WINDOW, 1, "index window for oracles")
+
+    def __post_init__(self) -> None:
+        for spec in dataclasses.fields(self):
+            kind, minimum = type(spec.default), spec.metadata["min"]
+            value = getattr(self, spec.name)
+            _require(
+                isinstance(value, (int, kind)) and not isinstance(value, bool),
+                f"option {spec.name} must be {'a number' if kind is float else 'an integer'}",
+            )
+            value = kind(value)
+            if not (math.isfinite(value) and value >= minimum):
+                raise ValidationError(
+                    f"option {spec.name} must be finite and at least {minimum}, got {value!r}"
+                )
+            object.__setattr__(self, spec.name, value)
 
 
 @dataclass(frozen=True)
@@ -59,8 +90,8 @@ class ParsedFile:
 
 @dataclass
 class Report:
-    """Everything one command run produced.  ``elapsed`` is wall-clock
-    seconds and is deliberately excluded from the serialised forms."""
+    """Everything one command run produced; the fields are the JSON
+    payload."""
 
     command: str
     kind: str
@@ -71,12 +102,6 @@ class Report:
     phi: list[list[float]] | None = None
     mu: list[list[float]] | None = None
     oracles: dict[str, Any] | None = None
-    elapsed: float = 0.0
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParseError(message)
 
 
 def _parse_measure(obj: Any, name: str) -> AtomicMeasure1D:
@@ -112,17 +137,9 @@ def _parse_options(obj: Any) -> Options:
     if obj is None:
         return Options()
     _require(isinstance(obj, dict), "options must be an object")
-    known = {"tol", "order", "window"}
-    unknown = set(obj) - known
+    unknown = set(obj) - {spec.name for spec in dataclasses.fields(Options)}
     _require(not unknown, f"unknown options: {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    if "tol" in obj:
-        kwargs["tol"] = float(obj["tol"])
-    if "order" in obj:
-        kwargs["order"] = int(obj["order"])
-    if "window" in obj:
-        kwargs["window"] = int(obj["window"])
-    return Options(**kwargs)
+    return Options(**obj)
 
 
 def parse_instance(path: str) -> ParsedFile:
@@ -173,27 +190,23 @@ def _atoms_2d(measure: AtomicMeasure2D) -> list[list[float]]:
     return [[s, t, mass] for s, t, mass in measure.atoms]
 
 
+def _verdict_name(verdict: Verdict) -> str:
+    return "subnormal" if verdict.subnormal else "not-subnormal"
+
+
+# Payloads are the field dicts of the result dataclasses, copied with
+# vars(): their fields are scalars, and dataclasses.asdict costs ten times
+# as much, once per sweep point.
 def _witness_payload(verdict: Verdict) -> dict[str, Any] | None:
     if verdict.witness is None:
         return None
-    return {
-        "measure": verdict.witness.measure,
-        "location": verdict.witness.location,
-        "mass": verdict.witness.mass,
-        "reason": verdict.reason,
-    }
-
-
-def _psd_payload(report) -> dict[str, Any]:
-    return {
-        "dimension": report.dimension,
-        "min_eigenvalue": report.min_eigenvalue,
-        "passed": report.passed,
-        "tolerance": report.tolerance,
-    }
+    return dict(vars(verdict.witness), reason=verdict.reason)
 
 
 def _oracle_payloads(instance: TCInstance, verdict: Verdict, opts: Options) -> dict[str, Any]:
+    def status(passed: bool) -> str:
+        return oracle_status(verdict.subnormal, passed)
+
     oracles: dict[str, Any] = {}
     if verdict.subnormal:
         interp = moment_interpolation_check(instance, verdict.berger, opts.order)
@@ -201,53 +214,32 @@ def _oracle_payloads(instance: TCInstance, verdict: Verdict, opts: Options) -> d
             "passed": interp.passed,
             "order": interp.order,
             "max_rel_error": interp.max_rel_error,
-            "status": oracle_status(True, interp.passed),
+            "status": status(interp.passed),
         }
     n = opts.window
-    rows = []
-    columns = []
-    for index in range(opts.window + 1):
-        base, shifted = hankel_psd(instance.row_moments(index, 2 * n + 2), n)
-        rows.append(
-            {
-                "index": index,
-                "passed": base.passed and shifted.passed,
-                "min_eigenvalue": min(base.min_eigenvalue, shifted.min_eigenvalue),
-                "status": oracle_status(verdict.subnormal, base.passed and shifted.passed),
-            }
-        )
-        base, shifted = hankel_psd(instance.column_moments(index, 2 * n + 2), n)
-        columns.append(
-            {
-                "index": index,
-                "passed": base.passed and shifted.passed,
-                "min_eigenvalue": min(base.min_eigenvalue, shifted.min_eigenvalue),
-                "status": oracle_status(verdict.subnormal, base.passed and shifted.passed),
-            }
-        )
-    oracles["hankel_rows"] = rows
-    oracles["hankel_columns"] = columns
-    matrix_report = moment_matrix_2d(instance, max(1, opts.order // 2))
-    oracles["moment_matrix"] = dict(
-        _psd_payload(matrix_report),
-        status=oracle_status(verdict.subnormal, matrix_report.passed),
-    )
-    jh_report = joint_hyponormality_compression(instance, opts.window)
-    oracles["joint_hyponormality"] = dict(
-        _psd_payload(jh_report),
-        status=oracle_status(verdict.subnormal, jh_report.passed),
-    )
+    for name, moments in (
+        ("hankel_rows", instance.row_moments),
+        ("hankel_columns", instance.column_moments),
+    ):
+        entries = []
+        for index in range(n + 1):
+            base, shifted = hankel_psd(moments(index, 2 * n + 2), n)
+            passed = base.passed and shifted.passed
+            entries.append(
+                {
+                    "index": index,
+                    "passed": passed,
+                    "min_eigenvalue": min(base.min_eigenvalue, shifted.min_eigenvalue),
+                    "status": status(passed),
+                }
+            )
+        oracles[name] = entries
+    for name, psd in (
+        ("moment_matrix", moment_matrix_2d(instance, max(1, opts.order // 2))),
+        ("joint_hyponormality", joint_hyponormality_compression(instance, n)),
+    ):
+        oracles[name] = dict(vars(psd), status=status(psd.passed))
     return oracles
-
-
-def _diag_payload(verdict: Verdict) -> dict[str, float]:
-    diag = verdict.diagnostics
-    return {
-        "recip_s_xi": diag.recip_s_xi,
-        "recip_t_eta": diag.recip_t_eta,
-        "recip_t_psi": diag.recip_t_psi,
-        "recip_t_eta_y_tail": diag.recip_t_eta_y_tail,
-    }
 
 
 def _build_report(
@@ -261,9 +253,9 @@ def _build_report(
     report = Report(
         command=command,
         kind=kind,
-        verdict="subnormal" if verdict.subnormal else "not-subnormal",
+        verdict=_verdict_name(verdict),
         witness=_witness_payload(verdict),
-        diagnostics=_diag_payload(verdict),
+        diagnostics=dict(vars(verdict.diagnostics)),
         oracles=oracles,
     )
     if with_measures:
@@ -329,44 +321,30 @@ def render_text(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
-    payload = {
-        "command": report.command,
-        "kind": report.kind,
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "diagnostics": report.diagnostics,
-        "psi": report.psi,
-        "phi": report.phi,
-        "mu": report.mu,
-        "oracles": report.oracles,
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(vars(report), sort_keys=True)
+
+
+def _as_tc(instance: TCInstance | FlatInstance) -> TCInstance:
+    return instance.embed() if isinstance(instance, FlatInstance) else instance
 
 
 def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[Report, int]:
     instance = parsed.instance
     kind = "flat" if isinstance(instance, FlatInstance) else "tc"
-    start = time.perf_counter()
+    oracles = None
     if command == "flat":
         if not isinstance(instance, FlatInstance):
             raise ValidationError("the flat command requires a kind='flat' instance file")
         verdict = flat_verdict(instance, opts.tol)
-        report = _build_report(command, kind, verdict, with_measures=True)
     else:
-        tc = instance.embed() if isinstance(instance, FlatInstance) else instance
+        tc = _as_tc(instance)
         verdict = subnormality_verdict(tc, opts.tol)
-        if command == "check":
-            report = _build_report(command, kind, verdict, with_measures=False)
-        elif command == "reconstruct":
-            report = _build_report(command, kind, verdict, with_measures=True)
-        elif command == "verify":
+        if command == "verify":
             oracles = _oracle_payloads(tc, verdict, opts)
-            report = _build_report(command, kind, verdict, with_measures=True, oracles=oracles)
-        else:
-            raise ValueError(f"unknown command {command!r}")
-    report.elapsed = time.perf_counter() - start
-    code = EXIT_SUBNORMAL if verdict.subnormal else EXIT_NOT_SUBNORMAL
-    return report, code
+    report = _build_report(
+        command, kind, verdict, with_measures=command != "check", oracles=oracles
+    )
+    return report, EXIT_SUBNORMAL if verdict.subnormal else EXIT_NOT_SUBNORMAL
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
@@ -403,19 +381,13 @@ def _validate_sweep_param(instance, param: str) -> None:
         )
 
 
-def _sweep_point(instance, param: str, value: float, tol: float):
-    candidate = dataclasses.replace(instance, **{param: value})
-    if isinstance(candidate, FlatInstance):
-        return subnormality_verdict(candidate.embed(), tol)
-    return subnormality_verdict(candidate, tol)
-
-
 def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
     _validate_sweep_param(parsed.instance, args.param)
     lo, hi, step = _parse_range(args.range)
     for value in _grid(lo, hi, step):
         try:
-            verdict = _sweep_point(parsed.instance, args.param, value, opts.tol)
+            candidate = dataclasses.replace(parsed.instance, **{args.param: value})
+            verdict = subnormality_verdict(_as_tc(candidate), opts.tol)
         except (TCShiftError, ValueError) as exc:
             if args.json:
                 line = json.dumps(
@@ -430,12 +402,12 @@ def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
             payload: dict[str, Any] = {
                 "param": args.param,
                 "value": value,
-                "verdict": "subnormal" if verdict.subnormal else "not-subnormal",
+                "verdict": _verdict_name(verdict),
                 "witness": _witness_payload(verdict),
             }
             line = json.dumps(payload, sort_keys=True)
         else:
-            line = f"{args.param}={_fmt6(value)} {'subnormal' if verdict.subnormal else 'not-subnormal'}"
+            line = f"{args.param}={_fmt6(value)} {_verdict_name(verdict)}"
             if verdict.witness is not None:
                 w = verdict.witness
                 line += f" witness={w.measure}@{_fmt6(w.location)} mass={_fmt6(w.mass)}"
@@ -459,9 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("path", help="JSON instance file")
-        cmd.add_argument("--tol", type=float, default=None, help="positivity tolerance")
-        cmd.add_argument("--order", type=int, default=None, help="moment order for oracles")
-        cmd.add_argument("--window", type=int, default=None, help="index window for oracles")
+        for spec in dataclasses.fields(Options):
+            cmd.add_argument(
+                f"--{spec.name}", type=type(spec.default), help=spec.metadata["help"]
+            )
         mode = cmd.add_mutually_exclusive_group()
         mode.add_argument("--json", action="store_true", help="JSON report")
         mode.add_argument("--text", action="store_true", help="text report (default)")
@@ -472,10 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_options(args, file_options: Options) -> Options:
-    return Options(
-        tol=args.tol if args.tol is not None else file_options.tol,
-        order=args.order if args.order is not None else file_options.order,
-        window=args.window if args.window is not None else file_options.window,
+    flags = {spec.name: getattr(args, spec.name) for spec in dataclasses.fields(Options)}
+    return dataclasses.replace(
+        file_options, **{name: value for name, value in flags.items() if value is not None}
     )
 
 
@@ -483,19 +455,11 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     """Entry point; returns the exit code and prints the report to ``out``."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         parsed = parse_instance(args.path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=err)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"invalid instance: {exc}", file=err)
-        return EXIT_INVALID
-    opts = _resolve_options(args, parsed.options)
-    try:
+        opts = _resolve_options(args, parsed.options)
         if args.command == "sweep":
             code = _run_sweep(parsed, args, opts, out)
         else:
@@ -504,7 +468,7 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
         return EXIT_PARSE
-    except ValidationError as exc:
+    except (TCShiftError, ArithmeticError) as exc:
         print(f"invalid instance: {exc}", file=err)
         return EXIT_INVALID
     print(f"elapsed: {time.perf_counter() - started:.6f}s", file=err)

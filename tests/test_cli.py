@@ -20,6 +20,13 @@ def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def write_f1_variant(tmp_path, changes) -> str:
+    data = json.loads((FIXTURES / "f1.json").read_text())
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps({**data, **changes}))
+    return str(path)
+
+
 def run_capture(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
@@ -78,6 +85,65 @@ class TestExitCodes:
         code, _, err = run_capture(["check", fixture("invalid.json")])
         assert code == 2
         assert "invalid instance" in err
+
+    @pytest.mark.parametrize(
+        "command, changes",
+        [
+            # psi charges 1e-13, which counts as the origin: 1/t is not integrable
+            ("check", {"eta_y": {"atoms": [[1e-13, 0.5], [1.0, 0.5]]}}),
+            # the oracles' moments of atoms at 1e10 overflow
+            (
+                "verify",
+                {
+                    **{name: {"atoms": [[1e10, 1.0]]} for name in ("xi_x", "eta_y", "xi", "eta")},
+                    "a": 1e5,
+                },
+            ),
+        ],
+        ids=["atom-near-zero", "overflow"],
+    )
+    def test_failures_after_parsing_are_invalid_instances(self, tmp_path, command, changes):
+        code, out, err = run_capture([command, write_f1_variant(tmp_path, changes)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid instance: ")
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "options, expected_code",
+        [
+            ({"tol": "abc"}, 3),
+            ({"order": [1]}, 3),
+            ({"tol": True}, 3),
+            ({"window": 0}, 2),
+            ({"tol": math.nan}, 2),
+        ],
+        ids=["tol-string", "order-list", "tol-bool", "window-zero", "tol-nan"],
+    )
+    def test_bad_file_options(self, tmp_path, options, expected_code):
+        path = write_f1_variant(tmp_path, {"options": options})
+        code, out, err = run_capture(["verify", path])
+        assert code == expected_code
+        assert out == ""
+        assert f"option {next(iter(options))} must be" in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("verify", ["--window", "0"]), ("check", ["--tol", "-1"])],
+        ids=["window-zero", "tol-negative"],
+    )
+    def test_out_of_range_flags(self, command, flag):
+        code, out, err = run_capture([command, fixture("f1.json"), *flag])
+        assert code == 2
+        assert out == ""
+        assert f"option {flag[0][2:]} must be finite and at least" in err
+
+    def test_integer_options_are_accepted(self, tmp_path):
+        path = write_f1_variant(tmp_path, {"options": {"tol": 0, "order": 4, "window": 1}})
+        code, out, _ = run_capture(["verify", path, "--json"])
+        assert code == 0
+        assert json.loads(out)["oracles"]["moment_interpolation"]["order"] == 4
 
 
 class TestReports:
