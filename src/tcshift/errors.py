@@ -29,6 +29,12 @@ class DepthExceeded(TCShiftError):
     """A weight or moment index lies beyond the configured depth limit."""
 
 
+class NonFinite(TCShiftError, ValueError):
+    """An atom coordinate or mass is infinite or NaN, given so or produced by
+    overflowing arithmetic.  It is also a ValueError, so every handler of
+    invalid values catches it."""
+
+
 class PreconditionViolated(TCShiftError):
     """An operation received data that fails its stated precondition."""
 

@@ -10,15 +10,27 @@ oracles trustworthy.
 Conventions: locations are nonnegative, probability measures have total
 mass one, and two locations closer than ``MERGE_REL_TOL`` (relative to the
 larger of the two and to one) denote the same point and are merged.
+
+Every measure holds its atoms as a tuple of finite float tuples that is
+
+- sorted, by location or by (s, t);
+- merged: no two consecutive atoms are at the same point;
+- zero-free: no mass is exactly zero.
+
+The constructors establish this with one sort and one merge pass.  The
+product of two merged factors is merged already, so ``product`` builds its
+atoms without a merge pass; its docstring gives the proof.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Literal, Sequence, Union
 
-from .errors import AtomAtZero, NotProbability, PreconditionViolated
+from .errors import AtomAtZero, NonFinite, NotProbability, PreconditionViolated
 
 #: Two atom locations within this relative distance are one atom.
 MERGE_REL_TOL = 1e-12
@@ -40,39 +52,111 @@ def same_location(u: float, v: float) -> bool:
 def _finite(value: float, what: str) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+        raise NonFinite(f"{what} must be finite, got {value!r}")
     return value
+
+
+_NAMES_1D = ("atom location", "atom mass")
+_NAMES_2D = ("atom s-coordinate", "atom t-coordinate", "atom mass")
+
+
+def _as_floats(atoms: Iterable[Sequence[float]], names: tuple[str, ...]) -> list:
+    """The atoms as tuples of finite floats, in input order.
+
+    Finiteness is checked in bulk: a sum of finite floats is finite unless
+    it overflows, and any inf or NaN makes it non-finite.  Only when that
+    check (or a conversion) fails are the values walked one by one, so the
+    error names the first offending value in input order.
+    """
+    if not isinstance(atoms, (tuple, list)):
+        atoms = tuple(atoms)
+    try:
+        if len(names) == 2:
+            prepared = [(float(u), float(m)) for u, m in atoms]
+        else:
+            prepared = [(float(u), float(v), float(m)) for u, v, m in atoms]
+        if math.isfinite(sum(chain.from_iterable(prepared))):
+            return prepared
+    except (ArithmeticError, TypeError, ValueError):
+        pass
+    if len(names) == 2:
+        return [(_finite(u, names[0]), _finite(m, names[1])) for u, m in atoms]
+    return [
+        (_finite(u, names[0]), _finite(v, names[1]), _finite(m, names[2]))
+        for u, v, m in atoms
+    ]
 
 
 def _merge_1d(atoms: Iterable[Sequence[float]]) -> tuple[tuple[float, float], ...]:
     """Sort atoms by location, merge coincident locations, drop exact zeros."""
-    prepared = [
-        (_finite(loc, "atom location"), _finite(mass, "atom mass"))
-        for loc, mass in atoms
-    ]
-    merged: list[list[float]] = []
-    for loc, mass in sorted(prepared):
-        if merged and same_location(merged[-1][0], loc):
-            merged[-1][1] += mass
-        else:
-            merged.append([loc, mass])
-    return tuple((loc, mass) for loc, mass in merged if mass != 0.0)
+    return _merge_floats_1d(_as_floats(atoms, _NAMES_1D))
 
 
 def _merge_2d(atoms: Iterable[Sequence[float]]) -> tuple[tuple[float, float, float], ...]:
-    prepared = []
-    for atom in atoms:
-        s, t, mass = atom
-        prepared.append(
-            (_finite(s, "atom s-coordinate"), _finite(t, "atom t-coordinate"), _finite(mass, "atom mass"))
-        )
-    merged: list[list[float]] = []
-    for s, t, mass in sorted(prepared):
-        if merged and same_location(merged[-1][0], s) and same_location(merged[-1][1], t):
-            merged[-1][2] += mass
+    """Sort atoms by (s, t), merge coincident points, drop exact zeros."""
+    return _merge_floats_2d(_as_floats(atoms, _NAMES_2D))
+
+
+# The two merge loops below inline ``same_location``.  An atom joins the
+# current run when it is at the same location as the run's first atom, and
+# a run whose masses sum to exactly zero is dropped.
+
+
+def _merge_floats_1d(prepared: list) -> tuple[tuple[float, float], ...]:
+    """Merge finite float pairs, which this sorts in place."""
+    if not prepared:
+        return ()
+    prepared.sort()
+    merged = []
+    append = merged.append
+    tol = MERGE_REL_TOL
+    atoms = iter(prepared)
+    head, total = next(atoms)
+    for loc, mass in atoms:
+        if loc == head or abs(head - loc) <= tol * max(1.0, abs(head), abs(loc)):
+            total += mass
         else:
-            merged.append([s, t, mass])
-    return tuple((s, t, mass) for s, t, mass in merged if mass != 0.0)
+            if total:
+                append((head, total))
+            head, total = loc, mass
+    if total:
+        append((head, total))
+    return tuple(merged)
+
+
+def _merge_floats_2d(prepared: list) -> tuple[tuple[float, float, float], ...]:
+    """Merge finite float triples, which this sorts in place."""
+    if not prepared:
+        return ()
+    prepared.sort()
+    merged = []
+    append = merged.append
+    tol = MERGE_REL_TOL
+    atoms = iter(prepared)
+    s0, t0, total = next(atoms)
+    for s, t, mass in atoms:
+        if (s == s0 or abs(s0 - s) <= tol * max(1.0, abs(s0), abs(s))) and (
+            t == t0 or abs(t0 - t) <= tol * max(1.0, abs(t0), abs(t))
+        ):
+            total += mass
+        else:
+            if total:
+                append((s0, t0, total))
+            s0, t0, total = s, t, mass
+    if total:
+        append((s0, t0, total))
+    return tuple(merged)
+
+
+def _from_merged(cls: type, atoms: tuple, **fields: bool):
+    """An instance of ``cls`` over atoms that are already float, finite,
+    sorted, merged and zero-free; only the class's own checks run."""
+    measure = object.__new__(cls)
+    object.__setattr__(measure, "atoms", atoms)
+    for name, value in fields.items():
+        object.__setattr__(measure, name, value)
+    measure._check()
+    return measure
 
 
 @dataclass(frozen=True)
@@ -192,19 +276,28 @@ class AtomicMeasure2D:
     probability: bool = False
 
     def __post_init__(self) -> None:
-        merged = _merge_2d(self.atoms)
-        for s, t, mass in merged:
-            if s < 0.0 or t < 0.0:
-                raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
-            if mass <= 0.0:
-                raise ValueError(f"atom mass must be positive, got {mass!r} at ({s!r}, {t!r})")
-        object.__setattr__(self, "atoms", merged)
+        object.__setattr__(self, "atoms", _merge_2d(self.atoms))
+        self._check()
+
+    def _check(self) -> None:
+        atoms = self.atoms
+        # atoms are sorted by s, so atoms[0][0] is the least s
+        if atoms and (
+            atoms[0][0] < 0.0
+            or min(map(itemgetter(1), atoms)) < 0.0
+            or min(map(itemgetter(2), atoms)) <= 0.0
+        ):
+            for s, t, mass in atoms:
+                if s < 0.0 or t < 0.0:
+                    raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
+                if mass <= 0.0:
+                    raise ValueError(f"atom mass must be positive, got {mass!r} at ({s!r}, {t!r})")
         if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
             raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
 
     @property
     def total_mass(self) -> float:
-        return sum(mass for _, _, mass in self.atoms)
+        return sum(map(itemgetter(2), self.atoms))
 
     def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
         return abs(self.total_mass - 1.0) <= tol
@@ -256,15 +349,19 @@ class SignedMeasure2D:
     atoms: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        merged = _merge_2d(self.atoms)
-        for s, t, _ in merged:
-            if s < 0.0 or t < 0.0:
-                raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
-        object.__setattr__(self, "atoms", merged)
+        object.__setattr__(self, "atoms", _merge_2d(self.atoms))
+        self._check()
+
+    def _check(self) -> None:
+        atoms = self.atoms
+        if atoms and (atoms[0][0] < 0.0 or min(map(itemgetter(1), atoms)) < 0.0):
+            for s, t, _ in atoms:
+                if s < 0.0 or t < 0.0:
+                    raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
 
     @property
     def total_mass(self) -> float:
-        return sum(mass for _, _, mass in self.atoms)
+        return sum(map(itemgetter(2), self.atoms))
 
     @property
     def total_variation(self) -> float:
@@ -287,9 +384,11 @@ class SignedMeasure2D:
             raise PreconditionViolated(
                 f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
             )
-        return AtomicMeasure2D(
-            tuple(atom for atom in self.atoms if atom[2] > 0.0),
-            probability=probability,
+        # Dropping atoms can make two atoms that were apart in the sort
+        # adjacent, so the survivors are merged again.
+        positive = [atom for atom in self.atoms if atom[2] > 0.0]
+        return _from_merged(
+            AtomicMeasure2D, _merge_floats_2d(positive), probability=probability
         )
 
 
@@ -322,13 +421,30 @@ def product(mx: Measure1D, my: Measure1D) -> Measure2D:
     Returns an ``AtomicMeasure2D`` when both factors are nonnegative (the
     result is then a probability measure exactly when both factors are) and
     a ``SignedMeasure2D`` otherwise.
+
+    No merge pass runs: the atoms, built in nested (s, t) order, are
+    already sorted and merged.  The locations of a merged factor strictly
+    increase, and no two consecutive ones are the same location.  The merge
+    found each run's first location apart from the one before it; where a
+    run summing to zero was dropped between u < v < w, w - u exceeds v - u
+    by w - v, while the threshold MERGE_REL_TOL * max(1, u, w) exceeds
+    MERGE_REL_TOL * max(1, u, v) by at most MERGE_REL_TOL * (w - v).  So the
+    nested order is the sorted order, and consecutive product atoms are
+    apart in t (within a row) or in s (across rows): the merge would keep
+    each one.  Sorting and merging is therefore the identity on them, except
+    that it drops masses that underflow to exactly zero, as done here.
     """
-    atoms = tuple(
-        (s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms
-    )
+    atoms = [(s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms]
+    masses = list(map(itemgetter(2), atoms))
+    if not math.isfinite(sum(masses)):
+        _as_floats(atoms, _NAMES_2D)  # names the first non-finite mass
+    if 0.0 in masses:
+        atoms = [atom for atom in atoms if atom[2]]
     if isinstance(mx, AtomicMeasure1D) and isinstance(my, AtomicMeasure1D):
-        return AtomicMeasure2D(atoms, probability=mx.probability and my.probability)
-    return SignedMeasure2D(atoms)
+        return _from_merged(
+            AtomicMeasure2D, tuple(atoms), probability=mx.probability and my.probability
+        )
+    return _from_merged(SignedMeasure2D, tuple(atoms))
 
 
 def combine(
@@ -383,10 +499,11 @@ def positivity(measure: Measure, tol: float = POSITIVITY_REL_TOL) -> Positivity:
     atoms = measure.atoms
     if not atoms:
         return Positivity(True)
-    variation = sum(abs(atom[-1]) for atom in atoms)
-    worst = min(atoms, key=lambda atom: atom[-1])
-    if worst[-1] >= -tol * variation:
+    masses = list(map(itemgetter(-1), atoms))
+    worst_mass = min(masses)
+    if worst_mass >= -tol * sum(map(abs, masses)):
         return Positivity(True)
+    worst = atoms[masses.index(worst_mass)]
     if len(worst) == 2:
         return Positivity(False, worst[0], worst[1])
     return Positivity(False, (worst[0], worst[1]), worst[2])

@@ -6,7 +6,7 @@ import math
 import random
 
 from tcshift.diagram import FlatInstance, TCInstance
-from tcshift.measures import AtomicMeasure1D, atom_difference, combine, dirac
+from tcshift.measures import MERGE_REL_TOL, AtomicMeasure1D, atom_difference, combine, dirac
 
 
 def m1(*pairs: tuple[float, float], probability: bool = False) -> AtomicMeasure1D:
@@ -194,3 +194,76 @@ def random_flat_instance(rng: random.Random) -> FlatInstance:
         else None
     )
     return FlatInstance(p=p, q=q, l=l, m=m, b=b, a=a, rho=rho, sigma=sigma)
+
+
+# Reference atom kernel: the straightforward merge, product and positivity
+# check that the optimised kernel in tcshift.measures must reproduce exactly
+# (same tuples, same exceptions and messages).
+
+
+def reference_same_location(u: float, v: float) -> bool:
+    return abs(u - v) <= MERGE_REL_TOL * max(1.0, abs(u), abs(v))
+
+
+def _reference_finite(value: float, what: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def reference_merge_1d(atoms):
+    """Sort atoms by location, merge coincident locations, drop exact zeros."""
+    prepared = [
+        (_reference_finite(loc, "atom location"), _reference_finite(mass, "atom mass"))
+        for loc, mass in atoms
+    ]
+    merged: list[list[float]] = []
+    for loc, mass in sorted(prepared):
+        if merged and reference_same_location(merged[-1][0], loc):
+            merged[-1][1] += mass
+        else:
+            merged.append([loc, mass])
+    return tuple((loc, mass) for loc, mass in merged if mass != 0.0)
+
+
+def reference_merge_2d(atoms):
+    prepared = []
+    for atom in atoms:
+        s, t, mass = atom
+        prepared.append(
+            (
+                _reference_finite(s, "atom s-coordinate"),
+                _reference_finite(t, "atom t-coordinate"),
+                _reference_finite(mass, "atom mass"),
+            )
+        )
+    merged: list[list[float]] = []
+    for s, t, mass in sorted(prepared):
+        if (
+            merged
+            and reference_same_location(merged[-1][0], s)
+            and reference_same_location(merged[-1][1], t)
+        ):
+            merged[-1][2] += mass
+        else:
+            merged.append([s, t, mass])
+    return tuple((s, t, mass) for s, t, mass in merged if mass != 0.0)
+
+
+def reference_product_atoms(mx, my):
+    """Atoms of the product measure: every pair of atoms, then a merge."""
+    return reference_merge_2d(
+        tuple((s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms)
+    )
+
+
+def reference_positivity(atoms, tol):
+    """(positive, worst atom or None) of an atom tuple."""
+    if not atoms:
+        return True, None
+    variation = sum(abs(atom[-1]) for atom in atoms)
+    worst = min(atoms, key=lambda atom: atom[-1])
+    if worst[-1] >= -tol * variation:
+        return True, None
+    return False, worst

@@ -16,6 +16,9 @@ from helpers import assert_measures_close, f1_instance
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+NON_FINITE = {"xi": {"atoms": [[1e-5, 1]]}, "eta": {"atoms": [[1e-5, 1]]}, "a": 1e150}
+
+
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
@@ -87,10 +90,10 @@ class TestExitCodes:
         assert "invalid instance" in err
 
     @pytest.mark.parametrize(
-        "command, changes",
+        "command, changes, message",
         [
             # psi charges 1e-13, which counts as the origin: 1/t is not integrable
-            ("check", {"eta_y": {"atoms": [[1e-13, 0.5], [1.0, 0.5]]}}),
+            ("check", {"eta_y": {"atoms": [[1e-13, 0.5], [1.0, 0.5]]}}, None),
             # the oracles' moments of atoms at 1e10 overflow
             (
                 "verify",
@@ -98,15 +101,34 @@ class TestExitCodes:
                     **{name: {"atoms": [[1e10, 1.0]]} for name in ("xi_x", "eta_y", "xi", "eta")},
                     "a": 1e5,
                 },
+                None,
             ),
+            # ||1/t|| over psi overflows to -inf, so phi's atom at 0 gets mass +inf;
+            # flat refuses the tc file before any arithmetic
+            *(
+                (command, NON_FINITE, "atom mass must be finite, got inf")
+                for command in ("check", "reconstruct", "verify")
+            ),
+            ("flat", NON_FINITE, "the flat command requires a kind='flat' instance file"),
         ],
-        ids=["atom-near-zero", "overflow"],
+        ids=[
+            "atom-near-zero",
+            "overflow",
+            "non-finite-check",
+            "non-finite-reconstruct",
+            "non-finite-verify",
+            "non-finite-flat",
+        ],
     )
-    def test_failures_after_parsing_are_invalid_instances(self, tmp_path, command, changes):
+    def test_failures_after_parsing_are_invalid_instances(
+        self, tmp_path, command, changes, message
+    ):
         code, out, err = run_capture([command, write_f1_variant(tmp_path, changes)])
         assert code == 2
         assert out == ""
         assert err.startswith("invalid instance: ")
+        if message is not None:
+            assert err.splitlines()[0] == f"invalid instance: {message}"
 
 
 class TestOptions:

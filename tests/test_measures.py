@@ -1,14 +1,21 @@
 """Atom algebra: worked examples and algebraic properties."""
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tcshift import measures
+from tcshift.cli import parse_instance
 from tcshift.errors import AtomAtZero, NotProbability, PreconditionViolated
 from tcshift.measures import (
+    MERGE_REL_TOL,
     AtomicMeasure1D,
     AtomicMeasure2D,
     SignedMeasure1D,
+    SignedMeasure2D,
     atom_difference,
     combine,
     dirac,
@@ -17,8 +24,17 @@ from tcshift.measures import (
     positivity,
     product,
 )
+from tcshift.reconstruct import berger_measure
 
-from helpers import assert_measures_close, m1
+from helpers import (
+    assert_measures_close,
+    m1,
+    random_locations,
+    reference_merge_1d,
+    reference_merge_2d,
+    reference_positivity,
+    reference_product_atoms,
+)
 
 atom_lists = st.lists(
     st.tuples(
@@ -237,3 +253,148 @@ class TestConstruction:
     def test_measures_equal(self):
         assert measures_equal(m1((1.0, 0.5)), m1((1.0, 0.5 + 1e-14)), 1e-12)
         assert not measures_equal(m1((1.0, 0.5)), m1((1.0, 0.6)), 1e-12)
+
+
+# Locations on both sides of 1 (where MERGE_REL_TOL turns from absolute to
+# relative), negative ones included, each moved by up to +-2 tolerances:
+# within a merge distance of its anchor, on it, or beyond it.  Offsets
+# 0.75 apart tell a run that is compared with its first atom from one
+# compared with its last.
+ANCHORS = (-1e6, -2.5, 0.0, 0.3, 1.0, 2.5, 1e6)
+OFFSETS = (0.0, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0, 2.0, -2.0)
+near_locations = st.builds(
+    lambda anchor, k: anchor + k * MERGE_REL_TOL * max(1.0, abs(anchor)),
+    st.sampled_from(ANCHORS),
+    st.sampled_from(OFFSETS),
+)
+# Exact and signed zeros, masses whose products underflow (1e-170 squared)
+# or land among the subnormals (1e-160 squared), and ordinary masses.
+kernel_masses = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-170, -1e-170, 1e-160, 0.5, -0.5, 0.25)),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@st.composite
+def kernel_atoms(draw, dim):
+    """Unsorted atoms on near-coincident locations, some of them cancelled
+    exactly by an atom of opposite mass at the same point."""
+    atoms = draw(
+        st.lists(st.tuples(*[near_locations] * (dim - 1), kernel_masses), max_size=12)
+    )
+    cancelled = draw(st.lists(st.sampled_from(atoms), max_size=4)) if atoms else []
+    atoms += [(*atom[:-1], -atom[-1]) for atom in cancelled]
+    return draw(st.permutations(atoms))
+
+
+@st.composite
+def with_non_finite(draw, dim):
+    """Atoms with inf, -inf or nan put at one position and coordinate."""
+    atoms = [list(atom) for atom in draw(kernel_atoms(dim))] or [[0.0] * dim]
+    for _ in range(draw(st.integers(1, 2))):
+        atom = draw(st.sampled_from(atoms))
+        atom[draw(st.integers(0, dim - 1))] = draw(
+            st.sampled_from((float("inf"), float("-inf"), float("nan")))
+        )
+    return [tuple(atom) for atom in atoms]
+
+
+def raised(function, *args):
+    try:
+        function(*args)
+    except Exception as exc:  # the test compares whatever was raised
+        return exc
+    raise AssertionError("no exception raised")
+
+
+class TestKernelMatchesReference:
+    """The optimised merge and product return the reference's tuples, bit
+    for bit (compared by repr, which tells -0.0 from 0.0)."""
+
+    @given(atoms=kernel_atoms(2))
+    def test_merge_1d(self, atoms):
+        assert repr(measures._merge_1d(atoms)) == repr(reference_merge_1d(atoms))
+
+    @given(atoms=kernel_atoms(3))
+    def test_merge_2d(self, atoms):
+        assert repr(measures._merge_2d(atoms)) == repr(reference_merge_2d(atoms))
+
+    @given(atoms=with_non_finite(2))
+    def test_non_finite_1d_raises_like_the_reference(self, atoms):
+        got, expected = raised(measures._merge_1d, atoms), raised(reference_merge_1d, atoms)
+        assert isinstance(got, type(expected)) and str(got) == str(expected)
+
+    @given(atoms=with_non_finite(3))
+    def test_non_finite_2d_raises_like_the_reference(self, atoms):
+        got, expected = raised(measures._merge_2d, atoms), raised(reference_merge_2d, atoms)
+        assert isinstance(got, type(expected)) and str(got) == str(expected)
+
+    @given(
+        x=kernel_atoms(2),
+        y=kernel_atoms(2),
+        big=st.sampled_from((1.0, 1e200)),
+        signed=st.booleans(),
+    )
+    def test_product(self, x, y, big, signed):
+        """Factors on near-coincident locations; masses that cancel,
+        underflow, or (scaled by 1e200) overflow in the product."""
+        factors = []
+        for atoms in (x, y):
+            atoms = [(abs(loc), big * mass) for loc, mass in atoms]
+            if signed:
+                factors.append(SignedMeasure1D(tuple(atoms)))
+            else:
+                factors.append(AtomicMeasure1D(tuple(a for a in atoms if a[1] > 0.0)))
+        try:
+            expected = reference_product_atoms(*factors)
+        except ValueError as exc:
+            got = raised(product, *factors)
+            assert isinstance(got, ValueError) and str(got) == str(exc)
+            return
+        assert repr(product(*factors).atoms) == repr(expected)
+
+    @given(atoms=kernel_atoms(3), tol=st.sampled_from((0.0, 1e-12, 0.5)))
+    def test_positivity_and_as_positive(self, atoms, tol):
+        signed = SignedMeasure2D(tuple((abs(s), abs(t), m) for s, t, m in atoms))
+        check = positivity(signed, tol)
+        positive, worst = reference_positivity(signed.atoms, tol)
+        assert check.positive == positive
+        if not positive:
+            assert (check.location, check.mass) == ((worst[0], worst[1]), worst[2])
+            return
+        kept = [atom for atom in signed.atoms if atom[2] > 0.0]
+        assert repr(signed.as_positive(tol).atoms) == repr(reference_merge_2d(kept))
+
+
+class TestMergePasses:
+    """2-D merge passes counted at the one loop every 2-D merge runs."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        merge = measures._merge_floats_2d
+
+        def counting(prepared):
+            calls.append(len(prepared))
+            return merge(prepared)
+
+        monkeypatch.setattr(measures, "_merge_floats_2d", counting)
+        return calls
+
+    def test_product_makes_no_merge_pass(self, passes):
+        rng = random.Random(30)
+        mx, my = (
+            AtomicMeasure1D(tuple((loc, 1.0 / 30) for loc in random_locations(rng, 30)))
+            for _ in range(2)
+        )
+        assert len(product(mx, my).atoms) == 900
+        assert passes == []
+
+    def test_split_assembly_merges_twice(self, passes):
+        """The sum of the three pieces is merged once in ``combine`` and once
+        more in ``as_positive``; no product is merged."""
+        fixture = Path(__file__).parent / "fixtures" / "tc30_subnormal_wide.json"
+        instance = parse_instance(str(fixture)).instance
+        mu = berger_measure(instance, form="split")
+        assert len(mu.atoms) > 900
+        assert len(passes) == 2
