@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -356,6 +357,11 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         raise ParseError(f"range must be numeric lo:hi:step, got {text!r}") from exc
     _require(step > 0.0, "range step must be positive")
     _require(hi >= lo, "range upper bound must not be below the lower bound")
+    largest = max(abs(lo), abs(hi))
+    _require(
+        largest + step != largest,
+        f"range step {step!r} is below the float spacing at {largest!r}",
+    )
     return lo, hi, step
 
 
@@ -476,4 +482,8 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
+    # A reader that closes the pipe early (``| head``) ends the process
+    # quietly, as it does any other command-line filter.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(run())

@@ -13,6 +13,9 @@ forced by commutativity:
 
 Moments of order (k1, k2) are products of squared weights along any
 nondecreasing lattice path; commutativity makes the value path independent.
+An instance tabulates its weights and moments once, to the fixed depth
+``TCInstance.depth_limit``; the restriction of the shift to k2 >= i,
+k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import ClassVar, Literal
 
 from .errors import AtomAtZero, DepthExceeded, InvalidFlat, InvalidWeight, NotProbability
 from .measures import PROBABILITY_TOL, AtomicMeasure1D, dirac, same_location
@@ -33,8 +36,6 @@ from .shifts import (
 )
 
 Direction = Literal["h", "v"]
-
-DEFAULT_DEPTH_LIMIT = 32
 
 
 @dataclass(frozen=True)
@@ -58,26 +59,6 @@ class H0Report:
 
 
 @dataclass(frozen=True)
-class RestrictionMoments:
-    """Moment functional of the shift restricted to k2 >= i, k1 >= j.
-
-    Moments renormalise so the restricted gamma_(0,0) is one; the (1, 1)
-    restriction is the core.
-    """
-
-    instance: "TCInstance"
-    i: int
-    j: int
-
-    @cached_property
-    def _base(self) -> float:
-        return self.instance.moment(self.j, self.i)
-
-    def moment(self, k1: int, k2: int) -> float:
-        return self.instance.moment(self.j + k1, self.i + k2) / self._base
-
-
-@dataclass(frozen=True)
 class TCInstance:
     """A 2-variable weighted shift with a tensor-form core.
 
@@ -91,7 +72,9 @@ class TCInstance:
     xi: AtomicMeasure1D
     eta: AtomicMeasure1D
     a: float
-    depth_limit: int = DEFAULT_DEPTH_LIMIT
+    #: Largest weight index; moments are valid for k1 <= depth_limit + 1
+    #: when k2 = 0, and for k1 <= depth_limit, k2 <= depth_limit + 1.
+    depth_limit: ClassVar[int] = 32
 
     def __post_init__(self) -> None:
         named = (
@@ -110,8 +93,6 @@ class TCInstance:
                 raise AtomAtZero(f"{name} has an atom at 0")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise InvalidWeight(f"the joining weight a must be positive, got {self.a!r}")
-        if self.depth_limit < 1:
-            raise ValueError("depth limit must be at least 1")
 
     # Derived scalars, cached once per instance.
 
@@ -139,10 +120,10 @@ class TCInstance:
     @cached_property
     def _tables(self) -> _WeightTables:
         limit = self.depth_limit
-        x = weights_from_measure(self.xi_x, limit + 1).prefix
-        y = weights_from_measure(self.eta_y, limit + 1).prefix
-        core_h = weights_from_measure(self.xi, limit + 1).prefix
-        core_v = weights_from_measure(self.eta, limit + 1).prefix
+        x = weights_from_measure(self.xi_x, limit + 1)
+        y = weights_from_measure(self.eta_y, limit + 1)
+        core_h = weights_from_measure(self.xi, limit + 1)
+        core_v = weights_from_measure(self.eta, limit + 1)
         col0 = [x[0], self.a]
         for k2 in range(1, limit):
             col0.append(col0[k2] * core_v[k2 - 1] / y[k2])
@@ -150,6 +131,24 @@ class TCInstance:
         for k1 in range(1, limit):
             row0.append(row0[k1] * core_h[k1 - 1] / x[k1])
         return _WeightTables(x, y, core_h, core_v, tuple(col0), tuple(row0))
+
+    @cached_property
+    def _gamma(self) -> tuple[tuple[float, ...], ...]:
+        """gamma[k1][k2] for every valid index, built as the row-first path
+        multiplies it: along row 0 to k1, then up column k1."""
+        tables = self._tables
+        limit = self.depth_limit
+        core_v = tables.core_v[:limit]
+        columns = []
+        base = 1.0
+        for k1 in range(limit + 1):
+            column = [base]
+            for weight in tables.y if k1 == 0 else (tables.row0_v[k1], *core_v):
+                column.append(column[-1] * weight**2)
+            columns.append(tuple(column))
+            base *= tables.x[k1] ** 2
+        columns.append((base,))
+        return tuple(columns)
 
     def weight_at(self, k1: int, k2: int, direction: Direction) -> float:
         """Weight of the diagram at lattice point (k1, k2).
@@ -182,12 +181,12 @@ class TCInstance:
         """Moment gamma_(k1, k2): squared weights along the row-first path."""
         if k1 < 0 or k2 < 0:
             raise ValueError("moment orders must be nonnegative")
-        value = 1.0
-        for i in range(k1):
-            value *= self.weight_at(i, 0, "h") ** 2
-        for j in range(k2):
-            value *= self.weight_at(k1, j, "v") ** 2
-        return value
+        gamma = self._gamma
+        if k1 < len(gamma) and k2 < len(gamma[k1]):
+            return gamma[k1][k2]
+        raise DepthExceeded(
+            f"moment ({k1}, {k2}) beyond the depth limit {self.depth_limit}"
+        )
 
     def check_membership_h0(self, depth: int = 8) -> H0Report:
         """Verify, to the given depth, that every row and column shift is
@@ -211,21 +210,15 @@ class TCInstance:
                 return H0Report(False, depth, ("column", k1), ext.reason)
         return H0Report(True, depth)
 
-    def restrict(self, i: int, j: int) -> RestrictionMoments:
-        """Moment functional of the restriction to indices k2 >= i, k1 >= j."""
-        if i < 0 or j < 0:
-            raise ValueError("restriction indices must be nonnegative")
-        return RestrictionMoments(self, i, j)
-
     def row_moments(self, row: int, count: int) -> MomentSequence:
         """Moments of the one-variable shift along a fixed row."""
-        restricted = self.restrict(row, 0)
-        return MomentSequence(tuple(restricted.moment(k, 0) for k in range(count)))
+        base = self.moment(0, row)
+        return MomentSequence(tuple(self.moment(k, row) / base for k in range(count)))
 
     def column_moments(self, column: int, count: int) -> MomentSequence:
         """Moments of the one-variable shift along a fixed column."""
-        restricted = self.restrict(0, column)
-        return MomentSequence(tuple(restricted.moment(0, k) for k in range(count)))
+        base = self.moment(column, 0)
+        return MomentSequence(tuple(self.moment(column, k) / base for k in range(count)))
 
 
 def _check_unit_interval(name: str, value: float, *, allow_zero: bool) -> float:
@@ -327,7 +320,7 @@ class FlatInstance:
             atoms.extend((loc, self.rest_y * mass) for loc, mass in self.sigma.atoms)
         return AtomicMeasure1D(tuple(atoms), probability=True)
 
-    def embed(self, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> TCInstance:
+    def embed(self) -> TCInstance:
         """The instance as a general tensor-core diagram."""
         return TCInstance(
             xi_x=self.xi_x,
@@ -335,5 +328,4 @@ class FlatInstance:
             xi=dirac(1.0),
             eta=dirac(self.b**2),
             a=self.a,
-            depth_limit=depth_limit,
         )

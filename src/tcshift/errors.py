@@ -26,13 +26,18 @@ class InvalidWeight(TCShiftError):
 
 
 class DepthExceeded(TCShiftError):
-    """A weight or moment index lies beyond the configured depth limit."""
+    """A weight or moment index lies beyond the fixed depth limit."""
 
 
 class NonFinite(TCShiftError, ValueError):
     """An atom coordinate or mass is infinite or NaN, given so or produced by
     overflowing arithmetic.  It is also a ValueError, so every handler of
     invalid values catches it."""
+
+
+class InvalidMoments(TCShiftError, ValueError):
+    """Moment data are not a positive sequence starting at one, for instance
+    because a moment underflowed to 0.  It is also a ValueError."""
 
 
 class PreconditionViolated(TCShiftError):

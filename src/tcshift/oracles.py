@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionViolated
+from .errors import NonFinite, PreconditionViolated
 from .diagram import TCInstance
 from .measures import AtomicMeasure2D
 from .shifts import MomentSequence
@@ -61,6 +61,8 @@ def _gamma_function(source) -> Callable[[int, int], float]:
 
 
 def _psd_report(matrix: np.ndarray, tol: float) -> PsdReport:
+    if not np.isfinite(matrix).all():
+        raise NonFinite("an oracle matrix has a non-finite entry")
     sym = 0.5 * (matrix + matrix.T)
     eigenvalues = np.linalg.eigvalsh(sym)
     min_eig = float(eigenvalues[0]) if eigenvalues.size else 0.0
@@ -82,9 +84,9 @@ def moment_interpolation_check(
     """Compare gamma_(k1,k2) with the monomial integrals of mu for all
     k1 + k2 <= order.
 
-    ``source`` may be an instance, a restriction moment functional, or any
-    callable (k1, k2) -> gamma.  Reports the maximal relative error and the
-    first failing index.
+    ``source`` may be an instance or any callable (k1, k2) -> gamma, such
+    as the moments gamma_(j + k1, i + k2) / gamma_(j, i) of a restriction.
+    Reports the maximal relative error and the first failing index.
     """
     gamma = _gamma_function(source)
     max_err = 0.0

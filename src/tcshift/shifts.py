@@ -14,47 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMeasure, InvalidWeight, NotSubnormal
+from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight, NotSubnormal
 from .measures import POSITIVITY_REL_TOL, AtomicMeasure1D
-
-
-@dataclass(frozen=True)
-class WeightSequence:
-    """Weights of a unilateral shift: an explicit prefix, optionally
-    followed by a constant tail."""
-
-    prefix: tuple[float, ...]
-    tail: float | None = None
-    norm_bound: float | None = None
-
-    def __post_init__(self) -> None:
-        entries = self.prefix + (() if self.tail is None else (self.tail,))
-        for value in entries:
-            if not (value > 0.0 and math.isfinite(value)):
-                raise InvalidWeight(f"weights must be positive and finite, got {value!r}")
-            if self.norm_bound is not None and value > self.norm_bound * (1.0 + 1e-12):
-                raise InvalidWeight(
-                    f"weight {value!r} exceeds the norm bound {self.norm_bound!r}"
-                )
-
-    def weight(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("weight index must be nonnegative")
-        if k < len(self.prefix):
-            return self.prefix[k]
-        if self.tail is None:
-            raise IndexError(f"weight {k} beyond the stored prefix")
-        return self.tail
-
-    def as_tuple(self, n: int) -> tuple[float, ...]:
-        return tuple(self.weight(k) for k in range(n))
-
-    def moment(self, k: int) -> float:
-        """Product of the first k squared weights (one when k = 0)."""
-        value = 1.0
-        for i in range(k):
-            value *= self.weight(i) ** 2
-        return value
 
 
 @dataclass(frozen=True)
@@ -65,39 +26,39 @@ class MomentSequence:
 
     def __post_init__(self) -> None:
         if not self.values:
-            raise ValueError("a moment sequence needs at least gamma_0")
+            raise InvalidMoments("a moment sequence needs at least gamma_0")
         if abs(self.values[0] - 1.0) > 1e-9:
-            raise ValueError(f"gamma_0 must be 1, got {self.values[0]!r}")
+            raise InvalidMoments(f"gamma_0 must be 1, got {self.values[0]!r}")
         if any(v <= 0.0 for v in self.values):
-            raise ValueError("moments must be positive")
+            raise InvalidMoments("moments must be positive")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     @classmethod
     def from_measure(cls, measure: AtomicMeasure1D, count: int) -> "MomentSequence":
         return cls(tuple(measure.moment(k) for k in range(count)))
 
-    def __len__(self) -> int:
-        return len(self.values)
 
-    def __getitem__(self, k: int) -> float:
-        return self.values[k]
-
-
-def weights_from_measure(measure: AtomicMeasure1D, n: int) -> WeightSequence:
+def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
     """First n weights of the subnormal shift with the given Berger measure.
 
     alpha_k = sqrt(gamma_{k+1} / gamma_k) with gamma_k the k-th moment, so
     the shift built from the result has the input as its Berger measure by
-    construction.
+    construction.  Every weight must be positive, finite and at most the
+    norm sqrt(max supp); rounding of underflowing moments can break that.
     """
     if n < 1:
         raise ValueError("at least one weight must be requested")
     gammas = [measure.moment(k) for k in range(n + 1)]
     if gammas[1] <= 0.0:
         raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
-    prefix = tuple(math.sqrt(gammas[k + 1] / gammas[k]) for k in range(n))
+    weights = tuple(math.sqrt(gammas[k + 1] / gammas[k]) for k in range(n))
     bound = math.sqrt(max(loc for loc, _ in measure.atoms))
-    return WeightSequence(prefix, norm_bound=bound)
+    for value in weights:
+        if not (value > 0.0 and math.isfinite(value)):
+            raise InvalidWeight(f"weights must be positive and finite, got {value!r}")
+        if value > bound * (1.0 + 1e-12):
+            raise InvalidWeight(f"weight {value!r} exceeds the norm bound {bound!r}")
+    return weights
 
 
 def two_atom_measure(alpha: float, beta: float) -> AtomicMeasure1D:

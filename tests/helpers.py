@@ -267,3 +267,17 @@ def reference_positivity(atoms, tol):
     if worst[-1] >= -tol * variation:
         return True, None
     return False, worst
+
+
+def reference_moment(inst: TCInstance, k1: int, k2: int) -> float:
+    """gamma_(k1, k2) by walking the row-first lattice path: the squared
+    weights along row 0 to k1, then up column k1.  The instance's moment
+    table must reproduce it exactly (same floats, same exception types)."""
+    if k1 < 0 or k2 < 0:
+        raise ValueError("moment orders must be nonnegative")
+    value = 1.0
+    for i in range(k1):
+        value *= inst.weight_at(i, 0, "h") ** 2
+    for j in range(k2):
+        value *= inst.weight_at(k1, j, "v") ** 2
+    return value

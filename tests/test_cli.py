@@ -3,10 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tcshift
 from tcshift.cli import parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
@@ -17,6 +21,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 NON_FINITE = {"xi": {"atoms": [[1e-5, 1]]}, "eta": {"atoms": [[1e-5, 1]]}, "a": 1e150}
+
+
+def single_atom(location: float, a: float) -> dict:
+    """f1 with all four measures a point mass at ``location``, verified at
+    window 12."""
+    return {
+        **{name: {"atoms": [[location, 1.0]]} for name in ("xi_x", "eta_y", "xi", "eta")},
+        "a": a,
+        "options": {"window": 12},
+    }
 
 
 def fixture(name: str) -> str:
@@ -110,6 +124,10 @@ class TestExitCodes:
                 for command in ("check", "reconstruct", "verify")
             ),
             ("flat", NON_FINITE, "the flat command requires a kind='flat' instance file"),
+            # a row moment (about 1e-9 ** 37) underflows to 0
+            ("verify", single_atom(1e-9, 3e-5), "moments must be positive"),
+            # a Hankel entry (about 1e9 ** 37) overflows to inf
+            ("verify", single_atom(1e9, 3e4), "an oracle matrix has a non-finite entry"),
         ],
         ids=[
             "atom-near-zero",
@@ -118,6 +136,8 @@ class TestExitCodes:
             "non-finite-reconstruct",
             "non-finite-verify",
             "non-finite-flat",
+            "row-moment-underflow",
+            "hankel-overflow",
         ],
     )
     def test_failures_after_parsing_are_invalid_instances(
@@ -160,6 +180,21 @@ class TestOptions:
         assert code == 2
         assert out == ""
         assert f"option {flag[0][2:]} must be finite and at least" in err
+
+    @pytest.mark.parametrize(
+        "flags, expected_code",
+        [
+            (["--order", "33", "--window", "15"], 0),
+            (["--order", "34"], 2),
+            (["--window", "16"], 2),
+        ],
+        ids=["at-the-depth-limit", "order-beyond", "window-beyond"],
+    )
+    def test_verify_depth_limits(self, flags, expected_code):
+        code, _, err = run_capture(["verify", fixture("f1.json"), *flags])
+        assert code == expected_code
+        if expected_code == 2:
+            assert "beyond the depth limit 32" in err
 
     def test_integer_options_are_accepted(self, tmp_path):
         path = write_f1_variant(tmp_path, {"options": {"tol": 0, "order": 4, "window": 1}})
@@ -295,6 +330,30 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert "invalid" in lines[-1]
+
+    def test_sweep_refuses_a_step_below_the_float_spacing(self):
+        # lo + index * step == lo for every index: the grid never ends
+        code, out, err = run_capture(
+            ["sweep", fixture("f1.json"), "--param", "a", "--range", "1e150:1e150:1"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "below the float spacing" in err
+
+    def test_closed_pipe_ends_the_sweep_quietly(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(tcshift.__file__).parents[1])}
+        argv = ["sweep", fixture("f1.json"), "--param", "a", "--range", "0.1:100000:1"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "tcshift", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"a=0.1 ")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.wait(timeout=60)
+        assert "Traceback" not in err
 
     def test_sweep_rejects_unknown_parameters(self):
         code, _, err = run_capture(

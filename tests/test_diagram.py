@@ -1,9 +1,12 @@
 """Weight-diagram synthesis: boundary recursions, moments, membership."""
 
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import (
@@ -13,7 +16,7 @@ from tcshift.errors import (
     InvalidWeight,
     NotProbability,
 )
-from tcshift.measures import dirac
+from tcshift.measures import AtomicMeasure1D, dirac
 
 from helpers import (
     assert_measures_close,
@@ -23,6 +26,7 @@ from helpers import (
     m1,
     n1_instance,
     random_tc_instance,
+    reference_moment,
     spike_instance,
     trivial_instance,
 )
@@ -129,6 +133,91 @@ class TestMoments:
                     assert_scalar_close(row_first, column_first, 1e-12)
 
 
+def _scaled(inst: TCInstance, c: float) -> TCInstance:
+    """Every location times c and a times sqrt(c)."""
+    measures = (
+        AtomicMeasure1D(tuple((loc * c, mass) for loc, mass in m.atoms), probability=True)
+        for m in (inst.xi_x, inst.eta_y, inst.xi, inst.eta)
+    )
+    return TCInstance(*measures, inst.a * math.sqrt(c))
+
+
+def _outcome(moment, k1: int, k2: int):
+    try:
+        return repr(moment(k1, k2))
+    except Exception as exc:
+        return type(exc)
+
+
+INDICES = range(36)
+
+
+class TestMomentTable:
+    """The cached gamma table against the path walk it replaced."""
+
+    @settings(max_examples=25)
+    @given(
+        source=st.one_of(
+            st.sampled_from(("f1", "n1")),
+            st.integers(0, 2**32),
+        ),
+        # at 1e9 and 1e10 the order-33 moments of most instances overflow,
+        # so no weight table exists
+        scale=st.sampled_from((1.0, 1e-6, 1e6, 1e9, 1e10)),
+    )
+    def test_matches_the_path_walk(self, source, scale):
+        if source == "f1":
+            inst = f1_instance()
+        elif source == "n1":
+            inst = n1_instance()
+        else:
+            inst = random_tc_instance(random.Random(source))
+        inst = _scaled(inst, scale)
+        walk = functools.partial(reference_moment, inst)
+        for k1 in INDICES:
+            for k2 in INDICES:
+                got = _outcome(inst.moment, k1, k2)
+                want = _outcome(walk, k1, k2)
+                if (k1, k2) == (0, 0) and not isinstance(got, str):
+                    # the walk multiplies no weight for gamma_(0, 0); the
+                    # table needs them all
+                    want = _outcome(walk, 1, 0)
+                assert got == want, (k1, k2)
+        for k1, k2 in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                inst.moment(k1, k2)
+
+    def test_valid_indices(self):
+        inst = f1_instance()
+        limit = inst.depth_limit
+        for k1 in INDICES:
+            for k2 in INDICES:
+                valid = k1 <= limit + 1 if k2 == 0 else k1 <= limit and k2 <= limit + 1
+                if valid:
+                    inst.moment(k1, k2)
+                else:
+                    with pytest.raises(DepthExceeded):
+                        inst.moment(k1, k2)
+
+    def test_lookup_walks_no_weights(self, monkeypatch):
+        inst = n1_instance()
+        inst.moment(0, 0)
+        calls = []
+        weight_at = TCInstance.weight_at
+
+        def counting(self, *args):
+            calls.append(args)
+            return weight_at(self, *args)
+
+        monkeypatch.setattr(TCInstance, "weight_at", counting)
+        for k1 in range(inst.depth_limit + 1):
+            for k2 in range(inst.depth_limit + 2):
+                inst.moment(k1, k2)
+        inst.row_moments(3, 20)
+        inst.column_moments(3, 20)
+        assert calls == []
+
+
 class TestMembership:
     def test_trivial_pair_passes(self):
         assert trivial_instance().check_membership_h0(8).passed
@@ -147,27 +236,33 @@ class TestMembership:
 
 
 class TestRestriction:
+    """The restriction to k2 >= i, k1 >= j has the moments
+    gamma_(j + k1, i + k2) / gamma_(j, i)."""
+
     def test_identity(self):
         inst = f1_instance()
-        restricted = inst.restrict(0, 0)
         for k1, k2 in ((0, 0), (2, 1), (4, 3)):
-            assert restricted.moment(k1, k2) == inst.moment(k1, k2)
+            assert inst.moment(k1, k2) / inst.moment(0, 0) == inst.moment(k1, k2)
 
     def test_f1_core_is_the_unweighted_tensor_pair(self):
-        core = f1_instance().restrict(1, 1)
+        inst = f1_instance()
         for k1 in range(5):
             for k2 in range(5):
-                assert_scalar_close(core.moment(k1, k2), 1.0)
+                assert_scalar_close(inst.moment(1 + k1, 1 + k2) / inst.moment(1, 1), 1.0)
 
     def test_core_moments_factor(self):
         rng = random.Random(21)
         for _ in range(5):
-            core = random_tc_instance(rng).restrict(1, 1)
+            inst = random_tc_instance(rng)
+
+            def core(k1, k2):
+                return inst.moment(1 + k1, 1 + k2) / inst.moment(1, 1)
+
             for k1 in range(1, 7):
                 for k2 in range(1, 7):
                     assert_scalar_close(
-                        core.moment(k1, k2),
-                        core.moment(k1, 0) * core.moment(0, k2),
+                        core(k1, k2),
+                        core(k1, 0) * core(0, k2),
                         1e-12,
                     )
 

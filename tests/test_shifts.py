@@ -9,7 +9,6 @@ from tcshift.errors import DegenerateMeasure, InvalidWeight, NotSubnormal
 from tcshift.measures import dirac
 from tcshift.shifts import (
     MomentSequence,
-    WeightSequence,
     one_var_backward_extension,
     restriction_measure,
     two_atom_measure,
@@ -21,25 +20,36 @@ from helpers import assert_measures_close, m1, random_probability
 
 class TestWeightsFromMeasure:
     def test_unit_point_mass_gives_the_unweighted_shift(self):
-        assert weights_from_measure(dirac(1.0), 4).as_tuple(4) == (1.0, 1.0, 1.0, 1.0)
+        assert weights_from_measure(dirac(1.0), 4) == (1.0, 1.0, 1.0, 1.0)
 
     def test_two_atom_measure(self):
-        got = weights_from_measure(m1((0.0, 0.75), (1.0, 0.25)), 3).as_tuple(3)
+        got = weights_from_measure(m1((0.0, 0.75), (1.0, 0.25)), 3)
         assert got == pytest.approx((0.5, 1.0, 1.0), abs=1e-15)
 
     def test_balanced_two_atom_measure(self):
-        got = weights_from_measure(m1((0.0, 0.5), (1.0, 0.5)), 3).as_tuple(3)
+        got = weights_from_measure(m1((0.0, 0.5), (1.0, 0.5)), 3)
         assert got == pytest.approx((math.sqrt(0.5), 1.0, 1.0), abs=1e-15)
 
     def test_degenerate_measure_rejected(self):
         with pytest.raises(DegenerateMeasure):
             weights_from_measure(dirac(0.0), 3)
 
+    def test_norm_bound_enforced(self):
+        # gamma_28 of dirac(5e-12) is subnormal: its rounding lifts the
+        # last weight above sqrt(5e-12)
+        with pytest.raises(InvalidWeight, match="exceeds the norm bound"):
+            weights_from_measure(dirac(5e-12), 28)
+
+    def test_positivity_enforced(self):
+        # gamma_30 of dirac(1e-11) underflows to 0
+        with pytest.raises(InvalidWeight, match="positive and finite"):
+            weights_from_measure(dirac(1e-11), 30)
+
     def test_monotone_on_random_measures(self):
         rng = random.Random(20260810)
         for _ in range(100):
             measure = random_probability(rng, zero_prob=0.3, lo=0.05)
-            weights = weights_from_measure(measure, 12).as_tuple(12)
+            weights = weights_from_measure(measure, 12)
             for lower, upper in zip(weights, weights[1:]):
                 assert lower <= upper * (1.0 + 1e-12)
 
@@ -68,7 +78,7 @@ class TestTwoAtomMeasure:
             beta = rng.uniform(0.05, 2.0)
             alpha = beta * rng.uniform(0.05, 1.0)
             measure = two_atom_measure(alpha, beta)
-            weights = weights_from_measure(measure, 6).as_tuple(6)
+            weights = weights_from_measure(measure, 6)
             expected = (alpha,) + (beta,) * 5
             for got, want in zip(weights, expected):
                 assert abs(got - want) <= 1e-12 * max(1.0, want)
@@ -130,27 +140,11 @@ class TestBackwardExtension1D:
             x0 = math.sqrt(rng.uniform(0.05, 1.0) / measure.reciprocal_norm())
             ext = one_var_backward_extension(x0, measure)
             assert ext.subnormal
-            got = weights_from_measure(ext.measure, 7).as_tuple(7)
+            got = weights_from_measure(ext.measure, 7)
             assert abs(got[0] - x0) <= 1e-10 * max(1.0, x0)
-            tail = weights_from_measure(measure, 6).as_tuple(6)
+            tail = weights_from_measure(measure, 6)
             for got_w, want_w in zip(got[1:], tail):
                 assert abs(got_w - want_w) <= 1e-10 * max(1.0, want_w)
-
-
-class TestWeightSequence:
-    def test_constant_tail(self):
-        seq = WeightSequence((0.5,), tail=1.0)
-        assert seq.as_tuple(4) == (0.5, 1.0, 1.0, 1.0)
-        assert seq.moment(3) == 0.25
-
-    def test_prefix_only_is_bounded(self):
-        seq = WeightSequence((0.5, 1.0))
-        with pytest.raises(IndexError):
-            seq.weight(2)
-
-    def test_norm_bound_enforced(self):
-        with pytest.raises(InvalidWeight):
-            WeightSequence((2.0,), norm_bound=1.0)
 
 
 class TestMomentSequence:
