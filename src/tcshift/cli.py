@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import ParseError, TCShiftError, ValidationError
 from .diagram import FlatInstance, TCInstance
@@ -32,7 +34,7 @@ from .oracles import (
     moment_matrix_2d,
     oracle_status,
 )
-from .reconstruct import Verdict, flat_verdict, subnormality_verdict
+from .reconstruct import Verdict, berger_measure, flat_verdict, subnormality_verdict
 
 EXIT_SUBNORMAL = 0
 EXIT_NOT_SUBNORMAL = 1
@@ -204,13 +206,15 @@ def _witness_payload(verdict: Verdict) -> dict[str, Any] | None:
     return dict(vars(verdict.witness), reason=verdict.reason)
 
 
-def _oracle_payloads(instance: TCInstance, verdict: Verdict, opts: Options) -> dict[str, Any]:
+def _oracle_payloads(
+    instance: TCInstance, verdict: Verdict, mu: AtomicMeasure2D | None, opts: Options
+) -> dict[str, Any]:
     def status(passed: bool) -> str:
         return oracle_status(verdict.subnormal, passed)
 
     oracles: dict[str, Any] = {}
-    if verdict.subnormal:
-        interp = moment_interpolation_check(instance, verdict.berger, opts.order)
+    if mu is not None:
+        interp = moment_interpolation_check(instance, mu, opts.order)
         oracles["moment_interpolation"] = {
             "passed": interp.passed,
             "order": interp.order,
@@ -247,6 +251,7 @@ def _build_report(
     command: str,
     kind: str,
     verdict: Verdict,
+    mu: AtomicMeasure2D | None,
     *,
     with_measures: bool,
     oracles: dict[str, Any] | None = None,
@@ -262,7 +267,7 @@ def _build_report(
     if with_measures:
         report.psi = _atoms_1d(verdict.psi)
         report.phi = _atoms_1d(verdict.phi)
-        report.mu = _atoms_2d(verdict.berger) if verdict.berger is not None else None
+        report.mu = _atoms_2d(mu) if mu is not None else None
     return report
 
 
@@ -332,18 +337,21 @@ def _as_tc(instance: TCInstance | FlatInstance) -> TCInstance:
 def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[Report, int]:
     instance = parsed.instance
     kind = "flat" if isinstance(instance, FlatInstance) else "tc"
-    oracles = None
     if command == "flat":
         if not isinstance(instance, FlatInstance):
             raise ValidationError("the flat command requires a kind='flat' instance file")
         verdict = flat_verdict(instance, opts.tol)
+        # flat reports carry the rounding of the correction form
+        tc, form = instance.embed(), "correction"
     else:
-        tc = _as_tc(instance)
+        tc, form = _as_tc(instance), "split"
         verdict = subnormality_verdict(tc, opts.tol)
-        if command == "verify":
-            oracles = _oracle_payloads(tc, verdict, opts)
+    mu = None
+    if verdict.subnormal and command != "check":
+        mu = berger_measure(tc, opts.tol, form, verdict.psi, verdict.phi)
+    oracles = _oracle_payloads(tc, verdict, mu, opts) if command == "verify" else None
     report = _build_report(
-        command, kind, verdict, with_measures=command != "check", oracles=oracles
+        command, kind, verdict, mu, with_measures=command != "check", oracles=oracles
     )
     return report, EXIT_SUBNORMAL if verdict.subnormal else EXIT_NOT_SUBNORMAL
 
@@ -365,16 +373,14 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    values = []
-    index = 0
-    while True:
+def _grid(lo: float, hi: float, step: float) -> Iterator[float]:
+    """The grid points in order, made one at a time: a range may hold more
+    points than fit in memory, and each is printed as it is decided."""
+    for index in itertools.count():
         value = lo + index * step
         if value > hi + 1e-9 * step:
-            break
-        values.append(value)
-        index += 1
-    return values
+            return
+        yield value
 
 
 def _validate_sweep_param(instance, param: str) -> None:
@@ -421,7 +427,10 @@ def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
     return EXIT_SUBNORMAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="tcshift",
         description="Subnormality and Berger-measure reconstruction for "

@@ -97,10 +97,6 @@ class TCInstance:
     # Derived scalars, cached once per instance.
 
     @cached_property
-    def x0_sq(self) -> float:
-        return self.xi_x.moment(1)
-
-    @cached_property
     def y0_sq(self) -> float:
         return self.eta_y.moment(1)
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Literal, Sequence, Union
 
 from .errors import AtomAtZero, NonFinite, NotProbability, PreconditionViolated
@@ -42,6 +43,17 @@ POSITIVITY_REL_TOL = 1e-12
 PROBABILITY_TOL = 1e-9
 
 Axis = Literal["x", "y"]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum from the left, rounding after each addition, from the int 0 as
+    ``sum`` starts (an empty total is ``0``).
+
+    Every float total in the package goes through here: since Python 3.12
+    ``sum`` compensates rounding, so its last digit, and with it a printed
+    report, would depend on the Python version.
+    """
+    return reduce(add, values, 0)
 
 
 def same_location(u: float, v: float) -> bool:
@@ -184,7 +196,7 @@ class AtomicMeasure1D:
 
     @property
     def total_mass(self) -> float:
-        return sum(mass for _, mass in self.atoms)
+        return left_sum(mass for _, mass in self.atoms)
 
     @property
     def locations(self) -> tuple[float, ...]:
@@ -194,25 +206,25 @@ class AtomicMeasure1D:
         return abs(self.total_mass - 1.0) <= tol
 
     def mass_at(self, location: float) -> float:
-        return sum(mass for loc, mass in self.atoms if same_location(loc, location))
+        return left_sum(mass for loc, mass in self.atoms if same_location(loc, location))
 
     def moment(self, k: int) -> float:
         """Integral of s^k; the total mass when k = 0."""
         if k < 0:
             raise ValueError("moment order must be nonnegative")
-        return sum(mass * loc**k for loc, mass in self.atoms)
+        return left_sum(mass * loc**k for loc, mass in self.atoms)
 
     def reciprocal_norm(self) -> float:
         """Integral of 1/s.  Raises AtomAtZero when the origin carries mass."""
         if self.mass_at(0.0) != 0.0:
             raise AtomAtZero("measure has an atom at 0, so 1/s is not integrable")
-        return sum(mass / loc for loc, mass in self.atoms)
+        return left_sum(mass / loc for loc, mass in self.atoms)
 
     def tilde(self) -> "AtomicMeasure1D":
         """Reweight by 1/s and renormalise to a probability measure."""
         norm = self.reciprocal_norm()
         raw = [(loc, mass / (loc * norm)) for loc, mass in self.atoms]
-        total = sum(mass for _, mass in raw)
+        total = left_sum(mass for _, mass in raw)
         return AtomicMeasure1D(
             tuple((loc, mass / total) for loc, mass in raw), probability=True
         )
@@ -233,25 +245,21 @@ class SignedMeasure1D:
 
     @property
     def total_mass(self) -> float:
-        return sum(mass for _, mass in self.atoms)
-
-    @property
-    def total_variation(self) -> float:
-        return sum(abs(mass) for _, mass in self.atoms)
+        return left_sum(mass for _, mass in self.atoms)
 
     def mass_at(self, location: float) -> float:
-        return sum(mass for loc, mass in self.atoms if same_location(loc, location))
+        return left_sum(mass for loc, mass in self.atoms if same_location(loc, location))
 
     def moment(self, k: int) -> float:
         if k < 0:
             raise ValueError("moment order must be nonnegative")
-        return sum(mass * loc**k for loc, mass in self.atoms)
+        return left_sum(mass * loc**k for loc, mass in self.atoms)
 
     def reciprocal_norm(self) -> float:
         """Signed integral of 1/s; an atom at the origin is an error."""
         if any(same_location(loc, 0.0) for loc, _ in self.atoms):
             raise AtomAtZero("signed measure has an atom at 0, so 1/s is not integrable")
-        return sum(mass / loc for loc, mass in self.atoms)
+        return left_sum(mass / loc for loc, mass in self.atoms)
 
     def as_positive(
         self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
@@ -297,13 +305,13 @@ class AtomicMeasure2D:
 
     @property
     def total_mass(self) -> float:
-        return sum(map(itemgetter(2), self.atoms))
+        return left_sum(map(itemgetter(2), self.atoms))
 
     def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
         return abs(self.total_mass - 1.0) <= tol
 
     def mass_at(self, s: float, t: float) -> float:
-        return sum(
+        return left_sum(
             mass
             for u, v, mass in self.atoms
             if same_location(u, s) and same_location(v, t)
@@ -313,7 +321,7 @@ class AtomicMeasure2D:
         """Integral of s^k1 t^k2."""
         if k1 < 0 or k2 < 0:
             raise ValueError("moment orders must be nonnegative")
-        return sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
+        return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
 
     def marginal(self, axis: Axis) -> AtomicMeasure1D:
         """Project atoms onto one coordinate, summing coincident masses."""
@@ -330,13 +338,13 @@ class AtomicMeasure2D:
             raise AtomAtZero(
                 f"measure has an atom with zero {axis}-coordinate, reciprocal not integrable"
             )
-        return sum(atom[2] / atom[index] for atom in self.atoms)
+        return left_sum(atom[2] / atom[index] for atom in self.atoms)
 
     def extremal(self) -> "AtomicMeasure2D":
         """Reweight by 1/t and renormalise; a probability measure again."""
         norm = self.reciprocal_norm("y")
         raw = [(s, t, mass / (t * norm)) for s, t, mass in self.atoms]
-        total = sum(mass for _, _, mass in raw)
+        total = left_sum(mass for _, _, mass in raw)
         return AtomicMeasure2D(
             tuple((s, t, mass / total) for s, t, mass in raw), probability=True
         )
@@ -361,16 +369,12 @@ class SignedMeasure2D:
 
     @property
     def total_mass(self) -> float:
-        return sum(map(itemgetter(2), self.atoms))
-
-    @property
-    def total_variation(self) -> float:
-        return sum(abs(mass) for _, _, mass in self.atoms)
+        return left_sum(map(itemgetter(2), self.atoms))
 
     def moment(self, k1: int, k2: int) -> float:
         if k1 < 0 or k2 < 0:
             raise ValueError("moment orders must be nonnegative")
-        return sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
+        return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
 
     def marginal(self, axis: Axis) -> SignedMeasure1D:
         index = _axis_index(axis)
@@ -501,7 +505,7 @@ def positivity(measure: Measure, tol: float = POSITIVITY_REL_TOL) -> Positivity:
         return Positivity(True)
     masses = list(map(itemgetter(-1), atoms))
     worst_mass = min(masses)
-    if worst_mass >= -tol * sum(map(abs, masses)):
+    if worst_mass >= -tol * left_sum(map(abs, masses)):
         return Positivity(True)
     worst = atoms[masses.index(worst_mass)]
     if len(worst) == 2:

@@ -14,11 +14,13 @@ part a^2 y0^2 r_s r_t (xi~ x eta~) in the open quadrant, a vertical-axis
 part y0^2 ||1/t||_psi (delta_0 x psi~), and a horizontal-axis part
 phi x delta_0.  An equivalent assembly writes the same measure as
 xi_x x eta~ plus signed corrections supported on the two axes; both forms
-are implemented and must agree atom for atom.  The general verdict uses
-the split form.  Flat instances keep their scalar criterion for psi and
-phi but share the decision, and use the correction form: their recorded
-reports carry its rounding, and the split form can differ in the last
-digit of a mass.
+are implemented and must agree atom for atom.  A verdict is the decision
+alone: psi, phi and, when negative, a witness atom.  The joint measure is
+``berger_measure`` of the verdict's psi and phi, assembled only when a
+caller asks for it.  Flat instances keep their scalar criterion for psi
+and phi but share the decision; their measure is the correction form on
+the embedded instance, because their recorded reports carry its rounding
+and the split form can differ in the last digit of a mass.
 
 When psi fails positivity the diagram is not even subnormal after deleting
 row 0; when only phi fails, the upper part is subnormal but no backward
@@ -43,6 +45,7 @@ from .measures import (
     atom_difference,
     combine,
     dirac,
+    left_sum,
     positivity,
     product,
     same_location,
@@ -74,25 +77,15 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Subnormality decision together with its certificate.
-
-    Exactly one of ``witness`` and ``berger`` is present: a witness for a
-    negative verdict, the reconstructed joint measure otherwise.
-    """
+    """Subnormality decision with psi and phi; a negative verdict carries
+    the witness atom, a positive one none."""
 
     subnormal: bool
     witness: Witness | None
-    berger: AtomicMeasure2D | None
     diagnostics: Diagnostics
     psi: SignedMeasure1D
     phi: SignedMeasure1D
     reason: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.subnormal and (self.witness is not None or self.berger is None):
-            raise ValueError("a subnormal verdict carries a measure and no witness")
-        if not self.subnormal and (self.witness is None or self.berger is not None):
-            raise ValueError("a negative verdict carries a witness and no measure")
 
 
 def compute_psi(instance: TCInstance) -> SignedMeasure1D:
@@ -133,24 +126,17 @@ def compute_phi(
 
 
 def _decide(
-    instance: TCInstance,
-    psi: SignedMeasure1D,
-    phi: SignedMeasure1D,
-    diag: Diagnostics,
-    tol: float,
-    form: BergerForm,
+    psi: SignedMeasure1D, phi: SignedMeasure1D, diag: Diagnostics, tol: float
 ) -> Verdict:
     """The verdict once psi and phi are known: the first of them with a
-    negative atom gives the witness, otherwise the joint measure is
-    assembled in the given form."""
+    negative atom gives the witness."""
     for name, measure in (("psi", psi), ("phi", phi)):
         check = positivity(measure, tol)
         if not check.positive:
             witness = Witness(name, check.location, check.mass)
             reason = f"{name} has a negative atom"
-            return Verdict(False, witness, None, diag, psi, phi, reason=reason)
-    mu = berger_measure(instance, tol=tol, form=form, psi=psi, phi=phi)
-    return Verdict(True, None, mu, diag, psi, phi)
+            return Verdict(False, witness, diag, psi, phi, reason=reason)
+    return Verdict(True, None, diag, psi, phi)
 
 
 def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verdict:
@@ -167,7 +153,7 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
         recip_t_psi=psi.reciprocal_norm(),
         recip_t_eta_y_tail=instance.eta_y_tail.reciprocal_norm(),
     )
-    return _decide(instance, psi, phi, diag, tol, "split")
+    return _decide(psi, phi, diag, tol)
 
 
 def berger_measure(
@@ -309,15 +295,16 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
     psi, phi and the diagnostics come from the closed forms available in
     the flat case: psi is supported on {b^2} union supp(sigma) and the
     domination condition on xi_x involves only the atoms at 0 and 1.  The
-    decision and the joint measure are then the general ones, assembled in
-    the correction form on the embedded instance.  The verdict must
-    coincide with ``subnormality_verdict`` of the embedded instance.
+    decision is then the general one and must coincide with
+    ``subnormality_verdict`` of the embedded instance.  The joint measure
+    is ``berger_measure(flat.embed(), form="correction", psi=..., phi=...)``
+    of the verdict's psi and phi.
     """
     b_sq = flat.b**2
     a_sq = flat.a**2
     rest_y = flat.rest_y if flat.rest_y > PROBABILITY_TOL else 0.0
     sigma_atoms = flat.sigma.atoms if flat.sigma is not None and rest_y > 0.0 else ()
-    y0_sq = flat.m * b_sq + rest_y * sum(t * mass for t, mass in sigma_atoms)
+    y0_sq = flat.m * b_sq + rest_y * left_sum(t * mass for t, mass in sigma_atoms)
     tail_atoms = [(b_sq, flat.m * b_sq / y0_sq)]
     tail_atoms.extend((t, rest_y * t * mass / y0_sq) for t, mass in sigma_atoms)
     tail = AtomicMeasure1D(tuple(tail_atoms), probability=True)
@@ -339,4 +326,4 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
         recip_t_psi=recip_t_psi,
         recip_t_eta_y_tail=recip_tail,
     )
-    return _decide(flat.embed(), psi, phi, diag, tol, "correction")
+    return _decide(psi, phi, diag, tol)

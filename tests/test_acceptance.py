@@ -53,7 +53,7 @@ def test_criterion_1_f1_reconstruction():
     assert verdict.phi.mass_at(0.0) == pytest.approx(0.25, abs=1e-12)
     assert verdict.phi.mass_at(1.0) == pytest.approx(0.25, abs=1e-12)
     assert len(verdict.phi.atoms) == 2
-    mu = verdict.berger
+    mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
     assert len(mu.atoms) == 4
     for s, t in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         assert mu.mass_at(s, t) == pytest.approx(0.25, abs=1e-12)
@@ -83,11 +83,13 @@ def test_criterion_2_n1_two_refutation_routes():
 
 
 def test_criterion_3_trivial_pair_exact():
-    verdict = subnormality_verdict(trivial_instance())
+    inst = trivial_instance()
+    verdict = subnormality_verdict(inst)
     assert verdict.subnormal
     assert verdict.psi.atoms == ()
     assert verdict.phi.atoms == ()
-    assert verdict.berger.atoms == ((1.0, 1.0, 1.0),)
+    mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+    assert mu.atoms == ((1.0, 1.0, 1.0),)
     _passed(3, "zero slack measures, exact unit point mass")
 
 
@@ -97,7 +99,7 @@ def test_criterion_4_random_subnormal_instances():
         inst = random_subnormal_instance(rng)
         verdict = subnormality_verdict(inst)
         assert verdict.subnormal
-        mu = verdict.berger
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
         assert abs(mu.total_mass - 1.0) <= 1e-12
         assert atom_difference(mu.marginal("x"), inst.xi_x) <= 1e-10
         assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
@@ -127,7 +129,13 @@ def test_criterion_5_flat_equivalence():
         assert via_flat.subnormal == via_general.subnormal
         if via_flat.subnormal:
             subnormal_count += 1
-            assert atom_difference(via_flat.berger, via_general.berger) <= 1e-12
+            flat_mu = berger_measure(
+                flat.embed(), form="correction", psi=via_flat.psi, phi=via_flat.phi
+            )
+            general_mu = berger_measure(
+                flat.embed(), psi=via_general.psi, phi=via_general.phi
+            )
+            assert atom_difference(flat_mu, general_mu) <= 1e-12
     assert 0 < subnormal_count < 200
     _passed(5, f"200 instances agree ({subnormal_count} subnormal)")
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tcshift
+from tcshift import reconstruct
 from tcshift.cli import parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
@@ -342,18 +344,22 @@ class TestSweep:
 
     def test_closed_pipe_ends_the_sweep_quietly(self):
         env = {**os.environ, "PYTHONPATH": str(Path(tcshift.__file__).parents[1])}
-        argv = ["sweep", fixture("f1.json"), "--param", "a", "--range", "0.1:100000:1"]
-        with subprocess.Popen(
-            [sys.executable, "-m", "tcshift", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        ) as proc:
-            assert proc.stdout.readline().startswith(b"a=0.1 ")
-            proc.stdout.close()
-            err = proc.stderr.read().decode()
-            proc.wait(timeout=60)
-        assert "Traceback" not in err
+        # The second grid has 1e12 points, more than fit in the 1 GiB of
+        # address space the child gets: its points must be made as printed.
+        for grid in ("0.1:100000:1", "0.1:1e12:1"):
+            argv = ["sweep", fixture("f1.json"), "--param", "a", "--range", grid]
+            with subprocess.Popen(
+                [sys.executable, "-m", "tcshift", *argv],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+            ) as proc:
+                assert proc.stdout.readline().startswith(b"a=0.1 ")
+                proc.stdout.close()
+                err = proc.stderr.read().decode()
+                proc.wait(timeout=60)
+            assert "Traceback" not in err, grid
 
     def test_sweep_rejects_unknown_parameters(self):
         code, _, err = run_capture(
@@ -361,3 +367,55 @@ class TestSweep:
         )
         assert code == 2
         assert "'a'" in err
+
+
+class TestParser:
+    def test_a_parse_error_leaves_the_parser_usable(self, monkeypatch):
+        with pytest.raises(SystemExit):
+            run_capture(["check", fixture("f1.json"), "--order", "many"])
+        golden = json.loads((FIXTURES.parent / "golden" / "f1.json").read_text())
+        expected = golden["reconstruct --json"]
+        monkeypatch.chdir(FIXTURES)
+        code, out, _ = run_capture(["reconstruct", "f1.json", "--json"])
+        assert (code, out) == (expected["code"], expected["stdout"])
+
+
+class TestBergerAssembly:
+    """The joint measure is assembled only by commands that print it, once,
+    and only for a subnormal verdict."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        original = reconstruct.berger_measure
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        # ``from .reconstruct import berger_measure`` copies the binding, so
+        # every namespace that holds it is patched.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tcshift" and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        return made
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [("check", 0), ("sweep", 0), ("reconstruct", 1), ("flat", 1), ("verify", 1)],
+    )
+    @pytest.mark.parametrize("subnormal", [True, False], ids=["subnormal", "negative"])
+    def test_calls(self, calls, command, expected, subnormal):
+        name = ("f1" if subnormal else "n1") + ("_flat" if command == "flat" else "")
+        argv = [command, fixture(f"{name}.json")]
+        if command == "sweep":
+            argv += ["--param", "a", "--range", "0.1:1.2:0.05"]
+        code, out, _ = run_capture(argv)
+        if command == "sweep":
+            # a sweep exits 0; on f1 its first point is subnormal
+            assert code == 0 and ("a=0.1 subnormal" in out) == subnormal
+        else:
+            assert code == (0 if subnormal else 1)
+        assert len(calls) == (expected if subnormal else 0)

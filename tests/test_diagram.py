@@ -35,7 +35,6 @@ from helpers import (
 class TestBuild:
     def test_trivial_pair(self):
         inst = trivial_instance()
-        assert inst.x0_sq == 1.0
         assert inst.recip_s_xi == 1.0
 
     def test_f1_is_valid(self):

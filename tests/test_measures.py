@@ -398,3 +398,19 @@ class TestMergePasses:
         mu = berger_measure(instance, form="split")
         assert len(mu.atoms) > 900
         assert len(passes) == 2
+
+
+class TestTotals:
+    """Totals add from the left with one rounding per addition, on every
+    Python version (``sum`` compensates float rounding since 3.12)."""
+
+    def test_small_masses_round_away_one_at_a_time(self):
+        atoms = ((0.0, 1.0), (1.0, 1e-16), (2.0, 1e-16))
+        assert AtomicMeasure1D(atoms).total_mass == 1.0
+        assert SignedMeasure1D(atoms).total_mass == 1.0
+        planar = tuple((loc, loc, mass) for loc, mass in atoms)
+        assert AtomicMeasure2D(planar).total_mass == 1.0
+
+    def test_empty_total_is_the_integer_zero(self):
+        total = SignedMeasure1D(()).total_mass
+        assert total == 0 and type(total) is int

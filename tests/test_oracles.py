@@ -13,7 +13,7 @@ from tcshift.oracles import (
     moment_matrix_2d,
     oracle_status,
 )
-from tcshift.reconstruct import subnormality_verdict
+from tcshift.reconstruct import berger_measure, subnormality_verdict
 
 from helpers import (
     f1_instance,
@@ -32,7 +32,8 @@ class TestMomentInterpolation:
 
     def test_f1(self):
         verdict = subnormality_verdict(f1_instance())
-        report = moment_interpolation_check(f1_instance(), verdict.berger, 16)
+        mu = berger_measure(f1_instance(), psi=verdict.psi, phi=verdict.phi)
+        report = moment_interpolation_check(f1_instance(), mu, 16)
         assert report.passed
         assert report.max_rel_error <= 1e-12
 

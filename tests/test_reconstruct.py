@@ -99,16 +99,20 @@ class TestSlackMeasures:
 
 class TestVerdict:
     def test_trivial_pair(self):
-        verdict = subnormality_verdict(trivial_instance())
+        inst = trivial_instance()
+        verdict = subnormality_verdict(inst)
         assert verdict.subnormal
-        assert verdict.berger.atoms == ((1.0, 1.0, 1.0),)
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+        assert mu.atoms == ((1.0, 1.0, 1.0),)
 
     def test_f1(self):
-        verdict = subnormality_verdict(f1_instance())
+        inst = f1_instance()
+        verdict = subnormality_verdict(inst)
         assert verdict.subnormal
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
         for s, t in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-            assert verdict.berger.mass_at(s, t) == pytest.approx(0.25, abs=1e-12)
-        assert len(verdict.berger.atoms) == 4
+            assert mu.mass_at(s, t) == pytest.approx(0.25, abs=1e-12)
+        assert len(mu.atoms) == 4
 
     def test_n1(self):
         verdict = subnormality_verdict(n1_instance())
@@ -116,7 +120,6 @@ class TestVerdict:
         assert verdict.witness.measure == "phi"
         assert verdict.witness.location == 0.0
         assert verdict.witness.mass == pytest.approx(-0.15, abs=1e-12)
-        assert verdict.berger is None
 
     def test_psi_failure_reported_first(self):
         verdict = subnormality_verdict(spike_instance(2.0))
@@ -146,7 +149,7 @@ class TestBergerMeasure:
             inst = random_subnormal_instance(rng)
             verdict = subnormality_verdict(inst)
             assert verdict.subnormal
-            mu = verdict.berger
+            mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
             assert abs(mu.total_mass - 1.0) <= 1e-12
             assert atom_difference(mu.marginal("x"), inst.xi_x) <= 1e-10
             assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
@@ -161,7 +164,8 @@ class TestBergerMeasure:
         instances = [f1_instance()] + [random_subnormal_instance(rng) for _ in range(10)]
         for inst in instances:
             verdict = subnormality_verdict(inst)
-            report = moment_interpolation_check(inst, verdict.berger, 16, tol=1e-10)
+            mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+            report = moment_interpolation_check(inst, mu, 16, tol=1e-10)
             assert report.passed, report.first_failure
 
 
@@ -255,7 +259,8 @@ class TestBackwardExtension:
             )
             assert verdict.subnormal == result.subnormal
             if verdict.subnormal:
-                assert_measures_close(verdict.berger, result.measure, 1e-12)
+                mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+                assert_measures_close(mu, result.measure, 1e-12)
             seen[verdict.subnormal] += 1
         assert seen[True] >= 5 and seen[False] >= 5
 
@@ -264,8 +269,13 @@ class TestFlatVerdict:
     def test_f1(self):
         verdict = flat_verdict(f1_flat())
         assert verdict.subnormal
-        direct = subnormality_verdict(f1_flat().embed())
-        assert_measures_close(verdict.berger, direct.berger, 1e-12)
+        inst = f1_flat().embed()
+        direct = subnormality_verdict(inst)
+        assert_measures_close(
+            berger_measure(inst, form="correction", psi=verdict.psi, phi=verdict.phi),
+            berger_measure(inst, psi=direct.psi, phi=direct.phi),
+            1e-12,
+        )
 
     def test_n1_fails_the_domination_condition(self):
         verdict = flat_verdict(n1_flat())
@@ -279,13 +289,15 @@ class TestFlatVerdict:
         flat = FlatInstance(p=0.0, q=1.0, l=0.0, m=1.0, b=1.0, a=1.0)
         verdict = flat_verdict(flat)
         assert verdict.subnormal
-        assert verdict.berger.atoms == ((1.0, 1.0, 1.0),)
+        mu = berger_measure(flat.embed(), form="correction", psi=verdict.psi, phi=verdict.phi)
+        assert mu.atoms == ((1.0, 1.0, 1.0),)
 
     def test_degenerate_tensor_pair_with_tall_core(self):
         flat = FlatInstance(p=0.0, q=1.0, l=0.0, m=1.0, b=1.5, a=1.0)
         verdict = flat_verdict(flat)
         assert verdict.subnormal
-        assert_measures_close(verdict.berger, dirac2(1.0, 2.25), 1e-12)
+        mu = berger_measure(flat.embed(), form="correction", psi=verdict.psi, phi=verdict.phi)
+        assert_measures_close(mu, dirac2(1.0, 2.25), 1e-12)
 
     def test_matches_the_general_criterion_on_random_instances(self):
         rng = random.Random(777)
@@ -296,7 +308,12 @@ class TestFlatVerdict:
             via_general = subnormality_verdict(flat.embed())
             assert via_flat.subnormal == via_general.subnormal, flat
             if via_flat.subnormal:
-                assert_measures_close(via_flat.berger, via_general.berger, 1e-12)
+                inst = flat.embed()
+                assert_measures_close(
+                    berger_measure(inst, form="correction", psi=via_flat.psi, phi=via_flat.phi),
+                    berger_measure(inst, psi=via_general.psi, phi=via_general.phi),
+                    1e-12,
+                )
             else:
                 assert via_flat.witness.measure == via_general.witness.measure
             seen[via_flat.subnormal] += 1
