@@ -254,6 +254,44 @@ class TestConstruction:
         assert measures_equal(m1((1.0, 0.5)), m1((1.0, 0.5 + 1e-14)), 1e-12)
         assert not measures_equal(m1((1.0, 0.5)), m1((1.0, 0.6)), 1e-12)
 
+    @pytest.mark.parametrize(
+        "cls, atoms, probability, error, message",
+        [
+            # a negative location sorts first, before the non-positive mass
+            (AtomicMeasure1D, ((1.0, -0.5), (-1.0, 0.5)), False, ValueError,
+             "atom location must be nonnegative, got -1.0"),
+            (SignedMeasure1D, ((1.0, -0.5), (-1.0, -0.5)), None, ValueError,
+             "atom location must be nonnegative, got -1.0"),
+            (AtomicMeasure2D, ((1.0, 1.0, 0.5), (-1.0, 2.0, -0.5)), False, ValueError,
+             "atom coordinates must be nonnegative, got (-1.0, 2.0)"),
+            (SignedMeasure2D, ((1.0, 1.0, 0.5), (-1.0, 2.0, -0.5)), None, ValueError,
+             "atom coordinates must be nonnegative, got (-1.0, 2.0)"),
+            # a non-positive mass sorts before a negative t (or a bad total)
+            (AtomicMeasure1D, ((2.0, 0.5), (0.5, -0.5)), True, ValueError,
+             "atom mass must be positive, got -0.5 at 0.5"),
+            (AtomicMeasure2D, ((1.0, -1.0, 0.5), (0.5, 1.0, -0.5)), False, ValueError,
+             "atom mass must be positive, got -0.5 at (0.5, 1.0)"),
+            (SignedMeasure2D, ((1.0, -1.0, 0.5), (0.5, 1.0, -0.5)), None, ValueError,
+             "atom coordinates must be nonnegative, got (1.0, -1.0)"),
+            # a total that is not one
+            (AtomicMeasure1D, ((1.0, 0.5), (2.0, 0.25)), True, NotProbability,
+             "total mass is 0.75, expected 1"),
+            (AtomicMeasure2D, ((1.0, 1.0, 0.5), (2.0, 1.0, 0.25)), True, NotProbability,
+             "total mass is 0.75, expected 1"),
+        ],
+        ids=[
+            "negative-location-1d", "negative-location-signed-1d",
+            "negative-location-2d", "negative-location-signed-2d",
+            "mass-first-1d", "mass-first-2d", "mass-first-signed-2d",
+            "total-1d", "total-2d",
+        ],
+    )
+    def test_first_error(self, cls, atoms, probability, error, message):
+        kwargs = {} if probability is None else {"probability": probability}
+        with pytest.raises(error) as caught:
+            cls(atoms, **kwargs)
+        assert type(caught.value) is error and str(caught.value) == message
+
 
 # Locations on both sides of 1 (where MERGE_REL_TOL turns from absolute to
 # relative), negative ones included, each moved by up to +-2 tolerances:
