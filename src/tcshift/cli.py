@@ -155,11 +155,11 @@ def parse_instance(path: str) -> ParsedFile:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "instance file must be a JSON object")
     kind = data.get("kind")
@@ -185,7 +185,7 @@ def parse_instance(path: str) -> ParsedFile:
     return ParsedFile(instance, options)
 
 
-def _atoms_1d(measure: SignedMeasure1D | AtomicMeasure1D) -> list[list[float]]:
+def _atoms_1d(measure: SignedMeasure1D) -> list[list[float]]:
     return [[loc, mass] for loc, mass in measure.atoms]
 
 

@@ -89,7 +89,7 @@ class TCInstance:
                     f"{name} must be a probability measure, total mass {measure.total_mass!r}"
                 )
         for name, measure in (("xi", self.xi), ("eta", self.eta)):
-            if measure.mass_at(0.0) != 0.0:
+            if measure.charges_origin():
                 raise AtomAtZero(f"{name} has an atom at 0")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise InvalidWeight(f"the joining weight a must be positive, got {self.a!r}")

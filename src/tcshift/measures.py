@@ -8,8 +8,12 @@ exact up to float rounding is what makes the brute-force verification
 oracles trustworthy.
 
 Conventions: locations are nonnegative, probability measures have total
-mass one, and two locations closer than ``MERGE_REL_TOL`` (relative to the
-larger of the two and to one) denote the same point and are merged.
+mass one, and locations u, v with |u - v| <= MERGE_REL_TOL * max(1, |u|, |v|)
+are one point (absolute below 1): an atom that close to 0 is at the origin.
+
+The nonnegative ``AtomicMeasure1D``/``2D`` subclass ``SignedMeasure1D``/``2D``,
+which own the merge, totals, moments, ``as_positive`` and ``charges_origin``;
+the subclasses add the sign and probability checks and what needs positivity.
 
 Every measure holds its atoms as a tuple of finite float tuples that is
 
@@ -172,41 +176,31 @@ def _from_merged(cls: type, atoms: tuple, **fields: bool):
 
 
 @dataclass(frozen=True)
-class AtomicMeasure1D:
-    """Finitely atomic nonnegative measure on [0, inf).
-
-    ``atoms`` is kept sorted by location with coincident locations merged.
-    When ``probability`` is set the constructor insists on total mass one
-    (within ``PROBABILITY_TOL``).
-    """
+class SignedMeasure1D:
+    """Finite signed combination of point masses on [0, inf)."""
 
     atoms: tuple[tuple[float, float], ...]
-    probability: bool = False
 
     def __post_init__(self) -> None:
-        merged = _merge_1d(self.atoms)
-        for loc, mass in merged:
-            if loc < 0.0:
-                raise ValueError(f"atom location must be nonnegative, got {loc!r}")
-            if mass <= 0.0:
-                raise ValueError(f"atom mass must be positive, got {mass!r} at {loc!r}")
-        object.__setattr__(self, "atoms", merged)
-        if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
-            raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
+        object.__setattr__(self, "atoms", _merge_1d(self.atoms))
+        self._check()
+
+    def _check(self) -> None:
+        # atoms are sorted, so atoms[0][0] is the least location
+        if self.atoms and self.atoms[0][0] < 0.0:
+            raise ValueError(f"atom location must be nonnegative, got {self.atoms[0][0]!r}")
 
     @property
     def total_mass(self) -> float:
         return left_sum(mass for _, mass in self.atoms)
 
-    @property
-    def locations(self) -> tuple[float, ...]:
-        return tuple(loc for loc, _ in self.atoms)
-
-    def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
-
     def mass_at(self, location: float) -> float:
         return left_sum(mass for loc, mass in self.atoms if same_location(loc, location))
+
+    def charges_origin(self) -> bool:
+        """True when an atom is at 0; atoms are sorted, nonnegative and
+        merged, so only the first one can be."""
+        return bool(self.atoms) and same_location(self.atoms[0][0], 0.0)
 
     def moment(self, k: int) -> float:
         """Integral of s^k; the total mass when k = 0."""
@@ -216,9 +210,47 @@ class AtomicMeasure1D:
 
     def reciprocal_norm(self) -> float:
         """Integral of 1/s.  Raises AtomAtZero when the origin carries mass."""
-        if self.mass_at(0.0) != 0.0:
+        if self.charges_origin():
             raise AtomAtZero("measure has an atom at 0, so 1/s is not integrable")
         return left_sum(mass / loc for loc, mass in self.atoms)
+
+    def as_positive(
+        self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
+    ) -> AtomicMeasure1D:
+        """Drop rounding-level negative atoms; reject genuinely negative ones."""
+        check = positivity(self, tol)
+        if not check.positive:
+            raise PreconditionViolated(
+                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
+            )
+        # a dropped atom may have split a run of survivors: merge again
+        positive = [atom for atom in self.atoms if atom[1] > 0.0]
+        return _from_merged(
+            AtomicMeasure1D, _merge_floats_1d(positive), probability=probability
+        )
+
+
+@dataclass(frozen=True)
+class AtomicMeasure1D(SignedMeasure1D):
+    """Finitely atomic nonnegative measure on [0, inf); with ``probability``
+    set, the total mass must be one (within ``PROBABILITY_TOL``)."""
+
+    probability: bool = False
+
+    def _check(self) -> None:
+        super()._check()
+        for loc, mass in self.atoms:
+            if mass <= 0.0:
+                raise ValueError(f"atom mass must be positive, got {mass!r} at {loc!r}")
+        if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
+            raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
+
+    @property
+    def locations(self) -> tuple[float, ...]:
+        return tuple(loc for loc, _ in self.atoms)
+
+    def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
+        return abs(self.total_mass - 1.0) <= tol
 
     def tilde(self) -> "AtomicMeasure1D":
         """Reweight by 1/s and renormalise to a probability measure."""
@@ -231,57 +263,10 @@ class AtomicMeasure1D:
 
 
 @dataclass(frozen=True)
-class SignedMeasure1D:
-    """Finite signed combination of point masses on [0, inf)."""
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        merged = _merge_1d(self.atoms)
-        for loc, _ in merged:
-            if loc < 0.0:
-                raise ValueError(f"atom location must be nonnegative, got {loc!r}")
-        object.__setattr__(self, "atoms", merged)
-
-    @property
-    def total_mass(self) -> float:
-        return left_sum(mass for _, mass in self.atoms)
-
-    def mass_at(self, location: float) -> float:
-        return left_sum(mass for loc, mass in self.atoms if same_location(loc, location))
-
-    def moment(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("moment order must be nonnegative")
-        return left_sum(mass * loc**k for loc, mass in self.atoms)
-
-    def reciprocal_norm(self) -> float:
-        """Signed integral of 1/s; an atom at the origin is an error."""
-        if any(same_location(loc, 0.0) for loc, _ in self.atoms):
-            raise AtomAtZero("signed measure has an atom at 0, so 1/s is not integrable")
-        return left_sum(mass / loc for loc, mass in self.atoms)
-
-    def as_positive(
-        self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
-    ) -> AtomicMeasure1D:
-        """Drop rounding-level negative atoms; reject genuinely negative ones."""
-        check = positivity(self, tol)
-        if not check.positive:
-            raise PreconditionViolated(
-                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
-            )
-        return AtomicMeasure1D(
-            tuple((loc, mass) for loc, mass in self.atoms if mass > 0.0),
-            probability=probability,
-        )
-
-
-@dataclass(frozen=True)
-class AtomicMeasure2D:
-    """Finitely atomic nonnegative measure on the closed quarter plane."""
+class SignedMeasure2D:
+    """Finite signed combination of planar point masses."""
 
     atoms: tuple[tuple[float, float, float], ...]
-    probability: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", _merge_2d(self.atoms))
@@ -290,6 +275,50 @@ class AtomicMeasure2D:
     def _check(self) -> None:
         atoms = self.atoms
         # atoms are sorted by s, so atoms[0][0] is the least s
+        if atoms and (atoms[0][0] < 0.0 or min(map(itemgetter(1), atoms)) < 0.0):
+            for s, t, _ in atoms:
+                if s < 0.0 or t < 0.0:
+                    raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
+
+    @property
+    def total_mass(self) -> float:
+        return left_sum(map(itemgetter(2), self.atoms))
+
+    def moment(self, k1: int, k2: int) -> float:
+        """Integral of s^k1 t^k2."""
+        if k1 < 0 or k2 < 0:
+            raise ValueError("moment orders must be nonnegative")
+        return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
+
+    def marginal(self, axis: Axis) -> SignedMeasure1D:
+        """Project atoms onto one coordinate, summing coincident masses."""
+        index = _axis_index(axis)
+        return SignedMeasure1D(tuple((atom[index], atom[2]) for atom in self.atoms))
+
+    def as_positive(
+        self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
+    ) -> AtomicMeasure2D:
+        """Drop rounding-level negative atoms; reject genuinely negative ones."""
+        check = positivity(self, tol)
+        if not check.positive:
+            raise PreconditionViolated(
+                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
+            )
+        positive = [atom for atom in self.atoms if atom[2] > 0.0]
+        return _from_merged(
+            AtomicMeasure2D, _merge_floats_2d(positive), probability=probability
+        )
+
+
+@dataclass(frozen=True)
+class AtomicMeasure2D(SignedMeasure2D):
+    """Finitely atomic nonnegative measure on the closed quarter plane."""
+
+    probability: bool = False
+
+    def _check(self) -> None:
+        # one loop, as the first error depends on the atom order
+        atoms = self.atoms
         if atoms and (
             atoms[0][0] < 0.0
             or min(map(itemgetter(1), atoms)) < 0.0
@@ -303,10 +332,6 @@ class AtomicMeasure2D:
         if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
             raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
 
-    @property
-    def total_mass(self) -> float:
-        return left_sum(map(itemgetter(2), self.atoms))
-
     def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
         return abs(self.total_mass - 1.0) <= tol
 
@@ -317,14 +342,8 @@ class AtomicMeasure2D:
             if same_location(u, s) and same_location(v, t)
         )
 
-    def moment(self, k1: int, k2: int) -> float:
-        """Integral of s^k1 t^k2."""
-        if k1 < 0 or k2 < 0:
-            raise ValueError("moment orders must be nonnegative")
-        return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
-
     def marginal(self, axis: Axis) -> AtomicMeasure1D:
-        """Project atoms onto one coordinate, summing coincident masses."""
+        """The projection, a probability measure when this one is."""
         index = _axis_index(axis)
         return AtomicMeasure1D(
             tuple((atom[index], atom[2]) for atom in self.atoms),
@@ -350,55 +369,9 @@ class AtomicMeasure2D:
         )
 
 
-@dataclass(frozen=True)
-class SignedMeasure2D:
-    """Finite signed combination of planar point masses."""
-
-    atoms: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _merge_2d(self.atoms))
-        self._check()
-
-    def _check(self) -> None:
-        atoms = self.atoms
-        if atoms and (atoms[0][0] < 0.0 or min(map(itemgetter(1), atoms)) < 0.0):
-            for s, t, _ in atoms:
-                if s < 0.0 or t < 0.0:
-                    raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
-
-    @property
-    def total_mass(self) -> float:
-        return left_sum(map(itemgetter(2), self.atoms))
-
-    def moment(self, k1: int, k2: int) -> float:
-        if k1 < 0 or k2 < 0:
-            raise ValueError("moment orders must be nonnegative")
-        return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
-
-    def marginal(self, axis: Axis) -> SignedMeasure1D:
-        index = _axis_index(axis)
-        return SignedMeasure1D(tuple((atom[index], atom[2]) for atom in self.atoms))
-
-    def as_positive(
-        self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
-    ) -> AtomicMeasure2D:
-        check = positivity(self, tol)
-        if not check.positive:
-            raise PreconditionViolated(
-                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
-            )
-        # Dropping atoms can make two atoms that were apart in the sort
-        # adjacent, so the survivors are merged again.
-        positive = [atom for atom in self.atoms if atom[2] > 0.0]
-        return _from_merged(
-            AtomicMeasure2D, _merge_floats_2d(positive), probability=probability
-        )
-
-
-Measure1D = Union[AtomicMeasure1D, SignedMeasure1D]
-Measure2D = Union[AtomicMeasure2D, SignedMeasure2D]
-Measure = Union[Measure1D, Measure2D]
+Measure1D = SignedMeasure1D
+Measure2D = SignedMeasure2D
+Measure = Union[SignedMeasure1D, SignedMeasure2D]
 
 
 def _axis_index(axis: Axis) -> int:
@@ -459,13 +432,10 @@ def combine(
     Coincident locations merge and exactly cancelled atoms are pruned, so a
     combination like ``[(1, m), (-1, m)]`` yields the empty (zero) measure.
     """
-    dims = set()
-    for _, measure in terms:
-        dims.add(2 if isinstance(measure, (AtomicMeasure2D, SignedMeasure2D)) else 1)
-    if len(dims) > 1:
+    planar = {isinstance(measure, SignedMeasure2D) for _, measure in terms}
+    if len(planar) > 1:
         raise ValueError("cannot combine measures of different dimensions")
-    dim = dims.pop() if dims else 1
-    if dim == 1:
+    if True not in planar:
         atoms1 = [
             (loc, coeff * mass)
             for coeff, measure in terms

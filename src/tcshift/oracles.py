@@ -138,6 +138,8 @@ def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     semidefinite whenever the data are moments of a measure.
     """
     gamma = _gamma_function(source)
+    # out of the moment table exactly when any entry is: fail before the basis
+    gamma(2 * n, 0)
     basis = [
         (k1, total - k1) for total in range(n + 1) for k1 in range(total, -1, -1)
     ]

@@ -121,7 +121,7 @@ def one_var_backward_extension(
     """
     if x0 <= 0.0:
         raise InvalidWeight("the prepended weight must be positive")
-    if measure.mass_at(0.0) != 0.0:
+    if measure.charges_origin():
         return Extension1D(False, None, None, "tail measure has an atom at 0")
     ratio = x0**2 * measure.reciprocal_norm()
     if ratio > 1.0 + tol:

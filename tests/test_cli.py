@@ -76,6 +76,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance(fixture("malformed.json"))
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ParseError):
+            parse_instance(str(path))
+
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ParseError):
+            parse_instance(str(path))
+
     def test_missing_key_is_a_parse_error(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"kind": "tc", "a": 1.0}))
@@ -197,6 +209,23 @@ class TestOptions:
         assert code == expected_code
         if expected_code == 2:
             assert "beyond the depth limit 32" in err
+
+    def test_oversized_order_on_a_negative_verdict_is_refused_early(self):
+        # n1 has no Berger measure, so the moment matrix is the first
+        # oracle to reach past the table; it must not build its basis first.
+        env = {**os.environ, "PYTHONPATH": str(Path(tcshift.__file__).parents[1])}
+        argv = ["verify", fixture("n1.json"), "--order", "100000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcshift", *argv],
+            capture_output=True,
+            env=env,
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert "beyond the depth limit 32" in err
+        assert "Traceback" not in err
 
     def test_integer_options_are_accepted(self, tmp_path):
         path = write_f1_variant(tmp_path, {"options": {"tol": 0, "order": 4, "window": 1}})

@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from tcshift import measures
@@ -23,6 +23,7 @@ from tcshift.measures import (
     measures_equal,
     positivity,
     product,
+    same_location,
 )
 from tcshift.reconstruct import berger_measure
 
@@ -436,6 +437,47 @@ class TestMergePasses:
         mu = berger_measure(instance, form="split")
         assert len(mu.atoms) > 900
         assert len(passes) == 2
+
+
+# Locations on the origin, within a merge distance of it and beyond it, on
+# both sides, and locations near 1.
+origin_locations = st.one_of(
+    st.sampled_from((0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)).map(lambda k: k * MERGE_REL_TOL),
+    st.floats(0.999, 1.001),
+)
+
+
+def _built(cls, atoms):
+    try:
+        return cls(tuple(atoms))
+    except ValueError:
+        reject()
+
+
+class TestChargesOrigin:
+    """``charges_origin`` looks at the first atom only; that agrees with a
+    scan of every atom because the merge leaves at most one atom within a
+    merge distance of 0."""
+
+    @given(st.lists(st.tuples(origin_locations, st.floats(0.01, 2.0)), max_size=6))
+    def test_nonnegative_measures(self, atoms):
+        measure = _built(AtomicMeasure1D, atoms)
+        assert measure.charges_origin() == (measure.mass_at(0.0) != 0.0)
+
+    @given(
+        st.lists(
+            st.tuples(origin_locations, st.sampled_from((0.5, -0.5, 0.25, 1.0, -1.0))),
+            max_size=8,
+        )
+    )
+    def test_signed_measures(self, atoms):
+        measure = _built(SignedMeasure1D, atoms)
+        expected = any(same_location(loc, 0.0) for loc, _ in measure.atoms)
+        assert measure.charges_origin() == expected
+
+    def test_nonnegative_measures_are_signed_measures(self):
+        assert isinstance(AtomicMeasure1D(((1.0, 1.0),)), SignedMeasure1D)
+        assert isinstance(AtomicMeasure2D(((1.0, 1.0, 1.0),)), SignedMeasure2D)
 
 
 class TestTotals:
