@@ -363,6 +363,9 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(part) for part in parts)
     except ValueError as exc:
         raise ParseError(f"range must be numeric lo:hi:step, got {text!r}") from exc
+    _require(
+        all(map(math.isfinite, (lo, hi, step))), f"range must be finite, got {text!r}"
+    )
     _require(step > 0.0, "range step must be positive")
     _require(hi >= lo, "range upper bound must not be below the lower bound")
     largest = max(abs(lo), abs(hi))
@@ -378,7 +381,8 @@ def _grid(lo: float, hi: float, step: float) -> Iterator[float]:
     points than fit in memory, and each is printed as it is decided."""
     for index in itertools.count():
         value = lo + index * step
-        if value > hi + 1e-9 * step:
+        # near the largest float the bound itself can round up to inf
+        if value > hi + 1e-9 * step or math.isinf(value):
             return
         yield value
 
@@ -400,7 +404,7 @@ def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
         try:
             candidate = dataclasses.replace(parsed.instance, **{args.param: value})
             verdict = subnormality_verdict(_as_tc(candidate), opts.tol)
-        except (TCShiftError, ValueError) as exc:
+        except (TCShiftError, ValueError, ArithmeticError) as exc:
             if args.json:
                 line = json.dumps(
                     {"param": args.param, "value": value, "error": str(exc)},

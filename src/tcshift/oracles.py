@@ -12,14 +12,17 @@ negative verdict as inconclusive rather than contradictory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import NonFinite, PreconditionViolated
 from .diagram import TCInstance
 from .measures import AtomicMeasure2D
 from .shifts import MomentSequence
+
+# numpy is imported inside the functions that build matrices, so that the
+# commands that never run an oracle start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_INTERPOLATION_TOL = 1e-10
@@ -61,6 +64,8 @@ def _gamma_function(source) -> Callable[[int, int], float]:
 
 
 def _psd_report(matrix: np.ndarray, tol: float) -> PsdReport:
+    import numpy as np
+
     if not np.isfinite(matrix).all():
         raise NonFinite("an oracle matrix has a non-finite entry")
     sym = 0.5 * (matrix + matrix.T)
@@ -121,6 +126,8 @@ def hankel_psd(
     i, j <= n; the data comes from a measure on [0, inf) only if both are
     positive semidefinite.
     """
+    import numpy as np
+
     values = list(moments.values if isinstance(moments, MomentSequence) else moments)
     if len(values) < 2 * n + 2:
         raise PreconditionViolated(
@@ -137,6 +144,8 @@ def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     Indexed by multi-indices p, q with entries gamma_(p+q); positive
     semidefinite whenever the data are moments of a measure.
     """
+    import numpy as np
+
     gamma = _gamma_function(source)
     # out of the moment table exactly when any entry is: fail before the basis
     gamma(2 * n, 0)
@@ -160,6 +169,8 @@ def joint_hyponormality_compression(
     hyponormality, hence subnormality) forces every such compression to be
     positive semidefinite.
     """
+    import numpy as np
+
     if window < 1:
         raise ValueError("window must be at least 1")
     side = window + 1

@@ -46,6 +46,11 @@ def write_f1_variant(tmp_path, changes) -> str:
     return str(path)
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this tcshift."""
+    return {**os.environ, "PYTHONPATH": str(Path(tcshift.__file__).parents[1])}
+
+
 def run_capture(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
@@ -213,12 +218,11 @@ class TestOptions:
     def test_oversized_order_on_a_negative_verdict_is_refused_early(self):
         # n1 has no Berger measure, so the moment matrix is the first
         # oracle to reach past the table; it must not build its basis first.
-        env = {**os.environ, "PYTHONPATH": str(Path(tcshift.__file__).parents[1])}
         argv = ["verify", fixture("n1.json"), "--order", "100000"]
         proc = subprocess.run(
             [sys.executable, "-m", "tcshift", *argv],
             capture_output=True,
-            env=env,
+            env=child_env(),
             timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
         )
@@ -371,8 +375,53 @@ class TestSweep:
         assert out == ""
         assert "below the float spacing" in err
 
+    @pytest.mark.parametrize("grid", ["0.5:1:inf", "nan:1:0.1", "0:inf:1"])
+    def test_sweep_refuses_a_non_finite_range(self, grid):
+        # an infinite step makes every grid point after the first inf,
+        # and inf never passes the upper bound: the sweep would not end
+        argv = ["sweep", fixture("f1.json"), "--param", "a", "--range", grid]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcshift", *argv],
+            capture_output=True,
+            env=child_env(),
+            timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert "range must be finite" in proc.stderr.decode()
+
+    def test_a_grid_that_reaches_the_largest_float_ends(self):
+        # the points after 1e308 and the bound hi + 1e-9 * step are all inf
+        grid = "0:1.7976931348623157e308:1e308"
+        argv = ["sweep", fixture("f1.json"), "--param", "a", "--range", grid]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcshift", *argv],
+            capture_output=True,
+            env=child_env(),
+            timeout=30,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.decode().splitlines()[1].startswith("a=1e+308 invalid")
+        assert len(proc.stdout.splitlines()) == 2
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_overflowing_points_are_invalid_and_the_sweep_goes_on(self, mode):
+        # a**2 overflows from a = 2e199 on
+        grid = "1e150:1e200:2e199"
+        code, out, _ = run_capture(
+            ["sweep", fixture("f1.json"), "--param", "a", "--range", grid, *mode]
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 6
+        assert "Numerical result out of range" not in lines[0]
+        for line in lines[1:]:
+            if mode:
+                assert "error" in json.loads(line)
+            else:
+                assert " invalid: " in line
+
     def test_closed_pipe_ends_the_sweep_quietly(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(tcshift.__file__).parents[1])}
         # The second grid has 1e12 points, more than fit in the 1 GiB of
         # address space the child gets: its points must be made as printed.
         for grid in ("0.1:100000:1", "0.1:1e12:1"):
@@ -381,7 +430,7 @@ class TestSweep:
                 [sys.executable, "-m", "tcshift", *argv],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                env=env,
+                env=child_env(),
                 preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
             ) as proc:
                 assert proc.stdout.readline().startswith(b"a=0.1 ")
@@ -407,6 +456,54 @@ class TestParser:
         monkeypatch.chdir(FIXTURES)
         code, out, _ = run_capture(["reconstruct", "f1.json", "--json"])
         assert (code, out) == (expected["code"], expected["stdout"])
+
+
+# Run in a child with numpy blocked: the outcome of each (fixture, case),
+# as test_golden records it, as one JSON list on stdout.
+_WITHOUT_NUMPY = """
+import json, sys
+from pathlib import Path
+sys.modules["numpy"] = None
+from test_golden import outcome
+cases = json.loads(sys.argv[1])
+print(json.dumps([outcome(Path(name), case) for name, case in cases]))
+"""
+
+
+class TestColdStart:
+    """Only verify takes eigenvalues, so only verify loads numpy."""
+
+    @pytest.mark.parametrize("module", ["tcshift", "tcshift.cli"])
+    def test_import_leaves_numpy_unloaded(self, module):
+        code = f"import sys, {module}; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
+
+    def test_commands_without_oracles_run_with_numpy_blocked(self):
+        sweep = "sweep --param a --range 0.1:1.5:0.1"
+        cases = [
+            (f"{name}.json", case)
+            for name in ("f1", "n1")
+            for case in ("check", "reconstruct --json", sweep)
+        ] + [(f"{name}_flat.json", "flat") for name in ("f1", "n1")]
+        env = child_env()
+        env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(cases)],
+            capture_output=True,
+            cwd=FIXTURES,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        for (name, case), result in zip(cases, json.loads(proc.stdout), strict=True):
+            golden = json.loads((FIXTURES.parent / "golden" / name).read_text())
+            assert result == golden[case], (name, case)
 
 
 class TestBergerAssembly:
