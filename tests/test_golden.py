@@ -27,14 +27,20 @@ SWEEP_RANGES = {"a": "0.1:1.5:0.1", "m": "0.1:1:0.1"}
 def cases(fixture: Path) -> list[str]:
     """Command lines run on one fixture: check, reconstruct, flat and
     verify, then sweeps over a (tc files) or m and a (flat files), each in
-    text and JSON."""
+    text and JSON.  A tc file with a joining weight ``a`` is also swept over
+    41 points from 0.5 a to 1.5 a, which cross the narrow subnormal
+    intervals that the fixed grid misses."""
     try:
-        kind = json.loads(fixture.read_text()).get("kind")
+        data = json.loads(fixture.read_text())
     except ValueError:
-        kind = "tc"
+        data = {"kind": "tc"}
+    kind = data.get("kind")
     commands = ["check", "reconstruct", "flat", "verify"]
     for param in ("m", "a") if kind == "flat" else ("a",):
         commands.append(f"sweep --param {param} --range {SWEEP_RANGES[param]}")
+    if kind == "tc" and "a" in data:
+        a = data["a"]
+        commands.append(f"sweep --param a --range {0.5 * a!r}:{1.5 * a!r}:{a / 40!r}")
     return [command + mode for command in commands for mode in ("", " --json")]
 
 
