@@ -400,10 +400,15 @@ def _validate_sweep_param(instance, param: str) -> None:
 def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
     _validate_sweep_param(parsed.instance, args.param)
     lo, hi, step = _parse_range(args.range)
+    instance = parsed.instance
     for value in _grid(lo, hi, step):
         try:
-            candidate = dataclasses.replace(parsed.instance, **{args.param: value})
-            verdict = subnormality_verdict(_as_tc(candidate), opts.tol)
+            # a tc instance keeps the parts that do not depend on a
+            if isinstance(instance, TCInstance):
+                candidate = instance.with_a(value)
+            else:
+                candidate = dataclasses.replace(instance, **{args.param: value}).embed()
+            verdict = subnormality_verdict(candidate, opts.tol)
         except (TCShiftError, ValueError, ArithmeticError) as exc:
             if args.json:
                 line = json.dumps(

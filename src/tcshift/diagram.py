@@ -16,6 +16,8 @@ nondecreasing lattice path; commutativity makes the value path independent.
 An instance tabulates its weights and moments once, to the fixed depth
 ``TCInstance.depth_limit``; the restriction of the shift to k2 >= i,
 k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
+``TCInstance.with_a`` makes the same instance at another joining weight;
+the values that do not depend on a are computed once for all of them.
 """
 
 from __future__ import annotations
@@ -58,6 +60,33 @@ class H0Report:
     detail: str | None = None
 
 
+def _check_joining_weight(a: float) -> None:
+    if not (a > 0.0 and math.isfinite(a)):
+        raise InvalidWeight(f"the joining weight a must be positive, got {a!r}")
+
+
+class _free_of_a:
+    """A cached property whose value does not depend on the joining weight
+    a.  It is cached in the instance's ``_shared`` dict, which every
+    instance made by ``TCInstance.with_a`` shares, so a sweep over a
+    computes it once."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        shared = instance._shared
+        if self.name not in shared:
+            shared[self.name] = self.func(instance)
+        return shared[self.name]
+
+
 @dataclass(frozen=True)
 class TCInstance:
     """A 2-variable weighted shift with a tensor-form core.
@@ -91,27 +120,54 @@ class TCInstance:
         for name, measure in (("xi", self.xi), ("eta", self.eta)):
             if measure.charges_origin():
                 raise AtomAtZero(f"{name} has an atom at 0")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise InvalidWeight(f"the joining weight a must be positive, got {self.a!r}")
+        _check_joining_weight(self.a)
 
-    # Derived scalars, cached once per instance.
+    def with_a(self, a: float) -> TCInstance:
+        """The same instance at another joining weight.
+
+        The measures were checked when this instance was made, so only a
+        is checked.  The new instance shares the values that do not depend
+        on a, still computed on first use, so an invalid instance raises
+        the error that it raises when built afresh; the weight tables
+        depend on a and are its own.
+        """
+        _check_joining_weight(a)
+        other = object.__new__(type(self))
+        vars(other).update(
+            xi_x=self.xi_x, eta_y=self.eta_y, xi=self.xi, eta=self.eta, a=a, _shared=self._shared
+        )
+        return other
+
+    # Derived values that do not depend on a, cached once per with_a family.
 
     @cached_property
+    def _shared(self) -> dict:
+        return {}
+
+    @_free_of_a
     def y0_sq(self) -> float:
         return self.eta_y.moment(1)
 
-    @cached_property
+    @_free_of_a
     def recip_s_xi(self) -> float:
         return self.xi.reciprocal_norm()
 
-    @cached_property
+    @_free_of_a
     def recip_t_eta(self) -> float:
         return self.eta.reciprocal_norm()
 
-    @cached_property
+    @_free_of_a
     def eta_y_tail(self) -> AtomicMeasure1D:
         """Berger measure of the column-0 shift with its first weight removed."""
         return restriction_measure(self.eta_y, 1)
+
+    @_free_of_a
+    def recip_t_eta_y_tail(self) -> float:
+        return self.eta_y_tail.reciprocal_norm()
+
+    @_free_of_a
+    def xi_tilde(self) -> AtomicMeasure1D:
+        return self.xi.tilde()
 
     @cached_property
     def _tables(self) -> _WeightTables:

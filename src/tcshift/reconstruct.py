@@ -52,6 +52,7 @@ from .measures import (
 )
 
 DEFAULT_TOL = POSITIVITY_REL_TOL
+_ORIGIN = dirac(0.0)
 
 BergerForm = str  # "split" or "correction"
 
@@ -98,28 +99,22 @@ def compute_psi(instance: TCInstance) -> SignedMeasure1D:
     )
 
 
-def compute_phi(
-    instance: TCInstance, psi: SignedMeasure1D | None = None
-) -> SignedMeasure1D:
-    """The horizontal slack measure.
+def compute_phi(instance: TCInstance, recip_t_psi: float | None = None) -> SignedMeasure1D:
+    """The horizontal slack measure, given ||1/t||_{L1(psi)} or computing it.
 
-    Uses the signed integral of 1/t against psi, so it is defined whether
-    or not psi is positive; an atom of psi at the origin, which only the
-    tail can carry, makes that integral raise.
+    That is the signed integral of 1/t against psi, so phi is defined
+    whether or not psi is positive; an atom of psi at the origin, which
+    only the tail can carry, makes that integral raise.
     """
-    if psi is None:
-        psi = compute_psi(instance)
-    recip_t_psi = psi.reciprocal_norm()
+    if recip_t_psi is None:
+        recip_t_psi = compute_psi(instance).reciprocal_norm()
     return combine(
         [
             (1.0, instance.xi_x),
-            (-instance.y0_sq * recip_t_psi, dirac(0.0)),
+            (-instance.y0_sq * recip_t_psi, _ORIGIN),
             (
-                -(instance.a**2)
-                * instance.y0_sq
-                * instance.recip_s_xi
-                * instance.recip_t_eta,
-                instance.xi.tilde(),
+                -(instance.a**2) * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta,
+                instance.xi_tilde,
             ),
         ]
     )
@@ -146,12 +141,13 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
     signed reciprocal integral) so reports can show both measures.
     """
     psi = compute_psi(instance)
-    phi = compute_phi(instance, psi)
+    recip_t_psi = psi.reciprocal_norm()
+    phi = compute_phi(instance, recip_t_psi)
     diag = Diagnostics(
         recip_s_xi=instance.recip_s_xi,
         recip_t_eta=instance.recip_t_eta,
-        recip_t_psi=psi.reciprocal_norm(),
-        recip_t_eta_y_tail=instance.eta_y_tail.reciprocal_norm(),
+        recip_t_psi=recip_t_psi,
+        recip_t_eta_y_tail=instance.recip_t_eta_y_tail,
     )
     return _decide(psi, phi, diag, tol)
 
@@ -173,30 +169,27 @@ def berger_measure(
     if psi is None:
         psi = compute_psi(instance)
     if phi is None:
-        phi = compute_phi(instance, psi)
+        phi = compute_phi(instance, psi.reciprocal_norm())
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
     recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0
-    c_tensor = (
-        instance.a**2 * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta
-    )
+    c_tensor = instance.a**2 * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta
     c_axis = instance.y0_sq * recip_t_psi
     eta_tilde = instance.eta.tilde()
-    origin = dirac(0.0)
     if form == "split":
-        terms = [(c_tensor, product(instance.xi.tilde(), eta_tilde))]
+        terms = [(c_tensor, product(instance.xi_tilde, eta_tilde))]
         if psi_pos.atoms:
-            terms.append((c_axis, product(origin, psi_pos.tilde())))
+            terms.append((c_axis, product(_ORIGIN, psi_pos.tilde())))
         if phi_pos.atoms:
-            terms.append((1.0, product(phi_pos, origin)))
+            terms.append((1.0, product(phi_pos, _ORIGIN)))
     elif form == "correction":
         terms = [(1.0, product(instance.xi_x, eta_tilde))]
         if phi_pos.atoms:
-            terms.append((1.0, product(phi_pos, origin)))
+            terms.append((1.0, product(phi_pos, _ORIGIN)))
             terms.append((-1.0, product(phi_pos, eta_tilde)))
         if psi_pos.atoms:
-            terms.append((c_axis, product(origin, psi_pos.tilde())))
-            terms.append((-c_axis, product(origin, eta_tilde)))
+            terms.append((c_axis, product(_ORIGIN, psi_pos.tilde())))
+            terms.append((-c_axis, product(_ORIGIN, eta_tilde)))
     else:
         raise ValueError(f"form must be 'split' or 'correction', got {form!r}")
     return combine(terms).as_positive(tol, probability=True)
@@ -215,14 +208,9 @@ def measure_M(
     if psi is None:
         psi = compute_psi(instance)
     psi_pos = psi.as_positive(tol)
-    terms = [
-        (
-            instance.a**2 * instance.recip_s_xi,
-            product(instance.xi.tilde(), instance.eta),
-        )
-    ]
+    terms = [(instance.a**2 * instance.recip_s_xi, product(instance.xi_tilde, instance.eta))]
     if psi_pos.atoms:
-        terms.append((1.0, product(dirac(0.0), psi_pos)))
+        terms.append((1.0, product(_ORIGIN, psi_pos)))
     return combine(terms).as_positive(tol, probability=True)
 
 
@@ -284,7 +272,7 @@ def backward_extension(
     rest = slack.as_positive(tol)
     terms = [(ratio, extremal)]
     if rest.atoms:
-        terms.append((1.0, product(rest, dirac(0.0))))
+        terms.append((1.0, product(rest, _ORIGIN)))
     measure = combine(terms).as_positive(tol, probability=True)
     return BackwardExtension2D(True, measure, ratio=ratio)
 
@@ -316,7 +304,7 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
     phi = combine(
         [
             (1.0, flat.xi_x),
-            (-y0_sq * recip_t_psi, dirac(0.0)),
+            (-y0_sq * recip_t_psi, _ORIGIN),
             (-y0_sq * a_sq / b_sq, dirac(1.0)),
         ]
     )

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import tcshift
-from tcshift import reconstruct
+from tcshift import reconstruct, shifts
 from tcshift.cli import parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
+from tcshift.measures import AtomicMeasure1D
 
 from helpers import assert_measures_close, f1_instance
 
@@ -546,3 +547,49 @@ class TestBergerAssembly:
         else:
             assert code == (0 if subnormal else 1)
         assert len(calls) == (expected if subnormal else 0)
+
+
+class TestSweepSharesTheAFreeParts:
+    """A tc sweep checks the measures and computes the values that do not
+    depend on a once per file, not once per point."""
+
+    def test_calls(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args[0]))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        originals = {
+            "post_init": TCInstance.__post_init__,
+            "tilde": AtomicMeasure1D.tilde,
+            "restriction_measure": shifts.restriction_measure,
+        }
+        for owner, key, name in (
+            (TCInstance, "__post_init__", "post_init"),
+            (AtomicMeasure1D, "tilde", "tilde"),
+        ):
+            monkeypatch.setattr(owner, key, counting(name, originals[name]))
+        # ``from .shifts import restriction_measure`` copies the binding, so
+        # every namespace that holds it is patched.
+        restriction = counting("restriction_measure", originals["restriction_measure"])
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tcshift" and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is originals["restriction_measure"]:
+                        monkeypatch.setattr(module, key, restriction)
+        code, out, _ = run_capture(
+            ["sweep", fixture("f1.json"), "--param", "a", "--range", "0.1:1.1:0.025"]
+        )
+        assert code == 0 and len(out.splitlines()) == 41
+        xi = ((1.0, 1.0),)  # the atoms of f1's xi
+        counts = {
+            "post_init": sum(name == "post_init" for name, _ in calls),
+            "restriction_measure": sum(name == "restriction_measure" for name, _ in calls),
+            "tilde on xi": sum(name == "tilde" and arg.atoms == xi for name, arg in calls),
+        }
+        assert counts == {"post_init": 1, "restriction_measure": 1, "tilde on xi": 1}
+

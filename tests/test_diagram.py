@@ -17,6 +17,7 @@ from tcshift.errors import (
     NotProbability,
 )
 from tcshift.measures import AtomicMeasure1D, dirac
+from tcshift.reconstruct import subnormality_verdict
 
 from helpers import (
     assert_measures_close,
@@ -215,6 +216,71 @@ class TestMomentTable:
         inst.row_moments(3, 20)
         inst.column_moments(3, 20)
         assert calls == []
+
+
+def _verdict_at(make, a: float):
+    """repr of the verdict of ``make(a)``, or the type and message of the
+    first error that building or deciding it raises."""
+    try:
+        return repr(subnormality_verdict(make(a)))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(inst: TCInstance, a: float) -> TCInstance:
+    return TCInstance(inst.xi_x, inst.eta_y, inst.xi, inst.eta, a)
+
+
+class TestWithA:
+    """``with_a`` shares the values that do not depend on a; everything it
+    yields must equal what a freshly built instance yields."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        source=st.one_of(
+            st.sampled_from(("f1", "n1", "no-column-tail")),
+            st.integers(0, 2**32),
+        )
+    )
+    def test_verdicts_and_errors_match_a_fresh_instance(self, source):
+        if source == "f1":
+            inst = f1_instance()
+        elif source == "n1":
+            inst = n1_instance()
+        elif source == "no-column-tail":
+            # eta_y = delta_0 has no tail: every point raises
+            inst = TCInstance(half_half(), dirac(0.0), dirac(1.0), dirac(1.0), math.sqrt(0.5))
+        else:
+            inst = random_tc_instance(random.Random(source))
+        # psi has total mass 1 - a^2 ||1/s||_xi, so every subnormal a lies
+        # below a_max; a fine grid up to it crosses each subnormal interval,
+        # and one across [0.5 a, 1.5 a] meets the generators' own a
+        a_max = 1.0 / math.sqrt(inst.recip_s_xi)
+        points = [1.2 * a_max * k / 60 for k in range(61)]
+        points += [inst.a * (0.5 + k / 40) for k in range(41)]
+        points += [0.0, -1.0, 1e200, math.inf, math.nan]
+        for value in points:
+            assert _verdict_at(inst.with_a, value) == _verdict_at(
+                functools.partial(_fresh, inst), value
+            ), value
+
+    @pytest.mark.parametrize("make", [f1_instance, n1_instance, trivial_instance])
+    def test_moments_match_a_fresh_instance(self, make):
+        inst = make()
+        inst.moment(0, 0)  # the source's own weight tables exist first
+        for value in (0.5 * inst.a, 1.25 * inst.a):
+            shifted, fresh = inst.with_a(value), _fresh(inst, value)
+            assert shifted.a == value
+            for k1 in INDICES:
+                for k2 in INDICES:
+                    assert _outcome(shifted.moment, k1, k2) == _outcome(fresh.moment, k1, k2)
+
+    def test_shares_the_values_that_do_not_depend_on_a(self):
+        inst = f1_instance()
+        shifted = inst.with_a(0.5)
+        assert shifted.eta_y_tail is inst.eta_y_tail
+        assert shifted.xi_tilde is inst.xi_tilde
+        assert shifted.moment(1, 1) != inst.moment(1, 1)
 
 
 class TestMembership:
