@@ -63,6 +63,8 @@ class H0Report:
 def _check_joining_weight(a: float) -> None:
     if not (a > 0.0 and math.isfinite(a)):
         raise InvalidWeight(f"the joining weight a must be positive, got {a!r}")
+    if not math.isfinite(a * a):
+        raise InvalidWeight(f"the square of the joining weight a overflows, got {a!r}")
 
 
 class _free_of_a:

@@ -144,6 +144,8 @@ class TestExitCodes:
                 for command in ("check", "reconstruct", "verify")
             ),
             ("flat", NON_FINITE, "the flat command requires a kind='flat' instance file"),
+            # a**2 overflows
+            ("check", {"a": 1e200}, "the square of the joining weight a overflows, got 1e+200"),
             # a row moment (about 1e-9 ** 37) underflows to 0
             ("verify", single_atom(1e-9, 3e-5), "moments must be positive"),
             # a Hankel entry (about 1e9 ** 37) overflows to inf
@@ -156,6 +158,7 @@ class TestExitCodes:
             "non-finite-reconstruct",
             "non-finite-verify",
             "non-finite-flat",
+            "a-square-overflow",
             "row-moment-underflow",
             "hankel-overflow",
         ],
@@ -416,12 +419,14 @@ class TestSweep:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 6
-        assert "Numerical result out of range" not in lines[0]
+        assert "invalid" not in lines[0] and "error" not in lines[0]
+        message = "the square of the joining weight a overflows, got "
         for line in lines[1:]:
             if mode:
-                assert "error" in json.loads(line)
+                payload = json.loads(line)
+                assert payload["error"] == message + repr(payload["value"])
             else:
-                assert " invalid: " in line
+                assert line.split(" invalid: ")[1].startswith(message)
 
     def test_closed_pipe_ends_the_sweep_quietly(self):
         # The second grid has 1e12 points, more than fit in the 1 GiB of
