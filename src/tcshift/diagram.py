@@ -67,26 +67,19 @@ def _check_joining_weight(a: float) -> None:
         raise InvalidWeight(f"the square of the joining weight a overflows, got {a!r}")
 
 
-class _free_of_a:
+class _free_of_a(cached_property):
     """A cached property whose value does not depend on the joining weight
     a.  It is cached in the instance's ``_shared`` dict, which every
     instance made by ``TCInstance.with_a`` shares, so a sweep over a
     computes it once."""
 
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
         shared = instance._shared
-        if self.name not in shared:
-            shared[self.name] = self.func(instance)
-        return shared[self.name]
+        if self.attrname not in shared:
+            shared[self.attrname] = self.func(instance)
+        return shared[self.attrname]
 
 
 @dataclass(frozen=True)
