@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.measures import MERGE_REL_TOL, AtomicMeasure1D, atom_difference, combine, dirac
+from tcshift.shifts import weights_from_measure
 
 
 def m1(*pairs: tuple[float, float], probability: bool = False) -> AtomicMeasure1D:
@@ -280,4 +282,37 @@ def reference_moment(inst: TCInstance, k1: int, k2: int) -> float:
         value *= inst.weight_at(i, 0, "h") ** 2
     for j in range(k2):
         value *= inst.weight_at(k1, j, "v") ** 2
+    return value
+
+
+@functools.lru_cache(maxsize=8)
+def _reference_weights(measure: AtomicMeasure1D) -> tuple[float, ...]:
+    return weights_from_measure(measure, TCInstance.depth_limit + 1)
+
+
+def reference_weight(inst: TCInstance, k1: int, k2: int, direction: str) -> float:
+    """Weight of the diagram at (k1, k2) by the formulas of the diagram
+    module docstring, from the weights of the four measures; the
+    commutativity recursions run in the order the docstring writes them.
+    ``weight_at`` must reproduce it exactly."""
+    x = _reference_weights(inst.xi_x)
+    y = _reference_weights(inst.eta_y)
+    alpha = _reference_weights(inst.xi)  # alpha_k is alpha[k - 1]
+    beta = _reference_weights(inst.eta)
+    if direction == "h":
+        if k2 == 0:
+            return x[k1]
+        if k1 >= 1:
+            return alpha[k1 - 1]
+        value = inst.a
+        for j in range(1, k2):
+            value = value * beta[j - 1] / y[j]
+        return value
+    if k1 == 0:
+        return y[k2]
+    if k2 >= 1:
+        return beta[k2 - 1]
+    value = inst.a * y[0] / x[0]
+    for i in range(1, k1):
+        value = value * alpha[i - 1] / x[i]
     return value

@@ -28,6 +28,7 @@ from helpers import (
     n1_instance,
     random_tc_instance,
     reference_moment,
+    reference_weight,
     spike_instance,
     trivial_instance,
 )
@@ -82,6 +83,26 @@ class TestWeights:
         inst = f1_instance()
         with pytest.raises(DepthExceeded):
             inst.weight_at(inst.depth_limit + 1, 0, "h")
+
+    def test_follow_the_commutativity_formulas(self):
+        rng = random.Random(29)
+        instances = [f1_instance(), n1_instance(), trivial_instance()] + [
+            random_tc_instance(rng) for _ in range(20)
+        ]
+        indices = range(TCInstance.depth_limit + 1)
+        for inst in instances:
+            for k1 in indices:
+                for k2 in indices:
+                    for direction in ("h", "v"):
+                        assert inst.weight_at(k1, k2, direction) == reference_weight(
+                            inst, k1, k2, direction
+                        ), (k1, k2, direction)
+
+    def test_weights_error_comes_before_a_bad_direction(self):
+        # the order-33 moment of delta_{1e-10} underflows to 0
+        inst = TCInstance(dirac(1e-10), dirac(1.0), dirac(1.0), dirac(1.0), 1.0)
+        with pytest.raises(InvalidWeight):
+            inst.weight_at(0, 0, "d")
 
     def test_moment_ratios_recover_squared_weights(self):
         rng = random.Random(7)
