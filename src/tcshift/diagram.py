@@ -3,13 +3,14 @@
 An instance is determined by five pieces of data: the Berger measures of
 the row-0 shift (xi_x) and the column-0 shift (eta_y), the two core
 measures xi and eta driving the horizontal and vertical core weights, and
-the single weight ``a`` joining (0, 1) to (1, 1).  Row 0 and column 0 carry
-the weights of their own shifts, the core region k1 >= 1, k2 >= 1 is the
-tensor grid alpha_{k1} / beta_{k2}, and the remaining boundary weights are
-forced by commutativity:
+the single weight ``a`` joining (0, 1) to (1, 1).  The diagram is two
+grids, alpha[k1][k2] (horizontal) and beta[k1][k2] (vertical).  Row 0 and
+column 0 carry the weights x_k and y_k of their own shifts, the core region
+k1 >= 1, k2 >= 1 is the tensor grid alpha_{k1} / beta_{k2}, and the
+remaining boundary weights are forced by commutativity:
 
-    beta[(k1, 0)]   = a y_0 (alpha_1 ... alpha_{k1-1}) / (x_0 ... x_{k1-1})
-    alpha[(0, k2+1)] = alpha[(0, k2)] beta_{k2} / y_{k2},  alpha[(0, 1)] = a
+    beta[k1+1][0]  = beta[k1][0] alpha_{k1} / x_{k1},   beta[1][0]  = a y_0 / x_0
+    alpha[0][k2+1] = alpha[0][k2] beta_{k2} / y_{k2},   alpha[0][1] = a
 
 Moments of order (k1, k2) are products of squared weights along any
 nondecreasing lattice path; commutativity makes the value path independent.
@@ -38,16 +39,7 @@ from .shifts import (
 )
 
 Direction = Literal["h", "v"]
-
-
-@dataclass(frozen=True)
-class _WeightTables:
-    x: tuple[float, ...]        # alpha[(k1, 0)]
-    y: tuple[float, ...]        # beta[(0, k2)]
-    core_h: tuple[float, ...]   # alpha_k, index shifted down by one
-    core_v: tuple[float, ...]   # beta_k, index shifted down by one
-    col0_h: tuple[float, ...]   # alpha[(0, k2)]
-    row0_v: tuple[float, ...]   # beta[(k1, 0)]
+Grid = tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,7 @@ class TCInstance:
         The measures were checked when this instance was made, so only a
         is checked.  The new instance shares the values that do not depend
         on a, still computed on first use, so an invalid instance raises
-        the error that it raises when built afresh; the weight tables
+        the error that it raises when built afresh; the weight grids
         depend on a and are its own.
         """
         _check_joining_weight(a)
@@ -165,35 +157,39 @@ class TCInstance:
         return self.xi.tilde()
 
     @cached_property
-    def _tables(self) -> _WeightTables:
+    def _grids(self) -> tuple[Grid, Grid]:
+        """The diagram, alpha[k1][k2] and beta[k1][k2] for
+        0 <= k1, k2 <= depth_limit."""
         limit = self.depth_limit
         x = weights_from_measure(self.xi_x, limit + 1)
         y = weights_from_measure(self.eta_y, limit + 1)
-        core_h = weights_from_measure(self.xi, limit + 1)
-        core_v = weights_from_measure(self.eta, limit + 1)
+        core_h = weights_from_measure(self.xi, limit + 1)  # alpha_k at k - 1
+        core_v = weights_from_measure(self.eta, limit + 1)  # beta_k at k - 1
         col0 = [x[0], self.a]
         for k2 in range(1, limit):
             col0.append(col0[k2] * core_v[k2 - 1] / y[k2])
         row0 = [y[0], self.a * y[0] / x[0]]
         for k1 in range(1, limit):
             row0.append(row0[k1] * core_h[k1 - 1] / x[k1])
-        return _WeightTables(x, y, core_h, core_v, tuple(col0), tuple(row0))
+        core_v = core_v[:limit]
+        rest = range(1, limit + 1)
+        alpha = (tuple(col0), *((x[k1],) + (core_h[k1 - 1],) * limit for k1 in rest))
+        beta = (y, *((row0[k1], *core_v) for k1 in rest))
+        return alpha, beta
 
     @cached_property
-    def _gamma(self) -> tuple[tuple[float, ...], ...]:
+    def _gamma(self) -> Grid:
         """gamma[k1][k2] for every valid index, built as the row-first path
         multiplies it: along row 0 to k1, then up column k1."""
-        tables = self._tables
-        limit = self.depth_limit
-        core_v = tables.core_v[:limit]
+        alpha, beta = self._grids
         columns = []
         base = 1.0
-        for k1 in range(limit + 1):
+        for k1 in range(self.depth_limit + 1):
             column = [base]
-            for weight in tables.y if k1 == 0 else (tables.row0_v[k1], *core_v):
+            for weight in beta[k1]:
                 column.append(column[-1] * weight**2)
             columns.append(tuple(column))
-            base *= tables.x[k1] ** 2
+            base *= alpha[k1][0] ** 2
         columns.append((base,))
         return tuple(columns)
 
@@ -209,19 +205,11 @@ class TCInstance:
             raise DepthExceeded(
                 f"index ({k1}, {k2}) beyond the depth limit {self.depth_limit}"
             )
-        tables = self._tables
+        alpha, beta = self._grids
         if direction == "h":
-            if k2 == 0:
-                return tables.x[k1]
-            if k1 == 0:
-                return tables.col0_h[k2]
-            return tables.core_h[k1 - 1]
+            return alpha[k1][k2]
         if direction == "v":
-            if k1 == 0:
-                return tables.y[k2]
-            if k2 == 0:
-                return tables.row0_v[k1]
-            return tables.core_v[k2 - 1]
+            return beta[k1][k2]
         raise ValueError(f"direction must be 'h' or 'v', got {direction!r}")
 
     def moment(self, k1: int, k2: int) -> float:
