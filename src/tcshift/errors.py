@@ -17,10 +17,6 @@ class DegenerateMeasure(TCShiftError):
     """A measure concentrated at the origin carries no weight sequence."""
 
 
-class NotSubnormal(TCShiftError):
-    """The requested construction exists only for subnormal weight data."""
-
-
 class InvalidWeight(TCShiftError):
     """A shift weight lies outside (0, inf)."""
 

@@ -290,11 +290,6 @@ class SignedMeasure2D:
             raise ValueError("moment orders must be nonnegative")
         return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
 
-    def marginal(self, axis: Axis) -> SignedMeasure1D:
-        """Project atoms onto one coordinate, summing coincident masses."""
-        index = _axis_index(axis)
-        return SignedMeasure1D(tuple((atom[index], atom[2]) for atom in self.atoms))
-
     def as_positive(
         self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
     ) -> AtomicMeasure2D:
@@ -332,9 +327,6 @@ class AtomicMeasure2D(SignedMeasure2D):
         if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
             raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
 
-    def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
-
     def mass_at(self, s: float, t: float) -> float:
         return left_sum(
             mass
@@ -369,8 +361,6 @@ class AtomicMeasure2D(SignedMeasure2D):
         )
 
 
-Measure1D = SignedMeasure1D
-Measure2D = SignedMeasure2D
 Measure = Union[SignedMeasure1D, SignedMeasure2D]
 
 
@@ -392,7 +382,7 @@ def dirac2(s: float, t: float) -> AtomicMeasure2D:
     return AtomicMeasure2D(((float(s), float(t), 1.0),), probability=True)
 
 
-def product(mx: Measure1D, my: Measure1D) -> Measure2D:
+def product(mx: SignedMeasure1D, my: SignedMeasure1D) -> SignedMeasure2D:
     """Cartesian product measure; masses multiply atom by atom.
 
     Returns an ``AtomicMeasure2D`` when both factors are nonnegative (the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight, NotSubnormal
+from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight
 from .measures import POSITIVITY_REL_TOL, AtomicMeasure1D
 
 
@@ -32,10 +32,6 @@ class MomentSequence:
         if any(v <= 0.0 for v in self.values):
             raise InvalidMoments("moments must be positive")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @classmethod
-    def from_measure(cls, measure: AtomicMeasure1D, count: int) -> "MomentSequence":
-        return cls(tuple(measure.moment(k) for k in range(count)))
 
 
 def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
@@ -59,25 +55,6 @@ def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
         if value > bound * (1.0 + 1e-12):
             raise InvalidWeight(f"weight {value!r} exceeds the norm bound {bound!r}")
     return weights
-
-
-def two_atom_measure(alpha: float, beta: float) -> AtomicMeasure1D:
-    """Berger measure of shift(alpha, beta, beta, ...).
-
-    Equals (1 - alpha^2/beta^2) delta_0 + (alpha^2/beta^2) delta_{beta^2};
-    a single atom when alpha = beta.
-    """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise InvalidWeight("shift weights must be positive")
-    if alpha > beta:
-        raise NotSubnormal(
-            f"shift({alpha}, {beta}, {beta}, ...) has decreasing weights"
-        )
-    ratio = (alpha / beta) ** 2
-    atoms = [(beta**2, ratio)]
-    if ratio < 1.0:
-        atoms.append((0.0, 1.0 - ratio))
-    return AtomicMeasure1D(tuple(atoms), probability=True)
 
 
 def restriction_measure(measure: AtomicMeasure1D, h: int) -> AtomicMeasure1D:

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from tcshift.errors import DegenerateMeasure, InvalidWeight, NotSubnormal
+from tcshift.errors import DegenerateMeasure, InvalidWeight
 from tcshift.measures import dirac
 from tcshift.shifts import (
     MomentSequence,
     one_var_backward_extension,
     restriction_measure,
-    two_atom_measure,
     weights_from_measure,
 )
 
@@ -55,29 +54,15 @@ class TestWeightsFromMeasure:
 
 
 class TestTwoAtomMeasure:
-    def test_equal_weights_collapse(self):
-        assert two_atom_measure(1.0, 1.0).atoms == ((1.0, 1.0),)
-
-    def test_half_one(self):
-        assert_measures_close(two_atom_measure(0.5, 1.0), m1((0.0, 0.75), (1.0, 0.25)))
-
-    def test_one_two(self):
-        assert_measures_close(two_atom_measure(1.0, 2.0), m1((0.0, 0.75), (4.0, 0.25)))
-
-    def test_decreasing_weights_rejected(self):
-        with pytest.raises(NotSubnormal):
-            two_atom_measure(1.5, 1.0)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(InvalidWeight):
-            two_atom_measure(0.0, 1.0)
-
     def test_round_trip_through_weights(self):
+        # (1 - r) delta_0 + r delta_{beta^2}, r = (alpha / beta)^2, is the
+        # Berger measure of shift(alpha, beta, beta, ...)
         rng = random.Random(4711)
         for _ in range(50):
             beta = rng.uniform(0.05, 2.0)
             alpha = beta * rng.uniform(0.05, 1.0)
-            measure = two_atom_measure(alpha, beta)
+            r = (alpha / beta) ** 2
+            measure = m1((0.0, 1.0 - r), (beta**2, r), probability=True)
             weights = weights_from_measure(measure, 6)
             expected = (alpha,) + (beta,) * 5
             for got, want in zip(weights, expected):
@@ -121,7 +106,7 @@ class TestBackwardExtension1D:
     def test_matches_the_two_atom_formula(self):
         ext = one_var_backward_extension(0.5, dirac(1.0))
         assert ext.subnormal
-        assert_measures_close(ext.measure, two_atom_measure(0.5, 1.0))
+        assert_measures_close(ext.measure, m1((0.0, 0.75), (1.0, 0.25)))
 
     def test_oversized_weight_fails(self):
         ext = one_var_backward_extension(1.2, dirac(1.0))
@@ -148,10 +133,6 @@ class TestBackwardExtension1D:
 
 
 class TestMomentSequence:
-    def test_from_measure(self):
-        seq = MomentSequence.from_measure(m1((0.0, 0.75), (1.0, 0.25)), 4)
-        assert seq.values == (1.0, 0.25, 0.25, 0.25)
-
     def test_leading_one_required(self):
         with pytest.raises(ValueError):
             MomentSequence((0.5, 0.25))
