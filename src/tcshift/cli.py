@@ -26,7 +26,7 @@ from typing import Any, Iterator, Sequence
 
 from .errors import ParseError, TCShiftError, ValidationError
 from .diagram import FlatInstance, TCInstance
-from .measures import AtomicMeasure1D, AtomicMeasure2D, SignedMeasure1D
+from .measures import AtomicMeasure1D, AtomicMeasure2D
 from .oracles import (
     hankel_psd,
     joint_hyponormality_compression,
@@ -91,6 +91,10 @@ class ParsedFile:
     options: Options
 
 
+#: A measure's atoms, (location, mass) or (s, t, mass) tuples.
+Atoms = tuple[tuple[float, ...], ...]
+
+
 @dataclass
 class Report:
     """Everything one command run produced; the fields are the JSON
@@ -101,9 +105,9 @@ class Report:
     verdict: str
     witness: dict[str, Any] | None
     diagnostics: dict[str, float]
-    psi: list[list[float]] | None = None
-    phi: list[list[float]] | None = None
-    mu: list[list[float]] | None = None
+    psi: Atoms | None = None
+    phi: Atoms | None = None
+    mu: Atoms | None = None
     oracles: dict[str, Any] | None = None
 
 
@@ -185,14 +189,6 @@ def parse_instance(path: str) -> ParsedFile:
     return ParsedFile(instance, options)
 
 
-def _atoms_1d(measure: SignedMeasure1D) -> list[list[float]]:
-    return [[loc, mass] for loc, mass in measure.atoms]
-
-
-def _atoms_2d(measure: AtomicMeasure2D) -> list[list[float]]:
-    return [[s, t, mass] for s, t, mass in measure.atoms]
-
-
 def _verdict_name(verdict: Verdict) -> str:
     return "subnormal" if verdict.subnormal else "not-subnormal"
 
@@ -265,9 +261,9 @@ def _build_report(
         oracles=oracles,
     )
     if with_measures:
-        report.psi = _atoms_1d(verdict.psi)
-        report.phi = _atoms_1d(verdict.phi)
-        report.mu = _atoms_2d(mu) if mu is not None else None
+        report.psi = verdict.psi.atoms
+        report.phi = verdict.phi.atoms
+        report.mu = mu.atoms if mu is not None else None
     return report
 
 
@@ -275,7 +271,7 @@ def _fmt6(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _fmt_atoms(atoms: list[list[float]] | None) -> str:
+def _fmt_atoms(atoms: Atoms | None) -> str:
     if atoms is None:
         return "none"
     return "[" + ", ".join("[" + ", ".join(_fmt6(v) for v in atom) + "]" for atom in atoms) + "]"
