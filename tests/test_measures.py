@@ -392,17 +392,29 @@ class TestKernelMatchesReference:
             return
         assert repr(product(*factors).atoms) == repr(expected)
 
-    @given(atoms=kernel_atoms(3), tol=st.sampled_from((0.0, 1e-12, 0.5)))
-    def test_positivity_and_as_positive(self, atoms, tol):
-        signed = SignedMeasure2D(tuple((abs(s), abs(t), m) for s, t, m in atoms))
+    @given(
+        data=st.data(),
+        dim=st.sampled_from((2, 3)),
+        tol=st.sampled_from((0.0, 1e-12, 0.5)),
+    )
+    def test_positivity_and_as_positive(self, data, dim, tol):
+        """1-D and 2-D measures: the witness is the reference's worst atom,
+        as (location, mass) or ((s, t), mass)."""
+        cls, merge = {
+            2: (SignedMeasure1D, reference_merge_1d),
+            3: (SignedMeasure2D, reference_merge_2d),
+        }[dim]
+        atoms = data.draw(kernel_atoms(dim))
+        signed = cls(tuple((*map(abs, atom[:-1]), atom[-1]) for atom in atoms))
         check = positivity(signed, tol)
         positive, worst = reference_positivity(signed.atoms, tol)
         assert check.positive == positive
         if not positive:
-            assert (check.location, check.mass) == ((worst[0], worst[1]), worst[2])
+            location = worst[0] if dim == 2 else (worst[0], worst[1])
+            assert (check.location, check.mass) == (location, worst[-1])
             return
-        kept = [atom for atom in signed.atoms if atom[2] > 0.0]
-        assert repr(signed.as_positive(tol).atoms) == repr(reference_merge_2d(kept))
+        kept = [atom for atom in signed.atoms if atom[-1] > 0.0]
+        assert repr(signed.as_positive(tol).atoms) == repr(merge(kept))
 
 
 class TestMergePasses:
