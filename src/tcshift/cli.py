@@ -91,26 +91,6 @@ class ParsedFile:
     options: Options
 
 
-#: A measure's atoms, (location, mass) or (s, t, mass) tuples.
-Atoms = tuple[tuple[float, ...], ...]
-
-
-@dataclass
-class Report:
-    """Everything one command run produced; the fields are the JSON
-    payload."""
-
-    command: str
-    kind: str
-    verdict: str
-    witness: dict[str, Any] | None
-    diagnostics: dict[str, float]
-    psi: Atoms | None = None
-    phi: Atoms | None = None
-    mu: Atoms | None = None
-    oracles: dict[str, Any] | None = None
-
-
 def _parse_measure(obj: Any, name: str) -> AtomicMeasure1D:
     _require(isinstance(obj, dict), f"{name} must be an object with an 'atoms' array")
     atoms = obj.get("atoms")
@@ -197,9 +177,10 @@ def _verdict_name(verdict: Verdict) -> str:
 # vars(): their fields are scalars, and dataclasses.asdict costs ten times
 # as much, once per sweep point.
 def _witness_payload(verdict: Verdict) -> dict[str, Any] | None:
-    if verdict.witness is None:
+    witness = verdict.witness
+    if witness is None:
         return None
-    return dict(vars(verdict.witness), reason=verdict.reason)
+    return dict(vars(witness), reason=f"{witness.measure} has a negative atom")
 
 
 def _oracle_payloads(
@@ -243,94 +224,52 @@ def _oracle_payloads(
     return oracles
 
 
-def _build_report(
-    command: str,
-    kind: str,
-    verdict: Verdict,
-    mu: AtomicMeasure2D | None,
-    *,
-    with_measures: bool,
-    oracles: dict[str, Any] | None = None,
-) -> Report:
-    report = Report(
-        command=command,
-        kind=kind,
-        verdict=_verdict_name(verdict),
-        witness=_witness_payload(verdict),
-        diagnostics=dict(vars(verdict.diagnostics)),
-        oracles=oracles,
-    )
-    if with_measures:
-        report.psi = verdict.psi.atoms
-        report.phi = verdict.phi.atoms
-        report.mu = mu.atoms if mu is not None else None
-    return report
-
-
 def _fmt6(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _fmt_atoms(atoms: Atoms | None) -> str:
+def _fmt_atoms(atoms: tuple | None) -> str:
     if atoms is None:
         return "none"
     return "[" + ", ".join("[" + ", ".join(_fmt6(v) for v in atom) + "]" for atom in atoms) + "]"
 
 
-def render_text(report: Report) -> str:
-    lines = [
-        f"command: {report.command}",
-        f"kind: {report.kind}",
-        f"verdict: {report.verdict}",
-    ]
-    if report.witness is None:
-        lines.append("witness: none")
-    else:
-        w = report.witness
-        lines.append(
-            f"witness: {w['measure']} @ {_fmt6(w['location'])} mass {_fmt6(w['mass'])}"
-            f" ({w['reason']})"
-        )
-    for key, value in report.diagnostics.items():
-        lines.append(f"{key}: {_fmt6(value)}")
-    if report.psi is not None:
-        lines.append(f"psi: {_fmt_atoms(report.psi)}")
-    if report.phi is not None:
-        lines.append(f"phi: {_fmt_atoms(report.phi)}")
-    if report.command in ("reconstruct", "flat", "verify"):
-        lines.append(f"mu: {_fmt_atoms(report.mu)}")
-    if report.oracles is not None:
-        for name, payload in sorted(report.oracles.items()):
-            if isinstance(payload, list):
-                for entry in payload:
-                    lines.append(
-                        f"oracle {name}[{entry['index']}]: "
-                        f"{'pass' if entry['passed'] else 'fail'}"
-                        f" min_eig={_fmt6(entry['min_eigenvalue'])}"
-                        f" status={entry['status']}"
-                    )
-            else:
-                detail = (
-                    f" max_rel_error={_fmt6(payload['max_rel_error'])}"
-                    if "max_rel_error" in payload
-                    else f" min_eig={_fmt6(payload['min_eigenvalue'])}"
-                )
-                lines.append(
-                    f"oracle {name}: {'pass' if payload['passed'] else 'fail'}"
-                    f"{detail} status={payload['status']}"
-                )
+def render_text(report: dict[str, Any]) -> str:
+    lines = [f"{key}: {report[key]}" for key in ("command", "kind", "verdict")]
+    w = report["witness"]
+    lines.append(
+        "witness: none"
+        if w is None
+        else f"witness: {w['measure']} @ {_fmt6(w['location'])} mass {_fmt6(w['mass'])}"
+        f" ({w['reason']})"
+    )
+    lines += [f"{key}: {_fmt6(value)}" for key, value in report["diagnostics"].items()]
+    if report["psi"] is not None:
+        lines += [f"{key}: {_fmt_atoms(report[key])}" for key in ("psi", "phi", "mu")]
+    for name, payload in sorted((report["oracles"] or {}).items()):
+        for entry in payload if isinstance(payload, list) else [payload]:
+            label = f"{name}[{entry['index']}]" if "index" in entry else name
+            detail = (
+                f"max_rel_error={_fmt6(entry['max_rel_error'])}"
+                if "max_rel_error" in entry
+                else f"min_eig={_fmt6(entry['min_eigenvalue'])}"
+            )
+            lines.append(
+                f"oracle {label}: {'pass' if entry['passed'] else 'fail'}"
+                f" {detail} status={entry['status']}"
+            )
     return "\n".join(lines)
 
 
-def render_json(report: Report) -> str:
-    return json.dumps(vars(report), sort_keys=True)
+def render_json(report: dict[str, Any]) -> str:
+    return json.dumps(report, sort_keys=True)
 
 
 def _as_tc(instance: TCInstance | FlatInstance) -> TCInstance:
     return instance.embed() if isinstance(instance, FlatInstance) else instance
 
 
-def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[Report, int]:
+def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str, Any], int]:
     instance = parsed.instance
     kind = "flat" if isinstance(instance, FlatInstance) else "tc"
     if command == "flat":
@@ -345,10 +284,18 @@ def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[Report, i
     mu = None
     if verdict.subnormal and command != "check":
         mu = berger_measure(tc, opts.tol, form, verdict.psi, verdict.phi)
-    oracles = _oracle_payloads(tc, verdict, mu, opts) if command == "verify" else None
-    report = _build_report(
-        command, kind, verdict, mu, with_measures=command != "check", oracles=oracles
-    )
+    measures = command != "check"
+    report = {
+        "command": command,
+        "kind": kind,
+        "verdict": _verdict_name(verdict),
+        "witness": _witness_payload(verdict),
+        "diagnostics": dict(vars(verdict.diagnostics)),
+        "psi": verdict.psi.atoms if measures else None,
+        "phi": verdict.phi.atoms if measures else None,
+        "mu": None if mu is None else mu.atoms,
+        "oracles": _oracle_payloads(tc, verdict, mu, opts) if command == "verify" else None,
+    }
     return report, EXIT_SUBNORMAL if verdict.subnormal else EXIT_NOT_SUBNORMAL
 
 
@@ -393,11 +340,25 @@ def _validate_sweep_param(instance, param: str) -> None:
         )
 
 
+def _point_text(point: dict[str, Any]) -> str:
+    head = f"{point['param']}={_fmt6(point['value'])}"
+    if "error" in point:
+        return f"{head} invalid: {point['error']}"
+    w = point["witness"]
+    if w is None:
+        return f"{head} {point['verdict']}"
+    return (
+        f"{head} {point['verdict']}"
+        f" witness={w['measure']}@{_fmt6(w['location'])} mass={_fmt6(w['mass'])}"
+    )
+
+
 def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
     _validate_sweep_param(parsed.instance, args.param)
     lo, hi, step = _parse_range(args.range)
     instance = parsed.instance
     for value in _grid(lo, hi, step):
+        point: dict[str, Any] = {"param": args.param, "value": value}
         try:
             # a tc instance keeps the parts that do not depend on a
             if isinstance(instance, TCInstance):
@@ -406,29 +367,11 @@ def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
                 candidate = dataclasses.replace(instance, **{args.param: value}).embed()
             verdict = subnormality_verdict(candidate, opts.tol)
         except (TCShiftError, ValueError, ArithmeticError) as exc:
-            if args.json:
-                line = json.dumps(
-                    {"param": args.param, "value": value, "error": str(exc)},
-                    sort_keys=True,
-                )
-            else:
-                line = f"{args.param}={_fmt6(value)} invalid: {exc}"
-            print(line, file=out)
-            continue
-        if args.json:
-            payload: dict[str, Any] = {
-                "param": args.param,
-                "value": value,
-                "verdict": _verdict_name(verdict),
-                "witness": _witness_payload(verdict),
-            }
-            line = json.dumps(payload, sort_keys=True)
+            point["error"] = str(exc)
         else:
-            line = f"{args.param}={_fmt6(value)} {_verdict_name(verdict)}"
-            if verdict.witness is not None:
-                w = verdict.witness
-                line += f" witness={w.measure}@{_fmt6(w.location)} mass={_fmt6(w.mass)}"
-        print(line, file=out)
+            point["verdict"] = _verdict_name(verdict)
+            point["witness"] = _witness_payload(verdict)
+        print(json.dumps(point, sort_keys=True) if args.json else _point_text(point), file=out)
     return EXIT_SUBNORMAL
 
 

@@ -86,7 +86,6 @@ class Verdict:
     diagnostics: Diagnostics
     psi: SignedMeasure1D
     phi: SignedMeasure1D
-    reason: str | None = None
 
 
 def compute_psi(instance: TCInstance) -> SignedMeasure1D:
@@ -128,9 +127,7 @@ def _decide(
     for name, measure in (("psi", psi), ("phi", phi)):
         check = positivity(measure, tol)
         if not check.positive:
-            witness = Witness(name, check.location, check.mass)
-            reason = f"{name} has a negative atom"
-            return Verdict(False, witness, diag, psi, phi, reason=reason)
+            return Verdict(False, Witness(name, check.location, check.mass), diag, psi, phi)
     return Verdict(True, None, diag, psi, phi)
 
 
