@@ -11,9 +11,11 @@ Conventions: locations are nonnegative, probability measures have total
 mass one, and locations u, v with |u - v| <= MERGE_REL_TOL * max(1, |u|, |v|)
 are one point (absolute below 1): an atom that close to 0 is at the origin.
 
-The nonnegative ``AtomicMeasure1D``/``2D`` subclass ``SignedMeasure1D``/``2D``,
-which own the merge, totals, moments, ``as_positive`` and ``charges_origin``;
-the subclasses add the sign and probability checks and what needs positivity.
+The nonnegative ``AtomicMeasure1D``/``2D`` subclass ``SignedMeasure1D``/``2D``.
+One signed base under both owns the merge on construction, the total mass,
+``as_positive`` and the probability-total check; the signed classes add
+their moments (and in 1-D ``charges_origin``), the nonnegative ones the
+sign checks and what needs positivity.
 
 Every measure holds its atoms as a tuple of finite float tuples that is
 
@@ -176,23 +178,54 @@ def _from_merged(cls: type, atoms: tuple, **fields: bool):
 
 
 @dataclass(frozen=True)
-class SignedMeasure1D:
-    """Finite signed combination of point masses on [0, inf)."""
+class _SignedMeasure:
+    """What the 1-D and 2-D measures share: an atom is a tuple of
+    coordinates ending in its mass, and ``_names`` names its entries."""
 
-    atoms: tuple[tuple[float, float], ...]
+    atoms: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _merge_1d(self.atoms))
+        merge = _merge_1d if len(self._names) == 2 else _merge_2d
+        object.__setattr__(self, "atoms", merge(self.atoms))
         self._check()
+
+    @property
+    def total_mass(self) -> float:
+        return left_sum(map(itemgetter(-1), self.atoms))
+
+    def as_positive(
+        self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
+    ) -> AtomicMeasure1D | AtomicMeasure2D:
+        """Drop rounding-level negative atoms; reject genuinely negative ones."""
+        check = positivity(self, tol)
+        if not check.positive:
+            raise PreconditionViolated(
+                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
+            )
+        # a dropped atom may have split a run of survivors: merge again
+        positive = [atom for atom in self.atoms if atom[-1] > 0.0]
+        if len(self._names) == 2:
+            cls, merged = AtomicMeasure1D, _merge_floats_1d(positive)
+        else:
+            cls, merged = AtomicMeasure2D, _merge_floats_2d(positive)
+        return _from_merged(cls, merged, probability=probability)
+
+    def _check_probability(self) -> None:
+        """The total-mass check of the nonnegative subclasses."""
+        if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
+            raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
+
+
+@dataclass(frozen=True)
+class SignedMeasure1D(_SignedMeasure):
+    """Finite signed combination of point masses on [0, inf)."""
+
+    _names = _NAMES_1D
 
     def _check(self) -> None:
         # atoms are sorted, so atoms[0][0] is the least location
         if self.atoms and self.atoms[0][0] < 0.0:
             raise ValueError(f"atom location must be nonnegative, got {self.atoms[0][0]!r}")
-
-    @property
-    def total_mass(self) -> float:
-        return left_sum(mass for _, mass in self.atoms)
 
     def mass_at(self, location: float) -> float:
         return left_sum(mass for loc, mass in self.atoms if same_location(loc, location))
@@ -214,21 +247,6 @@ class SignedMeasure1D:
             raise AtomAtZero("measure has an atom at 0, so 1/s is not integrable")
         return left_sum(mass / loc for loc, mass in self.atoms)
 
-    def as_positive(
-        self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
-    ) -> AtomicMeasure1D:
-        """Drop rounding-level negative atoms; reject genuinely negative ones."""
-        check = positivity(self, tol)
-        if not check.positive:
-            raise PreconditionViolated(
-                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
-            )
-        # a dropped atom may have split a run of survivors: merge again
-        positive = [atom for atom in self.atoms if atom[1] > 0.0]
-        return _from_merged(
-            AtomicMeasure1D, _merge_floats_1d(positive), probability=probability
-        )
-
 
 @dataclass(frozen=True)
 class AtomicMeasure1D(SignedMeasure1D):
@@ -242,8 +260,7 @@ class AtomicMeasure1D(SignedMeasure1D):
         for loc, mass in self.atoms:
             if mass <= 0.0:
                 raise ValueError(f"atom mass must be positive, got {mass!r} at {loc!r}")
-        if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
-            raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
+        self._check_probability()
 
     @property
     def locations(self) -> tuple[float, ...]:
@@ -263,14 +280,10 @@ class AtomicMeasure1D(SignedMeasure1D):
 
 
 @dataclass(frozen=True)
-class SignedMeasure2D:
+class SignedMeasure2D(_SignedMeasure):
     """Finite signed combination of planar point masses."""
 
-    atoms: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _merge_2d(self.atoms))
-        self._check()
+    _names = _NAMES_2D
 
     def _check(self) -> None:
         atoms = self.atoms
@@ -280,29 +293,11 @@ class SignedMeasure2D:
                 if s < 0.0 or t < 0.0:
                     raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
 
-    @property
-    def total_mass(self) -> float:
-        return left_sum(map(itemgetter(2), self.atoms))
-
     def moment(self, k1: int, k2: int) -> float:
         """Integral of s^k1 t^k2."""
         if k1 < 0 or k2 < 0:
             raise ValueError("moment orders must be nonnegative")
         return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
-
-    def as_positive(
-        self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
-    ) -> AtomicMeasure2D:
-        """Drop rounding-level negative atoms; reject genuinely negative ones."""
-        check = positivity(self, tol)
-        if not check.positive:
-            raise PreconditionViolated(
-                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
-            )
-        positive = [atom for atom in self.atoms if atom[2] > 0.0]
-        return _from_merged(
-            AtomicMeasure2D, _merge_floats_2d(positive), probability=probability
-        )
 
 
 @dataclass(frozen=True)
@@ -324,8 +319,7 @@ class AtomicMeasure2D(SignedMeasure2D):
                     raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
                 if mass <= 0.0:
                     raise ValueError(f"atom mass must be positive, got {mass!r} at ({s!r}, {t!r})")
-        if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
-            raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
+        self._check_probability()
 
     def mass_at(self, s: float, t: float) -> float:
         return left_sum(
