@@ -150,6 +150,12 @@ class TestExitCodes:
             ("verify", single_atom(1e-9, 3e-5), "moments must be positive"),
             # a Hankel entry (about 1e9 ** 37) overflows to inf
             ("verify", single_atom(1e9, 3e4), "an oracle matrix has a non-finite entry"),
+            # moment 30 of xi_x (1e-11 ** 30) underflows to 0 and would divide
+            (
+                "verify",
+                {"xi_x": {"atoms": [[1e-11, 1.0]]}, "a": 1e-6},
+                "moment 30 of the measure underflows to 0",
+            ),
         ],
         ids=[
             "atom-near-zero",
@@ -161,6 +167,7 @@ class TestExitCodes:
             "a-square-overflow",
             "row-moment-underflow",
             "hankel-overflow",
+            "weight-moment-underflow",
         ],
     )
     def test_failures_after_parsing_are_invalid_instances(

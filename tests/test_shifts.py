@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tcshift.errors import DegenerateMeasure, InvalidWeight
+from tcshift.errors import DegenerateMeasure, InvalidMoments, InvalidWeight
 from tcshift.measures import dirac
 from tcshift.shifts import (
     MomentSequence,
@@ -43,6 +43,11 @@ class TestWeightsFromMeasure:
         # gamma_30 of dirac(1e-11) underflows to 0
         with pytest.raises(InvalidWeight, match="positive and finite"):
             weights_from_measure(dirac(1e-11), 30)
+
+    def test_underflowed_divisor_is_named(self):
+        # gamma_30 divides into gamma_31 once 31 weights are asked for
+        with pytest.raises(InvalidMoments, match="^moment 30 of the measure underflows to 0$"):
+            weights_from_measure(dirac(1e-11), 33)
 
     def test_monotone_on_random_measures(self):
         rng = random.Random(20260810)
