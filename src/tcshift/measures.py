@@ -14,8 +14,9 @@ are one point (absolute below 1): an atom that close to 0 is at the origin.
 The nonnegative ``AtomicMeasure1D``/``2D`` subclass ``SignedMeasure1D``/``2D``.
 One signed base under both owns the merge on construction, the total mass,
 ``as_positive`` and the probability-total check; the signed classes add
-their moments (and in 1-D ``charges_origin``), the nonnegative ones the
-sign checks and what needs positivity.
+their moments (and in 1-D ``mass_at``, ``reciprocal_norm`` and
+``charges_origin``), the nonnegative ones the sign checks and what needs
+positivity.
 
 Every measure holds its atoms as a tuple of finite float tuples that is
 
