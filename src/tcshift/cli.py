@@ -281,10 +281,10 @@ def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str,
     else:
         tc, form = _as_tc(instance), "split"
         verdict = subnormality_verdict(tc, opts.tol)
-    mu = None
-    if verdict.subnormal and command != "check":
-        mu = berger_measure(tc, opts.tol, form, verdict.psi, verdict.phi)
     measures = command != "check"
+    mu = None
+    if verdict.subnormal and measures:
+        mu = berger_measure(tc, opts.tol, form, verdict.psi, verdict.phi)
     report = {
         "command": command,
         "kind": kind,
