@@ -26,7 +26,9 @@ Every measure holds its atoms as a tuple of finite float tuples that is
 
 The constructors establish this with one sort and one merge pass.  The
 product of two merged factors is merged already, so ``product`` builds its
-atoms without a merge pass; its docstring gives the proof.
+atoms without a merge pass; its docstring gives the proof.  A sum of
+nonnegative terms of which no two atoms are at one location needs only the
+sort: ``disjoint_sum`` builds it so.
 """
 
 from __future__ import annotations
@@ -377,6 +379,18 @@ def dirac2(s: float, t: float) -> AtomicMeasure2D:
     return AtomicMeasure2D(((float(s), float(t), 1.0),), probability=True)
 
 
+def _finite_nonzero(atoms: list) -> list:
+    """Planar atoms whose masses are all finite, less those whose mass
+    underflowed to exactly zero; a non-finite mass raises, naming the first
+    one in input order."""
+    masses = list(map(itemgetter(2), atoms))
+    if not math.isfinite(sum(masses)):
+        _as_floats(atoms, _NAMES_2D)
+    if 0.0 in masses:
+        atoms = [atom for atom in atoms if atom[2]]
+    return atoms
+
+
 def product(mx: SignedMeasure1D, my: SignedMeasure1D) -> SignedMeasure2D:
     """Cartesian product measure; masses multiply atom by atom.
 
@@ -396,12 +410,7 @@ def product(mx: SignedMeasure1D, my: SignedMeasure1D) -> SignedMeasure2D:
     each one.  Sorting and merging is therefore the identity on them, except
     that it drops masses that underflow to exactly zero, as done here.
     """
-    atoms = [(s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms]
-    masses = list(map(itemgetter(2), atoms))
-    if not math.isfinite(sum(masses)):
-        _as_floats(atoms, _NAMES_2D)  # names the first non-finite mass
-    if 0.0 in masses:
-        atoms = [atom for atom in atoms if atom[2]]
+    atoms = _finite_nonzero([(s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms])
     if isinstance(mx, AtomicMeasure1D) and isinstance(my, AtomicMeasure1D):
         return _from_merged(
             AtomicMeasure2D, tuple(atoms), probability=mx.probability and my.probability
@@ -435,6 +444,32 @@ def combine(
         for s, t, mass in measure.atoms
     ]
     return SignedMeasure2D(tuple(atoms2))
+
+
+def disjoint_sum(terms: Sequence[tuple[float, AtomicMeasure2D]]) -> AtomicMeasure2D:
+    """The probability measure that is the sum of the terms, built with one
+    sort and no merge pass.
+
+    Every coefficient must be nonnegative, and no two atoms of the terms,
+    whether of one term or of two, may be at the same location;
+    ``berger_measure`` proves both for the pieces of the joint measure.
+    The result then equals ``combine(terms).as_positive(tol,
+    probability=True)`` for every ``tol >= 0``, error for error.  The
+    masses are the same ``coeff * mass`` products, and a non-finite one is
+    named as ``combine`` names it.  Masses that are exactly zero, from a
+    zero coefficient (which ``combine`` skips) or from underflow (which its
+    merge drops), are dropped.  The sort puts the rest in the order the
+    merge sorts them into.  As no two of them are at one location, each
+    starts its own run, so the merge keeps every atom as it is; and every
+    mass is positive, so ``as_positive`` drops none and its second merge
+    keeps them too.  The sign and total-mass checks of ``AtomicMeasure2D``
+    still run.
+    """
+    atoms = _finite_nonzero(
+        [(s, t, coeff * mass) for coeff, measure in terms for s, t, mass in measure.atoms]
+    )
+    atoms.sort()
+    return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
 
 
 @dataclass(frozen=True)

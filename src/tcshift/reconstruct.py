@@ -12,8 +12,10 @@ The diagram is subnormal exactly when both are positive measures, and the
 joint measure then splits into three mutually singular pieces: a tensor
 part a^2 y0^2 r_s r_t (xi~ x eta~) in the open quadrant, a vertical-axis
 part y0^2 ||1/t||_psi (delta_0 x psi~), and a horizontal-axis part
-phi x delta_0.  An equivalent assembly writes the same measure as
-xi_x x eta~ plus signed corrections supported on the two axes; both forms
+phi x delta_0.  No two atoms of these pieces are at one location, so
+their sum is built with one sort and no merge pass.  An equivalent
+assembly writes the same measure as xi_x x eta~ plus signed corrections
+supported on the two axes, which cancel and so must be merged; both forms
 are implemented and must agree atom for atom.  A verdict is the decision
 alone: psi, phi and, when negative, a witness atom.  The joint measure is
 ``berger_measure`` of the verdict's psi and phi, assembled only when a
@@ -45,6 +47,7 @@ from .measures import (
     atom_difference,
     combine,
     dirac,
+    disjoint_sum,
     left_sum,
     positivity,
     product,
@@ -162,6 +165,22 @@ def berger_measure(
     ``form="correction"`` starts from xi_x x eta~ and applies the signed
     axis corrections.  Both must produce the same measure.  Raises
     PreconditionViolated when psi or phi has a genuinely negative atom.
+
+    The correction form merges its signed sum in ``combine`` and again in
+    ``as_positive``.  The split form needs no merge pass: its pieces go
+    through ``disjoint_sum``, whose result is that of ``combine`` and then
+    ``as_positive``, because no two of their atoms are at one location.
+    Each piece is a product of two merged measures, and any two locations
+    of a merged measure are apart (see ``product``), so two atoms of one
+    piece differ in s or in t.  Across pieces, the tensor piece has every
+    s and t in the supports of xi and eta, which ``TCInstance`` refuses to
+    let charge the origin, so each is more than MERGE_REL_TOL from 0; the
+    vertical piece has s = 0 and every t in the support of psi, which its
+    ``reciprocal_norm`` refuses to let charge the origin; and the
+    horizontal piece has t = 0.  So a tensor atom is apart from a vertical
+    one in s and from a horizontal one in t, and a vertical atom is apart
+    from a horizontal one in t.  The coefficients a^2 y0^2 r_s r_t,
+    y0^2 ||1/t||_psi and 1 are nonnegative.
     """
     if psi is None:
         psi = compute_psi(instance)
@@ -174,11 +193,12 @@ def berger_measure(
     c_axis = instance.y0_sq * recip_t_psi
     eta_tilde = instance.eta.tilde()
     if form == "split":
-        terms = [(c_tensor, product(instance.xi_tilde, eta_tilde))]
+        pieces = [(c_tensor, product(instance.xi_tilde, eta_tilde))]
         if psi_pos.atoms:
-            terms.append((c_axis, product(_ORIGIN, psi_pos.tilde())))
+            pieces.append((c_axis, product(_ORIGIN, psi_pos.tilde())))
         if phi_pos.atoms:
-            terms.append((1.0, product(phi_pos, _ORIGIN)))
+            pieces.append((1.0, product(phi_pos, _ORIGIN)))
+        return disjoint_sum(pieces)
     elif form == "correction":
         terms = [(1.0, product(instance.xi_x, eta_tilde))]
         if phi_pos.atoms:

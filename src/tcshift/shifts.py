@@ -41,14 +41,14 @@ def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
     the shift built from the result has the input as its Berger measure by
     construction.  Every weight must be positive, finite and at most the
     norm sqrt(max supp); rounding of underflowing moments can break that,
-    and a moment that divides (index below n) must not underflow to 0.
+    and no moment may underflow to 0.
     """
     if n < 1:
         raise ValueError("at least one weight must be requested")
     gammas = [measure.moment(k) for k in range(n + 1)]
     if gammas[1] <= 0.0:
         raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
-    if 0.0 in gammas[:n]:
+    if 0.0 in gammas:
         raise InvalidMoments(f"moment {gammas.index(0.0)} of the measure underflows to 0")
     weights = tuple(math.sqrt(gammas[k + 1] / gammas[k]) for k in range(n))
     bound = math.sqrt(max(loc for loc, _ in measure.atoms))

@@ -7,7 +7,16 @@ import math
 import random
 
 from tcshift.diagram import FlatInstance, TCInstance
-from tcshift.measures import MERGE_REL_TOL, AtomicMeasure1D, atom_difference, combine, dirac
+from tcshift.measures import (
+    MERGE_REL_TOL,
+    POSITIVITY_REL_TOL,
+    AtomicMeasure1D,
+    atom_difference,
+    combine,
+    dirac,
+    product,
+)
+from tcshift.reconstruct import compute_phi, compute_psi
 from tcshift.shifts import weights_from_measure
 
 
@@ -269,6 +278,30 @@ def reference_positivity(atoms, tol):
     if worst[-1] >= -tol * variation:
         return True, None
     return False, worst
+
+
+def reference_berger_split(inst: TCInstance, tol=POSITIVITY_REL_TOL, psi=None, phi=None):
+    """The split-form joint measure summed by ``combine`` and then
+    ``as_positive``, both of which merge; ``berger_measure(form="split")``
+    skips those merges and must reproduce this exactly (same atoms, same
+    exceptions and messages)."""
+    if psi is None:
+        psi = compute_psi(inst)
+    if phi is None:
+        phi = compute_phi(inst, psi.reciprocal_norm())
+    psi_pos = psi.as_positive(tol)
+    phi_pos = phi.as_positive(tol)
+    recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0
+    c_tensor = inst.a**2 * inst.y0_sq * inst.recip_s_xi * inst.recip_t_eta
+    c_axis = inst.y0_sq * recip_t_psi
+    eta_tilde = inst.eta.tilde()
+    origin = dirac(0.0)
+    terms = [(c_tensor, product(inst.xi_tilde, eta_tilde))]
+    if psi_pos.atoms:
+        terms.append((c_axis, product(origin, psi_pos.tilde())))
+    if phi_pos.atoms:
+        terms.append((1.0, product(phi_pos, origin)))
+    return combine(terms).as_positive(tol, probability=True)
 
 
 def reference_moment(inst: TCInstance, k1: int, k2: int) -> float:

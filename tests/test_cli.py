@@ -40,6 +40,11 @@ def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def tiny_row(location: float) -> dict:
+    """f1 with xi_x a point mass at ``location`` and a small joining weight."""
+    return {"xi_x": {"atoms": [[location, 1.0]]}, "a": 1e-6}
+
+
 def write_f1_variant(tmp_path, changes) -> str:
     data = json.loads((FIXTURES / "f1.json").read_text())
     path = tmp_path / "variant.json"
@@ -151,11 +156,9 @@ class TestExitCodes:
             # a Hankel entry (about 1e9 ** 37) overflows to inf
             ("verify", single_atom(1e9, 3e4), "an oracle matrix has a non-finite entry"),
             # moment 30 of xi_x (1e-11 ** 30) underflows to 0 and would divide
-            (
-                "verify",
-                {"xi_x": {"atoms": [[1e-11, 1.0]]}, "a": 1e-6},
-                "moment 30 of the measure underflows to 0",
-            ),
+            ("verify", tiny_row(1e-11), "moment 30 of the measure underflows to 0"),
+            # the last moment, 33, of xi_x (1e-10 ** 33) underflows to 0
+            ("verify", tiny_row(1e-10), "moment 33 of the measure underflows to 0"),
         ],
         ids=[
             "atom-near-zero",
@@ -168,6 +171,7 @@ class TestExitCodes:
             "row-moment-underflow",
             "hankel-overflow",
             "weight-moment-underflow",
+            "last-moment-underflow",
         ],
     )
     def test_failures_after_parsing_are_invalid_instances(
@@ -179,6 +183,14 @@ class TestExitCodes:
         assert err.startswith("invalid instance: ")
         if message is not None:
             assert err.splitlines()[0] == f"invalid instance: {message}"
+
+
+    @pytest.mark.parametrize("location", [1e-11, 1e-10])
+    def test_moment_underflow_leaves_check_a_verdict(self, tmp_path, location):
+        # check builds no weights, so it decides the files verify refuses
+        code, out, _ = run_capture(["check", write_f1_variant(tmp_path, tiny_row(location))])
+        assert code == 1
+        assert "verdict: not-subnormal" in out
 
 
 class TestOptions:

@@ -13,6 +13,7 @@ from tcshift.errors import (
     AtomAtZero,
     DepthExceeded,
     InvalidFlat,
+    InvalidMoments,
     InvalidWeight,
     NotProbability,
 )
@@ -101,7 +102,7 @@ class TestWeights:
     def test_weights_error_comes_before_a_bad_direction(self):
         # the order-33 moment of delta_{1e-10} underflows to 0
         inst = TCInstance(dirac(1e-10), dirac(1.0), dirac(1.0), dirac(1.0), 1.0)
-        with pytest.raises(InvalidWeight):
+        with pytest.raises(InvalidMoments, match="^moment 33 of the measure underflows to 0$"):
             inst.weight_at(0, 0, "d")
 
     def test_moment_ratios_recover_squared_weights(self):

@@ -441,12 +441,21 @@ class TestMergePasses:
         assert len(product(mx, my).atoms) == 900
         assert passes == []
 
-    def test_split_assembly_merges_twice(self, passes):
-        """The sum of the three pieces is merged once in ``combine`` and once
-        more in ``as_positive``; no product is merged."""
+    @staticmethod
+    def _wide_instance():
         fixture = Path(__file__).parent / "fixtures" / "tc30_subnormal_wide.json"
-        instance = parse_instance(str(fixture)).instance
-        mu = berger_measure(instance, form="split")
+        return parse_instance(str(fixture)).instance
+
+    def test_split_assembly_makes_no_merge_pass(self, passes):
+        """The three pieces are summed by one sort; no product is merged."""
+        mu = berger_measure(self._wide_instance(), form="split")
+        assert len(mu.atoms) > 900
+        assert passes == []
+
+    def test_correction_assembly_merges_twice(self, passes):
+        """The signed sum is merged once in ``combine`` and once more in
+        ``as_positive``; no product is merged."""
+        mu = berger_measure(self._wide_instance(), form="correction")
         assert len(mu.atoms) > 900
         assert len(passes) == 2
 

@@ -4,9 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tcshift.diagram import FlatInstance, TCInstance
-from tcshift.errors import DegenerateMeasure, PreconditionViolated
+from tcshift.errors import (
+    DegenerateMeasure,
+    NonFinite,
+    NotProbability,
+    PreconditionViolated,
+    TCShiftError,
+)
 from tcshift.measures import (
     atom_difference,
     combine,
@@ -16,6 +24,7 @@ from tcshift.measures import (
 )
 from tcshift.oracles import moment_interpolation_check
 from tcshift.reconstruct import (
+    DEFAULT_TOL,
     backward_extension,
     berger_measure,
     compute_phi,
@@ -30,12 +39,15 @@ from helpers import (
     assert_scalar_close,
     f1_flat,
     f1_instance,
+    half_half,
     m1,
     n1_flat,
     n1_instance,
     random_flat_instance,
     random_psi_positive_instance,
     random_subnormal_instance,
+    random_tc_instance,
+    reference_berger_split,
     spike_instance,
     trivial_instance,
 )
@@ -167,6 +179,77 @@ class TestBergerMeasure:
             mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
             report = moment_interpolation_check(inst, mu, 16, tol=1e-10)
             assert report.passed, report.first_failure
+
+
+def _outcome(build):
+    """The repr of the measure ``build`` returns, or the type and message
+    of what it raises."""
+    try:
+        return repr(build())
+    except (ArithmeticError, TCShiftError) as error:
+        return type(error), str(error)
+
+
+def _split_outcomes(inst, tol=DEFAULT_TOL, psi=None, phi=None):
+    """The split-form measure with no merge pass, and as ``combine`` and
+    ``as_positive`` assemble it."""
+    return (
+        _outcome(lambda: berger_measure(inst, tol, "split", psi, phi)),
+        _outcome(lambda: reference_berger_split(inst, tol, psi, phi)),
+    )
+
+
+def _f1_with(**changes):
+    measures = dict(xi_x=half_half(), eta_y=half_half(), xi=dirac(1.0), eta=dirac(1.0))
+    a = changes.pop("a", math.sqrt(0.5))
+    measures.update(changes)
+    return TCInstance(a=a, **measures)
+
+
+class TestSplitAssembly:
+    """The split form sums its pieces with one sort and no merge; it must
+    match the merged sum atom for atom and error for error."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from((0.0, DEFAULT_TOL, 1e-6)),
+    )
+    def test_matches_the_merged_sum_on_random_instances(self, seed, tol):
+        new, reference = _split_outcomes(random_tc_instance(random.Random(seed)), tol)
+        assert new == reference
+
+    def test_phi_atom_at_the_origin(self):
+        new, reference = _split_outcomes(f1_instance())
+        assert new == reference
+        assert "(0.0, 0.0, " in new
+
+    def test_phi_atom_within_a_merge_distance_of_an_xi_atom(self):
+        # phi keeps xi_x's atom at 1 - 3e-13 and xi~ sits at 1: both stay
+        inst = _f1_with(xi_x=m1((0.0, 0.5), (1.0 - 3e-13, 0.5)))
+        new, reference = _split_outcomes(inst)
+        assert new == reference
+        assert "(0.9999999999997, 0.0, " in new and "(1.0, 1.0, " in new
+
+    @pytest.mark.parametrize("a", [1e-160, 1e-170], ids=["mass-underflow", "zero-coefficient"])
+    def test_underflowing_tensor_masses_are_dropped(self, a):
+        # a^2 y0^2 r_s r_t is about 5e-321 (or 0): the atom at (2, 1) underflows
+        inst = _f1_with(xi=m1((1.0, 1.0 - 1e-4), (2.0, 1e-4)), a=a)
+        new, reference = _split_outcomes(inst)
+        assert new == reference
+        assert "(2.0, 1.0, " not in new
+
+    def test_overflowing_coefficient(self):
+        # a^2 r_s = 1e300 * 1e10 overflows; psi and phi are f1's
+        inst = _f1_with(xi=dirac(1e-10), a=1e150)
+        f1 = f1_instance()
+        new, reference = _split_outcomes(inst, psi=compute_psi(f1), phi=compute_phi(f1))
+        assert new == reference == (NonFinite, "atom mass must be finite, got inf")
+
+    def test_total_off_one(self):
+        inst = f1_instance()
+        phi = combine([(2.0, compute_phi(inst))])
+        new, reference = _split_outcomes(inst, phi=phi)
+        assert new == reference == (NotProbability, "total mass is 1.5, expected 1")
 
 
 class TestMeasureM:

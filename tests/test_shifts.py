@@ -40,8 +40,9 @@ class TestWeightsFromMeasure:
             weights_from_measure(dirac(5e-12), 28)
 
     def test_positivity_enforced(self):
-        # gamma_30 of dirac(1e-11) underflows to 0
-        with pytest.raises(InvalidWeight, match="positive and finite"):
+        # gamma_30 of dirac(1e-11) underflows to 0; it is the last moment
+        # asked for and divides nothing, but is named all the same
+        with pytest.raises(InvalidMoments, match="^moment 30 of the measure underflows to 0$"):
             weights_from_measure(dirac(1e-11), 30)
 
     def test_underflowed_divisor_is_named(self):
