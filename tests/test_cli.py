@@ -184,7 +184,6 @@ class TestExitCodes:
         if message is not None:
             assert err.splitlines()[0] == f"invalid instance: {message}"
 
-
     @pytest.mark.parametrize("location", [1e-11, 1e-10])
     def test_moment_underflow_leaves_check_a_verdict(self, tmp_path, location):
         # check builds no weights, so it decides the files verify refuses

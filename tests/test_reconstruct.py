@@ -186,7 +186,7 @@ def _outcome(build):
     of what it raises."""
     try:
         return repr(build())
-    except (ArithmeticError, TCShiftError) as error:
+    except (ArithmeticError, ValueError, TCShiftError) as error:
         return type(error), str(error)
 
 
