@@ -1,112 +1,2 @@
 """Subnormality tests and Berger-measure reconstruction for 2-variable
 weighted shifts whose core is of tensor form."""
-
-from .errors import (
-    AtomAtZero,
-    DegenerateMeasure,
-    DepthExceeded,
-    InvalidFlat,
-    InvalidWeight,
-    NotProbability,
-    ParseError,
-    PreconditionViolated,
-    TCShiftError,
-    ValidationError,
-)
-from .measures import (
-    AtomicMeasure1D,
-    AtomicMeasure2D,
-    Positivity,
-    SignedMeasure1D,
-    SignedMeasure2D,
-    atom_difference,
-    combine,
-    dirac,
-    dirac2,
-    measures_equal,
-    positivity,
-    product,
-)
-from .shifts import (
-    Extension1D,
-    MomentSequence,
-    one_var_backward_extension,
-    restriction_measure,
-    weights_from_measure,
-)
-from .diagram import FlatInstance, H0Report, TCInstance
-from .reconstruct import (
-    BackwardExtension2D,
-    Diagnostics,
-    Verdict,
-    Witness,
-    backward_extension,
-    berger_measure,
-    compute_phi,
-    compute_psi,
-    flat_verdict,
-    measure_M,
-    subnormality_verdict,
-)
-from .oracles import (
-    InterpolationReport,
-    PsdReport,
-    hankel_psd,
-    joint_hyponormality_compression,
-    moment_interpolation_check,
-    moment_matrix_2d,
-    oracle_status,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AtomAtZero",
-    "AtomicMeasure1D",
-    "AtomicMeasure2D",
-    "BackwardExtension2D",
-    "DegenerateMeasure",
-    "DepthExceeded",
-    "Diagnostics",
-    "Extension1D",
-    "FlatInstance",
-    "H0Report",
-    "InterpolationReport",
-    "InvalidFlat",
-    "InvalidWeight",
-    "MomentSequence",
-    "NotProbability",
-    "ParseError",
-    "Positivity",
-    "PreconditionViolated",
-    "PsdReport",
-    "SignedMeasure1D",
-    "SignedMeasure2D",
-    "TCInstance",
-    "TCShiftError",
-    "ValidationError",
-    "Verdict",
-    "Witness",
-    "atom_difference",
-    "backward_extension",
-    "berger_measure",
-    "combine",
-    "compute_phi",
-    "compute_psi",
-    "dirac",
-    "dirac2",
-    "flat_verdict",
-    "hankel_psd",
-    "joint_hyponormality_compression",
-    "measure_M",
-    "measures_equal",
-    "moment_interpolation_check",
-    "moment_matrix_2d",
-    "one_var_backward_extension",
-    "oracle_status",
-    "positivity",
-    "product",
-    "restriction_measure",
-    "subnormality_verdict",
-    "weights_from_measure",
-]

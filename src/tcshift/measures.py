@@ -265,12 +265,8 @@ class AtomicMeasure1D(SignedMeasure1D):
                 raise ValueError(f"atom mass must be positive, got {mass!r} at {loc!r}")
         self._check_probability()
 
-    @property
-    def locations(self) -> tuple[float, ...]:
-        return tuple(loc for loc, _ in self.atoms)
-
-    def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass - 1.0) <= PROBABILITY_TOL
 
     def tilde(self) -> "AtomicMeasure1D":
         """Reweight by 1/s and renormalise to a probability measure."""
@@ -488,7 +484,7 @@ def positivity(measure: Measure, tol: float = POSITIVITY_REL_TOL) -> Positivity:
     variation; the zero measure counts as positive.  When the check fails
     the most negative atom is reported as the witness.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     atoms = measure.atoms
     if not atoms:

@@ -100,7 +100,7 @@ def _constructive_column_data(rng, eta, u):
     """Column measure eta_y engineered so the vertical slack has mass 1 - u
     and is nonnegative.  Returns (eta_y, slack atoms, ell, y0_sq)."""
     slack_mass = 1.0 - u
-    slack = random_probability(rng, n_atoms=(1, 3), avoid=eta.locations)
+    slack = random_probability(rng, n_atoms=(1, 3), avoid=[loc for loc, _ in eta.atoms])
     slack_atoms = tuple((loc, slack_mass * mass) for loc, mass in slack.atoms)
     tail = combine([(u, eta), (1.0, AtomicMeasure1D(slack_atoms))]).as_positive(
         0.0, probability=True

@@ -509,6 +509,20 @@ class TestColdStart:
         )
         assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
 
+    def test_bare_import_loads_no_submodule(self):
+        # the package exports nothing: each name is imported from its module
+        code = (
+            "import sys, tcshift; "
+            "print([m for m in sys.modules if m.startswith('tcshift.') or m == 'numpy'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"[]\n"), (proc.stdout, proc.stderr)
+
     def test_commands_without_oracles_run_with_numpy_blocked(self):
         sweep = "sweep --param a --range 0.1:1.5:0.1"
         cases = [

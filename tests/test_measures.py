@@ -1,5 +1,6 @@
 """Atom algebra: worked examples and algebraic properties."""
 
+import math
 import random
 from pathlib import Path
 
@@ -222,6 +223,12 @@ class TestPositivity:
     def test_rounding_noise_accepted(self):
         noisy = SignedMeasure1D(((0.5, -1e-15), (1.0, 1.0)))
         assert positivity(noisy).positive
+
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan])
+    def test_tolerance_must_be_nonnegative(self, tol):
+        # a NaN tolerance would call every nonempty measure not positive
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            positivity(dirac(1.0), tol)
 
 
 class TestConstruction:

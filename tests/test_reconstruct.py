@@ -143,6 +143,12 @@ class TestVerdict:
         with pytest.raises(DegenerateMeasure):
             compute_psi(inst)
 
+    @pytest.mark.parametrize("decide", [subnormality_verdict, berger_measure])
+    def test_nan_tolerance_refused(self, decide):
+        # not a verdict with a positive atom as its witness
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            decide(f1_instance(), math.nan)
+
 
 class TestBergerMeasure:
     def test_forms_agree_on_f1(self):
