@@ -143,7 +143,7 @@ def parse_instance(path: str) -> ParsedFile:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "instance file must be a JSON object")
     kind = data.get("kind")

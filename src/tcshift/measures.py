@@ -8,8 +8,8 @@ exact up to float rounding is what makes the brute-force verification
 oracles trustworthy.
 
 Conventions: locations are nonnegative, probability measures have total
-mass one, and locations u, v with |u - v| <= MERGE_REL_TOL * max(1, |u|, |v|)
-are one point (absolute below 1): an atom that close to 0 is at the origin.
+mass one, and locations u, v with |u - v| <= MERGE_REL_TOL * max(|u|, |v|)
+are one point, at every scale: only an atom at exactly 0.0 is at the origin.
 
 The nonnegative ``AtomicMeasure1D``/``2D`` subclass ``SignedMeasure1D``/``2D``.
 One signed base under both owns the merge on construction, the total mass,
@@ -67,7 +67,7 @@ def left_sum(values: Iterable[float]) -> float:
 
 def same_location(u: float, v: float) -> bool:
     """True when two atom locations should be treated as the same point."""
-    return abs(u - v) <= MERGE_REL_TOL * max(1.0, abs(u), abs(v))
+    return abs(u - v) <= MERGE_REL_TOL * max(abs(u), abs(v))
 
 
 def _finite(value: float, what: str) -> float:
@@ -134,7 +134,7 @@ def _merge_floats_1d(prepared: list) -> tuple[tuple[float, float], ...]:
     atoms = iter(prepared)
     head, total = next(atoms)
     for loc, mass in atoms:
-        if loc == head or abs(head - loc) <= tol * max(1.0, abs(head), abs(loc)):
+        if loc == head or abs(head - loc) <= tol * max(abs(head), abs(loc)):
             total += mass
         else:
             if total:
@@ -156,8 +156,8 @@ def _merge_floats_2d(prepared: list) -> tuple[tuple[float, float, float], ...]:
     atoms = iter(prepared)
     s0, t0, total = next(atoms)
     for s, t, mass in atoms:
-        if (s == s0 or abs(s0 - s) <= tol * max(1.0, abs(s0), abs(s))) and (
-            t == t0 or abs(t0 - t) <= tol * max(1.0, abs(t0), abs(t))
+        if (s == s0 or abs(s0 - s) <= tol * max(abs(s0), abs(s))) and (
+            t == t0 or abs(t0 - t) <= tol * max(abs(t0), abs(t))
         ):
             total += mass
         else:
@@ -234,9 +234,9 @@ class SignedMeasure1D(_SignedMeasure):
         return left_sum(mass for loc, mass in self.atoms if same_location(loc, location))
 
     def charges_origin(self) -> bool:
-        """True when an atom is at 0; atoms are sorted, nonnegative and
-        merged, so only the first one can be."""
-        return bool(self.atoms) and same_location(self.atoms[0][0], 0.0)
+        """True when an atom is at 0; atoms are sorted and nonnegative, so
+        only the first one can be."""
+        return bool(self.atoms) and self.atoms[0][0] == 0.0
 
     def moment(self, k: int) -> float:
         """Integral of s^k; the total mass when k = 0."""
@@ -338,7 +338,7 @@ class AtomicMeasure2D(SignedMeasure2D):
     def reciprocal_norm(self, axis: Axis) -> float:
         """Integral of 1/s or 1/t over the chosen coordinate."""
         index = _axis_index(axis)
-        if any(same_location(atom[index], 0.0) for atom in self.atoms):
+        if any(atom[index] == 0.0 for atom in self.atoms):
             raise AtomAtZero(
                 f"measure has an atom with zero {axis}-coordinate, reciprocal not integrable"
             )
@@ -398,13 +398,13 @@ def product(mx: SignedMeasure1D, my: SignedMeasure1D) -> SignedMeasure2D:
     already sorted and merged.  The locations of a merged factor strictly
     increase, and no two consecutive ones are the same location.  The merge
     found each run's first location apart from the one before it; where a
-    run summing to zero was dropped between u < v < w, w - u exceeds v - u
-    by w - v, while the threshold MERGE_REL_TOL * max(1, u, w) exceeds
-    MERGE_REL_TOL * max(1, u, v) by at most MERGE_REL_TOL * (w - v).  So the
-    nested order is the sorted order, and consecutive product atoms are
-    apart in t (within a row) or in s (across rows): the merge would keep
-    each one.  Sorting and merging is therefore the identity on them, except
-    that it drops masses that underflow to exactly zero, as done here.
+    run summing to zero was dropped between 0 <= u < v < w, w - u exceeds
+    v - u by w - v, while the threshold MERGE_REL_TOL * w exceeds
+    MERGE_REL_TOL * v by only MERGE_REL_TOL * (w - v).  So the nested order
+    is the sorted order, and consecutive product atoms are apart in t
+    (within a row) or in s (across rows): the merge would keep each one.
+    Sorting and merging is therefore the identity on them, except that it
+    drops masses that underflow to exactly zero, as done here.
     """
     atoms = _finite_nonzero([(s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms])
     if isinstance(mx, AtomicMeasure1D) and isinstance(my, AtomicMeasure1D):

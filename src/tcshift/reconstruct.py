@@ -51,7 +51,6 @@ from .measures import (
     left_sum,
     positivity,
     product,
-    same_location,
 )
 
 DEFAULT_TOL = POSITIVITY_REL_TOL
@@ -174,7 +173,7 @@ def berger_measure(
     of a merged measure are apart (see ``product``), so two atoms of one
     piece differ in s or in t.  Across pieces, the tensor piece has every
     s and t in the supports of xi and eta, which ``TCInstance`` refuses to
-    let charge the origin, so each is more than MERGE_REL_TOL from 0; the
+    let charge the origin, so none is 0.0, the only location at 0; the
     vertical piece has s = 0 and every t in the support of psi, which its
     ``reciprocal_norm`` refuses to let charge the origin; and the
     horizontal piece has t = 0.  So a tensor atom is apart from a vertical
@@ -265,7 +264,7 @@ def backward_extension(
 
     When r = 1, condition (3) forces the extremal marginal to equal nu.
     """
-    if any(same_location(atom[1], 0.0) for atom in mu_m.atoms):
+    if any(atom[1] == 0.0 for atom in mu_m.atoms):
         return BackwardExtension2D(False, None, failed_condition=1)
     ratio = beta00**2 * mu_m.reciprocal_norm("y")
     if ratio > 1.0 + tol:

@@ -207,13 +207,26 @@ def random_flat_instance(rng: random.Random) -> FlatInstance:
     return FlatInstance(p=p, q=q, l=l, m=m, b=b, a=a, rho=rho, sigma=sigma)
 
 
+def scaled_tc(data: dict, c: float) -> dict:
+    """A tc instance file with every atom location multiplied by c and the
+    joining weight a by sqrt(c).  Scaling every weight of the shift by
+    sqrt(c) does the same, so the instance is subnormal exactly when the
+    original is.  For c = 4**k in the normal range both products are
+    exact, and a is scaled by exactly 2**k."""
+    scaled = {
+        name: {"atoms": [[loc * c, mass] for loc, mass in data[name]["atoms"]]}
+        for name in ("xi_x", "eta_y", "xi", "eta")
+    }
+    return {**data, **scaled, "a": data["a"] * math.sqrt(c)}
+
+
 # Reference atom kernel: the straightforward merge, product and positivity
 # check that the optimised kernel in tcshift.measures must reproduce exactly
 # (same tuples, same exceptions and messages).
 
 
 def reference_same_location(u: float, v: float) -> bool:
-    return abs(u - v) <= MERGE_REL_TOL * max(1.0, abs(u), abs(v))
+    return abs(u - v) <= MERGE_REL_TOL * max(abs(u), abs(v))
 
 
 def _reference_finite(value: float, what: str) -> float:

@@ -99,6 +99,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance(str(path))
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter reads integer literals of any length",
+    )
+    def test_overlong_integer_is_a_parse_error(self, tmp_path):
+        # json.loads refuses an integer literal longer than the interpreter's
+        # limit with a ValueError that is not a JSONDecodeError
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "tc", "a": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}")
+        code, out, err = run_capture(["check", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"parse error: {path} is not valid JSON: Exceeds the limit")
+
     def test_missing_key_is_a_parse_error(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"kind": "tc", "a": 1.0}))
@@ -131,8 +145,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, changes, message",
         [
-            # psi charges 1e-13, which counts as the origin: 1/t is not integrable
-            ("check", {"eta_y": {"atoms": [[1e-13, 0.5], [1.0, 0.5]]}}, None),
             # the oracles' moments of atoms at 1e10 overflow
             (
                 "verify",
@@ -161,7 +173,6 @@ class TestExitCodes:
             ("verify", tiny_row(1e-10), "moment 33 of the measure underflows to 0"),
         ],
         ids=[
-            "atom-near-zero",
             "overflow",
             "non-finite-check",
             "non-finite-reconstruct",
@@ -183,6 +194,17 @@ class TestExitCodes:
         assert err.startswith("invalid instance: ")
         if message is not None:
             assert err.splitlines()[0] == f"invalid instance: {message}"
+
+    @pytest.mark.parametrize(
+        "name", ["eta_y", "xi_x"], ids=["atom-near-zero", "xi-x-atom-near-zero"]
+    )
+    def test_an_atom_near_zero_is_not_at_the_origin(self, tmp_path, name):
+        # only 0.0 is at the origin: the atom at 1e-13 keeps its own mass,
+        # and the verdict is that of the same file scaled exactly by 4**25
+        changes = {name: {"atoms": [[1e-13, 0.5], [1.0, 0.5]]}}
+        code, out, _ = run_capture(["check", write_f1_variant(tmp_path, changes)])
+        assert code == 1
+        assert "witness: phi @ 0 mass -0.25 (phi has a negative atom)" in out
 
     @pytest.mark.parametrize("location", [1e-11, 1e-10])
     def test_moment_underflow_leaves_check_a_verdict(self, tmp_path, location):
@@ -329,6 +351,18 @@ class TestFlatCommand:
         assert flat_code == check_code == 1
         payload = json.loads(flat_out)
         assert payload["witness"]["measure"] == "phi"
+
+    @pytest.mark.parametrize("name", ["rho", "sigma"])
+    def test_flat_and_check_agree_on_a_remainder_atom_near_zero(self, tmp_path, name):
+        # an atom at 1e-13 is not at 0, so the remainder does not charge 0
+        data = json.loads((FIXTURES / "flat_remainders_1.json").read_text())
+        data[name]["atoms"][0][0] = 1e-13
+        path = tmp_path / "near_zero.json"
+        path.write_text(json.dumps(data))
+        flat_code, flat_out, _ = run_capture(["flat", str(path), "--json"])
+        check_code, check_out, _ = run_capture(["check", str(path), "--json"])
+        assert flat_code == check_code == 0
+        assert json.loads(flat_out)["verdict"] == json.loads(check_out)["verdict"] == "subnormal"
 
     def test_flat_requires_a_flat_file(self):
         code, _, err = run_capture(["flat", fixture("f1.json")])

@@ -36,6 +36,7 @@ from helpers import (
     reference_merge_2d,
     reference_positivity,
     reference_product_atoms,
+    reference_same_location,
 )
 
 atom_lists = st.lists(
@@ -301,11 +302,11 @@ class TestConstruction:
         assert type(caught.value) is error and str(caught.value) == message
 
 
-# Locations on both sides of 1 (where MERGE_REL_TOL turns from absolute to
-# relative), negative ones included, each moved by up to +-2 tolerances:
-# within a merge distance of its anchor, on it, or beyond it.  Offsets
-# 0.75 apart tell a run that is compared with its first atom from one
-# compared with its last.
+# Locations on both sides of 1 and at 0, negative ones included, each moved
+# by up to +-2 multiples of MERGE_REL_TOL * max(1, |anchor|).  Away from 0
+# that puts it within a merge distance of its anchor, on it, or beyond it;
+# near 0 every two distinct ones are apart.  Offsets 0.75 apart tell a run
+# that is compared with its first atom from one compared with its last.
 ANCHORS = (-1e6, -2.5, 0.0, 0.3, 1.0, 2.5, 1e6)
 OFFSETS = (0.0, 0.5, -0.5, 0.75, -0.75, 1.0, -1.0, 2.0, -2.0)
 near_locations = st.builds(
@@ -356,6 +357,16 @@ def raised(function, *args):
 class TestKernelMatchesReference:
     """The optimised merge and product return the reference's tuples, bit
     for bit (compared by repr, which tells -0.0 from 0.0)."""
+
+    @pytest.mark.parametrize(
+        "u, v, same",
+        [(1e-13, 2e-13, False), (0.5, 0.5 + 1e-13, True), (0.0, 5e-324, False)],
+        ids=["apart-below-1", "merged-below-1", "apart-from-0"],
+    )
+    def test_the_rule_is_relative_at_every_scale(self, u, v, same):
+        assert same_location(u, v) == reference_same_location(u, v) == same
+        assert len(measures._merge_1d([(u, 0.5), (v, 0.25)])) == (1 if same else 2)
+        assert len(measures._merge_2d([(u, u, 0.5), (v, v, 0.25)])) == (1 if same else 2)
 
     @given(atoms=kernel_atoms(2))
     def test_merge_1d(self, atoms):
@@ -467,8 +478,8 @@ class TestMergePasses:
         assert len(passes) == 2
 
 
-# Locations on the origin, within a merge distance of it and beyond it, on
-# both sides, and locations near 1.
+# Locations on the origin and a few tolerances off it on both sides (apart
+# from it, as only 0.0 is at 0), and locations near 1.
 origin_locations = st.one_of(
     st.sampled_from((0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)).map(lambda k: k * MERGE_REL_TOL),
     st.floats(0.999, 1.001),
@@ -484,8 +495,8 @@ def _built(cls, atoms):
 
 class TestChargesOrigin:
     """``charges_origin`` looks at the first atom only; that agrees with a
-    scan of every atom because the merge leaves at most one atom within a
-    merge distance of 0."""
+    scan of every atom because only 0.0 is at 0, and the merge leaves at
+    most one atom there."""
 
     @given(st.lists(st.tuples(origin_locations, st.floats(0.01, 2.0)), max_size=6))
     def test_nonnegative_measures(self, atoms):
