@@ -32,7 +32,6 @@ from .errors import AtomAtZero, DepthExceeded, InvalidFlat, InvalidWeight, NotPr
 from .measures import PROBABILITY_TOL, AtomicMeasure1D, dirac, same_location
 from .shifts import (
     Extension1D,
-    MomentSequence,
     one_var_backward_extension,
     restriction_measure,
     weights_from_measure,
@@ -245,15 +244,15 @@ class TCInstance:
                 return H0Report(False, depth, ("column", k1), ext.reason)
         return H0Report(True, depth)
 
-    def row_moments(self, row: int, count: int) -> MomentSequence:
+    def row_moments(self, row: int, count: int) -> tuple[float, ...]:
         """Moments of the one-variable shift along a fixed row."""
         base = self.moment(0, row)
-        return MomentSequence(tuple(self.moment(k, row) / base for k in range(count)))
+        return tuple(self.moment(k, row) / base for k in range(count))
 
-    def column_moments(self, column: int, count: int) -> MomentSequence:
+    def column_moments(self, column: int, count: int) -> tuple[float, ...]:
         """Moments of the one-variable shift along a fixed column."""
         base = self.moment(column, 0)
-        return MomentSequence(tuple(self.moment(column, k) / base for k in range(count)))
+        return tuple(self.moment(column, k) / base for k in range(count))
 
 
 def _check_unit_interval(name: str, value: float, *, allow_zero: bool) -> float:
@@ -306,6 +305,10 @@ class FlatInstance:
             raise InvalidFlat(f"l + m must not exceed 1, got {self.l + self.m!r}")
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise InvalidFlat(f"b must be positive, got {self.b!r}")
+        if not math.isfinite(self.b * self.b):
+            raise InvalidFlat(f"the square of b overflows, got {self.b!r}")
+        if self.b * self.b == 0.0:
+            raise InvalidFlat(f"the square of b underflows to 0, got {self.b!r}")
         if not (0.0 < self.a <= self.b * (1.0 + 1e-12)) or not math.isfinite(self.a):
             raise InvalidFlat(f"a must satisfy 0 < a <= b, got a={self.a!r}, b={self.b!r}")
         self._check_remainder("rho", self.rho, self.rest_x, (0.0, 1.0))

@@ -12,12 +12,11 @@ negative verdict as inconclusive rather than contradictory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import NonFinite, PreconditionViolated
+from .errors import InvalidMoments, NonFinite, PreconditionViolated
 from .diagram import TCInstance
 from .measures import AtomicMeasure2D
-from .shifts import MomentSequence
 
 # numpy is imported inside the functions that build matrices, so that the
 # commands that never run an oracle start without it.
@@ -54,26 +53,16 @@ class InterpolationReport:
     first_failure: tuple[int, int, float, float] | None = None
 
 
-def _gamma_function(source) -> Callable[[int, int], float]:
-    moment = getattr(source, "moment", None)
-    if callable(moment):
-        return moment
-    if callable(source):
-        return source
-    raise TypeError(f"cannot extract a moment function from {source!r}")
-
-
 def _psd_report(matrix: np.ndarray, tol: float) -> PsdReport:
     import numpy as np
 
     if not np.isfinite(matrix).all():
         raise NonFinite("an oracle matrix has a non-finite entry")
-    sym = 0.5 * (matrix + matrix.T)
-    eigenvalues = np.linalg.eigvalsh(sym)
+    eigenvalues = np.linalg.eigvalsh(matrix)
     min_eig = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    threshold = tol * max(float(np.trace(sym)), 0.0)
+    threshold = tol * max(float(np.trace(matrix)), 0.0)
     return PsdReport(
-        dimension=sym.shape[0],
+        dimension=matrix.shape[0],
         min_eigenvalue=min_eig,
         passed=min_eig >= -threshold,
         tolerance=threshold,
@@ -89,17 +78,16 @@ def moment_interpolation_check(
     """Compare gamma_(k1,k2) with the monomial integrals of mu for all
     k1 + k2 <= order.
 
-    ``source`` may be an instance or any callable (k1, k2) -> gamma, such
-    as the moments gamma_(j + k1, i + k2) / gamma_(j, i) of a restriction.
-    Reports the maximal relative error and the first failing index.
+    ``source`` is anything with a ``moment(k1, k2)`` method: an instance,
+    or a measure.  Reports the maximal relative error and the first
+    failing index.
     """
-    gamma = _gamma_function(source)
     max_err = 0.0
     first_failure = None
     for total in range(order + 1):
         for k1 in range(total, -1, -1):
             k2 = total - k1
-            expected = gamma(k1, k2)
+            expected = source.moment(k1, k2)
             actual = mu.moment(k1, k2)
             rel = abs(actual - expected) / max(abs(expected), 1e-300)
             if rel > max_err:
@@ -116,7 +104,7 @@ def moment_interpolation_check(
 
 
 def hankel_psd(
-    moments: MomentSequence | Sequence[float],
+    moments: Sequence[float],
     n: int,
     tol: float = DEFAULT_PSD_TOL,
 ) -> tuple[PsdReport, PsdReport]:
@@ -124,17 +112,18 @@ def hankel_psd(
 
     Builds the two Hankel matrices (gamma_{i+j}) and (gamma_{i+j+1}) with
     i, j <= n; the data comes from a measure on [0, inf) only if both are
-    positive semidefinite.
+    positive semidefinite.  Every moment must be positive.
     """
     import numpy as np
 
-    values = list(moments.values if isinstance(moments, MomentSequence) else moments)
-    if len(values) < 2 * n + 2:
+    if len(moments) < 2 * n + 2:
         raise PreconditionViolated(
-            f"need {2 * n + 2} moments for order {n}, got {len(values)}"
+            f"need {2 * n + 2} moments for order {n}, got {len(moments)}"
         )
-    base = np.array([[values[i + j] for j in range(n + 1)] for i in range(n + 1)])
-    shifted = np.array([[values[i + j + 1] for j in range(n + 1)] for i in range(n + 1)])
+    if any(v <= 0.0 for v in moments):
+        raise InvalidMoments("moments must be positive")
+    base = np.array([[moments[i + j] for j in range(n + 1)] for i in range(n + 1)])
+    shifted = np.array([[moments[i + j + 1] for j in range(n + 1)] for i in range(n + 1)])
     return _psd_report(base, tol), _psd_report(shifted, tol)
 
 
@@ -142,11 +131,12 @@ def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Truncated two-variable moment matrix over monomials of degree <= n.
 
     Indexed by multi-indices p, q with entries gamma_(p+q); positive
-    semidefinite whenever the data are moments of a measure.
+    semidefinite whenever the data are moments of a measure.  ``source``
+    is anything with a ``moment(k1, k2)`` method.
     """
     import numpy as np
 
-    gamma = _gamma_function(source)
+    gamma = source.moment
     # out of the moment table exactly when any entry is: fail before the basis
     gamma(2 * n, 0)
     basis = [

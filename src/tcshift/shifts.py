@@ -18,22 +18,6 @@ from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight
 from .measures import POSITIVITY_REL_TOL, AtomicMeasure1D
 
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """Moments gamma_0 .. gamma_N of a shift; gamma_0 = 1, all positive."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise InvalidMoments("a moment sequence needs at least gamma_0")
-        if abs(self.values[0] - 1.0) > 1e-9:
-            raise InvalidMoments(f"gamma_0 must be 1, got {self.values[0]!r}")
-        if any(v <= 0.0 for v in self.values):
-            raise InvalidMoments("moments must be positive")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-
 def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
     """First n weights of the subnormal shift with the given Berger measure.
 
@@ -41,11 +25,19 @@ def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
     the shift built from the result has the input as its Berger measure by
     construction.  Every weight must be positive, finite and at most the
     norm sqrt(max supp); rounding of underflowing moments can break that,
-    and no moment may underflow to 0.
+    and no moment may underflow to 0 or overflow.
     """
     if n < 1:
         raise ValueError("at least one weight must be requested")
-    gammas = [measure.moment(k) for k in range(n + 1)]
+    gammas = []
+    for k in range(n + 1):
+        try:
+            gamma = measure.moment(k)
+        except OverflowError:
+            gamma = math.inf
+        if gamma == math.inf:
+            raise InvalidMoments(f"moment {k} of the measure overflows")
+        gammas.append(gamma)
     if gammas[1] <= 0.0:
         raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
     if 0.0 in gammas:

@@ -18,7 +18,7 @@ from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
 from tcshift.measures import AtomicMeasure1D
 
-from helpers import assert_measures_close, f1_instance
+from helpers import assert_measures_close, f1_instance, scaled_tc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -45,11 +45,20 @@ def tiny_row(location: float) -> dict:
     return {"xi_x": {"atoms": [[location, 1.0]]}, "a": 1e-6}
 
 
-def write_f1_variant(tmp_path, changes) -> str:
-    data = json.loads((FIXTURES / "f1.json").read_text())
+def write_f1_variant(tmp_path, changes, fixture_name="f1.json") -> str:
+    data = json.loads((FIXTURES / fixture_name).read_text())
     path = tmp_path / "variant.json"
     path.write_text(json.dumps({**data, **changes}))
     return str(path)
+
+
+# every measure a point mass at 1e10: moment 31 (1e10 ** 31) overflows
+HUGE_ATOMS = {
+    **{name: {"atoms": [[1e10, 1.0]]} for name in ("xi_x", "eta_y", "xi", "eta")},
+    "a": 1e5,
+}
+# f1 scaled exactly by 4**20: moment 26 of xi_x (4**520 / 2) overflows
+F1_SCALED_UP = scaled_tc(json.loads((FIXTURES / "f1.json").read_text()), 4.0**20)
 
 
 def child_env() -> dict:
@@ -145,15 +154,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, changes, message",
         [
-            # the oracles' moments of atoms at 1e10 overflow
-            (
-                "verify",
-                {
-                    **{name: {"atoms": [[1e10, 1.0]]} for name in ("xi_x", "eta_y", "xi", "eta")},
-                    "a": 1e5,
-                },
-                None,
-            ),
+            # the weights' moments of atoms at 1e10 overflow
+            ("verify", HUGE_ATOMS, "moment 31 of the measure overflows"),
+            ("verify", F1_SCALED_UP, "moment 26 of the measure overflows"),
             # ||1/t|| over psi overflows to -inf, so phi's atom at 0 gets mass +inf;
             # flat refuses the tc file before any arithmetic
             *(
@@ -174,6 +177,7 @@ class TestExitCodes:
         ],
         ids=[
             "overflow",
+            "f1-scaled-overflow",
             "non-finite-check",
             "non-finite-reconstruct",
             "non-finite-verify",
@@ -212,6 +216,31 @@ class TestExitCodes:
         code, out, _ = run_capture(["check", write_f1_variant(tmp_path, tiny_row(location))])
         assert code == 1
         assert "verdict: not-subnormal" in out
+
+    @pytest.mark.parametrize("changes", [HUGE_ATOMS, F1_SCALED_UP], ids=["huge-atoms", "f1-scaled"])
+    def test_moment_overflow_leaves_check_a_verdict(self, tmp_path, changes):
+        code, out, _ = run_capture(["check", write_f1_variant(tmp_path, changes)])
+        assert code == 0
+        assert "verdict: subnormal" in out
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct", "flat", "verify", "sweep"])
+    @pytest.mark.parametrize(
+        "b, message",
+        [
+            (1e200, "the square of b overflows, got 1e+200"),
+            (1e-200, "the square of b underflows to 0, got 1e-200"),
+        ],
+        ids=["b-square-overflow", "b-square-underflow"],
+    )
+    def test_a_flat_b_whose_square_overflows_or_underflows_is_refused(
+        self, tmp_path, command, b, message
+    ):
+        path = write_f1_variant(tmp_path, {"b": b, "a": b / 10}, "f1_flat.json")
+        sweep = ["--param", "a", "--range", "0.5:1:0.5"] if command == "sweep" else []
+        code, out, err = run_capture([command, path, *sweep])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == f"invalid instance: {message}"
 
 
 class TestOptions:

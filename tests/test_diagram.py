@@ -356,7 +356,7 @@ class TestRestriction:
     def test_row_moments(self):
         # row 1 of F1 is shift(a, 1, 1, ...), so the moments freeze at a^2
         seq = f1_instance().row_moments(1, 5)
-        assert seq.values == pytest.approx((1.0, 0.5, 0.5, 0.5, 0.5), abs=1e-12)
+        assert seq == pytest.approx((1.0, 0.5, 0.5, 0.5, 0.5), abs=1e-12)
 
 
 class TestFlatInstance:

@@ -1,10 +1,11 @@
 """Brute-force oracles: worked examples, soundness against the verdicts."""
 
 import random
+import types
 
 import pytest
 
-from tcshift.errors import PreconditionViolated
+from tcshift.errors import InvalidMoments, PreconditionViolated
 from tcshift.measures import AtomicMeasure2D, dirac2
 from tcshift.oracles import (
     hankel_psd,
@@ -64,6 +65,16 @@ class TestHankel:
         with pytest.raises(PreconditionViolated):
             hankel_psd((1.0, 0.5, 0.5), 1)
 
+    def test_positive_required(self):
+        with pytest.raises(InvalidMoments):
+            hankel_psd((1.0, -0.1), 0)
+
+    def test_entries_near_the_largest_float_are_used_as_built(self):
+        # symmetrising by 0.5 * (H + H.T) would overflow 1e308 to inf
+        base, shifted = hankel_psd((1.0, 1e-10, 1e308, 1e300), 1)
+        assert base.min_eigenvalue == 1.0
+        assert base.passed
+
 
 class TestMomentMatrix:
     def test_trivial_pair(self):
@@ -82,7 +93,7 @@ class TestMomentMatrix:
                 return 2.0
             return inst.moment(k1, k2)
 
-        assert not moment_matrix_2d(gamma, 2).passed
+        assert not moment_matrix_2d(types.SimpleNamespace(moment=gamma), 2).passed
 
     def test_exact_measure_moments_always_pass(self):
         rng = random.Random(42)
@@ -95,7 +106,7 @@ class TestMomentMatrix:
                 )
             )
             for order in (2, 4, 6):
-                assert moment_matrix_2d(mu.moment, order).passed
+                assert moment_matrix_2d(mu, order).passed
 
     def test_threshold_scales_with_the_trace(self):
         report = moment_matrix_2d(f1_instance(), 2)

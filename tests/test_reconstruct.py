@@ -2,6 +2,7 @@
 
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given
@@ -289,7 +290,9 @@ class TestMeasureM:
         for inst in instances:
             # moments of the restriction to k2 >= 1
             report = moment_interpolation_check(
-                lambda k1, k2: inst.moment(k1, 1 + k2) / inst.moment(0, 1),
+                types.SimpleNamespace(
+                    moment=lambda k1, k2: inst.moment(k1, 1 + k2) / inst.moment(0, 1)
+                ),
                 measure_M(inst),
                 8,
                 tol=1e-10,

@@ -6,9 +6,8 @@ import random
 import pytest
 
 from tcshift.errors import DegenerateMeasure, InvalidMoments, InvalidWeight
-from tcshift.measures import dirac
+from tcshift.measures import AtomicMeasure1D, dirac
 from tcshift.shifts import (
-    MomentSequence,
     one_var_backward_extension,
     restriction_measure,
     weights_from_measure,
@@ -49,6 +48,17 @@ class TestWeightsFromMeasure:
         # gamma_30 divides into gamma_31 once 31 weights are asked for
         with pytest.raises(InvalidMoments, match="^moment 30 of the measure underflows to 0$"):
             weights_from_measure(dirac(1e-11), 33)
+
+    def test_overflowing_power_is_named(self):
+        # 1e10 ** 31 raises OverflowError inside the moment
+        with pytest.raises(InvalidMoments, match="^moment 31 of the measure overflows$"):
+            weights_from_measure(dirac(1e10), 33)
+
+    def test_overflowing_sum_is_named(self):
+        # each term of gamma_1 is finite, their sum is inf
+        measure = AtomicMeasure1D(((1.6e308, 1.0), (1.7e308, 1.0)))
+        with pytest.raises(InvalidMoments, match="^moment 1 of the measure overflows$"):
+            weights_from_measure(measure, 2)
 
     def test_monotone_on_random_measures(self):
         rng = random.Random(20260810)
@@ -136,13 +146,3 @@ class TestBackwardExtension1D:
             tail = weights_from_measure(measure, 6)
             for got_w, want_w in zip(got[1:], tail):
                 assert abs(got_w - want_w) <= 1e-10 * max(1.0, want_w)
-
-
-class TestMomentSequence:
-    def test_leading_one_required(self):
-        with pytest.raises(ValueError):
-            MomentSequence((0.5, 0.25))
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            MomentSequence((1.0, -0.1))
