@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import signal
 import sys
 import time
@@ -261,8 +262,45 @@ def render_text(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
+def _mu_pieces(atoms: Sequence[Sequence[float]]) -> list[str]:
+    """Pieces of text, one per row of atoms with equal s, that join to
+    exactly ``json.dumps(atoms)``.
+
+    json writes a finite float with ``float.__repr__``, and the atoms of an
+    ``AtomicMeasure2D`` are finite by construction (``_finite_nonzero`` and
+    the merge check them), so each distinct location can be turned into
+    digits once: the tensor part of mu has n^2 atoms on about 2n locations.
+    A zero is not cached, since 0.0 and -0.0 are one key but two texts.
+    """
+    digits: dict[float, str] = {}
+
+    def text(value: float) -> str:
+        written = repr(value)
+        if value:
+            digits[value] = written
+        return written
+
+    get = digits.get
+    pieces = ["["]
+    for _, row in itertools.groupby(atoms, operator.itemgetter(0)):
+        if len(pieces) > 1:
+            pieces.append(", ")
+        pieces.append(
+            ", ".join(
+                [f"[{get(s) or text(s)}, {get(t) or text(t)}, {mass!r}]" for s, t, mass in row]
+            )
+        )
+    pieces.append("]")
+    return pieces
+
+
 def render_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True)
+    """``json.dumps(report, sort_keys=True)``, with mu's atoms written by
+    ``_mu_pieces`` into the place of the ``"mu": null`` that the dump of the
+    report without them holds.  With sorted keys, that is its first one."""
+    head, tail = json.dumps({**report, "mu": None}, sort_keys=True).split('"mu": null', 1)
+    mu = report["mu"]
+    return "".join([head, '"mu": ', *(["null"] if mu is None else _mu_pieces(mu)), tail])
 
 
 def _as_tc(instance: TCInstance | FlatInstance) -> TCInstance:

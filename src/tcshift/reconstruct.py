@@ -34,6 +34,7 @@ second route to every answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated
@@ -109,16 +110,27 @@ def compute_phi(instance: TCInstance, recip_t_psi: float | None = None) -> Signe
     """
     if recip_t_psi is None:
         recip_t_psi = compute_psi(instance).reciprocal_norm()
-    return combine(
-        [
-            (1.0, instance.xi_x),
-            (-instance.y0_sq * recip_t_psi, _ORIGIN),
-            (
-                -(instance.a**2) * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta,
-                instance.xi_tilde,
-            ),
-        ]
+    return _phi(
+        instance.xi_x,
+        instance.y0_sq * recip_t_psi,
+        instance.a**2 * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta,
+        instance.xi_tilde,
     )
+
+
+def _phi(
+    xi_x: AtomicMeasure1D, origin: float, coefficient: float, xi_tilde: AtomicMeasure1D
+) -> SignedMeasure1D:
+    """xi_x - origin delta_0 - coefficient xi~, where coefficient is
+    a^2 y0^2 r_s r_t.  Its left factors can overflow while the whole
+    product is finite; a coefficient that is not finite is named, unless
+    the origin's mass, which comes first and which combine names, is not
+    finite either."""
+    if math.isfinite(origin) and not math.isfinite(coefficient):
+        raise ArithmeticError(
+            f"phi's coefficient a^2 y0^2 r_s r_t is not finite, got {coefficient!r}"
+        )
+    return combine([(1.0, xi_x), (-origin, _ORIGIN), (-coefficient, xi_tilde)])
 
 
 def _decide(
@@ -317,13 +329,7 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
     # (b/a) sqrt(m) >= y0 is exactly positivity of psi at the atom b^2.
     psi = combine([(1.0, tail), (-a_sq, dirac(b_sq))])
     recip_t_psi = recip_tail - a_sq / b_sq
-    phi = combine(
-        [
-            (1.0, flat.xi_x),
-            (-y0_sq * recip_t_psi, _ORIGIN),
-            (-y0_sq * a_sq / b_sq, dirac(1.0)),
-        ]
-    )
+    phi = _phi(flat.xi_x, y0_sq * recip_t_psi, y0_sq * a_sq / b_sq, dirac(1.0))
     diag = Diagnostics(
         recip_s_xi=1.0,
         recip_t_eta=1.0 / b_sq,

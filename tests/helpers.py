@@ -129,10 +129,13 @@ def _constructive_row_measure(rng, xi, eta, u, slack_atoms, ell, y0_sq):
     return AtomicMeasure1D(tuple(forced), probability=True)
 
 
-def random_subnormal_instance(rng: random.Random) -> TCInstance:
-    """Instance built so both slack measures come out nonnegative."""
-    xi = random_probability(rng)
-    eta = random_probability(rng)
+def random_subnormal_instance(
+    rng: random.Random, n_atoms: tuple[int, int] = (1, 4)
+) -> TCInstance:
+    """Instance built so both slack measures come out nonnegative; xi and
+    eta have a number of atoms drawn from ``n_atoms``."""
+    xi = random_probability(rng, n_atoms)
+    eta = random_probability(rng, n_atoms)
     u = rng.uniform(0.2, 0.95)
     a = math.sqrt(u / xi.reciprocal_norm())
     eta_y, slack_atoms, ell, y0_sq = _constructive_column_data(rng, eta, u)

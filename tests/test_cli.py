@@ -10,10 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tcshift
 from tcshift import reconstruct, shifts
-from tcshift.cli import parse_instance, run
+from tcshift.cli import _mu_pieces, parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
 from tcshift.measures import AtomicMeasure1D
@@ -59,6 +61,7 @@ HUGE_ATOMS = {
 }
 # f1 scaled exactly by 4**20: moment 26 of xi_x (4**520 / 2) overflows
 F1_SCALED_UP = scaled_tc(json.loads((FIXTURES / "f1.json").read_text()), 4.0**20)
+PHI_COEFFICIENT = "phi's coefficient a^2 y0^2 r_s r_t is not finite, got inf"
 
 
 def child_env() -> dict:
@@ -152,28 +155,49 @@ class TestExitCodes:
         assert "invalid instance" in err
 
     @pytest.mark.parametrize(
-        "command, changes, message",
+        "command, fixture_name, changes, message",
         [
             # the weights' moments of atoms at 1e10 overflow
-            ("verify", HUGE_ATOMS, "moment 31 of the measure overflows"),
-            ("verify", F1_SCALED_UP, "moment 26 of the measure overflows"),
+            ("verify", "f1.json", HUGE_ATOMS, "moment 31 of the measure overflows"),
+            ("verify", "f1.json", F1_SCALED_UP, "moment 26 of the measure overflows"),
             # ||1/t|| over psi overflows to -inf, so phi's atom at 0 gets mass +inf;
             # flat refuses the tc file before any arithmetic
             *(
-                (command, NON_FINITE, "atom mass must be finite, got inf")
+                (command, "f1.json", NON_FINITE, "atom mass must be finite, got inf")
                 for command in ("check", "reconstruct", "verify")
             ),
-            ("flat", NON_FINITE, "the flat command requires a kind='flat' instance file"),
+            (
+                "flat",
+                "f1.json",
+                NON_FINITE,
+                "the flat command requires a kind='flat' instance file",
+            ),
             # a**2 overflows
-            ("check", {"a": 1e200}, "the square of the joining weight a overflows, got 1e+200"),
+            (
+                "check",
+                "f1.json",
+                {"a": 1e200},
+                "the square of the joining weight a overflows, got 1e+200",
+            ),
             # a row moment (about 1e-9 ** 37) underflows to 0
-            ("verify", single_atom(1e-9, 3e-5), "moments must be positive"),
+            ("verify", "f1.json", single_atom(1e-9, 3e-5), "moments must be positive"),
             # a Hankel entry (about 1e9 ** 37) overflows to inf
-            ("verify", single_atom(1e9, 3e4), "an oracle matrix has a non-finite entry"),
+            (
+                "verify",
+                "f1.json",
+                single_atom(1e9, 3e4),
+                "an oracle matrix has a non-finite entry",
+            ),
             # moment 30 of xi_x (1e-11 ** 30) underflows to 0 and would divide
-            ("verify", tiny_row(1e-11), "moment 30 of the measure underflows to 0"),
+            ("verify", "f1.json", tiny_row(1e-11), "moment 30 of the measure underflows to 0"),
             # the last moment, 33, of xi_x (1e-10 ** 33) underflows to 0
-            ("verify", tiny_row(1e-10), "moment 33 of the measure underflows to 0"),
+            ("verify", "f1.json", tiny_row(1e-10), "moment 33 of the measure underflows to 0"),
+            # a^2 y0^2 (about 1e306 * 5e307) overflows, though a^2 y0^2 r_s r_t
+            # is about 5e305; the flat criterion forms it as y0^2 a^2 / b^2
+            *(
+                (command, "f1_flat.json", {"b": 1e154, "a": 1e153}, PHI_COEFFICIENT)
+                for command in ("check", "flat")
+            ),
         ],
         ids=[
             "overflow",
@@ -187,12 +211,15 @@ class TestExitCodes:
             "hankel-overflow",
             "weight-moment-underflow",
             "last-moment-underflow",
+            "phi-coefficient-overflow-check",
+            "phi-coefficient-overflow-flat",
         ],
     )
     def test_failures_after_parsing_are_invalid_instances(
-        self, tmp_path, command, changes, message
+        self, tmp_path, command, fixture_name, changes, message
     ):
-        code, out, err = run_capture([command, write_f1_variant(tmp_path, changes)])
+        path = write_f1_variant(tmp_path, changes, fixture_name)
+        code, out, err = run_capture([command, path])
         assert code == 2
         assert out == ""
         assert err.startswith("invalid instance: ")
@@ -364,6 +391,42 @@ class TestReports:
         assert "moment_interpolation" not in payload["oracles"]
         for entry in payload["oracles"]["hankel_rows"]:
             assert entry["status"] in ("consistent", "inconclusive")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sorted_triples(draw) -> list:
+    """Sorted (s, t, mass) triples whose locations repeat, as mu's do."""
+    locations = st.sampled_from(draw(st.lists(finite, min_size=1, max_size=6)))
+    return sorted(draw(st.lists(st.tuples(locations, locations, finite), max_size=40)))
+
+
+class TestMuText:
+    """mu's atoms are written as ``json.dumps`` writes them."""
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            (),
+            # 0.0 and -0.0 are one dict key but two texts
+            ((0.0, 1.0, 0.5), (-0.0, 2.0, 0.5)),
+            ((1.0, 0.0, 0.5), (1.0, -0.0, 0.5), (2.0, -0.0, 0.25), (2.0, 0.0, -0.0)),
+            *(
+                ((v, v, v), (v, 1.0, -v), (1.0, v, 0.5), (1.0, 2.0, v))
+                for v in (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+            ),
+            *(((v, v, 0.5), (v, 2.0, v), (2.0, v, v)) for v in (1e16, 1e22, 100.0)),
+            [[0.5, 1.0, 0.25], [0.5, 2.0, 0.25], [1.5, 1.0, 0.5]],
+        ],
+    )
+    def test_examples(self, atoms):
+        assert "".join(_mu_pieces(atoms)) == json.dumps(atoms)
+
+    @given(atoms=sorted_triples())
+    def test_sorted_triples(self, atoms):
+        assert "".join(_mu_pieces(atoms)) == json.dumps(atoms)
 
 
 class TestFlatCommand:

@@ -11,6 +11,9 @@ report of the scaled file must be the rescaled report, bit for bit.
 A measure is the same measure whatever the order of its atoms, and when
 one atom is split into two exact halves at its location.  So the reports
 of the edited file must be those of the original, byte for byte.
+
+A JSON report is the text that ``json.dumps(report, sort_keys=True)``
+prints, though ``render_json`` writes mu's atoms itself.
 """
 
 import io
@@ -20,9 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from tcshift.cli import render_json, run
+from tcshift.cli import Options, ParsedFile, _execute, parse_instance, render_json, run
 
-from helpers import scaled_tc
+from helpers import random_subnormal_instance, scaled_tc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VALID_TC = (
@@ -75,7 +78,7 @@ def test_reports_are_exactly_rescaled_by_powers_of_4(tmp_path, name, command):
         c = 4.0**k
         path.write_text(json.dumps(scaled_tc(data, c)))
         # the printed floats round-trip, so equal text is equal bits
-        expected = render_json(rescaled(report, c)) + "\n"
+        expected = json.dumps(rescaled(report, c), sort_keys=True) + "\n"
         if run_json(command, path) != (code, expected):
             broken.append(k)
     assert broken == []
@@ -134,3 +137,29 @@ def test_atom_order_and_split_atoms_leave_the_report_unchanged(tmp_path, name, c
         if run_json(command, path) != expected:
             broken.append(label)
     assert broken == []
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        *((name, command) for name in VALID_TC for command in ("reconstruct", "verify")),
+        *(
+            (name, command)
+            for name in VALID_FLAT
+            for command in ("reconstruct", "verify", "flat")
+        ),
+    ],
+)
+def test_json_reports_are_the_stdlib_encoding(name, command):
+    parsed = parse_instance(str(FIXTURES / f"{name}.json"))
+    report, _ = _execute(command, parsed, parsed.options)
+    assert render_json(report) == json.dumps(report, sort_keys=True)
+
+
+def test_a_200_atom_json_report_is_the_stdlib_encoding():
+    # the size of the largest decide files: mu holds about 40,000 atoms
+    instance = random_subnormal_instance(random.Random(15), n_atoms=(200, 200))
+    report, code = _execute("reconstruct", ParsedFile(instance, Options()), Options())
+    assert code == 0
+    assert len(report["mu"]) > 200 * 200
+    assert render_json(report) == json.dumps(report, sort_keys=True)
