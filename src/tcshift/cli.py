@@ -2,8 +2,9 @@
 reports out.
 
 Commands: check (verdict only), reconstruct (verdict plus the joint
-measure), flat (the scalar criterion for flat instances), verify (verdict
-plus every brute-force oracle) and sweep (grid over one scalar parameter).
+measure), flat (reconstruct's report of a flat file, whose verdict the
+scalar criterion must confirm), verify (verdict plus every brute-force
+oracle) and sweep (grid over one scalar parameter).
 Exit codes: 0 subnormal, 1 not subnormal, 2 invalid instance, 3 parse
 error.  Every failure after parsing, including a numeric one, exits 2 with
 a message instead of a traceback.  Reports are byte-identical across runs;
@@ -303,29 +304,27 @@ def render_json(report: dict[str, Any]) -> str:
     return "".join([head, '"mu": ', *(["null"] if mu is None else _mu_pieces(mu)), tail])
 
 
-def _as_tc(instance: TCInstance | FlatInstance) -> TCInstance:
-    return instance.embed() if isinstance(instance, FlatInstance) else instance
-
-
 def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str, Any], int]:
     instance = parsed.instance
-    kind = "flat" if isinstance(instance, FlatInstance) else "tc"
+    flat = isinstance(instance, FlatInstance)
     if command == "flat":
-        if not isinstance(instance, FlatInstance):
+        if not flat:
             raise ValidationError("the flat command requires a kind='flat' instance file")
-        verdict = flat_verdict(instance, opts.tol)
-        # flat reports carry the rounding of the correction form
-        tc, form = instance.embed(), "correction"
-    else:
-        tc, form = _as_tc(instance), "split"
-        verdict = subnormality_verdict(tc, opts.tol)
+        scalar = flat_verdict(instance, opts.tol)
+    tc = instance.embed() if flat else instance
+    verdict = subnormality_verdict(tc, opts.tol)
+    if command == "flat" and scalar.subnormal != verdict.subnormal:
+        raise ValidationError(
+            f"the scalar criterion says {_verdict_name(scalar)} but the general"
+            f" criterion says {_verdict_name(verdict)}"
+        )
     measures = command != "check"
     mu = None
     if verdict.subnormal and measures:
-        mu = berger_measure(tc, opts.tol, form, verdict.psi, verdict.phi)
+        mu = berger_measure(tc, opts.tol, psi=verdict.psi, phi=verdict.phi)
     report = {
         "command": command,
-        "kind": kind,
+        "kind": "flat" if flat else "tc",
         "verdict": _verdict_name(verdict),
         "witness": _witness_payload(verdict),
         "diagnostics": dict(vars(verdict.diagnostics)),

@@ -15,14 +15,13 @@ part y0^2 ||1/t||_psi (delta_0 x psi~), and a horizontal-axis part
 phi x delta_0.  No two atoms of these pieces are at one location, so
 their sum is built with one sort and no merge pass.  An equivalent
 assembly writes the same measure as xi_x x eta~ plus signed corrections
-supported on the two axes, which cancel and so must be merged; both forms
-are implemented and must agree atom for atom.  A verdict is the decision
-alone: psi, phi and, when negative, a witness atom.  The joint measure is
-``berger_measure`` of the verdict's psi and phi, assembled only when a
-caller asks for it.  Flat instances keep their scalar criterion for psi
-and phi but share the decision; their measure is the correction form on
-the embedded instance, because their recorded reports carry its rounding
-and the split form can differ in the last digit of a mass.
+supported on the two axes, which cancel and so must be merged; it is kept
+as test-only reference code, and the two forms must agree atom for atom.
+A verdict is the decision alone: psi, phi and, when negative, a witness
+atom.  The joint measure is ``berger_measure`` of the verdict's psi and
+phi, assembled only when a caller asks for it.  Flat instances also have
+the scalar criterion ``flat_verdict``, which must reach the verdict of the
+embedded instance.
 
 When psi fails positivity the diagram is not even subnormal after deleting
 row 0; when only phi fails, the upper part is subnormal but no backward
@@ -173,8 +172,9 @@ def berger_measure(
     """Assemble the joint Berger measure of a subnormal instance.
 
     ``form="split"`` sums the three mutually singular nonnegative pieces;
-    ``form="correction"`` starts from xi_x x eta~ and applies the signed
-    axis corrections.  Both must produce the same measure.  Raises
+    ``form="correction"``, test-only reference code, starts from
+    xi_x x eta~ and applies the signed axis corrections.  Both must produce
+    the same measure.  Raises
     PreconditionViolated when psi or phi has a genuinely negative atom.
 
     The correction form merges its signed sum in ``combine`` and again in
@@ -312,9 +312,7 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
     the flat case: psi is supported on {b^2} union supp(sigma) and the
     domination condition on xi_x involves only the atoms at 0 and 1.  The
     decision is then the general one and must coincide with
-    ``subnormality_verdict`` of the embedded instance.  The joint measure
-    is ``berger_measure(flat.embed(), form="correction", psi=..., phi=...)``
-    of the verdict's psi and phi.
+    ``subnormality_verdict`` of the embedded instance.
     """
     b_sq = flat.b**2
     a_sq = flat.a**2

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
+from pathlib import Path
 
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.measures import (
@@ -221,6 +223,40 @@ def scaled_tc(data: dict, c: float) -> dict:
         for name in ("xi_x", "eta_y", "xi", "eta")
     }
     return {**data, **scaled, "a": data["a"] * math.sqrt(c)}
+
+
+def _atoms(measure: AtomicMeasure1D) -> dict:
+    return {"atoms": [list(atom) for atom in measure.atoms]}
+
+
+def flat_file(flat: FlatInstance) -> dict:
+    """The kind "flat" instance file of a flat instance; its floats
+    round-trip, so the file parses to the same instance."""
+    data = {"kind": "flat", **{key: getattr(flat, key) for key in ("p", "q", "l", "m", "b", "a")}}
+    for name in ("rho", "sigma"):
+        if getattr(flat, name) is not None:
+            data[name] = _atoms(getattr(flat, name))
+    return data
+
+
+def tc_file(instance: TCInstance) -> dict:
+    """The kind "tc" instance file of a tc instance."""
+    measures = {name: _atoms(getattr(instance, name)) for name in ("xi_x", "eta_y", "xi", "eta")}
+    return {"kind": "tc", **measures, "a": instance.a}
+
+
+FLAT_FIXTURES = ("f1_flat", "flat_remainders_1", "flat_remainders_2", "n1_flat")
+
+
+def flat_files(count: int, seed: int = 16):
+    """(label, file) for every flat fixture, then for ``count`` instances of
+    ``random_flat_instance`` from ``random.Random(seed)``."""
+    fixtures = Path(__file__).parent / "fixtures"
+    for name in FLAT_FIXTURES:
+        yield name, json.loads((fixtures / f"{name}.json").read_text())
+    rng = random.Random(seed)
+    for index in range(count):
+        yield f"random {index}", flat_file(random_flat_instance(rng))
 
 
 # Reference atom kernel: the straightforward merge, product and positivity

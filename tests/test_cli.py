@@ -1,5 +1,7 @@
 """Command-line surface: parsing, exit codes, determinism, sweeps."""
 
+import dataclasses
+import inspect
 import io
 import json
 import math
@@ -14,13 +16,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tcshift
-from tcshift import reconstruct, shifts
+from tcshift import measures, reconstruct, shifts
 from tcshift.cli import _mu_pieces, parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
 from tcshift.measures import AtomicMeasure1D
 
-from helpers import assert_measures_close, f1_instance, scaled_tc
+from helpers import assert_measures_close, f1_instance, flat_files, scaled_tc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,6 +69,16 @@ PHI_COEFFICIENT = "phi's coefficient a^2 y0^2 r_s r_t is not finite, got inf"
 def child_env() -> dict:
     """The environment of a child interpreter that imports this tcshift."""
     return {**os.environ, "PYTHONPATH": str(Path(tcshift.__file__).parents[1])}
+
+
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Bind ``replacement`` wherever a tcshift namespace binds ``original``:
+    ``from .x import y`` copies the binding at import time."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tcshift" and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
 
 
 def run_capture(argv):
@@ -461,6 +473,41 @@ class TestFlatCommand:
         assert code == 2
         assert "flat" in err
 
+    def test_flat_prints_the_reconstruct_report(self, tmp_path):
+        # flat decides by the scalar criterion, but reports the general
+        # psi, phi and split-form mu that reconstruct reports
+        path = tmp_path / "flat.json"
+        broken = []
+        for label, data in flat_files(100):
+            path.write_text(json.dumps(data))
+            for mode in ([], ["--json"]):
+                code, out, _ = run_capture(["reconstruct", str(path), *mode])
+                assert code in (0, 1), label
+                # the first "reconstruct" of either report is the command's
+                expected = (code, out.replace("reconstruct", "flat", 1))
+                if run_capture(["flat", str(path), *mode])[:2] != expected:
+                    broken.append((label, mode))
+        assert broken == []
+
+    @pytest.mark.parametrize("name", ["f1_flat", "n1_flat"])
+    def test_verdicts_that_disagree_are_refused(self, monkeypatch, name):
+        scalar = reconstruct.flat_verdict
+
+        def flipped(*args, **kwargs):
+            verdict = scalar(*args, **kwargs)
+            return dataclasses.replace(verdict, subnormal=not verdict.subnormal)
+
+        patch_everywhere(monkeypatch, scalar, flipped)
+        code, out, err = run_capture(["flat", fixture(f"{name}.json")])
+        says = ["subnormal", "not-subnormal"][:: 1 if name == "n1_flat" else -1]
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            f"invalid instance: the scalar criterion says {says[0]}"
+            f" but the general criterion says {says[1]}"
+        )
+        assert "Traceback" not in err
+
 
 class TestSweep:
     def test_sweep_over_the_joining_weight(self):
@@ -684,13 +731,7 @@ class TestBergerAssembly:
             made.append(args)
             return original(*args, **kwargs)
 
-        # ``from .reconstruct import berger_measure`` copies the binding, so
-        # every namespace that holds it is patched.
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "tcshift" and module is not None:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, counting)
+        patch_everywhere(monkeypatch, original, counting)
         return made
 
     @pytest.mark.parametrize(
@@ -710,6 +751,34 @@ class TestBergerAssembly:
         else:
             assert code == (0 if subnormal else 1)
         assert len(calls) == (expected if subnormal else 0)
+
+
+class TestNoPlanarMerge:
+    """No command merges a planar measure: the joint measure is the split
+    form, whose pieces are summed without a merge pass, never the
+    correction form, whose signed sum must be merged."""
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct", "flat", "verify"])
+    def test_calls(self, monkeypatch, command):
+        passes, forms = [], []
+        merge, original = measures._merge_floats_2d, reconstruct.berger_measure
+
+        def counting_merge(prepared):
+            passes.append(len(prepared))
+            return merge(prepared)
+
+        def counting_berger(*args, **kwargs):
+            arguments = inspect.signature(original).bind(*args, **kwargs).arguments
+            forms.append(arguments.get("form", "split"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "_merge_floats_2d", counting_merge)
+        patch_everywhere(monkeypatch, original, counting_berger)
+        codes = [run_capture([command, str(path)])[0] for path in sorted(FIXTURES.glob("*.json"))]
+        assert passes == []
+        # the split form, once per subnormal file
+        assert forms == ([] if command == "check" else ["split"] * codes.count(0))
+        assert codes.count(0) >= 2
 
 
 class TestSweepSharesTheAFreeParts:
@@ -736,14 +805,11 @@ class TestSweepSharesTheAFreeParts:
             (AtomicMeasure1D, "tilde", "tilde"),
         ):
             monkeypatch.setattr(owner, key, counting(name, originals[name]))
-        # ``from .shifts import restriction_measure`` copies the binding, so
-        # every namespace that holds it is patched.
-        restriction = counting("restriction_measure", originals["restriction_measure"])
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "tcshift" and module is not None:
-                for key, value in list(vars(module).items()):
-                    if value is originals["restriction_measure"]:
-                        monkeypatch.setattr(module, key, restriction)
+        patch_everywhere(
+            monkeypatch,
+            originals["restriction_measure"],
+            counting("restriction_measure", originals["restriction_measure"]),
+        )
         code, out, _ = run_capture(
             ["sweep", fixture("f1.json"), "--param", "a", "--range", "0.1:1.1:0.025"]
         )
