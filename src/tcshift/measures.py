@@ -34,6 +34,7 @@ sort: ``disjoint_sum`` builds it so.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -118,13 +119,15 @@ def _merge_2d(atoms: Iterable[Sequence[float]]) -> tuple[tuple[float, float, flo
     return _merge_floats_2d(_as_floats(atoms, _NAMES_2D))
 
 
-# The two merge loops below inline ``same_location``.  An atom joins the
-# current run when it is at the same location as the run's first atom, and
-# a run whose masses sum to exactly zero is dropped.
-
-
 def _merge_floats_1d(prepared: list) -> tuple[tuple[float, float], ...]:
-    """Merge finite float pairs, which this sorts in place."""
+    """Merge finite float pairs, which this sorts in place.
+
+    The loop inlines ``same_location``.  An atom joins the current run when
+    it is at the same location as the run's first atom, and a run whose
+    masses sum to exactly zero is dropped.  Any two locations of one run
+    are at the same location: with h <= u < v in a run headed by h,
+    v - u <= v - h.
+    """
     if not prepared:
         return ()
     prepared.sort()
@@ -145,28 +148,37 @@ def _merge_floats_1d(prepared: list) -> tuple[tuple[float, float], ...]:
     return tuple(merged)
 
 
+def _run_heads(values: set) -> dict:
+    """Each value mapped to the first value of its run in the 1-D merge of
+    all of them."""
+    heads = [head for head, _ in _merge_floats_1d([(value, 1.0) for value in values])]
+    return {value: heads[bisect_right(heads, value) - 1] for value in values}
+
+
 def _merge_floats_2d(prepared: list) -> tuple[tuple[float, float, float], ...]:
-    """Merge finite float triples, which this sorts in place."""
+    """Merge finite float triples, which this sorts in place.
+
+    Two atoms are at one point when their s-coordinates are in one run of
+    the 1-D merge of every s, and their t-coordinates in one run of that of
+    every t.  The masses of the atoms at one point are summed in sorted
+    order, at the location of the first of them, and a sum that is exactly
+    zero is dropped.  The points keep the order of their first atoms, so
+    the result is sorted.
+    """
     if not prepared:
         return ()
     prepared.sort()
-    merged = []
-    append = merged.append
-    tol = MERGE_REL_TOL
-    atoms = iter(prepared)
-    s0, t0, total = next(atoms)
-    for s, t, mass in atoms:
-        if (s == s0 or abs(s0 - s) <= tol * max(abs(s0), abs(s))) and (
-            t == t0 or abs(t0 - t) <= tol * max(abs(t0), abs(t))
-        ):
-            total += mass
+    s_heads = _run_heads({s for s, _, _ in prepared})
+    t_heads = _run_heads({t for _, t, _ in prepared})
+    points: dict = {}
+    for s, t, mass in prepared:
+        key = (s_heads[s], t_heads[t])
+        point = points.get(key)
+        if point is None:
+            points[key] = [s, t, mass]
         else:
-            if total:
-                append((s0, t0, total))
-            s0, t0, total = s, t, mass
-    if total:
-        append((s0, t0, total))
-    return tuple(merged)
+            point[2] += mass
+    return tuple((s, t, total) for s, t, total in points.values() if total)
 
 
 def _from_merged(cls: type, atoms: tuple, **fields: bool):
@@ -455,11 +467,11 @@ def disjoint_sum(terms: Sequence[tuple[float, AtomicMeasure2D]]) -> AtomicMeasur
     named as ``combine`` names it.  Masses that are exactly zero, from a
     zero coefficient (which ``combine`` skips) or from underflow (which its
     merge drops), are dropped.  The sort puts the rest in the order the
-    merge sorts them into.  As no two of them are at one location, each
-    starts its own run, so the merge keeps every atom as it is; and every
-    mass is positive, so ``as_positive`` drops none and its second merge
-    keeps them too.  The sign and total-mass checks of ``AtomicMeasure2D``
-    still run.
+    merge sorts them into.  As no two of them are at one location, and any
+    two coordinates in one run are, each is a point of its own, so the
+    merge keeps every atom as it is; and every mass is positive, so
+    ``as_positive`` drops none and its second merge keeps them too.  The
+    sign and total-mass checks of ``AtomicMeasure2D`` still run.
     """
     atoms = _finite_nonzero(
         [(s, t, coeff * mass) for coeff, measure in terms for s, t, mass in measure.atoms]

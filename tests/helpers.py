@@ -290,7 +290,21 @@ def reference_merge_1d(atoms):
     return tuple((loc, mass) for loc, mass in merged if mass != 0.0)
 
 
+def _reference_run_heads(values) -> dict:
+    """Each value mapped to the first value of its run in the sorted order."""
+    heads: dict[float, float] = {}
+    head = None
+    for value in sorted(set(values)):
+        if head is None or not reference_same_location(head, value):
+            head = value
+        heads[value] = head
+    return heads
+
+
 def reference_merge_2d(atoms):
+    """Group atoms by the run of their s and the run of their t, each run
+    taken over every coordinate on its axis; sum each group in sorted order
+    at its first location, and drop exact zeros."""
     prepared = []
     for atom in atoms:
         s, t, mass = atom
@@ -301,17 +315,17 @@ def reference_merge_2d(atoms):
                 _reference_finite(mass, "atom mass"),
             )
         )
-    merged: list[list[float]] = []
-    for s, t, mass in sorted(prepared):
-        if (
-            merged
-            and reference_same_location(merged[-1][0], s)
-            and reference_same_location(merged[-1][1], t)
-        ):
-            merged[-1][2] += mass
+    prepared.sort()
+    s_heads = _reference_run_heads(s for s, _, _ in prepared)
+    t_heads = _reference_run_heads(t for _, t, _ in prepared)
+    merged: dict[tuple[float, float], list[float]] = {}
+    for s, t, mass in prepared:
+        key = (s_heads[s], t_heads[t])
+        if key in merged:
+            merged[key][2] += mass
         else:
-            merged.append([s, t, mass])
-    return tuple((s, t, mass) for s, t, mass in merged if mass != 0.0)
+            merged[key] = [s, t, mass]
+    return tuple((s, t, mass) for s, t, mass in merged.values() if mass != 0.0)
 
 
 def reference_product_atoms(mx, my):

@@ -1,5 +1,6 @@
 """Atom algebra: worked examples and algebraic properties."""
 
+import itertools
 import math
 import random
 from pathlib import Path
@@ -375,6 +376,19 @@ class TestKernelMatchesReference:
     @given(atoms=kernel_atoms(3))
     def test_merge_2d(self, atoms):
         assert repr(measures._merge_2d(atoms)) == repr(reference_merge_2d(atoms))
+
+    def test_merge_2d_merges_every_pair_at_one_point(self):
+        # (1.0, 2.0) sorts between the two atoms at (1.0, 1.0), which the
+        # merge of each run with its first atom alone kept apart
+        atoms = ((1.0, 1.0, 0.5), (1.0, 2.0, 0.25), (1.0 + 1e-13, 1.0, -0.5))
+        for order in itertools.permutations(atoms):
+            assert SignedMeasure2D(order).atoms == reference_merge_2d(order) == ((1.0, 2.0, 0.25),)
+
+    @given(atoms=kernel_atoms(3), data=st.data())
+    def test_merge_2d_ignores_atom_order(self, atoms, data):
+        reordered = data.draw(st.permutations(atoms))
+        # == and not repr: 0.0 and -0.0 are one location
+        assert measures._merge_2d(reordered) == measures._merge_2d(atoms)
 
     @given(atoms=with_non_finite(2))
     def test_non_finite_1d_raises_like_the_reference(self, atoms):
