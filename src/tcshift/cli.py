@@ -56,6 +56,14 @@ def _require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _as_float(value: int | float, what: str) -> float:
+    """``float(value)``, refusing by name an int too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is an integer too large for a float") from None
+
+
 def _option(default: float, minimum: int, help_text: str):
     return field(default=default, metadata={"min": minimum, "help": help_text})
 
@@ -79,8 +87,9 @@ class Options:
                 isinstance(value, (int, kind)) and not isinstance(value, bool),
                 f"option {spec.name} must be {'a number' if kind is float else 'an integer'}",
             )
+            finite = math.isfinite(_as_float(value, f"option {spec.name}"))
             value = kind(value)
-            if not (math.isfinite(value) and value >= minimum):
+            if not (finite and value >= minimum):
                 raise ValidationError(
                     f"option {spec.name} must be finite and at least {minimum}, got {value!r}"
                 )
@@ -105,7 +114,9 @@ def _parse_measure(obj: Any, name: str) -> AtomicMeasure1D:
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in atom),
             f"{name}.atoms entries must be [location, mass] number pairs",
         )
-        pairs.append((float(atom[0]), float(atom[1])))
+        pairs.append(
+            (_as_float(atom[0], f"{name}: atom location"), _as_float(atom[1], f"{name}: atom mass"))
+        )
     try:
         return AtomicMeasure1D(tuple(pairs))
     except (TCShiftError, ValueError) as exc:
@@ -119,7 +130,7 @@ def _parse_scalar(obj: dict, key: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{key} must be a number",
     )
-    return float(value)
+    return _as_float(value, key)
 
 
 def _parse_options(obj: Any) -> Options:

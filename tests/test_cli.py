@@ -239,6 +239,23 @@ class TestExitCodes:
             assert err.splitlines()[0] == f"invalid instance: {message}"
 
     @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"a": 10**400}, "a is an integer too large for a float"),
+            (
+                {"xi": {"atoms": [[10**400, 1.0]]}},
+                "xi: atom location is an integer too large for a float",
+            ),
+        ],
+        ids=["a", "xi-atom"],
+    )
+    def test_an_integer_too_large_for_a_float_is_named(self, tmp_path, changes, message):
+        code, out, err = run_capture(["check", write_f1_variant(tmp_path, changes)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == f"invalid instance: {message}"
+
+    @pytest.mark.parametrize(
         "name", ["eta_y", "xi_x"], ids=["atom-near-zero", "xi-x-atom-near-zero"]
     )
     def test_an_atom_near_zero_is_not_at_the_origin(self, tmp_path, name):
@@ -300,6 +317,19 @@ class TestOptions:
         assert code == expected_code
         assert out == ""
         assert f"option {next(iter(options))} must be" in err
+
+    @pytest.mark.parametrize("name, in_file", [("tol", True), ("order", True), ("window", False)])
+    def test_an_integer_too_large_for_a_float_is_named(self, tmp_path, name, in_file):
+        if in_file:
+            argv = [write_f1_variant(tmp_path, {"options": {name: 10**400}})]
+        else:
+            argv = [fixture("f1.json"), f"--{name}", str(10**400)]
+        code, out, err = run_capture(["verify", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            f"invalid instance: option {name} is an integer too large for a float"
+        )
 
     @pytest.mark.parametrize(
         "command, flag",
