@@ -14,18 +14,27 @@ of the edited file must be those of the original, byte for byte.
 
 A JSON report is the text that ``json.dumps(report, sort_keys=True)``
 prints, though ``render_json`` writes mu's atoms itself.
+
+A flat file and the tc file of its embedding describe one shift, so they
+get one report.  Whatever one value of a file is changed to, every command
+ends in a report or in an exit code, never in an exception.
 """
 
+import copy
+import functools
 import io
 import json
+import operator
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcshift.cli import Options, ParsedFile, _execute, parse_instance, render_json, run
 
-from helpers import random_subnormal_instance, scaled_tc
+from helpers import FLAT_FIXTURES, flat_files, random_subnormal_instance, scaled_tc, tc_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VALID_TC = (
@@ -36,7 +45,6 @@ VALID_TC = (
     "tc10_subnormal",
     "tc30_subnormal_wide",
 )
-VALID_FLAT = ("f1_flat", "n1_flat", "flat_remainders_1", "flat_remainders_2")
 MEASURES = {"tc": ("xi_x", "eta_y", "xi", "eta"), "flat": ("rho", "sigma")}
 POWERS = range(-60, 61)
 
@@ -121,7 +129,7 @@ def same_measure_edits(data: dict):
         *((name, command) for name in VALID_TC for command in ("check", "reconstruct", "verify")),
         *(
             (name, command)
-            for name in VALID_FLAT
+            for name in FLAT_FIXTURES
             for command in ("check", "reconstruct", "verify", "flat")
         ),
     ],
@@ -145,7 +153,7 @@ def test_atom_order_and_split_atoms_leave_the_report_unchanged(tmp_path, name, c
         *((name, command) for name in VALID_TC for command in ("reconstruct", "verify")),
         *(
             (name, command)
-            for name in VALID_FLAT
+            for name in FLAT_FIXTURES
             for command in ("reconstruct", "verify", "flat")
         ),
     ],
@@ -163,3 +171,74 @@ def test_a_200_atom_json_report_is_the_stdlib_encoding():
     assert code == 0
     assert len(report["mu"]) > 200 * 200
     assert render_json(report) == json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+def test_a_flat_file_and_its_embedding_get_the_same_report(tmp_path, command):
+    flat_path, tc_path = tmp_path / "flat.json", tmp_path / "tc.json"
+    broken = []
+    for label, data in flat_files(100):
+        flat_path.write_text(json.dumps(data))
+        embedded = parse_instance(str(flat_path)).instance.embed()
+        tc_path.write_text(json.dumps(tc_file(embedded)))
+        code, text = run_json(command, flat_path)
+        assert code in (0, 1), label
+        # with sorted keys, the first "kind" key is the report's own
+        if run_json(command, tc_path) != (code, text.replace('"kind": "flat"', '"kind": "tc"', 1)):
+            broken.append(label)
+    assert broken == []
+
+
+JSON_FIXTURES = {
+    path.stem: json.loads(path.read_text())
+    for path in sorted(FIXTURES.glob("*.json"))
+    if path.stem != "malformed"
+}
+MISSING = object()
+PERTURBATIONS = (0, -0.0, 5e-324, 1e308, 10**400, "x", None, [], MISSING)
+COMMANDS = (
+    ["check"],
+    ["reconstruct"],
+    ["flat"],
+    ["verify"],
+    ["sweep", "--param", "a", "--range", "0.5:1:0.5"],
+)
+
+
+def value_paths(data, path=()):
+    """The path of every value in a JSON tree: object members and array
+    entries, at every depth."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from value_paths(value, (*path, key))
+
+
+@st.composite
+def perturbed_files(draw) -> dict:
+    """A fixture with one value replaced by a perturbation, or removed."""
+    data = copy.deepcopy(JSON_FIXTURES[draw(st.sampled_from(sorted(JSON_FIXTURES)))])
+    *parents, last = draw(st.sampled_from(list(value_paths(data))))
+    container = functools.reduce(operator.getitem, parents, data)
+    value = draw(st.sampled_from(PERTURBATIONS))
+    if value is MISSING:
+        del container[last]
+    else:
+        container[last] = value
+    return data
+
+
+@pytest.fixture(scope="module")
+def perturbed_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("perturbed") / "instance.json"
+
+
+@settings(max_examples=200)
+@given(data=perturbed_files())
+def test_every_command_ends_in_an_exit_code(perturbed_path, data):
+    perturbed_path.write_text(json.dumps(data))
+    for command in COMMANDS:
+        for mode in ([], ["--json"]):
+            argv = [command[0], str(perturbed_path), *command[1:], *mode]
+            assert run(argv, out=io.StringIO(), err=io.StringIO()) in range(4), argv
