@@ -61,7 +61,8 @@ def _as_float(value: int | float, what: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise ValidationError(f"{what} is an integer too large for a float") from None
+        message = f"{what} must be finite, got an integer too large for a float"
+        raise ValidationError(message) from None
 
 
 def _option(default: float, minimum: int, help_text: str):

@@ -64,6 +64,7 @@ HUGE_ATOMS = {
 # f1 scaled exactly by 4**20: moment 26 of xi_x (4**520 / 2) overflows
 F1_SCALED_UP = scaled_tc(json.loads((FIXTURES / "f1.json").read_text()), 4.0**20)
 PHI_COEFFICIENT = "phi's coefficient a^2 y0^2 r_s r_t is not finite, got inf"
+TOO_LARGE = "must be finite, got an integer too large for a float"
 
 
 def child_env() -> dict:
@@ -210,6 +211,18 @@ class TestExitCodes:
                 (command, "f1_flat.json", {"b": 1e154, "a": 1e153}, PHI_COEFFICIENT)
                 for command in ("check", "flat")
             ),
+            # an integer literal too large for a float is refused by name
+            ("check", "f1.json", {"a": 10**400}, f"a {TOO_LARGE}"),
+            (
+                "check",
+                "f1.json",
+                {"xi": {"atoms": [[10**400, 1.0]]}},
+                f"xi: atom location {TOO_LARGE}",
+            ),
+            *(
+                ("verify", "f1.json", {"options": {name: 10**400}}, f"option {name} {TOO_LARGE}")
+                for name in ("tol", "order")
+            ),
         ],
         ids=[
             "overflow",
@@ -225,6 +238,10 @@ class TestExitCodes:
             "last-moment-underflow",
             "phi-coefficient-overflow-check",
             "phi-coefficient-overflow-flat",
+            "a-too-large-for-a-float",
+            "xi-atom-too-large-for-a-float",
+            "tol-too-large-for-a-float",
+            "order-too-large-for-a-float",
         ],
     )
     def test_failures_after_parsing_are_invalid_instances(
@@ -237,23 +254,6 @@ class TestExitCodes:
         assert err.startswith("invalid instance: ")
         if message is not None:
             assert err.splitlines()[0] == f"invalid instance: {message}"
-
-    @pytest.mark.parametrize(
-        "changes, message",
-        [
-            ({"a": 10**400}, "a is an integer too large for a float"),
-            (
-                {"xi": {"atoms": [[10**400, 1.0]]}},
-                "xi: atom location is an integer too large for a float",
-            ),
-        ],
-        ids=["a", "xi-atom"],
-    )
-    def test_an_integer_too_large_for_a_float_is_named(self, tmp_path, changes, message):
-        code, out, err = run_capture(["check", write_f1_variant(tmp_path, changes)])
-        assert code == 2
-        assert out == ""
-        assert err.splitlines()[0] == f"invalid instance: {message}"
 
     @pytest.mark.parametrize(
         "name", ["eta_y", "xi_x"], ids=["atom-near-zero", "xi-x-atom-near-zero"]
@@ -318,18 +318,11 @@ class TestOptions:
         assert out == ""
         assert f"option {next(iter(options))} must be" in err
 
-    @pytest.mark.parametrize("name, in_file", [("tol", True), ("order", True), ("window", False)])
-    def test_an_integer_too_large_for_a_float_is_named(self, tmp_path, name, in_file):
-        if in_file:
-            argv = [write_f1_variant(tmp_path, {"options": {name: 10**400}})]
-        else:
-            argv = [fixture("f1.json"), f"--{name}", str(10**400)]
-        code, out, err = run_capture(["verify", *argv])
+    def test_an_integer_flag_too_large_for_a_float_is_named(self):
+        code, out, err = run_capture(["verify", fixture("f1.json"), "--window", str(10**400)])
         assert code == 2
         assert out == ""
-        assert err.splitlines()[0] == (
-            f"invalid instance: option {name} is an integer too large for a float"
-        )
+        assert err.splitlines()[0] == f"invalid instance: option window {TOO_LARGE}"
 
     @pytest.mark.parametrize(
         "command, flag",
