@@ -319,13 +319,13 @@ def render_json(report: dict[str, Any]) -> str:
 def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str, Any], int]:
     instance = parsed.instance
     flat = isinstance(instance, FlatInstance)
-    if command == "flat":
-        if not flat:
-            raise ValidationError("the flat command requires a kind='flat' instance file")
-        scalar = flat_verdict(instance, opts.tol)
+    if command == "flat" and not flat:
+        raise ValidationError("the flat command requires a kind='flat' instance file")
+    # flat decides by the scalar criterion, which the general one must confirm
+    scalar = flat_verdict(instance, opts.tol) if command == "flat" else None
     tc = instance.embed() if flat else instance
     verdict = subnormality_verdict(tc, opts.tol)
-    if command == "flat" and scalar.subnormal != verdict.subnormal:
+    if scalar is not None and scalar.subnormal != verdict.subnormal:
         raise ValidationError(
             f"the scalar criterion says {_verdict_name(scalar)} but the general"
             f" criterion says {_verdict_name(verdict)}"
