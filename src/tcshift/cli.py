@@ -108,16 +108,20 @@ def _parse_measure(obj: Any, name: str) -> AtomicMeasure1D:
     atoms = obj.get("atoms")
     _require(isinstance(atoms, list), f"{name}.atoms must be an array")
     pairs = []
-    for atom in atoms:
-        _require(
-            isinstance(atom, list)
-            and len(atom) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in atom),
-            f"{name}.atoms entries must be [location, mass] number pairs",
-        )
-        pairs.append(
-            (_as_float(atom[0], f"{name}: atom location"), _as_float(atom[1], f"{name}: atom mass"))
-        )
+    try:
+        for atom in atoms:
+            _require(
+                isinstance(atom, list)
+                and len(atom) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in atom),
+                f"{name}.atoms entries must be [location, mass] number pairs",
+            )
+            pairs.append((float(atom[0]), float(atom[1])))
+    except OverflowError:
+        # an int too large for a float, named without a call per atom
+        _as_float(atom[0], f"{name}: atom location")
+        _as_float(atom[1], f"{name}: atom mass")
+        raise
     try:
         return AtomicMeasure1D(tuple(pairs))
     except (TCShiftError, ValueError) as exc:

@@ -219,6 +219,12 @@ class TestExitCodes:
                 {"xi": {"atoms": [[10**400, 1.0]]}},
                 f"xi: atom location {TOO_LARGE}",
             ),
+            (
+                "check",
+                "f1.json",
+                {"xi": {"atoms": [[1.0, 10**400]]}},
+                f"xi: atom mass {TOO_LARGE}",
+            ),
             *(
                 ("verify", "f1.json", {"options": {name: 10**400}}, f"option {name} {TOO_LARGE}")
                 for name in ("tol", "order")
@@ -239,7 +245,8 @@ class TestExitCodes:
             "phi-coefficient-overflow-check",
             "phi-coefficient-overflow-flat",
             "a-too-large-for-a-float",
-            "xi-atom-too-large-for-a-float",
+            "xi-atom-location-too-large-for-a-float",
+            "xi-atom-mass-too-large-for-a-float",
             "tol-too-large-for-a-float",
             "order-too-large-for-a-float",
         ],
