@@ -126,7 +126,7 @@ def _merge_floats_1d(prepared: list) -> tuple[tuple[float, float], ...]:
     it is at the same location as the run's first atom, and a run whose
     masses sum to exactly zero is dropped.  Any two locations of one run
     are at the same location: with h <= u < v in a run headed by h,
-    v - u <= v - h.
+    v - u <= v - h <= MERGE_REL_TOL * v.
     """
     if not prepared:
         return ()

@@ -174,8 +174,8 @@ def berger_measure(
     ``form="split"`` sums the three mutually singular nonnegative pieces;
     ``form="correction"``, test-only reference code, starts from
     xi_x x eta~ and applies the signed axis corrections.  Both must produce
-    the same measure.  Raises
-    PreconditionViolated when psi or phi has a genuinely negative atom.
+    the same measure.  Raises PreconditionViolated when psi or phi has a
+    genuinely negative atom.
 
     The correction form merges its signed sum in ``combine`` and again in
     ``as_positive``.  The split form needs no merge pass: its pieces go
