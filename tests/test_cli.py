@@ -519,8 +519,13 @@ class TestFlatCommand:
                     broken.append((label, mode))
         assert broken == []
 
-    @pytest.mark.parametrize("name", ["f1_flat", "n1_flat"])
-    def test_verdicts_that_disagree_are_refused(self, monkeypatch, name):
+    @pytest.mark.parametrize(
+        "name, flipped_says, general_says",
+        [("f1_flat", "not-subnormal", "subnormal"), ("n1_flat", "subnormal", "not-subnormal")],
+    )
+    def test_verdicts_that_disagree_are_refused(
+        self, monkeypatch, name, flipped_says, general_says
+    ):
         scalar = reconstruct.flat_verdict
 
         def flipped(*args, **kwargs):
@@ -529,12 +534,11 @@ class TestFlatCommand:
 
         patch_everywhere(monkeypatch, scalar, flipped)
         code, out, err = run_capture(["flat", fixture(f"{name}.json")])
-        says = ["subnormal", "not-subnormal"][:: 1 if name == "n1_flat" else -1]
         assert code == 2
         assert out == ""
         assert err.splitlines()[0] == (
-            f"invalid instance: the scalar criterion says {says[0]}"
-            f" but the general criterion says {says[1]}"
+            f"invalid instance: the scalar criterion says {flipped_says}"
+            f" but the general criterion says {general_says}"
         )
         assert "Traceback" not in err
 
