@@ -11,12 +11,14 @@ negative verdict as inconclusive rather than contradictory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidMoments, NonFinite, PreconditionViolated
 from .diagram import TCInstance
-from .measures import AtomicMeasure2D
+from .measures import AtomicMeasure2D, left_sum
 
 # numpy is imported inside the functions that build matrices, so that the
 # commands that never run an oracle start without it.
@@ -53,20 +55,33 @@ class InterpolationReport:
     first_failure: tuple[int, int, float, float] | None = None
 
 
-def _psd_report(matrix: np.ndarray, tol: float) -> PsdReport:
+def _psd_reports(stack: np.ndarray, tol: float) -> list[PsdReport]:
+    """One report per matrix of a stack of same-size symmetric matrices.
+    Batched, LAPACK gives each matrix the bits of a call on it alone."""
     import numpy as np
 
-    if not np.isfinite(matrix).all():
+    if not np.isfinite(stack).all():
         raise NonFinite("an oracle matrix has a non-finite entry")
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    min_eig = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    threshold = tol * max(float(np.trace(matrix)), 0.0)
-    return PsdReport(
-        dimension=matrix.shape[0],
-        min_eigenvalue=min_eig,
-        passed=min_eig >= -threshold,
-        tolerance=threshold,
-    )
+    eigenvalues = np.linalg.eigvalsh(stack).tolist()
+    reports = []
+    for values, trace in zip(eigenvalues, np.trace(stack, axis1=1, axis2=2).tolist()):
+        threshold = tol * max(trace, 0.0)
+        reports.append(PsdReport(stack.shape[1], values[0], values[0] >= -threshold, threshold))
+    return reports
+
+
+def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
+    """``table[k1][k2]`` is ``mu.moment(k1, k2)`` to the bit for k1 + k2 <= order:
+    the same ``mass * s**k1 * t**k2`` summed in atom order, each power
+    taken once per distinct location."""
+    locations = dict.fromkeys(loc for s, t, _ in mu.atoms for loc in (s, t))
+    powers = {loc: [loc**k for k in range(order + 1)] for loc in locations}
+    t_powers = [[powers[t][k2] for _, t, _ in mu.atoms] for k2 in range(order + 1)]
+    table = []
+    for k1 in range(order + 1):
+        weighted = [mass * powers[s][k1] for s, _, mass in mu.atoms]
+        table.append([left_sum(map(mul, weighted, t_powers[k2])) for k2 in range(order + 1 - k1)])
+    return table
 
 
 def moment_interpolation_check(
@@ -82,18 +97,26 @@ def moment_interpolation_check(
     or a measure.  Reports the maximal relative error and the first
     failing index.
     """
+    # the source first: past its depth it raises before mu's table is built
+    expected_moments = [
+        (k1, total - k1, source.moment(k1, total - k1))
+        for total in range(order + 1)
+        for k1 in range(total, -1, -1)
+    ]
+    for k1, k2, expected in expected_moments:
+        # an inf or NaN moment makes every relative error NaN, which passes
+        if not math.isfinite(expected):
+            raise NonFinite(f"moment ({k1}, {k2}) of the source is not finite, got {expected!r}")
+    table = _moment_table(mu, order)
     max_err = 0.0
     first_failure = None
-    for total in range(order + 1):
-        for k1 in range(total, -1, -1):
-            k2 = total - k1
-            expected = source.moment(k1, k2)
-            actual = mu.moment(k1, k2)
-            rel = abs(actual - expected) / max(abs(expected), 1e-300)
-            if rel > max_err:
-                max_err = rel
-            if rel > tol and first_failure is None:
-                first_failure = (k1, k2, expected, actual)
+    for k1, k2, expected in expected_moments:
+        actual = table[k1][k2]
+        rel = abs(actual - expected) / max(abs(expected), 1e-300)
+        if rel > max_err:
+            max_err = rel
+        if rel > tol and first_failure is None:
+            first_failure = (k1, k2, expected, actual)
     return InterpolationReport(
         passed=first_failure is None,
         order=order,
@@ -122,9 +145,10 @@ def hankel_psd(
         )
     if any(v <= 0.0 for v in moments):
         raise InvalidMoments("moments must be positive")
-    base = np.array([[moments[i + j] for j in range(n + 1)] for i in range(n + 1)])
-    shifted = np.array([[moments[i + j + 1] for j in range(n + 1)] for i in range(n + 1)])
-    return _psd_report(base, tol), _psd_report(shifted, tol)
+    # base row i is moments[i : i + n + 1], shifted row i is base row i + 1
+    rows = [moments[i : i + n + 1] for i in range(n + 2)]
+    base, shifted = _psd_reports(np.array([rows[:-1], rows[1:]]), tol)
+    return base, shifted
 
 
 def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
@@ -142,10 +166,10 @@ def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     basis = [
         (k1, total - k1) for total in range(n + 1) for k1 in range(total, -1, -1)
     ]
-    matrix = np.array(
-        [[gamma(p[0] + q[0], p[1] + q[1]) for q in basis] for p in basis]
-    )
-    return _psd_report(matrix, tol)
+    # one call per distinct entry, table[k1][k2] = gamma(k1, k2)
+    table = [[gamma(k1, k2) for k2 in range(2 * n + 1 - k1)] for k1 in range(2 * n + 1)]
+    matrix = [[table[p1 + q1][p2 + q2] for q1, q2 in basis] for p1, p2 in basis]
+    return _psd_reports(np.array([matrix]), tol)[0]
 
 
 def joint_hyponormality_compression(
@@ -195,7 +219,7 @@ def joint_hyponormality_compression(
             )
             matrix[flat(k1, k2), size + flat(l1, l2)] = value
             matrix[size + flat(l1, l2), flat(k1, k2)] = value
-    return _psd_report(matrix, tol)
+    return _psd_reports(matrix[np.newaxis], tol)[0]
 
 
 def oracle_status(verdict_subnormal: bool, oracle_passed: bool) -> str:

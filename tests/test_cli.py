@@ -11,16 +11,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import tcshift
-from tcshift import measures, reconstruct, shifts
-from tcshift.cli import _mu_pieces, parse_instance, run
+from tcshift import measures, oracles, reconstruct, shifts
+from tcshift.cli import DEFAULT_ORDER, DEFAULT_WINDOW, _mu_pieces, parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
-from tcshift.measures import AtomicMeasure1D
+from tcshift.measures import AtomicMeasure1D, SignedMeasure2D
 
 from helpers import assert_measures_close, f1_instance, flat_files, scaled_tc
 
@@ -80,6 +81,23 @@ def patch_everywhere(monkeypatch, original, replacement) -> None:
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, replacement)
+
+
+def assert_refused_beyond_the_depth_in_a_child(name: str) -> None:
+    """``verify --order 100000`` exits 2 at once, under a 1 GiB address
+    space, naming the depth limit without a traceback."""
+    argv = ["verify", fixture(name), "--order", "100000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tcshift", *argv],
+        capture_output=True,
+        env=child_env(),
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "beyond the depth limit 32" in err
+    assert "Traceback" not in err
 
 
 def run_capture(argv):
@@ -360,18 +378,13 @@ class TestOptions:
     def test_oversized_order_on_a_negative_verdict_is_refused_early(self):
         # n1 has no Berger measure, so the moment matrix is the first
         # oracle to reach past the table; it must not build its basis first.
-        argv = ["verify", fixture("n1.json"), "--order", "100000"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "tcshift", *argv],
-            capture_output=True,
-            env=child_env(),
-            timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
-        )
-        err = proc.stderr.decode()
-        assert proc.returncode == 2, err
-        assert "beyond the depth limit 32" in err
-        assert "Traceback" not in err
+        assert_refused_beyond_the_depth_in_a_child("n1.json")
+
+    def test_oversized_order_on_a_subnormal_verdict_is_refused_early(self):
+        # f1 has a Berger measure, so the moment interpolation is the first
+        # oracle to reach past the table; it must read the instance's
+        # moments before it builds the table of the measure's.
+        assert_refused_beyond_the_depth_in_a_child("f1.json")
 
     def test_integer_options_are_accepted(self, tmp_path):
         path = write_f1_variant(tmp_path, {"options": {"tol": 0, "order": 4, "window": 1}})
@@ -856,3 +869,49 @@ class TestSweepSharesTheAFreeParts:
         }
         assert counts == {"post_init": 1, "restriction_measure": 1, "tilde on xi": 1}
 
+
+
+class TestOracleCalls:
+    """verify reads each moment once per oracle and decides each oracle's
+    matrices, a Hankel pair counting as one, in one eigvalsh call."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [p.name for p in sorted(FIXTURES.glob("*.json")) if p.stem not in ("invalid", "malformed")],
+    )
+    def test_calls(self, monkeypatch, name):
+        calls, inside = [], []
+
+        def entering(fn):
+            def wrapper(*args, **kwargs):
+                inside.append(fn.__name__)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            return wrapper
+
+        def counting(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((inside[-1] if inside else None, label))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for fn in (oracles.moment_interpolation_check, oracles.moment_matrix_2d):
+            patch_everywhere(monkeypatch, fn, entering(fn))
+        for owner, label in ((TCInstance, "instance"), (SignedMeasure2D, "measure")):
+            monkeypatch.setattr(owner, "moment", counting(label, owner.moment))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        code, out, _ = run_capture(["verify", fixture(name), "--json"])
+        assert code in (0, 1)
+        # a subnormal verdict runs the interpolation, against mu
+        assert ("moment_interpolation" in json.loads(out)["oracles"]) == (code == 0)
+        n = max(1, DEFAULT_ORDER // 2)
+        # one call per distinct entry, after the guard call
+        matrix_calls = calls.count(("moment_matrix_2d", "instance"))
+        assert 0 < matrix_calls <= (2 * n + 1) * (2 * n + 2) // 2 + 1
+        assert calls.count(("moment_interpolation_check", "measure")) == 0
+        # two Hankel pairs per index, one stack each, then the two matrices
+        assert sum(label == "eigvalsh" for _, label in calls) == 2 * (DEFAULT_WINDOW + 1) + 2

@@ -1,13 +1,24 @@
 """Brute-force oracles: worked examples, soundness against the verdicts."""
 
+import math
 import random
+import struct
 import types
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tcshift.errors import InvalidMoments, PreconditionViolated
+from tcshift.cli import DEFAULT_WINDOW, parse_instance
+from tcshift.diagram import FlatInstance
+from tcshift.errors import InvalidMoments, NonFinite, PreconditionViolated
 from tcshift.measures import AtomicMeasure2D, dirac2
 from tcshift.oracles import (
+    PsdReport,
+    _moment_table,
+    _psd_reports,
     hankel_psd,
     joint_hyponormality_compression,
     moment_interpolation_check,
@@ -23,6 +34,8 @@ from helpers import (
     spike_instance,
     trivial_instance,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestMomentInterpolation:
@@ -45,6 +58,122 @@ class TestMomentInterpolation:
         assert (k1, k2) == (1, 0)
         assert expected == pytest.approx(0.5, abs=1e-12)
         assert actual == 1.0
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_a_non_finite_expected_moment_is_refused(self, value):
+        # a relative error against inf or NaN is NaN, which no comparison
+        # with the tolerance catches
+        source = types.SimpleNamespace(
+            moment=lambda k1, k2: value if (k1, k2) == (1, 0) else 1.0
+        )
+        with pytest.raises(NonFinite, match=r"moment \(1, 0\)"):
+            moment_interpolation_check(source, dirac2(1.0, 1.0), 2)
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def moment_or_error(mu: AtomicMeasure2D, k1: int, k2: int):
+    try:
+        return bits(mu.moment(k1, k2))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+# s**k and t**k underflow to 0 at 5e-324, overflow near 1e308, and keep the
+# sign of -0.0 at odd k
+LOCATIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 0.5, 1.0, 3.0, 1e154, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1e308),
+)
+
+
+@st.composite
+def measures_with_shared_locations(draw) -> AtomicMeasure2D:
+    """Atoms whose coordinates come from a pool of at most four values, so
+    that s and t repeat across atoms and between the two axes."""
+    pool = draw(st.lists(LOCATIONS, min_size=1, max_size=4))
+    location = st.sampled_from(pool)
+    mass = st.floats(min_value=1e-300, max_value=1e300)
+    atoms = draw(st.lists(st.tuples(location, location, mass), min_size=1, max_size=6))
+    return AtomicMeasure2D(tuple(atoms))
+
+
+class TestMomentTable:
+    """The interpolation's table of mu's moments is mu.moment, to the bit,
+    and raises exactly when some moment it holds raises."""
+
+    @settings(max_examples=300)
+    @given(mu=measures_with_shared_locations(), order=st.integers(0, 12))
+    def test_equals_the_measure_moments(self, mu, order):
+        indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
+        outcomes = {index: moment_or_error(mu, *index) for index in indices}
+        try:
+            table = _moment_table(mu, order)
+        except ArithmeticError as exc:
+            assert (type(exc), str(exc)) in outcomes.values()
+            return
+        assert {(k1, k2): bits(table[k1][k2]) for k1, k2 in indices} == outcomes
+
+    def test_signed_zero_and_the_smallest_subnormal_share_the_table(self):
+        mu = AtomicMeasure2D(((0.0, 5e-324, 0.25), (-0.0, 1.0, 0.25), (5e-324, -0.0, 0.5)))
+        table = _moment_table(mu, 3)
+        for k1 in range(4):
+            for k2 in range(4 - k1):
+                assert bits(table[k1][k2]) == bits(mu.moment(k1, k2))
+
+
+def single_report(matrix: np.ndarray, tol: float) -> PsdReport:
+    """The report of one matrix from its own eigvalsh and trace calls."""
+    min_eig = float(np.linalg.eigvalsh(matrix)[0])
+    threshold = tol * max(float(np.trace(matrix)), 0.0)
+    return PsdReport(matrix.shape[0], min_eig, min_eig >= -threshold, threshold)
+
+
+def assert_stack_reports_match(stack: np.ndarray, tol: float = 1e-9) -> None:
+    # repr round-trips every float, so equal reprs are equal bits
+    assert repr(_psd_reports(stack, tol)) == repr([single_report(m, tol) for m in stack])
+
+
+def fixture_instances():
+    """Every fixture that parses, as the tc instance that verify checks."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            instance = parse_instance(str(path)).instance
+        except Exception:
+            continue
+        yield path.stem, instance.embed() if isinstance(instance, FlatInstance) else instance
+
+
+class TestStackedPsdReports:
+    """One batched LAPACK call gives each matrix the report of its own call."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_symmetric_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        count, size = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        scales = 10.0 ** rng.uniform(-20, 20, size=(count, 1, 1))
+        half = rng.standard_normal((count, size, size)) * scales
+        assert_stack_reports_match(half + half.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("name, instance", list(fixture_instances()))
+    def test_hankel_pairs_of_every_fixture(self, name, instance):
+        n = DEFAULT_WINDOW
+        checked = 0
+        for moments in (instance.row_moments, instance.column_moments):
+            for index in range(n + 1):
+                data = moments(index, 2 * n + 2)
+                base = [[data[i + j] for j in range(n + 1)] for i in range(n + 1)]
+                shifted = [[data[i + j + 1] for j in range(n + 1)] for i in range(n + 1)]
+                assert_stack_reports_match(np.array([base, shifted]))
+                # and hankel_psd, which stacks the pair itself
+                stacked = hankel_psd(data, n)
+                assert repr(stacked) == repr(
+                    (single_report(np.array(base), 1e-9), single_report(np.array(shifted), 1e-9))
+                )
+                checked += 1
+        assert checked == 2 * (n + 1)
 
 
 class TestHankel:
