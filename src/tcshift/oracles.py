@@ -63,8 +63,9 @@ def _psd_reports(stack: np.ndarray, tol: float) -> list[PsdReport]:
     if not np.isfinite(stack).all():
         raise NonFinite("an oracle matrix has a non-finite entry")
     eigenvalues = np.linalg.eigvalsh(stack).tolist()
+    traces = np.trace(stack, axis1=1, axis2=2).tolist()
     reports = []
-    for values, trace in zip(eigenvalues, np.trace(stack, axis1=1, axis2=2).tolist()):
+    for values, trace in zip(eigenvalues, traces):
         threshold = tol * max(trace, 0.0)
         reports.append(PsdReport(stack.shape[1], values[0], values[0] >= -threshold, threshold))
     return reports
@@ -95,7 +96,7 @@ def moment_interpolation_check(
 
     ``source`` is anything with a ``moment(k1, k2)`` method: an instance,
     or a measure.  Reports the maximal relative error and the first
-    failing index.
+    failing index; a source moment that is inf or NaN raises ``NonFinite``.
     """
     # the source first: past its depth it raises before mu's table is built
     expected_moments = [
@@ -104,7 +105,7 @@ def moment_interpolation_check(
         for k1 in range(total, -1, -1)
     ]
     for k1, k2, expected in expected_moments:
-        # an inf or NaN moment makes every relative error NaN, which passes
+        # the relative error against inf or NaN is NaN, which no comparison fails
         if not math.isfinite(expected):
             raise NonFinite(f"moment ({k1}, {k2}) of the source is not finite, got {expected!r}")
     table = _moment_table(mu, order)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcshift.cli import DEFAULT_WINDOW, parse_instance
@@ -84,7 +84,9 @@ def moment_or_error(mu: AtomicMeasure2D, k1: int, k2: int):
 # s**k and t**k underflow to 0 at 5e-324, overflow near 1e308, and keep the
 # sign of -0.0 at odd k
 LOCATIONS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 0.5, 1.0, 3.0, 1e154, 1e300, 1.7976931348623157e308]),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-160, 0.5, 1.0, 3.0, 1e154, 1e300, 1.7976931348623157e308]
+    ),
     st.floats(min_value=0.0, max_value=1e308),
 )
 
@@ -106,6 +108,11 @@ class TestMomentTable:
 
     @settings(max_examples=300)
     @given(mu=measures_with_shared_locations(), order=st.integers(0, 12))
+    # 0.0 and -0.0 are one dict key, so the two atoms share one row of powers
+    @example(
+        mu=AtomicMeasure2D(((0.0, 5e-324, 0.25), (-0.0, 1.0, 0.25), (5e-324, -0.0, 0.5))),
+        order=3,
+    )
     def test_equals_the_measure_moments(self, mu, order):
         indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
         outcomes = {index: moment_or_error(mu, *index) for index in indices}
@@ -115,13 +122,6 @@ class TestMomentTable:
             assert (type(exc), str(exc)) in outcomes.values()
             return
         assert {(k1, k2): bits(table[k1][k2]) for k1, k2 in indices} == outcomes
-
-    def test_signed_zero_and_the_smallest_subnormal_share_the_table(self):
-        mu = AtomicMeasure2D(((0.0, 5e-324, 0.25), (-0.0, 1.0, 0.25), (5e-324, -0.0, 0.5)))
-        table = _moment_table(mu, 3)
-        for k1 in range(4):
-            for k2 in range(4 - k1):
-                assert bits(table[k1][k2]) == bits(mu.moment(k1, k2))
 
 
 def single_report(matrix: np.ndarray, tol: float) -> PsdReport:
