@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tcshift.cli import DEFAULT_WINDOW, parse_instance
 from tcshift.diagram import FlatInstance
-from tcshift.errors import InvalidMoments, NonFinite, PreconditionViolated
+from tcshift.errors import InvalidMoments, NonFinite, PreconditionViolated, TCShiftError
 from tcshift.measures import AtomicMeasure2D, dirac2
 from tcshift.oracles import (
     PsdReport,
@@ -141,7 +141,7 @@ def fixture_instances():
     for path in sorted(FIXTURES.glob("*.json")):
         try:
             instance = parse_instance(str(path)).instance
-        except Exception:
+        except TCShiftError:
             continue
         yield path.stem, instance.embed() if isinstance(instance, FlatInstance) else instance
 
