@@ -14,7 +14,6 @@ wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -23,12 +22,11 @@ import operator
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, TCShiftError, ValidationError
 from .diagram import FlatInstance, TCInstance
-from .measures import AtomicMeasure1D, AtomicMeasure2D
+from .measures import AtomicMeasure1D, AtomicMeasure2D, Frozen
 from .oracles import (
     hankel_psd,
     joint_hyponormality_compression,
@@ -65,40 +63,42 @@ def _as_float(value: int | float, what: str) -> float:
         raise ValidationError(message) from None
 
 
-def _option(default: float, minimum: int, help_text: str):
-    return field(default=default, metadata={"min": minimum, "help": help_text})
+#: (name, default, minimum, help) of each option; the type of the default
+#: is the option's type.
+OPTIONS = (
+    ("tol", DEFAULT_CLI_TOL, 0, "positivity tolerance"),
+    ("order", DEFAULT_ORDER, 0, "moment order for oracles"),
+    ("window", DEFAULT_WINDOW, 1, "index window for oracles"),
+)
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(Frozen):
     """Numerical settings: the file's ``options`` object, overridden by the
-    command-line flags of the same names.  The type of each default is the
-    option's type; a value of another type is a parse error, a value below
-    the minimum or not finite a validation error."""
+    command-line flags of the same names.  An unknown name or a value of
+    another type than the default's is a parse error, a value below the
+    minimum or not finite a validation error."""
 
-    tol: float = _option(DEFAULT_CLI_TOL, 0, "positivity tolerance")
-    order: int = _option(DEFAULT_ORDER, 0, "moment order for oracles")
-    window: int = _option(DEFAULT_WINDOW, 1, "index window for oracles")
+    _fields = tuple(name for name, *_ in OPTIONS)
 
-    def __post_init__(self) -> None:
-        for spec in dataclasses.fields(self):
-            kind, minimum = type(spec.default), spec.metadata["min"]
-            value = getattr(self, spec.name)
+    def __init__(self, /, **values: float) -> None:
+        unknown = set(values) - set(self._fields)
+        _require(not unknown, f"unknown options: {sorted(unknown)}")
+        for name, default, minimum, _ in OPTIONS:
+            kind, value = type(default), values.get(name, default)
             _require(
                 isinstance(value, (int, kind)) and not isinstance(value, bool),
-                f"option {spec.name} must be {'a number' if kind is float else 'an integer'}",
+                f"option {name} must be {'a number' if kind is float else 'an integer'}",
             )
-            finite = math.isfinite(_as_float(value, f"option {spec.name}"))
+            finite = math.isfinite(_as_float(value, f"option {name}"))
             value = kind(value)
             if not (finite and value >= minimum):
                 raise ValidationError(
-                    f"option {spec.name} must be finite and at least {minimum}, got {value!r}"
+                    f"option {name} must be finite and at least {minimum}, got {value!r}"
                 )
-            object.__setattr__(self, spec.name, value)
+            vars(self)[name] = value
 
 
-@dataclass(frozen=True)
-class ParsedFile:
+class ParsedFile(NamedTuple):
     instance: TCInstance | FlatInstance
     options: Options
 
@@ -142,8 +142,6 @@ def _parse_options(obj: Any) -> Options:
     if obj is None:
         return Options()
     _require(isinstance(obj, dict), "options must be an object")
-    unknown = set(obj) - {spec.name for spec in dataclasses.fields(Options)}
-    _require(not unknown, f"unknown options: {sorted(unknown)}")
     return Options(**obj)
 
 
@@ -191,14 +189,13 @@ def _verdict_name(verdict: Verdict) -> str:
     return "subnormal" if verdict.subnormal else "not-subnormal"
 
 
-# Payloads are the field dicts of the result dataclasses, copied with
-# vars(): their fields are scalars, and dataclasses.asdict costs ten times
-# as much, once per sweep point.
+# Payloads are the field dicts of the result records, from _asdict(): their
+# fields are scalars, so a shallow copy is all that is needed.
 def _witness_payload(verdict: Verdict) -> dict[str, Any] | None:
     witness = verdict.witness
     if witness is None:
         return None
-    return dict(vars(witness), reason=f"{witness.measure} has a negative atom")
+    return dict(witness._asdict(), reason=f"{witness.measure} has a negative atom")
 
 
 def _oracle_payloads(
@@ -238,7 +235,7 @@ def _oracle_payloads(
         ("moment_matrix", moment_matrix_2d(instance, max(1, opts.order // 2))),
         ("joint_hyponormality", joint_hyponormality_compression(instance, n)),
     ):
-        oracles[name] = dict(vars(psd), status=status(psd.passed))
+        oracles[name] = dict(psd._asdict(), status=status(psd.passed))
     return oracles
 
 
@@ -343,7 +340,7 @@ def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str,
         "kind": "flat" if flat else "tc",
         "verdict": _verdict_name(verdict),
         "witness": _witness_payload(verdict),
-        "diagnostics": dict(vars(verdict.diagnostics)),
+        "diagnostics": verdict.diagnostics._asdict(),
         "psi": verdict.psi.atoms if measures else None,
         "phi": verdict.phi.atoms if measures else None,
         "mu": None if mu is None else mu.atoms,
@@ -417,7 +414,7 @@ def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
             if isinstance(instance, TCInstance):
                 candidate = instance.with_a(value)
             else:
-                candidate = dataclasses.replace(instance, **{args.param: value}).embed()
+                candidate = instance._replace(**{args.param: value}).embed()
             verdict = subnormality_verdict(candidate, opts.tol)
         except (TCShiftError, ValueError, ArithmeticError) as exc:
             point["error"] = str(exc)
@@ -447,10 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("path", help="JSON instance file")
-        for spec in dataclasses.fields(Options):
-            cmd.add_argument(
-                f"--{spec.name}", type=type(spec.default), help=spec.metadata["help"]
-            )
+        for option, default, _, option_help in OPTIONS:
+            cmd.add_argument(f"--{option}", type=type(default), help=option_help)
         mode = cmd.add_mutually_exclusive_group()
         mode.add_argument("--json", action="store_true", help="JSON report")
         mode.add_argument("--text", action="store_true", help="text report (default)")
@@ -461,9 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_options(args, file_options: Options) -> Options:
-    flags = {spec.name: getattr(args, spec.name) for spec in dataclasses.fields(Options)}
-    return dataclasses.replace(
-        file_options, **{name: value for name, value in flags.items() if value is not None}
+    flags = {name: getattr(args, name) for name, *_ in OPTIONS}
+    return file_options._replace(
+        **{name: value for name, value in flags.items() if value is not None}
     )
 
 

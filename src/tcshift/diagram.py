@@ -24,12 +24,11 @@ the values that do not depend on a are computed once for all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Literal
+from typing import Literal, NamedTuple
 
 from .errors import AtomAtZero, DepthExceeded, InvalidFlat, InvalidWeight, NotProbability
-from .measures import PROBABILITY_TOL, AtomicMeasure1D, dirac, same_location
+from .measures import PROBABILITY_TOL, AtomicMeasure1D, Frozen, dirac, same_location
 from .shifts import (
     Extension1D,
     one_var_backward_extension,
@@ -41,8 +40,7 @@ Direction = Literal["h", "v"]
 Grid = tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class H0Report:
+class H0Report(NamedTuple):
     """Finite-depth check that every row and column shift is subnormal."""
 
     passed: bool
@@ -73,8 +71,7 @@ class _free_of_a(cached_property):
         return shared[self.attrname]
 
 
-@dataclass(frozen=True)
-class TCInstance:
+class TCInstance(Frozen):
     """A 2-variable weighted shift with a tensor-form core.
 
     All four measures must be probability measures and the two core
@@ -82,31 +79,29 @@ class TCInstance:
     the origin.
     """
 
-    xi_x: AtomicMeasure1D
-    eta_y: AtomicMeasure1D
-    xi: AtomicMeasure1D
-    eta: AtomicMeasure1D
-    a: float
+    _fields = ("xi_x", "eta_y", "xi", "eta", "a")
     #: Largest weight index; moments are valid for k1 <= depth_limit + 1
     #: when k2 = 0, and for k1 <= depth_limit, k2 <= depth_limit + 1.
-    depth_limit: ClassVar[int] = 32
+    depth_limit = 32
 
-    def __post_init__(self) -> None:
-        named = (
-            ("xi_x", self.xi_x),
-            ("eta_y", self.eta_y),
-            ("xi", self.xi),
-            ("eta", self.eta),
-        )
-        for name, measure in named:
+    def __init__(
+        self,
+        xi_x: AtomicMeasure1D,
+        eta_y: AtomicMeasure1D,
+        xi: AtomicMeasure1D,
+        eta: AtomicMeasure1D,
+        a: float,
+    ) -> None:
+        vars(self).update(xi_x=xi_x, eta_y=eta_y, xi=xi, eta=eta, a=a)
+        for name, measure in (("xi_x", xi_x), ("eta_y", eta_y), ("xi", xi), ("eta", eta)):
             if not measure.is_probability():
                 raise NotProbability(
                     f"{name} must be a probability measure, total mass {measure.total_mass!r}"
                 )
-        for name, measure in (("xi", self.xi), ("eta", self.eta)):
+        for name, measure in (("xi", xi), ("eta", eta)):
             if measure.charges_origin():
                 raise AtomAtZero(f"{name} has an atom at 0")
-        _check_joining_weight(self.a)
+        _check_joining_weight(a)
 
     def with_a(self, a: float) -> TCInstance:
         """The same instance at another joining weight.
@@ -270,8 +265,7 @@ def _check_support_avoids(measure: AtomicMeasure1D, name: str, banned: tuple[flo
                 raise InvalidFlat(f"{name} must not charge {point!r}, found atom at {loc!r}")
 
 
-@dataclass(frozen=True)
-class FlatInstance:
+class FlatInstance(Frozen):
     """Flat 2-variable shift: both core measures are single atoms.
 
     The horizontal core measure is normalised to delta_1 and the vertical
@@ -285,16 +279,20 @@ class FlatInstance:
     degenerate tensor pair is representable.
     """
 
-    p: float
-    q: float
-    l: float
-    m: float
-    b: float
-    a: float
-    rho: AtomicMeasure1D | None = None
-    sigma: AtomicMeasure1D | None = None
+    _fields = ("p", "q", "l", "m", "b", "a", "rho", "sigma")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        p: float,
+        q: float,
+        l: float,
+        m: float,
+        b: float,
+        a: float,
+        rho: AtomicMeasure1D | None = None,
+        sigma: AtomicMeasure1D | None = None,
+    ) -> None:
+        vars(self).update(p=p, q=q, l=l, m=m, b=b, a=a, rho=rho, sigma=sigma)
         _check_unit_interval("p", self.p, allow_zero=True)
         _check_unit_interval("q", self.q, allow_zero=False)
         _check_unit_interval("l", self.l, allow_zero=True)

@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, itemgetter
-from typing import Iterable, Literal, Sequence, Union
+from typing import Any, Iterable, Literal, NamedTuple, Sequence, Union
 
 from .errors import AtomAtZero, NonFinite, NotProbability, PreconditionViolated
 
@@ -185,23 +184,60 @@ def _from_merged(cls: type, atoms: tuple, **fields: bool):
     """An instance of ``cls`` over atoms that are already float, finite,
     sorted, merged and zero-free; only the class's own checks run."""
     measure = object.__new__(cls)
-    object.__setattr__(measure, "atoms", atoms)
-    for name, value in fields.items():
-        object.__setattr__(measure, name, value)
+    vars(measure).update(atoms=atoms, **fields)
     measure._check()
     return measure
 
 
-@dataclass(frozen=True)
-class _SignedMeasure:
+class Frozen:
+    """Base of the package's immutable classes that validate or cache.
+
+    A subclass names its fields in ``_fields`` and sets them in its
+    ``__init__`` through ``vars(self)``, after which assignment raises
+    AttributeError.  The repr is ``Name(field=value, ...)``, and two
+    instances of one class are equal, and hash alike, when their field
+    values are.  Records with no checks and no caches are
+    ``typing.NamedTuple`` classes instead, which are cheaper to build.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes: Any):
+        """A new instance with the given fields changed, checked afresh."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**{**fields, **changes})
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _SignedMeasure(Frozen):
     """What the 1-D and 2-D measures share: an atom is a tuple of
     coordinates ending in its mass, and ``_names`` names its entries."""
 
-    atoms: tuple[tuple[float, ...], ...]
+    _fields = ("atoms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, atoms: Iterable[Sequence[float]]) -> None:
         merge = _merge_1d if len(self._names) == 2 else _merge_2d
-        object.__setattr__(self, "atoms", merge(self.atoms))
+        vars(self)["atoms"] = merge(atoms)
         self._check()
 
     @property
@@ -231,7 +267,6 @@ class _SignedMeasure:
             raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
 
 
-@dataclass(frozen=True)
 class SignedMeasure1D(_SignedMeasure):
     """Finite signed combination of point masses on [0, inf)."""
 
@@ -263,12 +298,15 @@ class SignedMeasure1D(_SignedMeasure):
         return left_sum(mass / loc for loc, mass in self.atoms)
 
 
-@dataclass(frozen=True)
 class AtomicMeasure1D(SignedMeasure1D):
     """Finitely atomic nonnegative measure on [0, inf); with ``probability``
     set, the total mass must be one (within ``PROBABILITY_TOL``)."""
 
-    probability: bool = False
+    _fields = ("atoms", "probability")
+
+    def __init__(self, atoms: Iterable[Sequence[float]], probability: bool = False) -> None:
+        vars(self)["probability"] = probability
+        super().__init__(atoms)
 
     def _check(self) -> None:
         super()._check()
@@ -290,7 +328,6 @@ class AtomicMeasure1D(SignedMeasure1D):
         )
 
 
-@dataclass(frozen=True)
 class SignedMeasure2D(_SignedMeasure):
     """Finite signed combination of planar point masses."""
 
@@ -311,11 +348,14 @@ class SignedMeasure2D(_SignedMeasure):
         return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
 
 
-@dataclass(frozen=True)
 class AtomicMeasure2D(SignedMeasure2D):
     """Finitely atomic nonnegative measure on the closed quarter plane."""
 
-    probability: bool = False
+    _fields = ("atoms", "probability")
+
+    def __init__(self, atoms: Iterable[Sequence[float]], probability: bool = False) -> None:
+        vars(self)["probability"] = probability
+        super().__init__(atoms)
 
     def _check(self) -> None:
         # one loop, as the first error depends on the atom order
@@ -480,8 +520,7 @@ def disjoint_sum(terms: Sequence[tuple[float, AtomicMeasure2D]]) -> AtomicMeasur
     return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
 
 
-@dataclass(frozen=True)
-class Positivity:
+class Positivity(NamedTuple):
     """Outcome of a positivity check; the witness is the worst atom."""
 
     positive: bool

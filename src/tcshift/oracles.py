@@ -12,9 +12,8 @@ negative verdict as inconclusive rather than contradictory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidMoments, NonFinite, PreconditionViolated
 from .diagram import TCInstance
@@ -29,8 +28,7 @@ DEFAULT_PSD_TOL = 1e-9
 DEFAULT_INTERPOLATION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Positive-semidefiniteness certificate for one symmetric matrix.
 
     ``tolerance`` is the absolute threshold actually applied, i.e. the
@@ -44,8 +42,7 @@ class PsdReport:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
+class InterpolationReport(NamedTuple):
     """Comparison of weight-product moments against a measure's moments."""
 
     passed: bool

@@ -34,7 +34,7 @@ second route to every answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionViolated
 from .diagram import FlatInstance, TCInstance
@@ -59,8 +59,7 @@ _ORIGIN = dirac(0.0)
 BergerForm = str  # "split" or "correction"
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """Reciprocal norms feeding the criterion and the reconstruction."""
 
     recip_s_xi: float
@@ -69,8 +68,7 @@ class Diagnostics:
     recip_t_eta_y_tail: float
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Most negative atom of the measure that failed positivity."""
 
     measure: str
@@ -78,8 +76,7 @@ class Witness:
     mass: float
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Subnormality decision with psi and phi; a negative verdict carries
     the witness atom, a positive one none."""
 
@@ -242,8 +239,7 @@ def measure_M(
     return combine(terms).as_positive(tol, probability=True)
 
 
-@dataclass(frozen=True)
-class BackwardExtension2D:
+class BackwardExtension2D(NamedTuple):
     """Outcome of prepending row 0 to a subnormal upper part.
 
     ``failed_condition`` indexes the three requirements in order:

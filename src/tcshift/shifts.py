@@ -12,7 +12,7 @@ weights are recovered lazily to any requested depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight
 from .measures import POSITIVITY_REL_TOL, AtomicMeasure1D
@@ -71,8 +71,7 @@ def restriction_measure(measure: AtomicMeasure1D, h: int) -> AtomicMeasure1D:
     return AtomicMeasure1D(atoms, probability=True)
 
 
-@dataclass(frozen=True)
-class Extension1D:
+class Extension1D(NamedTuple):
     """Outcome of prepending a weight to a subnormal shift."""
 
     subnormal: bool

@@ -1,6 +1,5 @@
 """Command-line surface: parsing, exit codes, determinism, sweeps."""
 
-import dataclasses
 import inspect
 import io
 import json
@@ -543,7 +542,7 @@ class TestFlatCommand:
 
         def flipped(*args, **kwargs):
             verdict = scalar(*args, **kwargs)
-            return dataclasses.replace(verdict, subnormal=not verdict.subnormal)
+            return verdict._replace(subnormal=not verdict.subnormal)
 
         patch_everywhere(monkeypatch, scalar, flipped)
         code, out, err = run_capture(["flat", fixture(f"{name}.json")])
@@ -715,8 +714,26 @@ print(json.dumps([outcome(Path(name), case) for name, case in cases]))
 """
 
 
+# Runs (fixture, case) pairs with dataclasses blocked and prints, per case,
+# the exit code, stdout and whether inspect is loaded by then.  It imports
+# neither pytest nor test_golden, which load dataclasses themselves.
+_WITHOUT_DATACLASSES = """
+import io, json, sys
+sys.modules["dataclasses"] = None
+from tcshift.cli import run
+results = []
+for name, case in json.loads(sys.argv[1]):
+    command, *rest = case.split()
+    out = io.StringIO()
+    code = run([command, name, *rest], out=out, err=io.StringIO())
+    results.append([code, out.getvalue(), "inspect" in sys.modules])
+print(json.dumps(results))
+"""
+
+
 class TestColdStart:
-    """Only verify takes eigenvalues, so only verify loads numpy."""
+    """Only verify takes eigenvalues, so only verify loads numpy; no command
+    loads dataclasses, and none but verify, through numpy, loads inspect."""
 
     @pytest.mark.parametrize("module", ["tcshift", "tcshift.cli"])
     def test_import_leaves_numpy_unloaded(self, module):
@@ -728,6 +745,44 @@ class TestColdStart:
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
+
+    @pytest.mark.parametrize("module", ["tcshift", "tcshift.cli"])
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self, module):
+        code = f"import sys, {module}; print({{'dataclasses', 'inspect'}} & set(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"set()\n"), proc.stderr
+
+    def test_commands_run_with_dataclasses_blocked(self):
+        sweep = "sweep --param a --range 0.1:1.5:0.1"
+        cases = (
+            [
+                (f"{name}.json", case)
+                for name in ("f1", "n1")
+                for case in ("check", "reconstruct --json", sweep)
+            ]
+            + [(f"{name}_flat.json", "flat") for name in ("f1", "n1")]
+            # last: numpy loads inspect
+            + [(f"{name}.json", "verify --json") for name in ("f1", "n1")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_DATACLASSES, json.dumps(cases)],
+            capture_output=True,
+            cwd=FIXTURES,
+            env=child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        for (name, case), (code, out, inspect_loaded) in zip(
+            cases, json.loads(proc.stdout), strict=True
+        ):
+            golden = json.loads((FIXTURES.parent / "golden" / name).read_text())[case]
+            assert (code, out) == (golden["code"], golden["stdout"]), (name, case)
+            assert inspect_loaded == case.startswith("verify"), (name, case)
 
     def test_bare_import_loads_no_submodule(self):
         # the package exports nothing: each name is imported from its module
@@ -843,12 +898,12 @@ class TestSweepSharesTheAFreeParts:
             return wrapper
 
         originals = {
-            "post_init": TCInstance.__post_init__,
+            "init": TCInstance.__init__,
             "tilde": AtomicMeasure1D.tilde,
             "restriction_measure": shifts.restriction_measure,
         }
         for owner, key, name in (
-            (TCInstance, "__post_init__", "post_init"),
+            (TCInstance, "__init__", "init"),
             (AtomicMeasure1D, "tilde", "tilde"),
         ):
             monkeypatch.setattr(owner, key, counting(name, originals[name]))
@@ -863,11 +918,11 @@ class TestSweepSharesTheAFreeParts:
         assert code == 0 and len(out.splitlines()) == 41
         xi = ((1.0, 1.0),)  # the atoms of f1's xi
         counts = {
-            "post_init": sum(name == "post_init" for name, _ in calls),
+            "init": sum(name == "init" for name, _ in calls),
             "restriction_measure": sum(name == "restriction_measure" for name, _ in calls),
             "tilde on xi": sum(name == "tilde" and arg.atoms == xi for name, arg in calls),
         }
-        assert counts == {"post_init": 1, "restriction_measure": 1, "tilde on xi": 1}
+        assert counts == {"init": 1, "restriction_measure": 1, "tilde on xi": 1}
 
 
 
