@@ -342,6 +342,14 @@ class TestOptions:
         assert out == ""
         assert f"option {next(iter(options))} must be" in err
 
+    # "self" and "values" are also the names of Options.__init__'s parameters
+    @pytest.mark.parametrize("name", ["tolerance", "self", "values"])
+    def test_unknown_file_options_are_a_parse_error(self, tmp_path, name):
+        path = write_f1_variant(tmp_path, {"options": {name: 1, "order": 4}})
+        code, out, err = run_capture(["verify", path])
+        assert (code, out) == (3, "")
+        assert err == f"parse error: unknown options: {[name]!r}\n"
+
     def test_an_integer_flag_too_large_for_a_float_is_named(self):
         code, out, err = run_capture(["verify", fixture("f1.json"), "--window", str(10**400)])
         assert code == 2
