@@ -27,14 +27,13 @@ import math
 from functools import cached_property
 from typing import Literal, NamedTuple
 
-from .errors import AtomAtZero, DepthExceeded, InvalidFlat, InvalidWeight, NotProbability
-from .measures import PROBABILITY_TOL, AtomicMeasure1D, Frozen, dirac, same_location
-from .shifts import (
-    Extension1D,
-    one_var_backward_extension,
-    restriction_measure,
-    weights_from_measure,
+from .errors import (
+    AtomAtZero, DegenerateMeasure, DepthExceeded, InvalidFlat, InvalidWeight, NotProbability
 )
+from .measures import (
+    POSITIVITY_REL_TOL, PROBABILITY_TOL, AtomicMeasure1D, Frozen, dirac, left_sum, same_location
+)
+from .shifts import restriction_measure, weights_from_measure
 
 Direction = Literal["h", "v"]
 Grid = tuple[tuple[float, ...], ...]
@@ -46,7 +45,6 @@ class H0Report(NamedTuple):
     passed: bool
     depth: int
     first_failure: tuple[str, int] | None = None
-    detail: str | None = None
 
 
 def _check_joining_weight(a: float) -> None:
@@ -218,25 +216,34 @@ class TCInstance(Frozen):
         )
 
     def check_membership_h0(self, depth: int = 8) -> H0Report:
-        """Verify, to the given depth, that every row and column shift is
-        subnormal.
+        """Decide, to the given depth, whether every row and column shift
+        is subnormal.
 
-        Row 0 and column 0 are subnormal by construction; row k2 >= 1 is the
-        backward extension of the horizontal core shift by alpha[(0, k2)],
-        and column k1 >= 1 of the vertical core shift by beta[(k1, 0)].
+        Row 0 and column 0 are subnormal by construction.  Row k >= 1 is
+        the backward extension of the horizontal core shift by alpha(0, k),
+        so it is subnormal exactly when alpha(0, k)^2 ||1/s||_xi <= 1, where
+        alpha(0, k)^2 = a^2 y0^2 gamma^eta_{k-1} / gamma^eta_y_k.  Column k
+        likewise needs beta(k, 0)^2 ||1/t||_eta <= 1, where beta(k, 0)^2 =
+        a^2 y0^2 gamma^xi_{k-1} / gamma^xi_x_k.  Each moment is read relative
+        to its measure's largest location, so nothing overflows at any scale.
         """
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        for k2 in range(1, depth + 1):
-            ext: Extension1D = one_var_backward_extension(
-                self.weight_at(0, k2, "h"), self.xi
-            )
-            if not ext.subnormal:
-                return H0Report(False, depth, ("row", k2), ext.reason)
-        for k1 in range(1, depth + 1):
-            ext = one_var_backward_extension(self.weight_at(k1, 0, "v"), self.eta)
-            if not ext.subnormal:
-                return H0Report(False, depth, ("column", k1), ext.reason)
+        xi_x, eta_y, xi, eta = (
+            _relative_moments(m, depth + 1) for m in (self.xi_x, self.eta_y, self.xi, self.eta)
+        )
+        y0_sq = self.y0_sq / self.eta_y.total_mass  # the diagram's y0^2 = gamma_1 / gamma_0
+        for line, recip, (core_top, core), (top, moments) in (
+            ("row", self.recip_s_xi, eta, eta_y),
+            ("column", self.recip_t_eta, xi, xi_x),
+        ):
+            # a^2 y0^2 ||1/.|| gamma^core_{k-1} / top^k, with the power of
+            # core_top / top multiplied in one step at a time
+            scale = self.a * self.a * recip * (y0_sq / top)
+            for k in range(1, depth + 1):
+                if scale * core[k - 1] > (1.0 + POSITIVITY_REL_TOL) * moments[k]:
+                    return H0Report(False, depth, (line, k))
+                scale *= core_top / top
         return H0Report(True, depth)
 
     def row_moments(self, row: int, count: int) -> tuple[float, ...]:
@@ -248,6 +255,18 @@ class TCInstance(Frozen):
         """Moments of the one-variable shift along a fixed column."""
         base = self.moment(column, 0)
         return tuple(self.moment(column, k) / base for k in range(count))
+
+
+def _relative_moments(measure: AtomicMeasure1D, count: int) -> tuple[float, list[float]]:
+    """The largest location t of the measure, and its moments of orders 0
+    to count - 1 over its total mass and over t^k.  Each lies between the
+    share of the mass at t and 1, so none overflows or underflows to 0."""
+    top = measure.atoms[-1][0]
+    if top == 0.0:
+        raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
+    ratios = [(loc / top, mass) for loc, mass in measure.atoms]
+    moments = [left_sum(mass * ratio**k for ratio, mass in ratios) for k in range(count)]
+    return top, [moment / moments[0] for moment in moments]
 
 
 def _check_unit_interval(name: str, value: float, *, allow_zero: bool) -> float:

@@ -3,8 +3,8 @@
 A subnormal unilateral shift is equivalent data to a probability measure on
 [0, norm^2]: the k-th monomial moment of the measure is the product of the
 first k squared weights.  This module moves between the two descriptions
-for finitely atomic measures, and provides the restriction and backward
-extension constructions that the 2-variable model is assembled from.
+for finitely atomic measures, and provides the restriction that the
+2-variable model is assembled from.
 Weight input is deliberately not supported: inputs enter as measures, and
 weights are recovered lazily to any requested depth.
 """
@@ -12,10 +12,9 @@ weights are recovered lazily to any requested depth.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight
-from .measures import POSITIVITY_REL_TOL, AtomicMeasure1D
+from .measures import AtomicMeasure1D
 
 
 def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
@@ -69,36 +68,3 @@ def restriction_measure(measure: AtomicMeasure1D, h: int) -> AtomicMeasure1D:
         (loc, mass * loc**h / gamma_h) for loc, mass in measure.atoms if loc > 0.0
     )
     return AtomicMeasure1D(atoms, probability=True)
-
-
-class Extension1D(NamedTuple):
-    """Outcome of prepending a weight to a subnormal shift."""
-
-    subnormal: bool
-    measure: AtomicMeasure1D | None
-    ratio: float | None
-    reason: str | None = None
-
-
-def one_var_backward_extension(
-    x0: float, measure: AtomicMeasure1D, tol: float = POSITIVITY_REL_TOL
-) -> Extension1D:
-    """Decide whether shift(x0, tail...) is subnormal when the tail has the
-    given Berger measure, and reconstruct the extended measure if so.
-
-    Subnormal exactly when the tail measure has no atom at 0 and
-    r := x0^2 ||1/s|| <= 1; the extended measure is then r * tilde +
-    (1 - r) delta_0.  Failure is a value, not an error.
-    """
-    if x0 <= 0.0:
-        raise InvalidWeight("the prepended weight must be positive")
-    if measure.charges_origin():
-        return Extension1D(False, None, None, "tail measure has an atom at 0")
-    ratio = x0**2 * measure.reciprocal_norm()
-    if ratio > 1.0 + tol:
-        return Extension1D(False, None, ratio, "x0^2 ||1/s|| exceeds 1")
-    atoms = [(loc, ratio * mass) for loc, mass in measure.tilde().atoms]
-    rest = 1.0 - ratio
-    if rest > tol:
-        atoms.append((0.0, rest))
-    return Extension1D(True, AtomicMeasure1D(tuple(atoms), probability=True), ratio)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import (
     AtomAtZero,
+    DegenerateMeasure,
     DepthExceeded,
     InvalidFlat,
     InvalidMoments,
@@ -305,6 +306,9 @@ class TestWithA:
         assert shifted.moment(1, 1) != inst.moment(1, 1)
 
 
+DEPTHS = range(1, 9)
+
+
 class TestMembership:
     def test_trivial_pair_passes(self):
         assert trivial_instance().check_membership_h0(8).passed
@@ -320,6 +324,39 @@ class TestMembership:
         report = spike_instance(2.0).check_membership_h0(8)
         assert not report.passed
         assert report.first_failure == ("row", 1)
+
+    def test_growing_core_fails_first_in_column_four(self):
+        # rows: alpha(0, k)^2 ||1/s||_xi = 1/8; columns: beta(k, 0)^2 = 2^(k - 3)
+        inst = TCInstance(dirac(1.0), dirac(1.0), dirac(2.0), dirac(1.0), 0.5)
+        assert inst.check_membership_h0(3) == (True, 3, None)
+        assert inst.check_membership_h0(8) == (False, 8, ("column", 4))
+
+    def test_matches_the_weights_of_the_diagram(self):
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(300):
+            inst = random_tc_instance(rng)
+            recip_s, recip_t = inst.recip_s_xi, inst.recip_t_eta
+            lines = [(("row", k), inst.weight_at(0, k, "h") ** 2 * recip_s) for k in DEPTHS]
+            lines += [(("column", k), inst.weight_at(k, 0, "v") ** 2 * recip_t) for k in DEPTHS]
+            if any(abs(ratio - 1.0) <= 1e-9 for _, ratio in lines):
+                continue
+            failures = [line for line, ratio in lines if ratio > 1.0 + 1e-12]
+            first = failures[0] if failures else None
+            assert inst.check_membership_h0(8) == (first is None, 8, first)
+            seen.add(first and first[0])
+        assert seen == {None, "row", "column"}
+
+    @pytest.mark.parametrize("name", ["xi_x", "eta_y"])
+    def test_a_boundary_measure_at_0_is_degenerate(self, name):
+        measures = {"xi_x": half_half(), "eta_y": half_half(), "xi": dirac(1.0), "eta": dirac(1.0)}
+        inst = TCInstance(**{**measures, name: dirac(0.0)}, a=0.5)
+        with pytest.raises(DegenerateMeasure):
+            inst.check_membership_h0(8)
+
+    def test_depth_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            f1_instance().check_membership_h0(0)
 
 
 class TestRestriction:

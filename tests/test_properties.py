@@ -92,6 +92,20 @@ def test_reports_are_exactly_rescaled_by_powers_of_4(tmp_path, name, command):
     assert broken == []
 
 
+@pytest.mark.parametrize("name", VALID_TC)
+def test_h0_report_is_exactly_invariant_under_powers_of_4(tmp_path, name):
+    source = FIXTURES / f"{name}.json"
+    data = json.loads(source.read_text())
+    report = parse_instance(str(source)).instance.check_membership_h0(8)
+    path = tmp_path / "scaled.json"
+    broken = []
+    for k in POWERS:
+        path.write_text(json.dumps(scaled_tc(data, 4.0**k)))
+        if parse_instance(str(path)).instance.check_membership_h0(8) != report:
+            broken.append(k)
+    assert broken == []
+
+
 @pytest.mark.parametrize("command", ["check", "reconstruct"])
 @pytest.mark.parametrize("c", [1e-10, 1e-13])
 def test_small_scales_keep_the_subnormal_verdict(tmp_path, c, command):

@@ -1,4 +1,4 @@
-"""One-variable kernel: weight recovery, restrictions, backward extensions."""
+"""One-variable kernel: weight recovery and restrictions."""
 
 import math
 import random
@@ -7,11 +7,7 @@ import pytest
 
 from tcshift.errors import DegenerateMeasure, InvalidMoments, InvalidWeight
 from tcshift.measures import AtomicMeasure1D, dirac
-from tcshift.shifts import (
-    one_var_backward_extension,
-    restriction_measure,
-    weights_from_measure,
-)
+from tcshift.shifts import restriction_measure, weights_from_measure
 
 from helpers import assert_measures_close, m1, random_probability
 
@@ -111,38 +107,3 @@ class TestRestriction:
                 for _ in range(h):
                     iterated = restriction_measure(iterated, 1)
                 assert_measures_close(direct, iterated, 1e-12)
-
-
-class TestBackwardExtension1D:
-    def test_extends_the_unweighted_shift(self):
-        ext = one_var_backward_extension(1.0, dirac(1.0))
-        assert ext.subnormal
-        assert ext.measure.atoms == ((1.0, 1.0),)
-
-    def test_matches_the_two_atom_formula(self):
-        ext = one_var_backward_extension(0.5, dirac(1.0))
-        assert ext.subnormal
-        assert_measures_close(ext.measure, m1((0.0, 0.75), (1.0, 0.25)))
-
-    def test_oversized_weight_fails(self):
-        ext = one_var_backward_extension(1.2, dirac(1.0))
-        assert not ext.subnormal
-        assert ext.ratio == pytest.approx(1.44)
-
-    def test_atom_at_origin_fails(self):
-        ext = one_var_backward_extension(0.5, m1((0.0, 0.5), (1.0, 0.5)))
-        assert not ext.subnormal
-        assert ext.measure is None
-
-    def test_extended_weights_start_with_x0(self):
-        rng = random.Random(2024)
-        for _ in range(25):
-            measure = random_probability(rng)
-            x0 = math.sqrt(rng.uniform(0.05, 1.0) / measure.reciprocal_norm())
-            ext = one_var_backward_extension(x0, measure)
-            assert ext.subnormal
-            got = weights_from_measure(ext.measure, 7)
-            assert abs(got[0] - x0) <= 1e-10 * max(1.0, x0)
-            tail = weights_from_measure(measure, 6)
-            for got_w, want_w in zip(got[1:], tail):
-                assert abs(got_w - want_w) <= 1e-10 * max(1.0, want_w)
