@@ -26,7 +26,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, TCShiftError, ValidationError
 from .diagram import FlatInstance, TCInstance
-from .measures import AtomicMeasure1D, AtomicMeasure2D, Frozen
+from .measures import AtomicMeasure1D, AtomicMeasure2D, Frozen, to_float
 from .oracles import (
     hankel_psd,
     joint_hyponormality_compression,
@@ -52,15 +52,6 @@ _FLAT_SCALARS = ("p", "q", "l", "m", "b", "a")
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ParseError(message)
-
-
-def _as_float(value: int | float, what: str) -> float:
-    """``float(value)``, refusing by name an int too large for a float."""
-    try:
-        return float(value)
-    except OverflowError:
-        message = f"{what} must be finite, got an integer too large for a float"
-        raise ValidationError(message) from None
 
 
 #: (name, default, minimum, help) of each option; the type of the default
@@ -89,7 +80,7 @@ class Options(Frozen):
                 isinstance(value, (int, kind)) and not isinstance(value, bool),
                 f"option {name} must be {'a number' if kind is float else 'an integer'}",
             )
-            finite = math.isfinite(_as_float(value, f"option {name}"))
+            finite = math.isfinite(to_float(value, f"option {name}"))
             value = kind(value)
             if not (finite and value >= minimum):
                 raise ValidationError(
@@ -104,26 +95,21 @@ class ParsedFile(NamedTuple):
 
 
 def _parse_measure(obj: Any, name: str) -> AtomicMeasure1D:
+    """The measure of ``{"atoms": [[location, mass], ...]}``.  The whole
+    list's shape is checked first (pairs of JSON numbers, no ``bool``); the
+    constructor then converts each number once, naming the first bad value
+    in file order (an inf, a NaN or an int too large for a float)."""
     _require(isinstance(obj, dict), f"{name} must be an object with an 'atoms' array")
     atoms = obj.get("atoms")
     _require(isinstance(atoms, list), f"{name}.atoms must be an array")
-    pairs = []
+    _require(
+        set(map(type, atoms)) <= {list}
+        and set(map(len, atoms)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(atoms))) <= {int, float},
+        f"{name}.atoms entries must be [location, mass] number pairs",
+    )
     try:
-        for atom in atoms:
-            _require(
-                isinstance(atom, list)
-                and len(atom) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in atom),
-                f"{name}.atoms entries must be [location, mass] number pairs",
-            )
-            pairs.append((float(atom[0]), float(atom[1])))
-    except OverflowError:
-        # an int too large for a float, named without a call per atom
-        _as_float(atom[0], f"{name}: atom location")
-        _as_float(atom[1], f"{name}: atom mass")
-        raise
-    try:
-        return AtomicMeasure1D(tuple(pairs))
+        return AtomicMeasure1D(atoms)
     except (TCShiftError, ValueError) as exc:
         raise ValidationError(f"{name}: {exc}") from exc
 
@@ -135,7 +121,7 @@ def _parse_scalar(obj: dict, key: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{key} must be a number",
     )
-    return _as_float(value, key)
+    return to_float(value, key)
 
 
 def _parse_options(obj: Any) -> Options:
@@ -150,7 +136,7 @@ def parse_instance(path: str) -> ParsedFile:
 
     Structural problems raise ParseError (exit 3); files that parse but
     violate a model invariant raise ValidationError (exit 2) naming the
-    invariant.
+    invariant, or NonFinite for a scalar or option too large for a float.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -70,8 +70,16 @@ def same_location(u: float, v: float) -> bool:
     return abs(u - v) <= MERGE_REL_TOL * max(abs(u), abs(v))
 
 
+def to_float(value: float, what: str) -> float:
+    """``float(value)``, refusing by name an int too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise NonFinite(f"{what} must be finite, got an integer too large for a float") from None
+
+
 def _finite(value: float, what: str) -> float:
-    value = float(value)
+    value = to_float(value, what)
     if not math.isfinite(value):
         raise NonFinite(f"{what} must be finite, got {value!r}")
     return value
@@ -84,10 +92,12 @@ _NAMES_2D = ("atom s-coordinate", "atom t-coordinate", "atom mass")
 def _as_floats(atoms: Iterable[Sequence[float]], names: tuple[str, ...]) -> list:
     """The atoms as tuples of finite floats, in input order.
 
-    Finiteness is checked in bulk: a sum of finite floats is finite unless
-    it overflows, and any inf or NaN makes it non-finite.  Only when that
-    check (or a conversion) fails are the values walked one by one, so the
-    error names the first offending value in input order.
+    The values may be any numbers, the ints of a JSON file too; this is
+    where an instance file's atoms become floats.  Finiteness is checked in
+    bulk: a sum of finite floats is finite unless it overflows, and any inf
+    or NaN makes it non-finite.  Only when that check (or a conversion)
+    fails are the values walked one by one, so the error names the first
+    bad value in input order, be it an inf, a NaN or an oversized int.
     """
     if not isinstance(atoms, (tuple, list)):
         atoms = tuple(atoms)
@@ -419,12 +429,12 @@ def _axis_index(axis: Axis) -> int:
 
 def dirac(location: float) -> AtomicMeasure1D:
     """Unit point mass at the given location."""
-    return AtomicMeasure1D(((float(location), 1.0),), probability=True)
+    return AtomicMeasure1D(((location, 1.0),), probability=True)
 
 
 def dirac2(s: float, t: float) -> AtomicMeasure2D:
     """Unit planar point mass at (s, t)."""
-    return AtomicMeasure2D(((float(s), float(t), 1.0),), probability=True)
+    return AtomicMeasure2D(((s, t, 1.0),), probability=True)
 
 
 def _finite_nonzero(atoms: list) -> list:

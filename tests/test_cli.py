@@ -155,6 +155,18 @@ class TestParse:
         assert out == ""
         assert err.startswith(f"parse error: {path} is not valid JSON: Exceeds the limit")
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [[[1.0, 0.5, 0.5]], [[1.0, True]], [[10**400, 0.5], [True, 0.5]]],
+        ids=["triple", "bool-mass", "bool-after-an-integer-too-large-for-a-float"],
+    )
+    def test_malformed_atoms_are_a_parse_error(self, tmp_path, atoms):
+        # the shape of the whole list is checked before any value converts
+        path = write_f1_variant(tmp_path, {"xi": {"atoms": atoms}})
+        code, out, err = run_capture(["check", path])
+        assert (code, out) == (3, "")
+        assert err == "parse error: xi.atoms entries must be [location, mass] number pairs\n"
+
     def test_missing_key_is_a_parse_error(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"kind": "tc", "a": 1.0}))
@@ -246,6 +258,14 @@ class TestExitCodes:
                 ("verify", "f1.json", {"options": {name: 10**400}}, f"option {name} {TOO_LARGE}")
                 for name in ("tol", "order")
             ),
+            # the first bad value in file order is named, not the first
+            # that a pass converting the whole list trips on
+            (
+                "check",
+                "f1.json",
+                {"xi": {"atoms": [[math.inf, 0.5], [10**400, 0.5]]}},
+                "xi: atom location must be finite, got inf",
+            ),
         ],
         ids=[
             "overflow",
@@ -266,6 +286,7 @@ class TestExitCodes:
             "xi-atom-mass-too-large-for-a-float",
             "tol-too-large-for-a-float",
             "order-too-large-for-a-float",
+            "xi-inf-before-an-integer-too-large-for-a-float",
         ],
     )
     def test_failures_after_parsing_are_invalid_instances(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tcshift import measures
 from tcshift.cli import parse_instance
-from tcshift.errors import AtomAtZero, NotProbability, PreconditionViolated
+from tcshift.errors import AtomAtZero, NonFinite, NotProbability, PreconditionViolated
 from tcshift.measures import (
     MERGE_REL_TOL,
     AtomicMeasure1D,
@@ -288,12 +288,20 @@ class TestConstruction:
              "total mass is 0.75, expected 1"),
             (AtomicMeasure2D, ((1.0, 1.0, 0.5), (2.0, 1.0, 0.25)), True, NotProbability,
              "total mass is 0.75, expected 1"),
+            # an int too large for a float is named, by the constructor too
+            (AtomicMeasure1D, ((10**400, 1.0),), None, NonFinite,
+             "atom location must be finite, got an integer too large for a float"),
+            (SignedMeasure2D, ((1.0, 1.0, 10**400),), None, NonFinite,
+             "atom mass must be finite, got an integer too large for a float"),
+            (dirac, 10**400, None, NonFinite,
+             "atom location must be finite, got an integer too large for a float"),
         ],
         ids=[
             "negative-location-1d", "negative-location-signed-1d",
             "negative-location-2d", "negative-location-signed-2d",
             "mass-first-1d", "mass-first-2d", "mass-first-signed-2d",
             "total-1d", "total-2d",
+            "too-large-location-1d", "too-large-mass-signed-2d", "too-large-dirac",
         ],
     )
     def test_first_error(self, cls, atoms, probability, error, message):

@@ -167,6 +167,8 @@ def test_value_semantics(make, text, field):
     assert repr(first) == text
     with pytest.raises(AttributeError):
         setattr(first, field, None)
+    with pytest.raises(AttributeError):
+        delattr(first, field)
     assert repr(first) == text
     assert first is not second
     assert first == second
