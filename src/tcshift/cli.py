@@ -200,13 +200,15 @@ def _oracle_payloads(
             "status": status(interp.passed),
         }
     n = opts.window
-    for name, moments in (
-        ("hankel_rows", instance.row_moments),
-        ("hankel_columns", instance.column_moments),
-    ):
+    lines = (instance.row_moments, instance.column_moments)
+    # every row and column pair in one stack: base, shifted, base, ...
+    reports = iter(
+        hankel_psd((moments(index, 2 * n + 2) for moments in lines for index in range(n + 1)), n)
+    )
+    for name in ("hankel_rows", "hankel_columns"):
         entries = []
-        for index in range(n + 1):
-            base, shifted = hankel_psd(moments(index, 2 * n + 2), n)
+        # zip draws the index first, so each name takes its own n + 1 pairs
+        for index, base, shifted in zip(range(n + 1), reports, reports):
             passed = base.passed and shifted.passed
             entries.append(
                 {

@@ -25,13 +25,22 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Literal, NamedTuple
 
 from .errors import (
     AtomAtZero, DegenerateMeasure, DepthExceeded, InvalidFlat, InvalidWeight, NotProbability
 )
 from .measures import (
-    POSITIVITY_REL_TOL, PROBABILITY_TOL, AtomicMeasure1D, Frozen, dirac, left_sum, same_location
+    POSITIVITY_REL_TOL,
+    PROBABILITY_TOL,
+    AtomicMeasure1D,
+    Frozen,
+    dirac,
+    power_sums,
+    same_location,
+    to_float,
 )
 from .shifts import restriction_measure, weights_from_measure
 
@@ -47,11 +56,14 @@ class H0Report(NamedTuple):
     first_failure: tuple[str, int] | None = None
 
 
-def _check_joining_weight(a: float) -> None:
+def _joining_weight(a: float) -> float:
+    """The joining weight as a float, once checked."""
+    a = to_float(a, "a")
     if not (a > 0.0 and math.isfinite(a)):
         raise InvalidWeight(f"the joining weight a must be positive, got {a!r}")
     if not math.isfinite(a * a):
         raise InvalidWeight(f"the square of the joining weight a overflows, got {a!r}")
+    return a
 
 
 class _free_of_a(cached_property):
@@ -90,7 +102,7 @@ class TCInstance(Frozen):
         eta: AtomicMeasure1D,
         a: float,
     ) -> None:
-        vars(self).update(xi_x=xi_x, eta_y=eta_y, xi=xi, eta=eta, a=a)
+        vars(self).update(xi_x=xi_x, eta_y=eta_y, xi=xi, eta=eta)
         for name, measure in (("xi_x", xi_x), ("eta_y", eta_y), ("xi", xi), ("eta", eta)):
             if not measure.is_probability():
                 raise NotProbability(
@@ -99,7 +111,7 @@ class TCInstance(Frozen):
         for name, measure in (("xi", xi), ("eta", eta)):
             if measure.charges_origin():
                 raise AtomAtZero(f"{name} has an atom at 0")
-        _check_joining_weight(a)
+        vars(self)["a"] = _joining_weight(a)
 
     def with_a(self, a: float) -> TCInstance:
         """The same instance at another joining weight.
@@ -110,7 +122,7 @@ class TCInstance(Frozen):
         the error that it raises when built afresh; the weight grids
         depend on a and are its own.
         """
-        _check_joining_weight(a)
+        a = _joining_weight(a)
         other = object.__new__(type(self))
         vars(other).update(
             xi_x=self.xi_x, eta_y=self.eta_y, xi=self.xi, eta=self.eta, a=a, _shared=self._shared
@@ -174,15 +186,16 @@ class TCInstance(Frozen):
         """gamma[k1][k2] for every valid index, built as the row-first path
         multiplies it: along row 0 to k1, then up column k1."""
         alpha, beta = self._grids
-        columns = []
-        base = 1.0
-        for k1 in range(self.depth_limit + 1):
-            column = [base]
-            for weight in beta[k1]:
-                column.append(column[-1] * weight**2)
-            columns.append(tuple(column))
-            base *= alpha[k1][0] ** 2
-        columns.append((base,))
+        rest = range(1, self.depth_limit + 1)
+        # beta[k1] is (beta[k1][0], *core) for every k1 >= 1: square the core once
+        core = [weight**2 for weight in beta[1][1:]]
+        squares = [[weight**2 for weight in beta[0]], *([beta[k1][0] ** 2, *core] for k1 in rest)]
+        # bases[k1] = gamma[k1][0]; the last one closes row 0
+        bases = list(accumulate([alpha[k1][0] ** 2 for k1 in (0, *rest)], mul, initial=1.0))
+        columns = [
+            tuple(accumulate(column, mul, initial=base)) for base, column in zip(bases, squares)
+        ]
+        columns.append((bases[-1],))
         return tuple(columns)
 
     def weight_at(self, k1: int, k2: int, direction: Direction) -> float:
@@ -264,17 +277,14 @@ def _relative_moments(measure: AtomicMeasure1D, count: int) -> tuple[float, list
     top = measure.atoms[-1][0]
     if top == 0.0:
         raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
-    ratios = [(loc / top, mass) for loc, mass in measure.atoms]
-    moments = [left_sum(mass * ratio**k for ratio, mass in ratios) for k in range(count)]
+    moments = power_sums([(loc / top, mass) for loc, mass in measure.atoms], count)
     return top, [moment / moments[0] for moment in moments]
 
 
-def _check_unit_interval(name: str, value: float, *, allow_zero: bool) -> float:
-    value = float(value)
+def _check_unit_interval(name: str, value: float, *, allow_zero: bool) -> None:
     low_ok = value >= 0.0 if allow_zero else value > 0.0
     if not (math.isfinite(value) and low_ok and value <= 1.0):
         raise InvalidFlat(f"{name} must lie in the unit interval, got {value!r}")
-    return value
 
 
 def _check_support_avoids(measure: AtomicMeasure1D, name: str, banned: tuple[float, ...]) -> None:
@@ -311,6 +321,10 @@ class FlatInstance(Frozen):
         rho: AtomicMeasure1D | None = None,
         sigma: AtomicMeasure1D | None = None,
     ) -> None:
+        # every scalar as a float first, in field order, as the CLI reads them
+        p, q, l, m, b, a = (
+            to_float(value, name) for name, value in zip(self._fields, (p, q, l, m, b, a))
+        )
         vars(self).update(p=p, q=q, l=l, m=m, b=b, a=a, rho=rho, sigma=sigma)
         _check_unit_interval("p", self.p, allow_zero=True)
         _check_unit_interval("q", self.q, allow_zero=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidMoments, NonFinite, PreconditionViolated
 from .diagram import TCInstance
@@ -125,28 +125,53 @@ def moment_interpolation_check(
 
 
 def hankel_psd(
-    moments: Sequence[float],
+    sequences: Iterable[Sequence[float]],
     n: int,
     tol: float = DEFAULT_PSD_TOL,
-) -> tuple[PsdReport, PsdReport]:
+) -> tuple[PsdReport, ...]:
     """Stieltjes conditions for one-variable moment data.
 
-    Builds the two Hankel matrices (gamma_{i+j}) and (gamma_{i+j+1}) with
-    i, j <= n; the data comes from a measure on [0, inf) only if both are
-    positive semidefinite.  Every moment must be positive.
+    For each sequence in turn, builds the two Hankel matrices
+    (gamma_{i+j}) and (gamma_{i+j+1}) with i, j <= n; the data comes from a
+    measure on [0, inf) only if both are positive semidefinite.  Returns
+    the base and shifted report of each sequence in turn, all decided in
+    one stack.  Every moment must be positive.  Each sequence is checked
+    before the next is drawn, so an iterator that computes them raises
+    what one call per sequence would.
     """
     import numpy as np
 
-    if len(moments) < 2 * n + 2:
-        raise PreconditionViolated(
-            f"need {2 * n + 2} moments for order {n}, got {len(moments)}"
-        )
-    if any(v <= 0.0 for v in moments):
-        raise InvalidMoments("moments must be positive")
-    # base row i is moments[i : i + n + 1], shifted row i is base row i + 1
-    rows = [moments[i : i + n + 1] for i in range(n + 2)]
-    base, shifted = _psd_reports(np.array([rows[:-1], rows[1:]]), tol)
-    return base, shifted
+    stack = []
+    for moments in sequences:
+        if len(moments) < 2 * n + 2:
+            raise PreconditionViolated(
+                f"need {2 * n + 2} moments for order {n}, got {len(moments)}"
+            )
+        if any(v <= 0.0 for v in moments):
+            raise InvalidMoments("moments must be positive")
+        if not all(map(math.isfinite, moments[: 2 * n + 2])):
+            raise NonFinite("an oracle matrix has a non-finite entry")
+        # base row i is moments[i : i + n + 1], shifted row i is base row i + 1
+        rows = [moments[i : i + n + 1] for i in range(n + 2)]
+        stack += (rows[:-1], rows[1:])
+    return tuple(_psd_reports(np.array(stack), tol)) if stack else ()
+
+
+def _moment_matrix(source, n: int) -> np.ndarray:
+    """The matrix (gamma_(p+q)) over multi-indices of degree <= n, from one
+    ``source.moment`` call per distinct entry after a guard call."""
+    import numpy as np
+
+    gamma = source.moment
+    # out of the moment table exactly when any entry is: fail before the basis
+    gamma(2 * n, 0)
+    # table[k1][k2] = gamma(k1, k2), padded to a square that no index reaches
+    table = np.array(
+        [[gamma(k1, k2) for k2 in range(2 * n + 1 - k1)] + [0.0] * k1 for k1 in range(2 * n + 1)]
+    )
+    first = np.array([k1 for total in range(n + 1) for k1 in range(total, -1, -1)])
+    second = np.array([total - k1 for total in range(n + 1) for k1 in range(total, -1, -1)])
+    return table[first[:, None] + first, second[:, None] + second]
 
 
 def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
@@ -156,18 +181,46 @@ def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     semidefinite whenever the data are moments of a measure.  ``source``
     is anything with a ``moment(k1, k2)`` method.
     """
+    return _psd_reports(_moment_matrix(source, n)[None], tol)[0]
+
+
+def _joint_hyponormality_matrix(instance: TCInstance, window: int) -> np.ndarray:
+    """The compression of ``joint_hyponormality_compression``, from one
+    ``weight_at`` call per weight."""
     import numpy as np
 
-    gamma = source.moment
-    # out of the moment table exactly when any entry is: fail before the basis
-    gamma(2 * n, 0)
-    basis = [
-        (k1, total - k1) for total in range(n + 1) for k1 in range(total, -1, -1)
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    side = window + 1
+    size = side * side
+    indices = [(k1, k2) for k1 in range(side) for k2 in range(side)]
+    alpha = [[instance.weight_at(k1, k2, "h") for k2 in range(side)] for k1 in range(side)]
+    beta = [[instance.weight_at(k1, k2, "v") for k2 in range(side)] for k1 in range(side)]
+    alpha_sq = [[weight**2 for weight in row] for row in alpha]
+    beta_sq = [[weight**2 for weight in row] for row in beta]
+    # basis vector (k1, k2) of the first summand is row k1 * side + k2, of
+    # the second size + k1 * side + k2
+    diagonal = [
+        alpha_sq[k1][k2] - (alpha_sq[k1 - 1][k2] if k1 >= 1 else 0.0) for k1, k2 in indices
     ]
-    # one call per distinct entry, table[k1][k2] = gamma(k1, k2)
-    table = [[gamma(k1, k2) for k2 in range(2 * n + 1 - k1)] for k1 in range(2 * n + 1)]
-    matrix = [[table[p1 + q1][p2 + q2] for q1, q2 in basis] for p1, p2 in basis]
-    return _psd_reports(np.array([matrix]), tol)[0]
+    diagonal += [
+        beta_sq[k1][k2] - (beta_sq[k1][k2 - 1] if k2 >= 1 else 0.0) for k1, k2 in indices
+    ]
+    # Off-diagonal blocks: [T2*, T1] maps e_l to a multiple of
+    # e_{l + (1, -1)}, so only columns with l2 >= 1 and l1 < window contribute.
+    sources = [(l1, l2) for l1 in range(window) for l2 in range(1, side)]
+    off = [
+        alpha[l1][l2] * beta[l1 + 1][l2 - 1] - alpha[l1][l2 - 1] * beta[l1][l2 - 1]
+        for l1, l2 in sources
+    ]
+    rows = [(l1 + 1) * side + l2 - 1 for l1, l2 in sources]
+    cols = [size + l1 * side + l2 for l1, l2 in sources]
+    matrix = np.zeros((2 * size, 2 * size))
+    every = np.arange(2 * size)
+    matrix[every, every] = diagonal
+    matrix[rows, cols] = off
+    matrix[cols, rows] = off
+    return matrix
 
 
 def joint_hyponormality_compression(
@@ -181,43 +234,7 @@ def joint_hyponormality_compression(
     hyponormality, hence subnormality) forces every such compression to be
     positive semidefinite.
     """
-    import numpy as np
-
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    side = window + 1
-    size = side * side
-
-    def alpha(k1: int, k2: int) -> float:
-        return instance.weight_at(k1, k2, "h")
-
-    def beta(k1: int, k2: int) -> float:
-        return instance.weight_at(k1, k2, "v")
-
-    def flat(k1: int, k2: int) -> int:
-        return k1 * side + k2
-
-    matrix = np.zeros((2 * size, 2 * size))
-    for k1 in range(side):
-        for k2 in range(side):
-            i = flat(k1, k2)
-            left = alpha(k1 - 1, k2) ** 2 if k1 >= 1 else 0.0
-            matrix[i, i] = alpha(k1, k2) ** 2 - left
-            below = beta(k1, k2 - 1) ** 2 if k2 >= 1 else 0.0
-            matrix[size + i, size + i] = beta(k1, k2) ** 2 - below
-    # Off-diagonal blocks: [T2*, T1] maps e_l to a multiple of
-    # e_{l + (1, -1)}, so only columns with l2 >= 1 contribute.
-    for l1 in range(side):
-        for l2 in range(1, side):
-            k1, k2 = l1 + 1, l2 - 1
-            if k1 > window:
-                continue
-            value = alpha(l1, l2) * beta(l1 + 1, l2 - 1) - alpha(l1, l2 - 1) * beta(
-                l1, l2 - 1
-            )
-            matrix[flat(k1, k2), size + flat(l1, l2)] = value
-            matrix[size + flat(l1, l2), flat(k1, k2)] = value
-    return _psd_reports(matrix[np.newaxis], tol)[0]
+    return _psd_reports(_joint_hyponormality_matrix(instance, window)[None], tol)[0]
 
 
 def oracle_status(verdict_subnormal: bool, oracle_passed: bool) -> str:

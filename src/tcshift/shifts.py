@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight
-from .measures import AtomicMeasure1D
+from .measures import AtomicMeasure1D, power_sums
 
 
 def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
@@ -28,15 +28,10 @@ def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
     """
     if n < 1:
         raise ValueError("at least one weight must be requested")
-    gammas = []
-    for k in range(n + 1):
-        try:
-            gamma = measure.moment(k)
-        except OverflowError:
-            gamma = math.inf
-        if gamma == math.inf:
-            raise InvalidMoments(f"moment {k} of the measure overflows")
-        gammas.append(gamma)
+    # the moments of orders 0 to n, the bits of measure.moment(k)
+    gammas = power_sums(measure.atoms, n + 1)
+    if math.inf in gammas:
+        raise InvalidMoments(f"moment {gammas.index(math.inf)} of the measure overflows")
     if gammas[1] <= 0.0:
         raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
     if 0.0 in gammas:

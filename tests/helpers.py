@@ -8,7 +8,11 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
+
+from tcshift.cli import parse_instance
 from tcshift.diagram import FlatInstance, TCInstance
+from tcshift.errors import DegenerateMeasure, InvalidMoments, InvalidWeight, TCShiftError
 from tcshift.measures import (
     MERGE_REL_TOL,
     POSITIVITY_REL_TOL,
@@ -16,10 +20,10 @@ from tcshift.measures import (
     atom_difference,
     combine,
     dirac,
+    left_sum,
     product,
 )
 from tcshift.reconstruct import compute_phi, compute_psi
-from tcshift.shifts import weights_from_measure
 
 
 def m1(*pairs: tuple[float, float], probability: bool = False) -> AtomicMeasure1D:
@@ -245,15 +249,26 @@ def tc_file(instance: TCInstance) -> dict:
     return {"kind": "tc", **measures, "a": instance.a}
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
 FLAT_FIXTURES = ("f1_flat", "flat_remainders_1", "flat_remainders_2", "n1_flat")
+
+
+def fixture_instances():
+    """(name, instance) for every fixture that parses, as the tc instance
+    that verify checks."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            instance = parse_instance(str(path)).instance
+        except TCShiftError:
+            continue
+        yield path.stem, instance.embed() if isinstance(instance, FlatInstance) else instance
 
 
 def flat_files(count: int, seed: int = 16):
     """(label, file) for every flat fixture, then for ``count`` instances of
     ``random_flat_instance`` from ``random.Random(seed)``."""
-    fixtures = Path(__file__).parent / "fixtures"
     for name in FLAT_FIXTURES:
-        yield name, json.loads((fixtures / f"{name}.json").read_text())
+        yield name, json.loads((FIXTURES / f"{name}.json").read_text())
     rng = random.Random(seed)
     for index in range(count):
         yield f"random {index}", flat_file(random_flat_instance(rng))
@@ -386,7 +401,7 @@ def reference_moment(inst: TCInstance, k1: int, k2: int) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _reference_weights(measure: AtomicMeasure1D) -> tuple[float, ...]:
-    return weights_from_measure(measure, TCInstance.depth_limit + 1)
+    return reference_weights_from_measure(measure, TCInstance.depth_limit + 1)
 
 
 def reference_weight(inst: TCInstance, k1: int, k2: int, direction: str) -> float:
@@ -415,3 +430,107 @@ def reference_weight(inst: TCInstance, k1: int, k2: int, direction: str) -> floa
     for i in range(1, k1):
         value = value * alpha[i - 1] / x[i]
     return value
+
+
+# Reference moment sums and oracle matrices: built one order, one entry at a
+# time.  The atom-major sums of tcshift.measures.power_sums and the matrices
+# that tcshift.oracles builds whole must reproduce them exactly (same bits,
+# same exceptions and messages).
+
+
+def reference_weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
+    """``weights_from_measure`` from one ``measure.moment(k)`` per order,
+    stopping at the first order that overflows."""
+    if n < 1:
+        raise ValueError("at least one weight must be requested")
+    gammas = []
+    for k in range(n + 1):
+        try:
+            gamma = measure.moment(k)
+        except OverflowError:
+            gamma = math.inf
+        if gamma == math.inf:
+            raise InvalidMoments(f"moment {k} of the measure overflows")
+        gammas.append(gamma)
+    if gammas[1] <= 0.0:
+        raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
+    if 0.0 in gammas:
+        raise InvalidMoments(f"moment {gammas.index(0.0)} of the measure underflows to 0")
+    weights = tuple(math.sqrt(gammas[k + 1] / gammas[k]) for k in range(n))
+    bound = math.sqrt(max(loc for loc, _ in measure.atoms))
+    for value in weights:
+        if not (value > 0.0 and math.isfinite(value)):
+            raise InvalidWeight(f"weights must be positive and finite, got {value!r}")
+        if value > bound * (1.0 + 1e-12):
+            raise InvalidWeight(f"weight {value!r} exceeds the norm bound {bound!r}")
+    return weights
+
+
+def reference_relative_moments(measure: AtomicMeasure1D, count: int):
+    """``diagram._relative_moments`` summed one order at a time."""
+    top = measure.atoms[-1][0]
+    if top == 0.0:
+        raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
+    ratios = [(loc / top, mass) for loc, mass in measure.atoms]
+    moments = [left_sum(mass * ratio**k for ratio, mass in ratios) for k in range(count)]
+    return top, [moment / moments[0] for moment in moments]
+
+
+def reference_moment_matrix(source, n: int) -> np.ndarray:
+    """The moment matrix of ``moment_matrix_2d``, entry by entry."""
+    gamma = source.moment
+    gamma(2 * n, 0)
+    basis = [(k1, total - k1) for total in range(n + 1) for k1 in range(total, -1, -1)]
+    table = [[gamma(k1, k2) for k2 in range(2 * n + 1 - k1)] for k1 in range(2 * n + 1)]
+    return np.array([[table[p1 + q1][p2 + q2] for q1, q2 in basis] for p1, p2 in basis])
+
+
+def reference_joint_hyponormality_matrix(instance: TCInstance, window: int) -> np.ndarray:
+    """The compression of ``joint_hyponormality_compression``, entry by
+    entry, reading a weight each time it is used."""
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    side = window + 1
+    size = side * side
+
+    def alpha(k1, k2):
+        return instance.weight_at(k1, k2, "h")
+
+    def beta(k1, k2):
+        return instance.weight_at(k1, k2, "v")
+
+    matrix = np.zeros((2 * size, 2 * size))
+    for k1 in range(side):
+        for k2 in range(side):
+            i = k1 * side + k2
+            left = alpha(k1 - 1, k2) ** 2 if k1 >= 1 else 0.0
+            matrix[i, i] = alpha(k1, k2) ** 2 - left
+            below = beta(k1, k2 - 1) ** 2 if k2 >= 1 else 0.0
+            matrix[size + i, size + i] = beta(k1, k2) ** 2 - below
+    for l1 in range(side):
+        for l2 in range(1, side):
+            k1, k2 = l1 + 1, l2 - 1
+            if k1 > window:
+                continue
+            value = alpha(l1, l2) * beta(l1 + 1, l2 - 1) - alpha(l1, l2 - 1) * beta(l1, l2 - 1)
+            matrix[k1 * side + k2, size + l1 * side + l2] = value
+            matrix[size + l1 * side + l2, k1 * side + k2] = value
+    return matrix
+
+
+def outcome(fn, *args):
+    """The repr of what ``fn(*args)`` returns, or the type and message of
+    what it raises: two equal outcomes are the same bits or the same error."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+
+
+def same_array(actual: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: NaN equals NaN and -0.0 differs from 0.0."""
+    return (
+        actual.shape == expected.shape
+        and actual.dtype == expected.dtype
+        and actual.tobytes() == expected.tobytes()
+    )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import tcshift
 from tcshift import measures, oracles, reconstruct, shifts
-from tcshift.cli import DEFAULT_ORDER, DEFAULT_WINDOW, _mu_pieces, parse_instance, run
+from tcshift.cli import DEFAULT_ORDER, _mu_pieces, parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
 from tcshift.measures import AtomicMeasure1D, SignedMeasure2D
@@ -957,7 +957,8 @@ class TestSweepSharesTheAFreeParts:
 
 class TestOracleCalls:
     """verify reads each moment once per oracle and decides each oracle's
-    matrices, a Hankel pair counting as one, in one eigvalsh call."""
+    matrices, every Hankel pair of every row and column together, in one
+    eigvalsh call."""
 
     @pytest.mark.parametrize(
         "name",
@@ -997,5 +998,5 @@ class TestOracleCalls:
         matrix_calls = calls.count(("moment_matrix_2d", "instance"))
         assert 0 < matrix_calls <= (2 * n + 1) * (2 * n + 2) // 2 + 1
         assert calls.count(("moment_interpolation_check", "measure")) == 0
-        # two Hankel pairs per index, one stack each, then the two matrices
-        assert sum(label == "eigvalsh" for _, label in calls) == 2 * (DEFAULT_WINDOW + 1) + 2
+        # every Hankel pair in one stack, then the two matrices
+        assert sum(label == "eigvalsh" for _, label in calls) == 3

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcshift.diagram import FlatInstance, TCInstance
@@ -16,7 +16,9 @@ from tcshift.errors import (
     InvalidFlat,
     InvalidMoments,
     InvalidWeight,
+    NonFinite,
     NotProbability,
+    TCShiftError,
 )
 from tcshift.measures import AtomicMeasure1D, dirac
 from tcshift.reconstruct import subnormality_verdict
@@ -452,3 +454,64 @@ class TestFlatInstance:
         assert_measures_close(
             flat.eta_y, m1((0.0, 0.3), (0.5, 0.2), (1.0, 0.3), (2.0, 0.2))
         )
+
+
+FLAT_BASES = (
+    dict(p=0.5, q=0.5, l=0.5, m=0.5, b=1.0, a=math.sqrt(0.5)),
+    dict(p=0.3, q=0.3, l=0.3, m=0.3, b=1.0, a=0.5, rho=m1((2.0, 1.0)), sigma=m1((0.5, 1.0))),
+)
+
+
+def scalar_constructors():
+    """(label, field, call) for every public way to give an instance a scalar."""
+    measures = (dirac(1.0), dirac(2.0), dirac(1.0), dirac(2.0))
+    yield "TCInstance", "a", lambda x: TCInstance(*measures, x)
+    yield "with_a", "a", lambda x: f1_instance().with_a(x)
+    for index, base in enumerate(FLAT_BASES):
+        for field in ("p", "q", "l", "m", "b", "a"):
+            yield f"FlatInstance {index} {field}", field, (
+                lambda x, base=base, field=field: FlatInstance(**{**base, field: x})
+            )
+
+
+SCALAR_CONSTRUCTORS = list(scalar_constructors())
+
+
+class TestScalarFields:
+    """Each scalar a constructor takes becomes a float once, and any JSON
+    number given as one is accepted or refused with a library error."""
+
+    @pytest.mark.parametrize("label, field, make", SCALAR_CONSTRUCTORS)
+    def test_an_integer_too_large_for_a_float_is_named(self, label, field, make):
+        for value in (10**400, -(10**400)):
+            with pytest.raises(
+                NonFinite, match=f"^{field} must be finite, got an integer too large for a float$"
+            ):
+                make(value)
+
+    def test_integers_are_held_as_floats(self):
+        tc = TCInstance(dirac(1.0), dirac(1.0), dirac(1.0), dirac(1.0), 1)
+        flat = FlatInstance(p=0, q=1, l=0, m=1, b=1, a=1)
+        assert repr(tc.a) == repr(tc.with_a(2).a / 2) == "1.0"
+        assert repr(flat) == (
+            "FlatInstance(p=0.0, q=1.0, l=0.0, m=1.0, b=1.0, a=1.0, rho=None, sigma=None)"
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        constructor=st.sampled_from(SCALAR_CONSTRUCTORS),
+        value=st.one_of(
+            st.integers(), st.integers(min_value=-(10**400), max_value=10**400), st.floats()
+        ),
+    )
+    @example(constructor=SCALAR_CONSTRUCTORS[0], value=math.nan)
+    @example(constructor=SCALAR_CONSTRUCTORS[1], value=-0.0)
+    @example(constructor=SCALAR_CONSTRUCTORS[2], value=math.inf)
+    @example(constructor=SCALAR_CONSTRUCTORS[6], value=10**400)
+    def test_any_json_number_is_taken_or_refused_by_name(self, constructor, value):
+        _, field, make = constructor
+        try:
+            instance = make(value)
+        except TCShiftError:
+            return
+        assert type(getattr(instance, field)) is float

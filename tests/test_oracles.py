@@ -4,19 +4,19 @@ import math
 import random
 import struct
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tcshift.cli import DEFAULT_WINDOW, parse_instance
-from tcshift.diagram import FlatInstance
-from tcshift.errors import InvalidMoments, NonFinite, PreconditionViolated, TCShiftError
+from tcshift.cli import DEFAULT_WINDOW
+from tcshift.errors import InvalidMoments, NonFinite, PreconditionViolated
 from tcshift.measures import AtomicMeasure2D, dirac2
 from tcshift.oracles import (
     PsdReport,
+    _joint_hyponormality_matrix,
+    _moment_matrix,
     _moment_table,
     _psd_reports,
     hankel_psd,
@@ -29,13 +29,17 @@ from tcshift.reconstruct import berger_measure, subnormality_verdict
 
 from helpers import (
     f1_instance,
+    fixture_instances,
+    outcome,
     random_probability,
     random_subnormal_instance,
+    random_tc_instance,
+    reference_joint_hyponormality_matrix,
+    reference_moment_matrix,
+    same_array,
     spike_instance,
     trivial_instance,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestMomentInterpolation:
@@ -136,16 +140,6 @@ def assert_stack_reports_match(stack: np.ndarray, tol: float = 1e-9) -> None:
     assert repr(_psd_reports(stack, tol)) == repr([single_report(m, tol) for m in stack])
 
 
-def fixture_instances():
-    """Every fixture that parses, as the tc instance that verify checks."""
-    for path in sorted(FIXTURES.glob("*.json")):
-        try:
-            instance = parse_instance(str(path)).instance
-        except TCShiftError:
-            continue
-        yield path.stem, instance.embed() if isinstance(instance, FlatInstance) else instance
-
-
 class TestStackedPsdReports:
     """One batched LAPACK call gives each matrix the report of its own call."""
 
@@ -168,39 +162,123 @@ class TestStackedPsdReports:
                 shifted = [[data[i + j + 1] for j in range(n + 1)] for i in range(n + 1)]
                 assert_stack_reports_match(np.array([base, shifted]))
                 # and hankel_psd, which stacks the pair itself
-                stacked = hankel_psd(data, n)
+                stacked = hankel_psd([data], n)
                 assert repr(stacked) == repr(
                     (single_report(np.array(base), 1e-9), single_report(np.array(shifted), 1e-9))
                 )
                 checked += 1
         assert checked == 2 * (n + 1)
 
+    @pytest.mark.parametrize("name, instance", list(fixture_instances()))
+    def test_the_stack_that_verify_builds(self, name, instance):
+        # every row sequence, then every column sequence, in one call
+        n = DEFAULT_WINDOW
+        sequences = [
+            moments(index, 2 * n + 2)
+            for moments in (instance.row_moments, instance.column_moments)
+            for index in range(n + 1)
+        ]
+        expected = []
+        for data in sequences:
+            for shift in (0, 1):
+                matrix = [[data[i + j + shift] for j in range(n + 1)] for i in range(n + 1)]
+                expected.append(single_report(np.array(matrix), 1e-9))
+        assert len(sequences) == 2 * (n + 1)
+        assert repr(hankel_psd(sequences, n)) == repr(tuple(expected))
+        assert repr(hankel_psd(iter(sequences), n)) == repr(tuple(expected))
+
+    def test_each_sequence_is_checked_before_the_next_is_drawn(self):
+        def sequences(*first):
+            yield from first
+            raise AssertionError("drawn past a bad sequence")
+
+        with pytest.raises(InvalidMoments):
+            hankel_psd(sequences((1.0,) * 4, (1.0, -0.5, 1.0, 1.0)), 1)
+        with pytest.raises(PreconditionViolated):
+            hankel_psd(sequences((1.0,) * 4, (1.0,) * 3), 1)
+        # a non-finite entry is named before a later sequence's fault
+        with pytest.raises(NonFinite):
+            hankel_psd(sequences((1.0, math.inf, 1.0, 1.0)), 1)
+        # entries past the matrices are checked for sign only
+        assert len(hankel_psd([(1.0, 1.0, 1.0, 1.0, math.inf)], 1)) == 2
+
+    def test_no_sequences_no_reports(self):
+        assert hankel_psd([], 3) == ()
+
+
+def matrix_instances():
+    """Every fixture, then seeded random instances."""
+    yield from fixture_instances()
+    rng = random.Random(2121)
+    for index in range(12):
+        yield f"random {index}", random_tc_instance(rng)
+
+
+class TestMatricesBuiltWhole:
+    """The oracle matrices, built whole, hold the bits of the entry-by-entry
+    builders, and raise what they raise."""
+
+    @pytest.mark.parametrize("name, instance", list(matrix_instances()))
+    def test_moment_matrix(self, name, instance):
+        for n in range(1, 8):
+            expected = reference_moment_matrix(instance, n)
+            assert same_array(_moment_matrix(instance, n), expected)
+            report = _psd_reports(expected[None], 1e-9)[0]
+            assert repr(moment_matrix_2d(instance, n)) == repr(report)
+
+    @pytest.mark.parametrize("name, instance", list(matrix_instances()))
+    def test_joint_hyponormality_matrix(self, name, instance):
+        for window in range(1, 8):
+            expected = reference_joint_hyponormality_matrix(instance, window)
+            assert same_array(_joint_hyponormality_matrix(instance, window), expected)
+            assert repr(joint_hyponormality_compression(instance, window)) == repr(
+                _psd_reports(expected[None], 1e-9)[0]
+            )
+
+    @pytest.mark.parametrize("size", [0, 17, 40])
+    def test_errors_match(self, size):
+        instance = f1_instance()
+        assert outcome(_moment_matrix, instance, size) == outcome(
+            reference_moment_matrix, instance, size
+        )
+        for window in (size, size + 16):
+            assert outcome(_joint_hyponormality_matrix, instance, window) == outcome(
+                reference_joint_hyponormality_matrix, instance, window
+            )
+
+    def test_a_measure_source(self):
+        rng = random.Random(7)
+        mx, my = random_probability(rng, lo=0.0), random_probability(rng, lo=0.0)
+        mu = AtomicMeasure2D(tuple((s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms))
+        for n in range(1, 6):
+            assert same_array(_moment_matrix(mu, n), reference_moment_matrix(mu, n))
+
 
 class TestHankel:
     def test_constant_moments(self):
-        base, shifted = hankel_psd((1.0,) * 8, 3)
+        base, shifted = hankel_psd([(1.0,) * 8], 3)
         assert base.passed and shifted.passed
         assert abs(base.min_eigenvalue) <= base.tolerance
 
     def test_two_atom_moments(self):
-        base, shifted = hankel_psd((1.0, 0.25, 0.25, 0.25, 0.25, 0.25), 2)
+        base, shifted = hankel_psd([(1.0, 0.25, 0.25, 0.25, 0.25, 0.25)], 2)
         assert base.passed and shifted.passed
 
     def test_non_moment_data_fails(self):
-        base, shifted = hankel_psd((1.0, 1.44, 1.44, 1.44), 1)
+        base, shifted = hankel_psd([(1.0, 1.44, 1.44, 1.44)], 1)
         assert not (base.passed and shifted.passed)
 
     def test_needs_enough_moments(self):
         with pytest.raises(PreconditionViolated):
-            hankel_psd((1.0, 0.5, 0.5), 1)
+            hankel_psd([(1.0, 0.5, 0.5)], 1)
 
     def test_positive_required(self):
         with pytest.raises(InvalidMoments):
-            hankel_psd((1.0, -0.1), 0)
+            hankel_psd([(1.0, -0.1)], 0)
 
     def test_entries_near_the_largest_float_are_used_as_built(self):
         # symmetrising by 0.5 * (H + H.T) would overflow 1e308 to inf
-        base, shifted = hankel_psd((1.0, 1e-10, 1e308, 1e300), 1)
+        base, shifted = hankel_psd([(1.0, 1e-10, 1e308, 1e300)], 1)
         assert base.min_eigenvalue == 1.0
         assert base.passed
 
@@ -272,7 +350,7 @@ class TestSoundness:
             assert verdict.subnormal
             for index in range(5):
                 for seq in (inst.row_moments(index, 10), inst.column_moments(index, 10)):
-                    base, shifted = hankel_psd(seq, 4)
+                    base, shifted = hankel_psd([seq], 4)
                     assert base.passed and shifted.passed
             assert moment_matrix_2d(inst, 6).passed
             assert joint_hyponormality_compression(inst, 6).passed

@@ -4,12 +4,50 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tcshift.diagram import TCInstance, _relative_moments
 from tcshift.errors import DegenerateMeasure, InvalidMoments, InvalidWeight
-from tcshift.measures import AtomicMeasure1D, dirac
+from tcshift.measures import AtomicMeasure1D, SignedMeasure1D, dirac, power_sums
 from tcshift.shifts import restriction_measure, weights_from_measure
 
-from helpers import assert_measures_close, m1, random_probability
+from helpers import (
+    assert_measures_close,
+    fixture_instances,
+    m1,
+    outcome,
+    random_probability,
+    reference_relative_moments,
+    reference_weights_from_measure,
+)
+
+DEPTH = TCInstance.depth_limit + 1
+
+
+def fixture_measures():
+    """The four measures of every fixture that parses."""
+    for name, instance in fixture_instances():
+        for field in ("xi_x", "eta_y", "xi", "eta"):
+            yield f"{name}.{field}", getattr(instance, field)
+
+
+def moment_or_inf(measure: AtomicMeasure1D, k: int) -> float:
+    try:
+        return measure.moment(k)
+    except OverflowError:
+        return math.inf
+
+
+# atoms at any scale, so that powers overflow and underflow at every order
+scaled_atoms = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e300, allow_nan=False),
+        st.floats(min_value=1e-300, max_value=1e300),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
 class TestWeightsFromMeasure:
@@ -63,6 +101,56 @@ class TestWeightsFromMeasure:
             weights = weights_from_measure(measure, 12)
             for lower, upper in zip(weights, weights[1:]):
                 assert lower <= upper * (1.0 + 1e-12)
+
+
+class TestAtomMajorSums:
+    """power_sums adds the terms of every order atom by atom; the sums, and
+    the weights and errors built on them, are those of one pass per order."""
+
+    @pytest.mark.parametrize("name, measure", list(fixture_measures()))
+    def test_fixture_weights(self, name, measure):
+        for n in (1, 2, 12, DEPTH):
+            expected = outcome(reference_weights_from_measure, measure, n)
+            assert outcome(weights_from_measure, measure, n) == expected
+
+    @pytest.mark.parametrize("name, measure", list(fixture_measures()))
+    def test_fixture_relative_moments(self, name, measure):
+        expected = outcome(reference_relative_moments, measure, 10)
+        assert outcome(_relative_moments, measure, 10) == expected
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e-11, 1.0, 1e10, 1e40])
+    def test_seeded_random_measures(self, scale):
+        rng = random.Random(2126)
+        for _ in range(40):
+            base = random_probability(rng, zero_prob=0.3, lo=0.05)
+            measure = AtomicMeasure1D([(loc * scale, mass) for loc, mass in base.atoms])
+            assert outcome(weights_from_measure, measure, DEPTH) == outcome(
+                reference_weights_from_measure, measure, DEPTH
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(atoms=scaled_atoms, count=st.integers(min_value=1, max_value=40))
+    @example(atoms=[(1e10, 1.0)], count=34)
+    @example(atoms=[(1e-11, 1.0)], count=34)
+    @example(atoms=[(1.6e308, 1.0), (1.7e308, 1.0)], count=3)
+    @example(atoms=[(0.0, 0.5), (2.0, 0.5)], count=5)
+    def test_sums_are_the_moments(self, atoms, count):
+        measure = AtomicMeasure1D(atoms)
+        expected = [moment_or_inf(measure, k) for k in range(count)]
+        assert repr(power_sums(measure.atoms, count)) == repr(expected)
+        # and the first order that overflows or underflows is named as before
+        for n in (count, DEPTH):
+            assert outcome(weights_from_measure, measure, n) == outcome(
+                reference_weights_from_measure, measure, n
+            )
+        assert outcome(_relative_moments, measure, count) == outcome(
+            reference_relative_moments, measure, count
+        )
+
+    def test_no_atoms(self):
+        # left_sum's empty total is the int 0
+        empty = SignedMeasure1D(())
+        assert repr(power_sums((), 3)) == repr([empty.moment(k) for k in range(3)]) == "[0, 0, 0]"
 
 
 class TestTwoAtomMeasure:
