@@ -19,6 +19,14 @@ An instance tabulates its weights and moments once, to the fixed depth
 k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
 ``TCInstance.with_a`` makes the same instance at another joining weight;
 the values that do not depend on a are computed once for all of them.
+Among them are the runs in which psi's and phi's atoms merge
+(``measures.merge_runs``): psi and phi combine four fixed measures, and
+only the coefficients depend on a.  No run of psi holds two atoms of one
+term, and in phi delta_0 can meet only an atom of xi_x at 0, as xi~ never
+charges 0, so every run holds at most two atoms, whose sum is the same
+bits in either order.  Each point of a family then only multiplies and
+adds its masses.  An instance built by the constructor, which usually
+gives one verdict, builds no runs and merges as before.
 """
 
 from __future__ import annotations
@@ -37,7 +45,9 @@ from .measures import (
     PROBABILITY_TOL,
     AtomicMeasure1D,
     Frozen,
+    MergeRuns,
     dirac,
+    merge_runs,
     power_sums,
     same_location,
     to_float,
@@ -90,6 +100,9 @@ class TCInstance(Frozen):
     """
 
     _fields = ("xi_x", "eta_y", "xi", "eta", "a")
+    #: True on an instance made by ``with_a``, whose verdict shares psi's
+    #: and phi's merge runs with the rest of its family.
+    in_family = False
     #: Largest weight index; moments are valid for k1 <= depth_limit + 1
     #: when k2 = 0, and for k1 <= depth_limit, k2 <= depth_limit + 1.
     depth_limit = 32
@@ -125,7 +138,13 @@ class TCInstance(Frozen):
         a = _joining_weight(a)
         other = object.__new__(type(self))
         vars(other).update(
-            xi_x=self.xi_x, eta_y=self.eta_y, xi=self.xi, eta=self.eta, a=a, _shared=self._shared
+            xi_x=self.xi_x,
+            eta_y=self.eta_y,
+            xi=self.xi,
+            eta=self.eta,
+            a=a,
+            _shared=self._shared,
+            in_family=True,
         )
         return other
 
@@ -159,6 +178,16 @@ class TCInstance(Frozen):
     @_free_of_a
     def xi_tilde(self) -> AtomicMeasure1D:
         return self.xi.tilde()
+
+    @_free_of_a
+    def psi_runs(self) -> MergeRuns | None:
+        """The merge runs of psi's terms, tail and eta."""
+        return merge_runs((self.eta_y_tail, self.eta))
+
+    @_free_of_a
+    def phi_runs(self) -> MergeRuns | None:
+        """The merge runs of phi's terms, xi_x, delta_0 and xi~."""
+        return merge_runs((self.xi_x, dirac(0.0), self.xi_tilde))
 
     @cached_property
     def _grids(self) -> tuple[Grid, Grid]:

@@ -28,7 +28,12 @@ The constructors establish this with one sort and one merge pass.  The
 product of two merged factors is merged already, so ``product`` builds its
 atoms without a merge pass; its docstring gives the proof.  A sum of
 nonnegative terms of which no two atoms are at one location needs only the
-sort: ``disjoint_sum`` builds it so.
+sort: ``disjoint_sum`` builds it so.  A 1-D ``combine`` of fixed measures
+at changing coefficients can skip the sort and the merge too: where
+``merge_runs`` finds that no run of the merge of their locations holds more
+than two atoms, the runs are the same at every coefficient, and each run's
+sum is the same bits in either order, so ``combine`` only multiplies and
+adds in those runs.
 """
 
 from __future__ import annotations
@@ -463,6 +468,15 @@ def dirac2(s: float, t: float) -> AtomicMeasure2D:
     return AtomicMeasure2D(((s, t, 1.0),), probability=True)
 
 
+def _finite_masses(atoms: list, names: tuple[str, ...]) -> list:
+    """Float atoms at finite locations, as they are when every mass is
+    finite; otherwise ``_as_floats`` walks them, and a non-finite mass
+    raises, naming the first one in input order."""
+    if math.isfinite(sum(map(itemgetter(-1), atoms))):
+        return atoms
+    return _as_floats(atoms, names)
+
+
 def _finite_nonzero(atoms: list) -> list:
     """Planar atoms whose masses are all finite, less those whose mass
     underflowed to exactly zero; a non-finite mass raises, naming the first
@@ -502,32 +516,92 @@ def product(mx: SignedMeasure1D, my: SignedMeasure1D) -> SignedMeasure2D:
     return _from_merged(SignedMeasure2D, tuple(atoms))
 
 
+class MergeRuns(NamedTuple):
+    """The runs of a 1-D merge: the location of each run's first atom and
+    the indices of its atoms among the atoms of the terms laid end to end.
+    A run of one atom has as its second index the one past the last atom,
+    where ``combine`` puts a 0.0: x + 0.0 is x for every x but -0.0, and
+    both are dropped as zero."""
+
+    heads: tuple[float, ...]
+    first: tuple[int, ...]
+    second: tuple[int, ...]
+
+
+def merge_runs(measures: Sequence[SignedMeasure1D]) -> MergeRuns | None:
+    """The runs in which ``combine`` of merged 1-D measures, in this order,
+    merges their atoms at any nonzero coefficients; None where the runs or
+    their sums could depend on the coefficients.
+
+    The merge sorts the atoms by location and then by mass, and it starts
+    a run at each atom that is not at the same location as the first atom
+    of the current run.  So which atoms share a run depends on the
+    locations alone, and so does each run's location, unless a tie puts
+    -0.0 or 0.0 first: a run holding both is refused.  A run of three or
+    more atoms is refused too, as its sum depends on the order of the
+    additions; the two masses of a run of two sum to the same bits in
+    either order.  A merged measure puts at most one atom in a run, so two
+    measures always pass the second test.
+    """
+    locations = [loc for measure in measures for loc, _ in measure.atoms]
+    if len({math.copysign(1.0, loc) for loc in locations if loc == 0.0}) > 1:
+        return None
+    head_of = _run_heads(set(locations))
+    runs: dict[float, list[int]] = {}
+    for index, loc in enumerate(locations):
+        runs.setdefault(head_of[loc], []).append(index)
+    if any(len(run) > 2 for run in runs.values()):
+        return None
+    heads = sorted(runs)
+    past_last = len(locations)
+    first = [runs[head][0] for head in heads]
+    second = [runs[head][1] if len(runs[head]) == 2 else past_last for head in heads]
+    return MergeRuns(tuple(heads), tuple(first), tuple(second))
+
+
 def combine(
     terms: Sequence[tuple[float, Measure]],
+    runs: MergeRuns | None = None,
 ) -> SignedMeasure1D | SignedMeasure2D:
     """Signed linear combination of measures sharing one dimension.
 
     Coincident locations merge and exactly cancelled atoms are pruned, so a
     combination like ``[(1, m), (-1, m)]`` yields the empty (zero) measure.
+
+    ``runs``, from ``merge_runs`` of the terms' 1-D measures in term order,
+    replaces the sort and the merge pass by a sum in each run, with the
+    same result to the bit.  The merge then runs anyway when a coefficient
+    is zero, as its term is skipped, which may move a run's first atom,
+    and when a mass is not finite, so that the error names it as before.
     """
     planar = {isinstance(measure, SignedMeasure2D) for _, measure in terms}
     if len(planar) > 1:
         raise ValueError("cannot combine measures of different dimensions")
     if True not in planar:
+        if runs is not None and all(coeff != 0.0 for coeff, _ in terms):
+            masses = [coeff * mass for coeff, measure in terms for _, mass in measure.atoms]
+            if math.isfinite(sum(masses)):
+                masses.append(0.0)
+                get = masses.__getitem__
+                totals = map(add, map(get, runs.first), map(get, runs.second))
+                # tuple() of a list allocates once; of an iterator it
+                # resizes, and the freed tuples pile up in the free lists
+                atoms = list(filter(itemgetter(1), zip(runs.heads, totals)))
+                return _from_merged(SignedMeasure1D, tuple(atoms))
         atoms1 = [
             (loc, coeff * mass)
             for coeff, measure in terms
             if coeff != 0.0
             for loc, mass in measure.atoms
         ]
-        return SignedMeasure1D(tuple(atoms1))
+        return _from_merged(SignedMeasure1D, _merge_floats_1d(_finite_masses(atoms1, _NAMES_1D)))
     atoms2 = [
         (s, t, coeff * mass)
         for coeff, measure in terms
         if coeff != 0.0
         for s, t, mass in measure.atoms
     ]
-    return SignedMeasure2D(tuple(atoms2))
+    return _from_merged(SignedMeasure2D, _merge_floats_2d(_finite_masses(atoms2, _NAMES_2D)))
 
 
 def disjoint_sum(terms: Sequence[tuple[float, AtomicMeasure2D]]) -> AtomicMeasure2D:

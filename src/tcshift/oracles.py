@@ -135,7 +135,8 @@ def hankel_psd(
     (gamma_{i+j}) and (gamma_{i+j+1}) with i, j <= n; the data comes from a
     measure on [0, inf) only if both are positive semidefinite.  Returns
     the base and shifted report of each sequence in turn, all decided in
-    one stack.  Every moment must be positive.  Each sequence is checked
+    one stack.  Every moment that a matrix uses must be positive and
+    finite; the rest are not looked at.  Each sequence is checked
     before the next is drawn, so an iterator that computes them raises
     what one call per sequence would.
     """
@@ -147,9 +148,10 @@ def hankel_psd(
             raise PreconditionViolated(
                 f"need {2 * n + 2} moments for order {n}, got {len(moments)}"
             )
-        if any(v <= 0.0 for v in moments):
+        used = moments[: 2 * n + 2]
+        if any(v <= 0.0 for v in used):
             raise InvalidMoments("moments must be positive")
-        if not all(map(math.isfinite, moments[: 2 * n + 2])):
+        if not all(map(math.isfinite, used)):
             raise NonFinite("an oracle matrix has a non-finite entry")
         # base row i is moments[i : i + n + 1], shifted row i is base row i + 1
         rows = [moments[i : i + n + 1] for i in range(n + 2)]

@@ -43,6 +43,7 @@ from .measures import (
     PROBABILITY_TOL,
     AtomicMeasure1D,
     AtomicMeasure2D,
+    MergeRuns,
     SignedMeasure1D,
     atom_difference,
     combine,
@@ -89,12 +90,11 @@ class Verdict(NamedTuple):
 
 def compute_psi(instance: TCInstance) -> SignedMeasure1D:
     """The vertical slack measure tail - a^2 ||1/s||_{L1(xi)} eta."""
-    return combine(
-        [
-            (1.0, instance.eta_y_tail),
-            (-(instance.a**2) * instance.recip_s_xi, instance.eta),
-        ]
-    )
+    terms = [
+        (1.0, instance.eta_y_tail),
+        (-(instance.a**2) * instance.recip_s_xi, instance.eta),
+    ]
+    return combine(terms, instance.psi_runs if instance.in_family else None)
 
 
 def compute_phi(instance: TCInstance, recip_t_psi: float | None = None) -> SignedMeasure1D:
@@ -111,22 +111,27 @@ def compute_phi(instance: TCInstance, recip_t_psi: float | None = None) -> Signe
         instance.y0_sq * recip_t_psi,
         instance.a**2 * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta,
         instance.xi_tilde,
+        instance.phi_runs if instance.in_family else None,
     )
 
 
 def _phi(
-    xi_x: AtomicMeasure1D, origin: float, coefficient: float, xi_tilde: AtomicMeasure1D
+    xi_x: AtomicMeasure1D,
+    origin: float,
+    coefficient: float,
+    xi_tilde: AtomicMeasure1D,
+    runs: MergeRuns | None = None,
 ) -> SignedMeasure1D:
     """xi_x - origin delta_0 - coefficient xi~, where coefficient is
-    a^2 y0^2 r_s r_t.  Its left factors can overflow while the whole
-    product is finite; a coefficient that is not finite is named, unless
-    the origin's mass, which comes first and which combine names, is not
-    finite either."""
+    a^2 y0^2 r_s r_t, merged in ``runs`` when given.  Its left factors can
+    overflow while the whole product is finite; a coefficient that is not
+    finite is named, unless the origin's mass, which comes first and which
+    combine names, is not finite either."""
     if math.isfinite(origin) and not math.isfinite(coefficient):
         raise ArithmeticError(
             f"phi's coefficient a^2 y0^2 r_s r_t is not finite, got {coefficient!r}"
         )
-    return combine([(1.0, xi_x), (-origin, _ORIGIN), (-coefficient, xi_tilde)])
+    return combine([(1.0, xi_x), (-origin, _ORIGIN), (-coefficient, xi_tilde)], runs)
 
 
 def _decide(

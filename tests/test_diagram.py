@@ -20,6 +20,7 @@ from tcshift.errors import (
     NotProbability,
     TCShiftError,
 )
+from tcshift import diagram, measures
 from tcshift.measures import AtomicMeasure1D, dirac
 from tcshift.reconstruct import subnormality_verdict
 
@@ -30,6 +31,8 @@ from helpers import (
     half_half,
     m1,
     n1_instance,
+    random_psi_positive_instance,
+    random_subnormal_instance,
     random_tc_instance,
     reference_moment,
     reference_weight,
@@ -256,15 +259,29 @@ def _fresh(inst: TCInstance, a: float) -> TCInstance:
     return TCInstance(inst.xi_x, inst.eta_y, inst.xi, inst.eta, a)
 
 
+#: The generators of ``helpers``; in the first two, the column-0 tail sits
+#: exactly on eta's locations, so psi's merge runs pair its atoms.
+GENERATORS = {
+    "subnormal": random_subnormal_instance,
+    "psi-positive": random_psi_positive_instance,
+    "mixed": random_tc_instance,
+}
+
+
+def _xi_x_at_negative_zero() -> TCInstance:
+    """f1 with its row-0 atom at -0.0, which delta_0 meets in phi."""
+    return TCInstance(m1((-0.0, 0.5), (1.0, 0.5)), half_half(), dirac(1.0), dirac(1.0), 0.5)
+
+
 class TestWithA:
     """``with_a`` shares the values that do not depend on a; everything it
     yields must equal what a freshly built instance yields."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         source=st.one_of(
             st.sampled_from(("f1", "n1", "no-column-tail")),
-            st.integers(0, 2**32),
+            st.tuples(st.sampled_from(sorted(GENERATORS)), st.integers(0, 2**32)),
         )
     )
     def test_verdicts_and_errors_match_a_fresh_instance(self, source):
@@ -276,7 +293,8 @@ class TestWithA:
             # eta_y = delta_0 has no tail: every point raises
             inst = TCInstance(half_half(), dirac(0.0), dirac(1.0), dirac(1.0), math.sqrt(0.5))
         else:
-            inst = random_tc_instance(random.Random(source))
+            generator, seed = source
+            inst = GENERATORS[generator](random.Random(seed))
         # psi has total mass 1 - a^2 ||1/s||_xi, so every subnormal a lies
         # below a_max; a fine grid up to it crosses each subnormal interval,
         # and one across [0.5 a, 1.5 a] meets the generators' own a
@@ -288,6 +306,73 @@ class TestWithA:
             assert _verdict_at(inst.with_a, value) == _verdict_at(
                 functools.partial(_fresh, inst), value
             ), value
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            # a^2 underflows to 0: psi's and phi's a-terms are skipped
+            (f1_instance, 1e-200),
+            # a^2 overflows; a^2 is finite but a mass of phi is not, which
+            # the merge names
+            (f1_instance, 1e200),
+            (lambda: TCInstance(half_half(), half_half(), dirac(1.0), dirac(1e-10), 0.5), 1e150),
+            # psi's one atom cancels, so psi is empty and delta_0 is skipped
+            (f1_instance, 1.0),
+            # delta_0 meets xi_x's atom at -0.0, at every a
+            (_xi_x_at_negative_zero, 0.5),
+            (_xi_x_at_negative_zero, 0.7),
+        ],
+    )
+    def test_edge_points_match_a_fresh_instance(self, make, value):
+        inst = make()
+        assert _verdict_at(inst.with_a, value) == _verdict_at(
+            functools.partial(_fresh, inst), value
+        )
+
+    def test_psi_cancels_at_a_one(self):
+        assert subnormality_verdict(f1_instance().with_a(1.0)).psi.atoms == ()
+
+    def test_both_zeros_in_phi_leave_it_to_the_merge(self):
+        # which zero heads the run depends on the masses, so on a
+        inst = _xi_x_at_negative_zero().with_a(0.5)
+        assert inst.phi_runs is None
+        assert inst.psi_runs is not None
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        """Calls of the 1-D merge and of ``merge_runs``, by name."""
+        calls = []
+        merge, runs = measures._merge_floats_1d, diagram.merge_runs
+
+        def counting_merge(prepared):
+            calls.append("merge")
+            return merge(prepared)
+
+        def counting_runs(terms):
+            calls.append("runs")
+            return runs(terms)
+
+        monkeypatch.setattr(measures, "_merge_floats_1d", counting_merge)
+        monkeypatch.setattr(diagram, "merge_runs", counting_runs)
+        return calls
+
+    @pytest.mark.parametrize("make", [f1_instance, n1_instance, *GENERATORS.values()])
+    def test_a_family_merges_psi_and_phi_once(self, make, merges):
+        inst = make(random.Random(7)) if make in GENERATORS.values() else make()
+        subnormality_verdict(inst.with_a(inst.a))
+        assert merges.count("runs") == 2
+        merges.clear()
+        for k in range(1, 11):
+            subnormality_verdict(inst.with_a(inst.a * (0.5 + k / 10)))
+        assert merges == []
+
+    @pytest.mark.parametrize("make", [f1_instance, n1_instance])
+    def test_a_constructed_instance_builds_no_runs(self, make, merges):
+        inst = make()
+        subnormality_verdict(inst)
+        subnormality_verdict(_fresh(inst, 0.5 * inst.a))
+        assert "runs" not in merges
+        assert "psi_runs" not in inst._shared and "phi_runs" not in inst._shared
 
     @pytest.mark.parametrize("make", [f1_instance, n1_instance, trivial_instance])
     def test_moments_match_a_fresh_instance(self, make):

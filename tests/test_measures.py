@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from tcshift import measures
@@ -23,6 +23,7 @@ from tcshift.measures import (
     dirac,
     dirac2,
     measures_equal,
+    merge_runs,
     positivity,
     product,
     same_location,
@@ -32,6 +33,7 @@ from tcshift.reconstruct import berger_measure
 from helpers import (
     assert_measures_close,
     m1,
+    outcome,
     random_locations,
     reference_merge_1d,
     reference_merge_2d,
@@ -194,6 +196,67 @@ class TestCombine:
         rhs = c1 * ma.moment(k) + c2 * mb.moment(k)
         scale = abs(c1) * ma.moment(k) + abs(c2) * mb.moment(k) + 1.0
         assert abs(lhs - rhs) <= 1e-9 * scale
+
+
+# Locations that tie, that are one location without being equal (1e-13
+# apart, at 1 and 2), that chain (1 + 2e-12 is apart from 1 but not from
+# 1 + 1e-12), and both zeros; masses of every scale, of either sign.
+run_locations = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, 1.0, 1.0 + 1e-13, 1.0 + 1e-12, 1.0 + 2e-12, 2.0)),
+    st.sampled_from((2.0 - 2e-13, 3.5)),
+)
+run_masses = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.sampled_from((5e-324, -5e-324, 1e308, -1e308, 1e-200)),
+)
+run_measures = st.lists(st.tuples(run_locations, run_masses), max_size=5).map(
+    lambda atoms: SignedMeasure1D(tuple(atoms))
+)
+run_coefficients = st.one_of(
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.sampled_from((0.0, -0.0, 1e-200, -1e300, math.inf, math.nan)),
+)
+
+
+class TestMergeRuns:
+    """``combine`` in the runs of ``merge_runs`` gives the merge's bits."""
+
+    @settings(max_examples=400)
+    @given(
+        measures_=st.lists(run_measures, min_size=1, max_size=3),
+        coefficients=st.lists(run_coefficients, min_size=3, max_size=3),
+    )
+    # the skipped term's atom heads the run, so the merge moves its location
+    @example(measures_=[dirac(1.0), dirac(1.0 + 1e-13)], coefficients=[0.0, 1.0, 1.0])
+    def test_runs_give_the_bits_of_the_merge(self, measures_, coefficients):
+        runs = merge_runs(measures_)
+        if runs is None:
+            reject()
+        terms = list(zip(coefficients, measures_))
+        assert outcome(combine, terms, runs) == outcome(combine, terms)
+
+    @given(first=run_measures, second=run_measures)
+    def test_two_measures_have_runs_unless_both_zeros_meet(self, first, second):
+        locations = [loc for m in (first, second) for loc, _ in m.atoms]
+        signs = {math.copysign(1.0, loc) for loc in locations if loc == 0.0}
+        assert (merge_runs((first, second)) is None) == (len(signs) == 2)
+
+    def test_runs(self):
+        tail = m1((1.0, 0.5), (2.0, 0.5))
+        eta = m1((1.0 + 1e-13, 0.25), (3.0, 0.75))
+        assert merge_runs((tail, eta)) == ((1.0, 2.0, 3.0), (0, 1, 3), (2, 4, 4))
+
+    def test_a_run_of_three_atoms_has_no_runs(self):
+        assert merge_runs((dirac(1.0), dirac(1.0), dirac(1.0 + 1e-13))) is None
+
+    def test_both_zeros_in_one_run_have_no_runs(self):
+        assert merge_runs((m1((-0.0, 1.0)), dirac(0.0))) is None
+        assert merge_runs((dirac(0.0), dirac(0.0))) is not None
+
+    def test_empty_measures_have_empty_runs(self):
+        runs = merge_runs((SignedMeasure1D(()),))
+        assert runs == ((), (), ())
+        assert combine([(1.0, SignedMeasure1D(()))], runs).atoms == ()
 
 
 class TestPositivity:

@@ -199,8 +199,9 @@ class TestStackedPsdReports:
         # a non-finite entry is named before a later sequence's fault
         with pytest.raises(NonFinite):
             hankel_psd(sequences((1.0, math.inf, 1.0, 1.0)), 1)
-        # entries past the matrices are checked for sign only
+        # entries past the matrices are not checked
         assert len(hankel_psd([(1.0, 1.0, 1.0, 1.0, math.inf)], 1)) == 2
+        assert len(hankel_psd([(1.0, 1.0, 1.0, 1.0, -1.0)], 1)) == 2
 
     def test_no_sequences_no_reports(self):
         assert hankel_psd([], 3) == ()
