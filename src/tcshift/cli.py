@@ -22,7 +22,7 @@ import operator
 import signal
 import sys
 import time
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, TCShiftError, ValidationError
 from .diagram import FlatInstance, TCInstance
@@ -378,38 +378,65 @@ def _validate_sweep_param(instance, param: str) -> None:
         )
 
 
-def _point_text(point: dict[str, Any]) -> str:
-    head = f"{point['param']}={_fmt6(point['value'])}"
-    if "error" in point:
-        return f"{head} invalid: {point['error']}"
-    w = point["witness"]
+def _point_text(param: str, value: float, outcome: Verdict | str) -> str:
+    """A sweep point's text line; ``outcome`` is its verdict, or the
+    message of the error that made the point invalid."""
+    head = f"{param}={_fmt6(value)}"
+    if isinstance(outcome, str):
+        return f"{head} invalid: {outcome}"
+    w = outcome.witness
     if w is None:
-        return f"{head} {point['verdict']}"
+        return f"{head} {_verdict_name(outcome)}"
     return (
-        f"{head} {point['verdict']}"
-        f" witness={w['measure']}@{_fmt6(w['location'])} mass={_fmt6(w['mass'])}"
+        f"{head} {_verdict_name(outcome)}"
+        f" witness={w.measure}@{_fmt6(w.location)} mass={_fmt6(w.mass)}"
     )
+
+
+def _json_points(param: str) -> Callable[[float, Verdict | str], str]:
+    """The writer of a sweep's ``--json`` lines over ``param``: each is
+    ``json.dumps(point, sort_keys=True)`` of the point's dict.
+
+    A decided point's line is written from its fields in sorted-key order,
+    as ``_mu_pieces`` writes mu: the param is quoted once per sweep, and
+    json writes a finite float with ``float.__repr__``.  The grid never
+    yields inf, and a witness atom is finite by construction.  The verdict,
+    the measure and the reason are fixed ASCII strings.  An error point's
+    message may need escaping, so its line is the dump itself.
+    """
+    quoted = json.dumps(param)
+
+    def line(value: float, outcome: Verdict | str) -> str:
+        if isinstance(outcome, str):
+            return json.dumps({"param": param, "value": value, "error": outcome}, sort_keys=True)
+        head = f'{{"param": {quoted}, "value": {value!r}, "verdict": "{_verdict_name(outcome)}"'
+        w = outcome.witness
+        if w is None:
+            return f'{head}, "witness": null}}'
+        return (
+            f'{head}, "witness": {{"location": {w.location!r}, "mass": {w.mass!r},'
+            f' "measure": "{w.measure}", "reason": "{w.measure} has a negative atom"}}}}'
+        )
+
+    return line
 
 
 def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
     _validate_sweep_param(parsed.instance, args.param)
     lo, hi, step = _parse_range(args.range)
     instance = parsed.instance
+    write = _json_points(args.param) if args.json else functools.partial(_point_text, args.param)
     for value in _grid(lo, hi, step):
-        point: dict[str, Any] = {"param": args.param, "value": value}
         try:
             # a tc instance keeps the parts that do not depend on a
             if isinstance(instance, TCInstance):
                 candidate = instance.with_a(value)
             else:
                 candidate = instance._replace(**{args.param: value}).embed()
-            verdict = subnormality_verdict(candidate, opts.tol)
+            outcome: Verdict | str = subnormality_verdict(candidate, opts.tol)
         except (TCShiftError, ValueError, ArithmeticError) as exc:
-            point["error"] = str(exc)
-        else:
-            point["verdict"] = _verdict_name(verdict)
-            point["witness"] = _witness_payload(verdict)
-        print(json.dumps(point, sort_keys=True) if args.json else _point_text(point), file=out)
+            outcome = str(exc)
+        print(write(value, outcome), file=out)
     return EXIT_SUBNORMAL
 
 

@@ -18,7 +18,9 @@ An instance tabulates its weights and moments once, to the fixed depth
 ``TCInstance.depth_limit``; the restriction of the shift to k2 >= i,
 k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
 ``TCInstance.with_a`` makes the same instance at another joining weight;
-the values that do not depend on a are computed once for all of them.
+the values that do not depend on a are computed once for all of them, and
+those already computed are copied into each new instance's own attributes,
+so a point of a sweep reads them as plain attributes.
 Among them are the runs in which psi's and phi's atoms merge
 (``measures.merge_runs``): psi and phi combine four fixed measures, and
 only the coefficients depend on a.  No run of psi holds two atoms of one
@@ -80,7 +82,11 @@ class _free_of_a(cached_property):
     """A cached property whose value does not depend on the joining weight
     a.  It is cached in the instance's ``_shared`` dict, which every
     instance made by ``TCInstance.with_a`` shares, so a sweep over a
-    computes it once."""
+    computes it once.  Like ``cached_property`` it is a non-data
+    descriptor: ``with_a`` copies the values already in ``_shared`` into
+    the new instance's own dict, where they are read as plain attributes.
+    A computation that raises stores nothing, so each instance raises
+    afresh."""
 
     def __get__(self, instance, owner=None):
         if instance is None:
@@ -131,13 +137,16 @@ class TCInstance(Frozen):
 
         The measures were checked when this instance was made, so only a
         is checked.  The new instance shares the values that do not depend
-        on a, still computed on first use, so an invalid instance raises
-        the error that it raises when built afresh; the weight grids
-        depend on a and are its own.
+        on a: those already computed are copied into its own attributes,
+        which shadow the ``_free_of_a`` properties, and the rest are still
+        computed on first use, so an invalid instance raises the error that
+        it raises when built afresh; the weight grids depend on a and are
+        its own.
         """
         a = _joining_weight(a)
         other = object.__new__(type(self))
         vars(other).update(
+            self._shared,
             xi_x=self.xi_x,
             eta_y=self.eta_y,
             xi=self.xi,

@@ -570,24 +570,26 @@ def combine(
 
     ``runs``, from ``merge_runs`` of the terms' 1-D measures in term order,
     replaces the sort and the merge pass by a sum in each run, with the
-    same result to the bit.  The merge then runs anyway when a coefficient
-    is zero, as its term is skipped, which may move a run's first atom,
-    and when a mass is not finite, so that the error names it as before.
+    same result to the bit; as only 1-D measures have runs, they are tried
+    before the dimension check.  The merge then runs anyway when a
+    coefficient is zero, as its term is skipped, which may move a run's
+    first atom, and when a mass is not finite, so that the error names it
+    as before.
     """
+    if runs is not None and all(coeff != 0.0 for coeff, _ in terms):
+        masses = [coeff * mass for coeff, measure in terms for _, mass in measure.atoms]
+        if math.isfinite(sum(masses)):
+            masses.append(0.0)
+            get = masses.__getitem__
+            totals = map(add, map(get, runs.first), map(get, runs.second))
+            # tuple() of a list allocates once; of an iterator it
+            # resizes, and the freed tuples pile up in the free lists
+            atoms = list(filter(itemgetter(1), zip(runs.heads, totals)))
+            return _from_merged(SignedMeasure1D, tuple(atoms))
     planar = {isinstance(measure, SignedMeasure2D) for _, measure in terms}
     if len(planar) > 1:
         raise ValueError("cannot combine measures of different dimensions")
     if True not in planar:
-        if runs is not None and all(coeff != 0.0 for coeff, _ in terms):
-            masses = [coeff * mass for coeff, measure in terms for _, mass in measure.atoms]
-            if math.isfinite(sum(masses)):
-                masses.append(0.0)
-                get = masses.__getitem__
-                totals = map(add, map(get, runs.first), map(get, runs.second))
-                # tuple() of a list allocates once; of an iterator it
-                # resizes, and the freed tuples pile up in the free lists
-                atoms = list(filter(itemgetter(1), zip(runs.heads, totals)))
-                return _from_merged(SignedMeasure1D, tuple(atoms))
         atoms1 = [
             (loc, coeff * mass)
             for coeff, measure in terms

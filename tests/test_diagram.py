@@ -392,6 +392,44 @@ class TestWithA:
         assert shifted.xi_tilde is inst.xi_tilde
         assert shifted.moment(1, 1) != inst.moment(1, 1)
 
+    @pytest.fixture
+    def shared_reads(self, monkeypatch):
+        """Reads of a ``_free_of_a`` property that go through it."""
+        reads = []
+        get = diagram._free_of_a.__get__
+
+        def counting_get(self, instance, owner=None):
+            if instance is not None:
+                reads.append(self.attrname)
+            return get(self, instance, owner)
+
+        monkeypatch.setattr(diagram._free_of_a, "__get__", counting_get)
+        return reads
+
+    @pytest.mark.parametrize("make", [f1_instance, n1_instance, *GENERATORS.values()])
+    def test_a_member_reads_the_computed_values_as_plain_attributes(self, make, shared_reads):
+        inst = make(random.Random(7)) if make in GENERATORS.values() else make()
+        subnormality_verdict(inst.with_a(inst.a))
+        assert shared_reads  # the first member computes them
+        member = inst.with_a(0.75 * inst.a)
+        assert inst._shared and vars(member).items() >= inst._shared.items()
+        fresh = subnormality_verdict(_fresh(inst, 0.75 * inst.a))
+        shared_reads.clear()
+        assert subnormality_verdict(member) == fresh
+        assert shared_reads == []
+
+    def test_a_value_that_raises_is_never_shared(self, shared_reads):
+        # eta_y = delta_0 has no tail, so every point raises
+        inst = TCInstance(half_half(), dirac(0.0), dirac(1.0), dirac(1.0), math.sqrt(0.5))
+        errors = []
+        for value in (0.5, 0.6, 0.7):
+            with pytest.raises(DegenerateMeasure) as raised:
+                subnormality_verdict(inst.with_a(value))
+            errors.append(str(raised.value))
+        assert errors == [errors[0]] * 3
+        assert shared_reads.count("eta_y_tail") == 3
+        assert inst._shared == {}
+
 
 DEPTHS = range(1, 9)
 

@@ -1,7 +1,9 @@
 """Atom algebra: worked examples and algebraic properties."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -81,6 +83,28 @@ class TestReciprocalNorm:
     def test_signed_integral(self):
         signed = SignedMeasure1D(((1.0, 1.0), (2.0, -0.5)))
         assert signed.reciprocal_norm() == 0.75
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from((5e-324, 2.2250738585072014e-308, 1e-300)),
+                    st.floats(5e-324, 1e300),
+                ),
+                st.floats(-1e300, 1e300).filter(bool),
+            ),
+            max_size=8,
+        )
+    )
+    def test_is_a_left_fold_of_the_divisions(self, pairs):
+        # the divisions mass / location added from the left in atom order,
+        # to the bit, as a fold of a C-level map makes them; a division
+        # that overflows is inf in both
+        measure = SignedMeasure1D(pairs)
+        masses = [mass for _, mass in measure.atoms]
+        locations = [loc for loc, _ in measure.atoms]
+        expected = functools.reduce(operator.add, map(operator.truediv, masses, locations), 0)
+        assert repr(measure.reciprocal_norm()) == repr(expected)
 
 
 class TestTilde:

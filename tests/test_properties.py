@@ -13,7 +13,9 @@ one atom is split into two exact halves at its location.  So the reports
 of the edited file must be those of the original, byte for byte.
 
 A JSON report is the text that ``json.dumps(report, sort_keys=True)``
-prints, though ``render_json`` writes mu's atoms itself.
+prints, though ``render_json`` writes mu's atoms itself, and so is each
+JSON line of a sweep, though ``_json_points`` writes a decided point's
+line from its fields.
 
 A flat file and the tc file of its embedding describe one shift, so they
 get one report.  Whatever one value of a file is changed to, every command
@@ -32,9 +34,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcshift.cli import Options, ParsedFile, _execute, parse_instance, render_json, run
+from tcshift.cli import (
+    _FLAT_SCALARS,
+    Options,
+    ParsedFile,
+    _execute,
+    _json_points,
+    parse_instance,
+    render_json,
+    run,
+)
+from tcshift.reconstruct import Witness, subnormality_verdict
 
-from helpers import FLAT_FIXTURES, flat_files, random_subnormal_instance, scaled_tc, tc_file
+from helpers import (
+    FLAT_FIXTURES,
+    f1_instance,
+    flat_files,
+    random_subnormal_instance,
+    scaled_tc,
+    tc_file,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 VALID_TC = (
@@ -185,6 +204,47 @@ def test_a_200_atom_json_report_is_the_stdlib_encoding():
     assert code == 0
     assert len(report["mu"]) > 200 * 200
     assert render_json(report) == json.dumps(report, sort_keys=True)
+
+
+# finite floats, with the ones whose repr is least like the others': the
+# zeros, the least subnormal and normal, the power of ten where repr
+# switches to an exponent, the largest one a float holds exactly, and the
+# largest float
+SWEEP_FLOATS = st.one_of(
+    st.sampled_from(
+        (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1.7976931348623157e308)
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+WITNESSES = st.one_of(
+    st.none(), st.builds(Witness, st.sampled_from(("psi", "phi")), SWEEP_FLOATS, SWEEP_FLOATS)
+)
+F1_VERDICT = subnormality_verdict(f1_instance())
+
+
+@given(param=st.sampled_from(_FLAT_SCALARS), value=SWEEP_FLOATS, witness=WITNESSES)
+def test_sweep_json_lines_are_the_stdlib_encoding(param, value, witness):
+    point = {
+        "param": param,
+        "value": value,
+        "verdict": "subnormal" if witness is None else "not-subnormal",
+        "witness": None
+        if witness is None
+        else {
+            "measure": witness.measure,
+            "location": witness.location,
+            "mass": witness.mass,
+            "reason": f"{witness.measure} has a negative atom",
+        },
+    }
+    verdict = F1_VERDICT._replace(subnormal=witness is None, witness=witness)
+    assert _json_points(param)(value, verdict) == json.dumps(point, sort_keys=True)
+
+
+@given(param=st.sampled_from(_FLAT_SCALARS), value=SWEEP_FLOATS, message=st.text())
+def test_sweep_json_error_lines_are_the_stdlib_encoding(param, value, message):
+    point = {"param": param, "value": value, "error": message}
+    assert _json_points(param)(value, message) == json.dumps(point, sort_keys=True)
 
 
 @pytest.mark.parametrize("command", ["check", "reconstruct"])
