@@ -24,16 +24,16 @@ Every measure holds its atoms as a tuple of finite float tuples that is
 - merged: no two consecutive atoms are at the same point;
 - zero-free: no mass is exactly zero.
 
-The constructors establish this with one sort and one merge pass.  The
-product of two merged factors is merged already, so ``product`` builds its
-atoms without a merge pass; its docstring gives the proof.  A sum of
-nonnegative terms of which no two atoms are at one location needs only the
-sort: ``disjoint_sum`` builds it so.  A 1-D ``combine`` of fixed measures
-at changing coefficients can skip the sort and the merge too: where
-``merge_runs`` finds that no run of the merge of their locations holds more
-than two atoms, the runs are the same at every coefficient, and each run's
-sum is the same bits in either order, so ``combine`` only multiplies and
-adds in those runs.
+The constructors establish this with one sort and one merge pass.  Any
+two locations of a merged 1-D measure are apart, so ``product`` of merged
+factors, at any coefficient, and ``at_merged_locations`` of atoms at some
+of a merged measure's locations (as ``tilde`` and the 1-D ``as_positive``
+make) skip the merge pass; ``product``'s docstring gives the proof.  A 1-D
+``combine`` of fixed measures at changing coefficients can skip the sort
+and the merge too: where ``merge_runs`` finds that no run of the merge of
+their locations holds more than two atoms, the runs are the same at every
+coefficient, and each run's sum is the same bits in either order, so
+``combine`` only multiplies and adds in those runs.
 """
 
 from __future__ import annotations
@@ -294,13 +294,13 @@ class _SignedMeasure(Frozen):
             raise PreconditionViolated(
                 f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
             )
-        # a dropped atom may have split a run of survivors: merge again
         positive = [atom for atom in self.atoms if atom[-1] > 0.0]
         if len(self._names) == 2:
-            cls, merged = AtomicMeasure1D, _merge_floats_1d(positive)
-        else:
-            cls, merged = AtomicMeasure2D, _merge_floats_2d(positive)
-        return _from_merged(cls, merged, probability=probability)
+            # in 1-D the survivors are apart, as any two atoms are
+            return at_merged_locations(positive, probability)
+        # in 2-D a run of every s (or t) joins atoms through the others,
+        # and a dropped atom may have split a run of survivors: merge again
+        return _from_merged(AtomicMeasure2D, _merge_floats_2d(positive), probability=probability)
 
     def _check_probability(self) -> None:
         """The total-mass check of the nonnegative subclasses."""
@@ -364,9 +364,7 @@ class AtomicMeasure1D(SignedMeasure1D):
         norm = self.reciprocal_norm()
         raw = [(loc, mass / (loc * norm)) for loc, mass in self.atoms]
         total = left_sum(mass for _, mass in raw)
-        return AtomicMeasure1D(
-            tuple((loc, mass / total) for loc, mass in raw), probability=True
-        )
+        return at_merged_locations([(loc, mass / total) for loc, mass in raw], probability=True)
 
 
 class SignedMeasure2D(_SignedMeasure):
@@ -477,24 +475,27 @@ def _finite_masses(atoms: list, names: tuple[str, ...]) -> list:
     return _as_floats(atoms, names)
 
 
-def _finite_nonzero(atoms: list) -> list:
-    """Planar atoms whose masses are all finite, less those whose mass
-    underflowed to exactly zero; a non-finite mass raises, naming the first
-    one in input order."""
-    masses = list(map(itemgetter(2), atoms))
-    if not math.isfinite(sum(masses)):
-        _as_floats(atoms, _NAMES_2D)
-    if 0.0 in masses:
-        atoms = [atom for atom in atoms if atom[2]]
-    return atoms
+def at_merged_locations(
+    atoms: Sequence[tuple[float, float]], probability: bool
+) -> AtomicMeasure1D:
+    """``AtomicMeasure1D(atoms, probability)``, error for error, for float
+    atoms at some of the locations of one merged measure, in its order: any
+    two of them are apart (see ``product``), so the sort and the merge keep
+    each atom, except that the merge drops exact zeros, as done here."""
+    atoms = _finite_masses(atoms, _NAMES_1D)
+    if 0.0 in map(itemgetter(1), atoms):
+        atoms = [atom for atom in atoms if atom[1]]
+    return _from_merged(AtomicMeasure1D, tuple(atoms), probability=probability)
 
 
-def product(mx: SignedMeasure1D, my: SignedMeasure1D) -> SignedMeasure2D:
-    """Cartesian product measure; masses multiply atom by atom.
+def product(mx: SignedMeasure1D, my: SignedMeasure1D, coeff: float = 1.0) -> SignedMeasure2D:
+    """Cartesian product measure, scaled by ``coeff``; masses multiply atom
+    by atom, each to ``coeff * (ms * mt)``.
 
     Returns an ``AtomicMeasure2D`` when both factors are nonnegative (the
-    result is then a probability measure exactly when both factors are) and
-    a ``SignedMeasure2D`` otherwise.
+    result is then a probability measure exactly when both factors are and
+    ``coeff`` is 1) and a ``SignedMeasure2D`` otherwise.  The atoms are
+    those of ``combine([(coeff, product(mx, my))])``, error for error.
 
     No merge pass runs: the atoms, built in nested (s, t) order, are
     already sorted and merged.  The locations of a merged factor strictly
@@ -502,17 +503,25 @@ def product(mx: SignedMeasure1D, my: SignedMeasure1D) -> SignedMeasure2D:
     found each run's first location apart from the one before it; where a
     run summing to zero was dropped between 0 <= u < v < w, w - u exceeds
     v - u by w - v, while the threshold MERGE_REL_TOL * w exceeds
-    MERGE_REL_TOL * v by only MERGE_REL_TOL * (w - v).  So the nested order
-    is the sorted order, and consecutive product atoms are apart in t
-    (within a row) or in s (across rows): the merge would keep each one.
-    Sorting and merging is therefore the identity on them, except that it
-    drops masses that underflow to exactly zero, as done here.
+    MERGE_REL_TOL * v by only MERGE_REL_TOL * (w - v).  So any two
+    locations of a merged factor are apart, the nested order is the sorted
+    order, and consecutive product atoms are apart in t (within a row) or
+    in s (across rows): the merge would keep each one.  Sorting and merging
+    is therefore the identity on them, except that it drops masses that
+    are exactly zero, as done here.
     """
-    atoms = _finite_nonzero([(s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms])
+    atoms = [(s, t, coeff * (ms * mt)) for s, ms in mx.atoms for t, mt in my.atoms]
+    if not math.isfinite(sum(map(itemgetter(2), atoms))):
+        # the unscaled product names a non-finite mass first, and drops a
+        # zero one, which coeff * 0.0 would make NaN at an infinite coeff
+        unscaled = [(s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms]
+        atoms = [(s, t, coeff * mass) for s, t, mass in _as_floats(unscaled, _NAMES_2D) if mass]
+        _as_floats(atoms, _NAMES_2D)
+    if 0.0 in map(itemgetter(2), atoms):
+        atoms = [atom for atom in atoms if atom[2]]
     if isinstance(mx, AtomicMeasure1D) and isinstance(my, AtomicMeasure1D):
-        return _from_merged(
-            AtomicMeasure2D, tuple(atoms), probability=mx.probability and my.probability
-        )
+        probability = mx.probability and my.probability and coeff == 1.0
+        return _from_merged(AtomicMeasure2D, tuple(atoms), probability=probability)
     return _from_merged(SignedMeasure2D, tuple(atoms))
 
 
@@ -604,32 +613,6 @@ def combine(
         for s, t, mass in measure.atoms
     ]
     return _from_merged(SignedMeasure2D, _merge_floats_2d(_finite_masses(atoms2, _NAMES_2D)))
-
-
-def disjoint_sum(terms: Sequence[tuple[float, AtomicMeasure2D]]) -> AtomicMeasure2D:
-    """The probability measure that is the sum of the terms, built with one
-    sort and no merge pass.
-
-    Every coefficient must be nonnegative, and no two atoms of the terms,
-    whether of one term or of two, may be at the same location;
-    ``berger_measure`` proves both for the pieces of the joint measure.
-    The result then equals ``combine(terms).as_positive(tol,
-    probability=True)`` for every ``tol >= 0``, error for error.  The
-    masses are the same ``coeff * mass`` products, and a non-finite one is
-    named as ``combine`` names it.  Masses that are exactly zero, from a
-    zero coefficient (which ``combine`` skips) or from underflow (which its
-    merge drops), are dropped.  The sort puts the rest in the order the
-    merge sorts them into.  As no two of them are at one location, and any
-    two coordinates in one run are, each is a point of its own, so the
-    merge keeps every atom as it is; and every mass is positive, so
-    ``as_positive`` drops none and its second merge keeps them too.  The
-    sign and total-mass checks of ``AtomicMeasure2D`` still run.
-    """
-    atoms = _finite_nonzero(
-        [(s, t, coeff * mass) for coeff, measure in terms for s, t, mass in measure.atoms]
-    )
-    atoms.sort()
-    return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
 
 
 class Positivity(NamedTuple):

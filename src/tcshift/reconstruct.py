@@ -12,11 +12,12 @@ The diagram is subnormal exactly when both are positive measures, and the
 joint measure then splits into three mutually singular pieces: a tensor
 part a^2 y0^2 r_s r_t (xi~ x eta~) in the open quadrant, a vertical-axis
 part y0^2 ||1/t||_psi (delta_0 x psi~), and a horizontal-axis part
-phi x delta_0.  No two atoms of these pieces are at one location, so
-their sum is built with one sort and no merge pass.  An equivalent
-assembly writes the same measure as xi_x x eta~ plus signed corrections
-supported on the two axes, which cancel and so must be merged; it is kept
-as test-only reference code, and the two forms must agree atom for atom.
+phi x delta_0.  Each is a ``product`` at its coefficient, and no two of
+their atoms are at one location, so one sort, and no merge pass, sums
+them.  An equivalent assembly writes the same measure as xi_x x eta~
+plus signed corrections supported on the two axes, which cancel and so
+must be merged; it is kept as test-only reference code, and the two forms
+must agree atom for atom.
 A verdict is the decision alone: psi, phi and, when negative, a witness
 atom.  The joint measure is ``berger_measure`` of the verdict's psi and
 phi, assembled only when a caller asks for it.  Flat instances also have
@@ -34,6 +35,7 @@ second route to every answer.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import PreconditionViolated
@@ -45,10 +47,10 @@ from .measures import (
     AtomicMeasure2D,
     MergeRuns,
     SignedMeasure1D,
+    _from_merged,
     atom_difference,
     combine,
     dirac,
-    disjoint_sum,
     left_sum,
     positivity,
     product,
@@ -180,20 +182,23 @@ def berger_measure(
     genuinely negative atom.
 
     The correction form merges its signed sum in ``combine`` and again in
-    ``as_positive``.  The split form needs no merge pass: its pieces go
-    through ``disjoint_sum``, whose result is that of ``combine`` and then
-    ``as_positive``, because no two of their atoms are at one location.
-    Each piece is a product of two merged measures, and any two locations
-    of a merged measure are apart (see ``product``), so two atoms of one
-    piece differ in s or in t.  Across pieces, the tensor piece has every
-    s and t in the supports of xi and eta, which ``TCInstance`` refuses to
-    let charge the origin, so none is 0.0, the only location at 0; the
-    vertical piece has s = 0 and every t in the support of psi, which its
-    ``reciprocal_norm`` refuses to let charge the origin; and the
-    horizontal piece has t = 0.  So a tensor atom is apart from a vertical
-    one in s and from a horizontal one in t, and a vertical atom is apart
-    from a horizontal one in t.  The coefficients a^2 y0^2 r_s r_t,
-    y0^2 ||1/t||_psi and 1 are nonnegative.
+    ``as_positive``.  The split form makes each piece by ``product`` at its
+    coefficient, with the masses and errors of ``combine``, and one sort of
+    all their atoms gives what ``combine`` and then ``as_positive`` give:
+    every mass is positive and no two atoms are at one location, so both
+    merges keep every atom.  Each piece is a product of two merged
+    measures, and any two locations of a merged measure are apart (see
+    ``product``), so two atoms of one piece differ in s or in t.  Across
+    pieces, the tensor piece has every s and t in the supports of xi and
+    eta, which ``TCInstance`` refuses to let charge the origin, so none is
+    0.0, the only location at 0; the vertical piece has s = 0 and every t
+    in the support of psi, which its ``reciprocal_norm`` refuses to let
+    charge the origin; and the horizontal piece has t = 0.  So a tensor
+    atom is apart from a vertical one in s and from a horizontal one in t,
+    and a vertical atom is apart from a horizontal one in t.  The
+    coefficients a^2 y0^2 r_s r_t, y0^2 ||1/t||_psi and 1 are nonnegative,
+    and exact zeros are dropped.  psi~ is made first, so that its errors
+    come before those of a scaled mass, as in ``combine``.
     """
     if psi is None:
         psi = compute_psi(instance)
@@ -206,12 +211,13 @@ def berger_measure(
     c_axis = instance.y0_sq * recip_t_psi
     eta_tilde = instance.eta.tilde()
     if form == "split":
-        pieces = [(c_tensor, product(instance.xi_tilde, eta_tilde))]
-        if psi_pos.atoms:
-            pieces.append((c_axis, product(_ORIGIN, psi_pos.tilde())))
-        if phi_pos.atoms:
-            pieces.append((1.0, product(phi_pos, _ORIGIN)))
-        return disjoint_sum(pieces)
+        psi_tilde = psi_pos.tilde() if psi_pos.atoms else None
+        tensor = product(instance.xi_tilde, eta_tilde, c_tensor).atoms
+        vertical = () if psi_tilde is None else product(_ORIGIN, psi_tilde, c_axis).atoms
+        horizontal = product(phi_pos, _ORIGIN).atoms if phi_pos.atoms else ()
+        # the vertical atoms sort first, so the sort finds one run less
+        atoms = sorted(chain(vertical, tensor, horizontal))
+        return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
     elif form == "correction":
         terms = [(1.0, product(instance.xi_x, eta_tilde))]
         if phi_pos.atoms:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight
-from .measures import AtomicMeasure1D, power_sums
+from .measures import AtomicMeasure1D, at_merged_locations, power_sums
 
 
 def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
@@ -55,11 +55,9 @@ def restriction_measure(measure: AtomicMeasure1D, h: int) -> AtomicMeasure1D:
     if h < 0:
         raise ValueError("restriction depth must be nonnegative")
     if h == 0:
-        return AtomicMeasure1D(measure.atoms, probability=True)
+        return at_merged_locations(measure.atoms, probability=True)
     gamma_h = measure.moment(h)
     if gamma_h <= 0.0:
         raise DegenerateMeasure("measure concentrated at 0 cannot be restricted")
-    atoms = tuple(
-        (loc, mass * loc**h / gamma_h) for loc, mass in measure.atoms if loc > 0.0
-    )
-    return AtomicMeasure1D(atoms, probability=True)
+    atoms = [(loc, mass * loc**h / gamma_h) for loc, mass in measure.atoms if loc > 0.0]
+    return at_merged_locations(atoms, probability=True)

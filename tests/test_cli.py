@@ -912,6 +912,62 @@ class TestNoPlanarMerge:
         assert codes.count(0) >= 2
 
 
+class TestOneVariableMerges:
+    """A command merges one-variable atoms only where they may share a
+    location: the measures of the file, then psi's and phi's terms.  The
+    measures made at the locations of a merged one (the restriction of
+    eta_y, xi~, eta~, psi~ and the positive parts of psi and phi) are
+    built without a merge pass."""
+
+    @pytest.fixture
+    def callers(self, monkeypatch):
+        """The function that made each call of the 1-D merge, in order."""
+        calls = []
+        merge = measures._merge_floats_1d
+
+        def counting_merge(prepared):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return merge(prepared)
+
+        monkeypatch.setattr(measures, "_merge_floats_1d", counting_merge)
+        return calls
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct", "verify"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "f1",
+            "n1",
+            "tc10_phi_witness",
+            "tc10_psi_witness",
+            "tc10_subnormal",
+            "tc30_subnormal_wide",
+        ],
+    )
+    def test_tc_file(self, callers, command, name):
+        code, _, _ = run_capture([command, fixture(f"{name}.json")])
+        assert code in (0, 1)
+        # the four parsed measures, then psi and phi
+        assert callers == ["_merge_1d"] * 4 + ["combine"] * 2
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("f1_flat", 11),
+            ("n1_flat", 11),
+            # rho and sigma are parsed too
+            ("flat_remainders_1", 13),
+            ("flat_remainders_2", 13),
+        ],
+    )
+    def test_flat_file(self, callers, name, expected):
+        # xi_x, eta_y and flat_verdict's tail, then the diracs at 1 and b^2
+        # and psi and phi, once for flat_verdict and once for the embedding
+        code, _, _ = run_capture(["flat", fixture(f"{name}.json")])
+        assert code in (0, 1)
+        assert len(callers) == expected
+
+
 class TestSweepSharesTheAFreeParts:
     """A tc sweep checks the measures and computes the values that do not
     depend on a once per file, not once per point."""

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from tcshift import measures
 from tcshift.cli import parse_instance
-from tcshift.errors import AtomAtZero, NonFinite, NotProbability, PreconditionViolated
+from tcshift.errors import (
+    AtomAtZero,
+    DegenerateMeasure,
+    NonFinite,
+    NotProbability,
+    PreconditionViolated,
+)
 from tcshift.measures import (
     MERGE_REL_TOL,
     AtomicMeasure1D,
@@ -31,12 +37,14 @@ from tcshift.measures import (
     same_location,
 )
 from tcshift.reconstruct import berger_measure
+from tcshift.shifts import restriction_measure
 
 from helpers import (
     assert_measures_close,
     m1,
     outcome,
     random_locations,
+    random_probability,
     reference_merge_1d,
     reference_merge_2d,
     reference_positivity,
@@ -585,6 +593,110 @@ class TestMergePasses:
         mu = berger_measure(self._wide_instance(), form="correction")
         assert len(mu.atoms) > 900
         assert len(passes) == 2
+
+
+# A mass factor of 5e-324 or 1e-300 makes a reweighted mass underflow to
+# exactly 0, one of 1e300 makes a restriction's mass * loc**h overflow.
+MASS_FACTORS = (1.0, 1.0, 1.0, 5e-324, 1e-300, 1e300)
+
+
+@st.composite
+def scaled_measures(draw, signed=False):
+    """A measure of ``random_probability``, some of its atoms at the origin,
+    each location scaled by 4**k for k in -30..30 and each mass by a factor
+    of ``MASS_FACTORS``; signed, some masses are negated, some of them by a
+    rounding-level amount."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = random_probability(rng, n_atoms=(1, 6), zero_prob=0.3)
+    signs = (1.0, 1.0, -1e-14, -1.0) if signed else (1.0,)
+    atoms = [
+        (
+            loc * 4.0 ** draw(st.integers(-30, 30)),
+            mass * draw(st.sampled_from(MASS_FACTORS)) * draw(st.sampled_from(signs)),
+        )
+        for loc, mass in base.atoms
+    ]
+    return (SignedMeasure1D if signed else AtomicMeasure1D)(atoms)
+
+
+def constructed_tilde(measure):
+    """``tilde`` with the constructor's sort and merge."""
+    norm = measure.reciprocal_norm()
+    raw = [(loc, mass / (loc * norm)) for loc, mass in measure.atoms]
+    total = functools.reduce(operator.add, (mass for _, mass in raw), 0)
+    return AtomicMeasure1D([(loc, mass / total) for loc, mass in raw], probability=True)
+
+
+def constructed_restriction(measure, h):
+    """``restriction_measure`` with the constructor's sort and merge."""
+    if h == 0:
+        return AtomicMeasure1D(measure.atoms, probability=True)
+    gamma_h = measure.moment(h)
+    if gamma_h <= 0.0:
+        raise DegenerateMeasure("measure concentrated at 0 cannot be restricted")
+    atoms = [(loc, mass * loc**h / gamma_h) for loc, mass in measure.atoms if loc > 0.0]
+    return AtomicMeasure1D(atoms, probability=True)
+
+
+class TestDerivedMeasures:
+    """A one-variable measure made at the locations of a merged one skips
+    the merge; it must be what the constructor makes of the same atoms,
+    bit for bit (compared by repr) and error for error.  So must a scaled
+    product be the unscaled product's atoms times the coefficient."""
+
+    @given(measure=scaled_measures())
+    def test_tilde(self, measure):
+        assert outcome(measure.tilde) == outcome(constructed_tilde, measure)
+
+    @given(measure=scaled_measures(), h=st.integers(0, 3))
+    def test_restriction(self, measure, h):
+        expected = outcome(constructed_restriction, measure, h)
+        assert outcome(restriction_measure, measure, h) == expected
+
+    @given(
+        measure=scaled_measures(signed=True),
+        tol=st.sampled_from((0.0, 1e-12, 0.5)),
+        probability=st.booleans(),
+    )
+    def test_as_positive(self, measure, tol, probability):
+        if not positivity(measure, tol).positive:
+            with pytest.raises(PreconditionViolated):
+                measure.as_positive(tol)
+            return
+        positive = [atom for atom in measure.atoms if atom[1] > 0.0]
+        got = outcome(lambda: measure.as_positive(tol, probability=probability))
+        assert got == outcome(AtomicMeasure1D, positive, probability)
+
+    def test_underflowed_mass_is_dropped(self):
+        # 1e-300 / 4**30, against 1 / 4**-30, underflows in the reweighting
+        measure = AtomicMeasure1D(((4.0**-30, 1.0), (4.0**30, 1e-300)))
+        assert measure.tilde().atoms == ((4.0**-30, 1.0),)
+        assert outcome(measure.tilde) == outcome(constructed_tilde, measure)
+
+    def test_overflowing_restriction_power_is_named(self):
+        # 1e300 * 4**30 overflows to inf in the atom and in gamma_1: inf / inf
+        measure = AtomicMeasure1D(((1.0, 1.0), (4.0**30, 1e300)))
+        expected = (NonFinite, "atom mass must be finite, got nan")
+        assert outcome(restriction_measure, measure, 1) == expected
+        assert outcome(constructed_restriction, measure, 1) == expected
+
+    @given(
+        x=scaled_measures(),
+        y=scaled_measures(),
+        coeff=st.sampled_from((0.0, 5e-324, 1.0, 1e300, math.inf)),
+    )
+    def test_scaled_product(self, x, y, coeff):
+        try:
+            unscaled = product(x, y)
+        except NonFinite as exc:
+            assert outcome(product, x, y, coeff) == (NonFinite, str(exc))
+            return
+        scaled = [(s, t, coeff * mass) for s, t, mass in unscaled.atoms]
+        got = outcome(product, x, y, coeff)
+        assert got == outcome(AtomicMeasure2D, scaled)
+        if all(map(math.isfinite, (mass for _, _, mass in scaled))):
+            kept = tuple(atom for atom in scaled if atom[2])
+            assert repr(product(x, y, coeff).atoms) == repr(kept)
 
 
 # Locations on the origin and a few tolerances off it on both sides (apart
