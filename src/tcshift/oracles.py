@@ -4,7 +4,8 @@ Four necessary conditions are checked by direct computation: moment
 interpolation of a candidate measure, Stieltjes-type Hankel positivity of
 one-variable moment data, positive semidefiniteness of the truncated
 two-variable moment matrix, and positivity of finite compressions of the
-joint self-commutator matrix.  The truncated checks are necessary only: a
+joint self-commutator matrix, decided block by block in closed form with
+no matrix built.  The truncated checks are necessary only: a
 pass never certifies subnormality, so reports should label a pass against a
 negative verdict as inconclusive rather than contradictory.
 """
@@ -186,45 +187,6 @@ def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     return _psd_reports(_moment_matrix(source, n)[None], tol)[0]
 
 
-def _joint_hyponormality_matrix(instance: TCInstance, window: int) -> np.ndarray:
-    """The compression of ``joint_hyponormality_compression``, from one
-    ``weight_at`` call per weight."""
-    import numpy as np
-
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    side = window + 1
-    size = side * side
-    indices = [(k1, k2) for k1 in range(side) for k2 in range(side)]
-    alpha = [[instance.weight_at(k1, k2, "h") for k2 in range(side)] for k1 in range(side)]
-    beta = [[instance.weight_at(k1, k2, "v") for k2 in range(side)] for k1 in range(side)]
-    alpha_sq = [[weight**2 for weight in row] for row in alpha]
-    beta_sq = [[weight**2 for weight in row] for row in beta]
-    # basis vector (k1, k2) of the first summand is row k1 * side + k2, of
-    # the second size + k1 * side + k2
-    diagonal = [
-        alpha_sq[k1][k2] - (alpha_sq[k1 - 1][k2] if k1 >= 1 else 0.0) for k1, k2 in indices
-    ]
-    diagonal += [
-        beta_sq[k1][k2] - (beta_sq[k1][k2 - 1] if k2 >= 1 else 0.0) for k1, k2 in indices
-    ]
-    # Off-diagonal blocks: [T2*, T1] maps e_l to a multiple of
-    # e_{l + (1, -1)}, so only columns with l2 >= 1 and l1 < window contribute.
-    sources = [(l1, l2) for l1 in range(window) for l2 in range(1, side)]
-    off = [
-        alpha[l1][l2] * beta[l1 + 1][l2 - 1] - alpha[l1][l2 - 1] * beta[l1][l2 - 1]
-        for l1, l2 in sources
-    ]
-    rows = [(l1 + 1) * side + l2 - 1 for l1, l2 in sources]
-    cols = [size + l1 * side + l2 for l1, l2 in sources]
-    matrix = np.zeros((2 * size, 2 * size))
-    every = np.arange(2 * size)
-    matrix[every, every] = diagonal
-    matrix[rows, cols] = off
-    matrix[cols, rows] = off
-    return matrix
-
-
 def joint_hyponormality_compression(
     instance: TCInstance, window: int, tol: float = DEFAULT_PSD_TOL
 ) -> PsdReport:
@@ -234,9 +196,32 @@ def joint_hyponormality_compression(
     compressed to the basis vectors with both indices at most ``window`` in
     each of the two summands.  Positivity of the full operator (joint
     hyponormality, hence subnormality) forces every such compression to be
-    positive semidefinite.
+    positive semidefinite.  It is decided block by block, with no matrix.
     """
-    return _psd_reports(_joint_hyponormality_matrix(instance, window)[None], tol)[0]
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    side = window + 1
+    alpha = [[instance.weight_at(k1, k2, "h") for k2 in range(side)] for k1 in range(side)]
+    beta = [[instance.weight_at(k1, k2, "v") for k2 in range(side)] for k1 in range(side)]
+    # diagonal at e_(k1, k2): alpha(k1, k2)^2 - alpha(k1 - 1, k2)^2 in the first summand,
+    # beta(k1, k2)^2 - beta(k1, k2 - 1)^2 in the second, a weight at index -1 read as 0
+    first = [[w**2 - v**2 for w, v in zip(*rows)] for rows in zip(alpha, [[0.0] * side] + alpha)]
+    second = [[w**2 - v**2 for w, v in zip(row, [0.0] + row)] for row in beta]
+    diagonal = [entry for row in first + second for entry in row]
+    # [T2*, T1] maps e_l to a multiple of e_(l + (1, -1)): e_(l1 + 1, l2 - 1) of the first
+    # summand and e_(l1, l2) of the second make a 2x2 block, every other vector a 1x1 block
+    blocks = []
+    for l1 in range(window):
+        for l2 in range(1, side):
+            coupling = alpha[l1][l2] * beta[l1 + 1][l2 - 1] - alpha[l1][l2 - 1] * beta[l1][l2 - 1]
+            blocks.append((first[l1 + 1][l2 - 1], second[l1][l2], coupling))
+    if not all(map(math.isfinite, diagonal + [c for _, _, c in blocks])):  # min drops NaN
+        raise NonFinite("an oracle matrix has a non-finite entry")
+    # no 2x2 block's diagonal entry undercuts its least eigenvalue; halving keeps a + b finite
+    least = [a / 2 + b / 2 - math.hypot(a / 2 - b / 2, c) for a, b, c in blocks]
+    min_eig = min(diagonal + least)
+    threshold = tol * max(left_sum(diagonal), 0.0)
+    return PsdReport(2 * side * side, min_eig, min_eig >= -threshold, threshold)
 
 
 def oracle_status(verdict_subnormal: bool, oracle_passed: bool) -> str:

@@ -1012,9 +1012,9 @@ class TestSweepSharesTheAFreeParts:
 
 
 class TestOracleCalls:
-    """verify reads each moment once per oracle and decides each oracle's
-    matrices, every Hankel pair of every row and column together, in one
-    eigvalsh call."""
+    """verify reads each moment once per oracle and decides each matrix
+    oracle's matrices, every Hankel pair of every row and column together,
+    in one eigvalsh call; the joint-hyponormality compression needs none."""
 
     @pytest.mark.parametrize(
         "name",
@@ -1054,5 +1054,5 @@ class TestOracleCalls:
         matrix_calls = calls.count(("moment_matrix_2d", "instance"))
         assert 0 < matrix_calls <= (2 * n + 1) * (2 * n + 2) // 2 + 1
         assert calls.count(("moment_interpolation_check", "measure")) == 0
-        # every Hankel pair in one stack, then the two matrices
-        assert sum(label == "eigvalsh" for _, label in calls) == 3
+        # every Hankel pair in one stack, then the moment matrix
+        assert sum(label == "eigvalsh" for _, label in calls) == 2

@@ -8,6 +8,8 @@ working directory, so messages that quote the path are portable.  After an
 intended change of output, record the files again with
 
     PYTHONPATH=src python tests/test_golden.py
+
+and list what moved since a git revision with ``tests/golden_diff.py``.
 """
 
 import io

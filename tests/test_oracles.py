@@ -11,11 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcshift.cli import DEFAULT_WINDOW
-from tcshift.errors import InvalidMoments, NonFinite, PreconditionViolated
+from tcshift.errors import DepthExceeded, InvalidMoments, NonFinite, PreconditionViolated
 from tcshift.measures import AtomicMeasure2D, dirac2
 from tcshift.oracles import (
     PsdReport,
-    _joint_hyponormality_matrix,
     _moment_matrix,
     _moment_table,
     _psd_reports,
@@ -216,8 +215,8 @@ def matrix_instances():
 
 
 class TestMatricesBuiltWhole:
-    """The oracle matrices, built whole, hold the bits of the entry-by-entry
-    builders, and raise what they raise."""
+    """The moment matrix, built whole, holds the bits of the entry-by-entry
+    builder, and raises what it raises."""
 
     @pytest.mark.parametrize("name, instance", list(matrix_instances()))
     def test_moment_matrix(self, name, instance):
@@ -227,25 +226,12 @@ class TestMatricesBuiltWhole:
             report = _psd_reports(expected[None], 1e-9)[0]
             assert repr(moment_matrix_2d(instance, n)) == repr(report)
 
-    @pytest.mark.parametrize("name, instance", list(matrix_instances()))
-    def test_joint_hyponormality_matrix(self, name, instance):
-        for window in range(1, 8):
-            expected = reference_joint_hyponormality_matrix(instance, window)
-            assert same_array(_joint_hyponormality_matrix(instance, window), expected)
-            assert repr(joint_hyponormality_compression(instance, window)) == repr(
-                _psd_reports(expected[None], 1e-9)[0]
-            )
-
     @pytest.mark.parametrize("size", [0, 17, 40])
     def test_errors_match(self, size):
         instance = f1_instance()
         assert outcome(_moment_matrix, instance, size) == outcome(
             reference_moment_matrix, instance, size
         )
-        for window in (size, size + 16):
-            assert outcome(_joint_hyponormality_matrix, instance, window) == outcome(
-                reference_joint_hyponormality_matrix, instance, window
-            )
 
     def test_a_measure_source(self):
         rng = random.Random(7)
@@ -253,6 +239,87 @@ class TestMatricesBuiltWhole:
         mu = AtomicMeasure2D(tuple((s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms))
         for n in range(1, 6):
             assert same_array(_moment_matrix(mu, n), reference_moment_matrix(mu, n))
+
+
+def reference_jh_report(instance, window: int) -> PsdReport:
+    """The report of eigvalsh on the compression built entry by entry."""
+    return _psd_reports(reference_joint_hyponormality_matrix(instance, window)[None], 1e-9)[0]
+
+
+def stub_instance(weights: dict) -> types.SimpleNamespace:
+    """Weight 1 everywhere but at the (k1, k2, direction) keys of ``weights``."""
+    return types.SimpleNamespace(weight_at=lambda k1, k2, d: weights.get((k1, k2, d), 1.0))
+
+
+class TestJointHyponormalityClosedForm:
+    """The compression, decided block by block with no matrix, agrees with
+    eigvalsh of the matrix built entry by entry, and raises what building
+    and deciding that matrix raises."""
+
+    @pytest.mark.parametrize("name, instance", list(matrix_instances()))
+    def test_agrees_with_eigvalsh(self, name, instance):
+        for window in range(1, 8):
+            matrix = reference_joint_hyponormality_matrix(instance, window)
+            expected = _psd_reports(matrix[None], 1e-9)[0]
+            report = joint_hyponormality_compression(instance, window)
+            assert report.dimension == expected.dimension
+            assert report.passed == expected.passed
+            scale = float(np.abs(matrix).max())
+            assert abs(report.min_eigenvalue - expected.min_eigenvalue) <= 1e-14 * scale
+            assert report.tolerance == pytest.approx(expected.tolerance, rel=1e-14)
+
+    @pytest.mark.parametrize("name, instance", list(matrix_instances()))
+    def test_each_vector_is_coupled_to_at_most_one_other(self, name, instance):
+        # the fact the closed form rests on: the matrix is a direct sum of
+        # 1x1 and 2x2 blocks
+        for window in range(1, 8):
+            matrix = reference_joint_hyponormality_matrix(instance, window)
+            off_diagonal = matrix - np.diag(np.diag(matrix))
+            assert (np.count_nonzero(off_diagonal, axis=1) <= 1).all()
+
+    @pytest.mark.parametrize("window", [0, 16, 17, 33, 40, 56])
+    def test_errors_match(self, window):
+        instance = f1_instance()
+        expected = outcome(reference_jh_report, instance, window)
+        actual = outcome(joint_hyponormality_compression, instance, window)
+        if isinstance(expected, tuple):
+            assert actual == expected
+        else:
+            assert isinstance(actual, str)
+
+    def test_a_weight_error_comes_before_a_non_finite_entry(self):
+        def weight_at(k1, k2, direction):
+            if (k1, k2, direction) == (2, 2, "v"):
+                raise DepthExceeded("index (2, 2) beyond the depth limit 1")
+            return math.nan
+
+        instance = types.SimpleNamespace(weight_at=weight_at)
+        expected = (DepthExceeded, "index (2, 2) beyond the depth limit 1")
+        assert outcome(reference_jh_report, instance, 2) == expected
+        assert outcome(joint_hyponormality_compression, instance, 2) == expected
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {(1, 1, "h"): math.nan},
+            {(0, 2, "v"): math.inf},
+            # finite squares, but alpha(0, 1) beta(1, 0) - alpha(0, 0) beta(0, 0)
+            # overflows: only a coupling entry is inf
+            {
+                (0, 0, "h"): -1.3e154,
+                (0, 1, "h"): 1.3e154,
+                (1, 0, "v"): 1.3e154,
+                (0, 0, "v"): 1.3e154,
+            },
+        ],
+        ids=["nan-weight", "inf-weight", "inf-coupling"],
+    )
+    def test_a_non_finite_entry_is_refused(self, weights):
+        instance = stub_instance(weights)
+        with pytest.raises(NonFinite, match="an oracle matrix has a non-finite entry"):
+            reference_jh_report(instance, 2)
+        with pytest.raises(NonFinite, match="an oracle matrix has a non-finite entry"):
+            joint_hyponormality_compression(instance, 2)
 
 
 class TestHankel:

@@ -20,12 +20,17 @@ line from its fields.
 A flat file and the tc file of its embedding describe one shift, so they
 get one report.  Whatever one value of a file is changed to, every command
 ends in a report or in an exit code, never in an exception.
+
+Every row and column shift of a subnormal shift is subnormal, so a
+subnormal verdict comes with a passing H0 report, also at the ends of the
+interval of joining weights a that keep the verdict subnormal.
 """
 
 import copy
 import functools
 import io
 import json
+import math
 import operator
 import random
 from pathlib import Path
@@ -44,6 +49,7 @@ from tcshift.cli import (
     render_json,
     run,
 )
+from tcshift.errors import TCShiftError
 from tcshift.reconstruct import Witness, subnormality_verdict
 
 from helpers import (
@@ -51,6 +57,7 @@ from helpers import (
     f1_instance,
     flat_files,
     random_subnormal_instance,
+    random_tc_instance,
     scaled_tc,
     tc_file,
 )
@@ -316,3 +323,40 @@ def test_every_command_ends_in_an_exit_code(perturbed_path, data):
         for mode in ([], ["--json"]):
             argv = [command[0], str(perturbed_path), *command[1:], *mode]
             assert run(argv, out=io.StringIO(), err=io.StringIO()) in range(4), argv
+
+
+def is_subnormal(instance) -> bool:
+    """The verdict, with an instance that cannot be decided counted as not
+    subnormal."""
+    try:
+        return subnormality_verdict(instance).subnormal
+    except (TCShiftError, ArithmeticError):
+        return False
+
+
+def subnormal_end(instance, inside: float, outside: float, steps: int = 40) -> float:
+    """The subnormal a nearest ``outside`` that bisection from the
+    subnormal ``inside`` finds."""
+    for _ in range(steps):
+        middle = (inside + outside) / 2
+        if is_subnormal(instance.with_a(middle)):
+            inside = middle
+        else:
+            outside = middle
+    return inside
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_subnormal_verdict_implies_membership_in_h0(seed):
+    instance = random_tc_instance(random.Random(seed))
+    if not is_subnormal(instance):
+        return
+    # towards a far below the drawn a, and towards twice the a at which
+    # a^2 ||1/s||_xi = 1; an end that is still subnormal is checked as well
+    low = subnormal_end(instance, instance.a, instance.a / 1e3)
+    high = subnormal_end(instance, instance.a, 2.0 / math.sqrt(instance.xi.reciprocal_norm()))
+    for a in (instance.a, low, high, (low + high) / 2):
+        member = instance.with_a(a)
+        if is_subnormal(member):
+            assert member.check_membership_h0(8).passed, a
