@@ -5,9 +5,9 @@ interpolation of a candidate measure, Stieltjes-type Hankel positivity of
 one-variable moment data, positive semidefiniteness of the truncated
 two-variable moment matrix, and positivity of finite compressions of the
 joint self-commutator matrix, decided block by block in closed form with
-no matrix built.  The truncated checks are necessary only: a
-pass never certifies subnormality, so reports should label a pass against a
-negative verdict as inconclusive rather than contradictory.
+no matrix built.  The truncated checks are necessary only: a pass never
+certifies subnormality, so reports should label a pass against a negative
+verdict as inconclusive rather than contradictory.
 """
 
 from __future__ import annotations
