@@ -13,20 +13,23 @@ verdict as inconclusive rather than contradictory.
 from __future__ import annotations
 
 import math
-from operator import mul
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidMoments, NonFinite, PreconditionViolated
 from .diagram import TCInstance
 from .measures import AtomicMeasure2D, left_sum
 
-# numpy is imported inside the functions that build matrices, so that the
-# commands that never run an oracle start without it.
+# numpy is imported inside the functions that use it (the matrix builders and
+# mu's moment table), so that the commands that never run an oracle start
+# without it.
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_INTERPOLATION_TOL = 1e-10
+# atoms per accumulate in the interpolation's moment table
+_TABLE_BLOCK = 256
 
 
 class PsdReport(NamedTuple):
@@ -70,17 +73,42 @@ def _psd_reports(stack: np.ndarray, tol: float) -> list[PsdReport]:
 
 
 def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
-    """``table[k1][k2]`` is ``mu.moment(k1, k2)`` to the bit for k1 + k2 <= order:
-    the same ``mass * s**k1 * t**k2`` summed in atom order, each power
-    taken once per distinct location."""
-    locations = dict.fromkeys(loc for s, t, _ in mu.atoms for loc in (s, t))
-    powers = {loc: [loc**k for k in range(order + 1)] for loc in locations}
-    t_powers = [[powers[t][k2] for _, t, _ in mu.atoms] for k2 in range(order + 1)]
-    table = []
-    for k1 in range(order + 1):
-        weighted = [mass * powers[s][k1] for s, _, mass in mu.atoms]
-        table.append([left_sum(map(mul, weighted, t_powers[k2])) for k2 in range(order + 1 - k1)])
-    return table
+    """``table[k1][k2]`` is ``mu.moment(k1, k2)`` to the bit for k1 + k2 <= order.
+
+    numpy makes the floating-point operations of ``mu.moment``, in its
+    order.  Each power is taken once per distinct location with Python's
+    ``**``, as numpy's ``power`` need not give libm's bits, and a power too
+    large for a float raises ``OverflowError`` as in ``mu.moment``.  Each
+    term is ``(mass * s**k1) * t**k2``.  ``np.add.accumulate`` sums the
+    terms in atom order from a row of 0.0, as ``left_sum`` does from 0, so
+    that no entry is -0.0; ``sum``, ``dot`` and the like would add
+    pairwise.  The atoms go in blocks of ``_TABLE_BLOCK``, each carrying on
+    from the running row of the last, so the terms held at once number
+    ``_TABLE_BLOCK * (order + 1)**2`` at most, at any count of atoms.
+    """
+    import numpy as np
+
+    atoms = mu.atoms
+    side = order + 1
+    locations = dict.fromkeys(loc for s, t, _ in atoms for loc in (s, t))
+    powers = np.array([[loc**k for k in range(side)] for loc in locations])
+    row = dict(zip(locations, range(len(locations))))
+    s_rows = np.array([row[s] for s, _, _ in atoms])
+    t_rows = np.array([row[t] for _, t, _ in atoms])
+    masses = np.array([mass for _, _, mass in atoms])
+    # the entries with k1 + k2 <= order of a flattened side x side square, row by row
+    triangle = [k1 * side + k2 for k1 in range(side) for k2 in range(side - k1)]
+    total = np.zeros((1, len(triangle)))
+    # an inf or NaN term is the term Python makes, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(atoms), _TABLE_BLOCK):
+            block = slice(start, start + _TABLE_BLOCK)
+            weighted = masses[block, None] * powers[s_rows[block]]
+            terms = weighted[:, :, None] * powers[t_rows[block]][:, None, :]
+            terms = terms.reshape(-1, side * side)[:, triangle]
+            total = np.add.accumulate(np.concatenate((total, terms)), axis=0)[-1:]
+    entries = iter(total[0].tolist())
+    return [list(islice(entries, side - k1)) for k1 in range(side)]
 
 
 def moment_interpolation_check(

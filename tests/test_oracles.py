@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 from tcshift.cli import DEFAULT_WINDOW
 from tcshift.errors import DepthExceeded, InvalidMoments, NonFinite, PreconditionViolated
-from tcshift.measures import AtomicMeasure2D, dirac2
+from tcshift.measures import AtomicMeasure2D, SignedMeasure2D, dirac2
 from tcshift.oracles import (
+    _TABLE_BLOCK,
     PsdReport,
     _moment_matrix,
     _moment_table,
@@ -125,6 +127,46 @@ class TestMomentTable:
             assert (type(exc), str(exc)) in outcomes.values()
             return
         assert {(k1, k2): bits(table[k1][k2]) for k1, k2 in indices} == outcomes
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", [0, 12])
+    def test_a_measure_of_several_blocks(self, order):
+        # every pair of 31 locations, the origin and 1e20 among them, so each
+        # location is shared by many atoms and by both axes; masses of both
+        # signs up to 1e300 make terms that overflow and sums that are NaN
+        rng = random.Random(26)
+        pool = [0.0, 1e-160, 1e20] + [rng.uniform(0.0, 4.0) for _ in range(28)]
+        masses = [1e300, -1e300] + [
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+            for _ in range(len(pool) ** 2 - 2)
+        ]
+        points = [(s, t) for s in pool for t in pool]
+        mu = SignedMeasure2D(tuple((s, t, mass) for (s, t), mass in zip(points, masses)))
+        assert len(mu.atoms) > 2 * _TABLE_BLOCK
+        table = _moment_table(mu, order)
+        indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
+        assert [bits(table[k1][k2]) for k1, k2 in indices] == [
+            bits(mu.moment(k1, k2)) for k1, k2 in indices
+        ]
+        if order:
+            assert any(math.isnan(value) for row in table for value in row)
+            assert any(math.isinf(value) for row in table for value in row)
+
+    def test_memory_does_not_grow_with_the_terms(self):
+        # one block of terms at a time: the whole atoms x (order + 1)^2 array
+        # of terms would hold 54 MB here
+        order = 12
+        pool = [1.0 + k / 200.0 for k in range(200)]
+        mu = AtomicMeasure2D(tuple((s, t, 1.0) for s in pool for t in pool))
+        whole = len(mu.atoms) * (order + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            _moment_table(mu, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert whole > 50e6
+        assert peak < whole / 10
 
 
 def single_report(matrix: np.ndarray, tol: float) -> PsdReport:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tcshift.cli import parse_instance
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import (
     DegenerateMeasure,
@@ -36,6 +37,8 @@ from tcshift.reconstruct import (
 )
 
 from helpers import (
+    FIXTURES,
+    FLAT_FIXTURES,
     assert_measures_close,
     assert_scalar_close,
     f1_flat,
@@ -399,6 +402,9 @@ class TestFlatVerdict:
             via_flat = flat_verdict(flat)
             via_general = subnormality_verdict(flat.embed())
             assert via_flat.subnormal == via_general.subnormal, flat
+            # the closed forms round differently: 500 instances differed by 2.3e-14 at most
+            for got, expected in zip(via_flat.diagnostics, via_general.diagnostics):
+                assert abs(got - expected) <= 1e-12 * abs(expected), (flat, got, expected)
             if via_flat.subnormal:
                 inst = flat.embed()
                 assert_measures_close(
@@ -410,3 +416,8 @@ class TestFlatVerdict:
                 assert via_flat.witness.measure == via_general.witness.measure
             seen[via_flat.subnormal] += 1
         assert seen[True] >= 10 and seen[False] >= 10
+
+    @pytest.mark.parametrize("name", FLAT_FIXTURES)
+    def test_diagnostics_of_the_flat_fixtures_are_the_general_ones(self, name):
+        flat = parse_instance(str(FIXTURES / f"{name}.json")).instance
+        assert flat_verdict(flat).diagnostics == subnormality_verdict(flat.embed()).diagnostics
