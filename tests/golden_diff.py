@@ -4,8 +4,10 @@
 
 For every case whose recorded outcome differs from the one at REV, prints
 the case and each moved value: a JSON key path of stdout with its old and
-new value, or a whole field (code, stderr, or stdout that is not one JSON
-document) that moved.  Ends with the set of moved fields and key paths.
+new value, a line of a text report keyed by its text before the first
+``: `` (for example ``oracle hankel_rows[0]``) with its old and new text,
+or a whole field (the exit code, or a case that one side lacks) that
+moved.  Ends with the set of moved fields, key paths and line keys.
 """
 
 import json
@@ -29,6 +31,11 @@ def leaves(value, path=()):
         yield path, repr(value)
 
 
+def text_lines(text: str) -> dict:
+    """Each line of a text report, keyed by its text before the first ': '."""
+    return {(line.partition(": ")[0],): line for line in text.splitlines()}
+
+
 def moves(old: dict, new: dict):
     """(field, key path, old, new) of each value that differs in one case."""
     for field in sorted(old.keys() | new.keys()):
@@ -39,8 +46,10 @@ def moves(old: dict, new: dict):
             before_leaves = dict(leaves(json.loads(before)))
             after_leaves = dict(leaves(json.loads(after)))
         except (TypeError, ValueError):
-            yield field, (), before, after
-            continue
+            if not isinstance(before, str) or ABSENT in (before, after):
+                yield field, (), before, after
+                continue
+            before_leaves, after_leaves = text_lines(before), text_lines(after)
         for path in sorted(before_leaves.keys() | after_leaves.keys(), key=repr):
             old_value, new_value = before_leaves.get(path, ABSENT), after_leaves.get(path, ABSENT)
             if old_value != new_value:
