@@ -12,9 +12,15 @@ remaining boundary weights are forced by commutativity:
     beta[k1+1][0]  = beta[k1][0] alpha_{k1} / x_{k1},   beta[1][0]  = a y_0 / x_0
     alpha[0][k2+1] = alpha[0][k2] beta_{k2} / y_{k2},   alpha[0][1] = a
 
-Moments of order (k1, k2) are products of squared weights along any
-nondecreasing lattice path; commutativity makes the value path independent.
-An instance tabulates its weights and moments once, to the fixed depth
+Moments of order (k1, k2) are products of squared weights along a
+nondecreasing lattice path, which commutativity makes path independent, so
+they have a closed form in the four measures' own moments:
+
+    gamma_(k1, 0) = gamma^xi_x_k1,   gamma_(0, k2) = gamma^eta_y_k2,
+    gamma_(k1, k2) = a^2 y0^2 gamma^xi_(k1-1) gamma^eta_(k2-1)  (k1, k2 >= 1)
+
+An instance reads them from the weights of its four measures
+(``shifts.weights_from_measure``) to the fixed depth
 ``TCInstance.depth_limit``; the restriction of the shift to k2 >= i,
 k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
 ``TCInstance.with_a`` makes the same instance at another joining weight;
@@ -40,7 +46,7 @@ from operator import mul
 from typing import Literal, NamedTuple
 
 from .errors import (
-    AtomAtZero, DegenerateMeasure, DepthExceeded, InvalidFlat, InvalidWeight, NotProbability
+    AtomAtZero, DepthExceeded, InvalidFlat, InvalidWeight, NotProbability
 )
 from .measures import (
     POSITIVITY_REL_TOL,
@@ -50,14 +56,12 @@ from .measures import (
     MergeRuns,
     dirac,
     merge_runs,
-    power_sums,
     same_location,
     to_float,
 )
-from .shifts import restriction_measure, weights_from_measure
+from .shifts import relative_moments, restriction_measure, weights_from_measure
 
 Direction = Literal["h", "v"]
-Grid = tuple[tuple[float, ...], ...]
 
 
 class H0Report(NamedTuple):
@@ -140,8 +144,7 @@ class TCInstance(Frozen):
         on a: those already computed are copied into its own attributes,
         which shadow the ``_free_of_a`` properties, and the rest are still
         computed on first use, so an invalid instance raises the error that
-        it raises when built afresh; the weight grids depend on a and are
-        its own.
+        it raises when built afresh; its weights and moments are its own.
         """
         a = _joining_weight(a)
         other = object.__new__(type(self))
@@ -199,42 +202,36 @@ class TCInstance(Frozen):
         return merge_runs((self.xi_x, dirac(0.0), self.xi_tilde))
 
     @cached_property
-    def _grids(self) -> tuple[Grid, Grid]:
-        """The diagram, alpha[k1][k2] and beta[k1][k2] for
-        0 <= k1, k2 <= depth_limit."""
-        limit = self.depth_limit
-        x = weights_from_measure(self.xi_x, limit + 1)
-        y = weights_from_measure(self.eta_y, limit + 1)
-        core_h = weights_from_measure(self.xi, limit + 1)  # alpha_k at k - 1
-        core_v = weights_from_measure(self.eta, limit + 1)  # beta_k at k - 1
-        col0 = [x[0], self.a]
-        for k2 in range(1, limit):
-            col0.append(col0[k2] * core_v[k2 - 1] / y[k2])
-        row0 = [y[0], self.a * y[0] / x[0]]
-        for k1 in range(1, limit):
-            row0.append(row0[k1] * core_h[k1 - 1] / x[k1])
-        core_v = core_v[:limit]
-        rest = range(1, limit + 1)
-        alpha = (tuple(col0), *((x[k1],) + (core_h[k1 - 1],) * limit for k1 in rest))
-        beta = (y, *((row0[k1], *core_v) for k1 in rest))
-        return alpha, beta
+    def _weights(self) -> tuple[tuple[float, ...], ...]:
+        """The first depth_limit + 1 weights of xi_x, eta_y, xi and eta."""
+        return tuple(
+            weights_from_measure(measure, self.depth_limit + 1)
+            for measure in (self.xi_x, self.eta_y, self.xi, self.eta)
+        )
 
     @cached_property
-    def _gamma(self) -> Grid:
-        """gamma[k1][k2] for every valid index, built as the row-first path
-        multiplies it: along row 0 to k1, then up column k1."""
-        alpha, beta = self._grids
-        rest = range(1, self.depth_limit + 1)
-        # beta[k1] is (beta[k1][0], *core) for every k1 >= 1: square the core once
-        core = [weight**2 for weight in beta[1][1:]]
-        squares = [[weight**2 for weight in beta[0]], *([beta[k1][0] ** 2, *core] for k1 in rest)]
-        # bases[k1] = gamma[k1][0]; the last one closes row 0
-        bases = list(accumulate([alpha[k1][0] ** 2 for k1 in (0, *rest)], mul, initial=1.0))
-        columns = [
-            tuple(accumulate(column, mul, initial=base)) for base, column in zip(bases, squares)
-        ]
-        columns.append((bases[-1],))
-        return tuple(columns)
+    def _boundary(self) -> tuple[list[float], list[float]]:
+        """alpha(0, k) and beta(k, 0) at k - 1 for 1 <= k <= depth_limit,
+        by the commutativity recursions."""
+        x, y, core_h, core_v = self._weights
+        column = [self.a]
+        row = [self.a * y[0] / x[0]]
+        for k in range(1, self.depth_limit):
+            column.append(column[-1] * core_v[k - 1] / y[k])
+            row.append(row[-1] * core_h[k - 1] / x[k])
+        return column, row
+
+    @cached_property
+    def _moments(self) -> tuple[list[float], ...]:
+        """gamma^xi_x_k, gamma^eta_y_k, a^2 y0^2 gamma^xi_k and gamma^eta_k for
+        k <= depth_limit + 1: running products of squared weights, inf where
+        they overflow."""
+        x, y, core_h, core_v = (
+            list(accumulate((w * w for w in weights), mul, initial=1.0))
+            for weights in self._weights
+        )
+        scale = self.a * self.a * y[1]
+        return x, y, [scale * gamma for gamma in core_h], core_v
 
     def weight_at(self, k1: int, k2: int, direction: Direction) -> float:
         """Weight of the diagram at lattice point (k1, k2).
@@ -248,20 +245,27 @@ class TCInstance(Frozen):
             raise DepthExceeded(
                 f"index ({k1}, {k2}) beyond the depth limit {self.depth_limit}"
             )
-        alpha, beta = self._grids
+        x, y, core_h, core_v = self._weights
         if direction == "h":
-            return alpha[k1][k2]
+            return x[k1] if k2 == 0 else core_h[k1 - 1] if k1 else self._boundary[0][k2 - 1]
         if direction == "v":
-            return beta[k1][k2]
+            return y[k2] if k1 == 0 else core_v[k2 - 1] if k2 else self._boundary[1][k1 - 1]
         raise ValueError(f"direction must be 'h' or 'v', got {direction!r}")
 
     def moment(self, k1: int, k2: int) -> float:
-        """Moment gamma_(k1, k2): squared weights along the row-first path."""
+        """Moment gamma_(k1, k2) in closed form: gamma^xi_x_k1 on row 0,
+        gamma^eta_y_k2 on column 0, and a^2 y0^2 gamma^xi_(k1-1)
+        gamma^eta_(k2-1) in the core."""
         if k1 < 0 or k2 < 0:
             raise ValueError("moment orders must be nonnegative")
-        gamma = self._gamma
-        if k1 < len(gamma) and k2 < len(gamma[k1]):
-            return gamma[k1][k2]
+        x, y, core_h, core_v = self._moments
+        limit = self.depth_limit
+        if k2 == 0 and k1 <= limit + 1:
+            return x[k1]
+        if k1 == 0 and k2 <= limit + 1:
+            return y[k2]
+        if k1 <= limit and k2 <= limit + 1:
+            return core_h[k1 - 1] * core_v[k2 - 1]
         raise DepthExceeded(
             f"moment ({k1}, {k2}) beyond the depth limit {self.depth_limit}"
         )
@@ -281,7 +285,7 @@ class TCInstance(Frozen):
         if depth < 1:
             raise ValueError("depth must be at least 1")
         xi_x, eta_y, xi, eta = (
-            _relative_moments(m, depth + 1) for m in (self.xi_x, self.eta_y, self.xi, self.eta)
+            relative_moments(m, depth + 1) for m in (self.xi_x, self.eta_y, self.xi, self.eta)
         )
         y0_sq = self.y0_sq / self.eta_y.total_mass  # the diagram's y0^2 = gamma_1 / gamma_0
         for line, recip, (core_top, core), (top, moments) in (
@@ -306,17 +310,6 @@ class TCInstance(Frozen):
         """Moments of the one-variable shift along a fixed column."""
         base = self.moment(column, 0)
         return tuple(self.moment(column, k) / base for k in range(count))
-
-
-def _relative_moments(measure: AtomicMeasure1D, count: int) -> tuple[float, list[float]]:
-    """The largest location t of the measure, and its moments of orders 0
-    to count - 1 over its total mass and over t^k.  Each lies between the
-    share of the mass at t and 1, so none overflows or underflows to 0."""
-    top = measure.atoms[-1][0]
-    if top == 0.0:
-        raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
-    moments = power_sums([(loc / top, mass) for loc, mass in measure.atoms], count)
-    return top, [moment / moments[0] for moment in moments]
 
 
 def _check_unit_interval(name: str, value: float, *, allow_zero: bool) -> None:

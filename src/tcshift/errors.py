@@ -32,8 +32,8 @@ class NonFinite(TCShiftError, ValueError):
 
 
 class InvalidMoments(TCShiftError, ValueError):
-    """Moment data are not positive and finite, for instance because a
-    moment underflowed to 0 or overflowed.  It is also a ValueError."""
+    """Moment data given to a Hankel check hold an entry that is not
+    positive.  It is also a ValueError."""
 
 
 class PreconditionViolated(TCShiftError):

@@ -1,49 +1,47 @@
-"""One-variable weighted-shift kernel: weights, moments, Berger measures.
+"""One-variable weighted-shift kernel: moments, weights, restrictions.
 
 A subnormal unilateral shift is equivalent data to a probability measure on
 [0, norm^2]: the k-th monomial moment of the measure is the product of the
-first k squared weights.  This module moves between the two descriptions
-for finitely atomic measures, and provides the restriction that the
-2-variable model is assembled from.
-Weight input is deliberately not supported: inputs enter as measures, and
-weights are recovered lazily to any requested depth.
+first k squared weights.  ``relative_moments`` is the one place where a
+measure's moments are summed, each relative to its largest location so that
+none overflows or underflows; ``weights_from_measure`` takes the weights
+from them, and the diagram takes its moments back as running products of
+their squares.  The square root stays because ``bench/spans.py`` traces
+``weights_from_measure`` as a layer of ``verify``.  Weight input is
+deliberately not supported: inputs enter as measures.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DegenerateMeasure, InvalidMoments, InvalidWeight
+from .errors import DegenerateMeasure
 from .measures import AtomicMeasure1D, at_merged_locations, power_sums
+
+
+def relative_moments(measure: AtomicMeasure1D, count: int) -> tuple[float, list[float]]:
+    """The largest location t of the measure, and its moments of orders 0
+    to count - 1 over its total mass and over t^k.  Each lies between the
+    share of the mass at t and 1, so none overflows or underflows to 0."""
+    top = measure.atoms[-1][0]
+    if top == 0.0:
+        raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
+    moments = power_sums([(loc / top, mass) for loc, mass in measure.atoms], count)
+    return top, [moment / moments[0] for moment in moments]
 
 
 def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
     """First n weights of the subnormal shift with the given Berger measure.
 
-    alpha_k = sqrt(gamma_{k+1} / gamma_k) with gamma_k the k-th moment, so
-    the shift built from the result has the input as its Berger measure by
-    construction.  Every weight must be positive, finite and at most the
-    norm sqrt(max supp); rounding of underflowing moments can break that,
-    and no moment may underflow to 0 or overflow.
+    alpha_k = sqrt(gamma_{k+1} / gamma_k) with gamma_k the k-th moment,
+    read as sqrt(t r_{k+1} / r_k) from the relative moments r_k of
+    ``relative_moments``, so the shift built from the result has the input
+    as its Berger measure by construction.
     """
     if n < 1:
         raise ValueError("at least one weight must be requested")
-    # the moments of orders 0 to n, the bits of measure.moment(k)
-    gammas = power_sums(measure.atoms, n + 1)
-    if math.inf in gammas:
-        raise InvalidMoments(f"moment {gammas.index(math.inf)} of the measure overflows")
-    if gammas[1] <= 0.0:
-        raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
-    if 0.0 in gammas:
-        raise InvalidMoments(f"moment {gammas.index(0.0)} of the measure underflows to 0")
-    weights = tuple(math.sqrt(gammas[k + 1] / gammas[k]) for k in range(n))
-    bound = math.sqrt(max(loc for loc, _ in measure.atoms))
-    for value in weights:
-        if not (value > 0.0 and math.isfinite(value)):
-            raise InvalidWeight(f"weights must be positive and finite, got {value!r}")
-        if value > bound * (1.0 + 1e-12):
-            raise InvalidWeight(f"weight {value!r} exceeds the norm bound {bound!r}")
-    return weights
+    top, moments = relative_moments(measure, n + 1)
+    return tuple(math.sqrt(top * moments[k + 1] / moments[k]) for k in range(n))
 
 
 def restriction_measure(measure: AtomicMeasure1D, h: int) -> AtomicMeasure1D:

@@ -12,7 +12,7 @@ import numpy as np
 
 from tcshift.cli import parse_instance
 from tcshift.diagram import FlatInstance, TCInstance
-from tcshift.errors import DegenerateMeasure, InvalidMoments, InvalidWeight, TCShiftError
+from tcshift.errors import DegenerateMeasure, TCShiftError
 from tcshift.measures import (
     MERGE_REL_TOL,
     POSITIVITY_REL_TOL,
@@ -229,6 +229,20 @@ def scaled_tc(data: dict, c: float) -> dict:
     return {**data, **scaled, "a": data["a"] * math.sqrt(c)}
 
 
+def scaled_apart(data: dict, es: int, et: int) -> dict:
+    """A tc instance file with the s-side scaled by 4**es and the t-side
+    by 4**et: the locations of xi_x and xi times 4**es and a times 2**es,
+    the locations of eta_y and eta times 4**et.  Every horizontal weight
+    is then multiplied by 2**es and every vertical one by 2**et, so the
+    instance is subnormal exactly when the original is."""
+    factors = {"xi_x": 4.0**es, "xi": 4.0**es, "eta_y": 4.0**et, "eta": 4.0**et}
+    scaled = {
+        name: {"atoms": [[loc * c, mass] for loc, mass in data[name]["atoms"]]}
+        for name, c in factors.items()
+    }
+    return {**data, **scaled, "a": data["a"] * 2.0**es}
+
+
 def _atoms(measure: AtomicMeasure1D) -> dict:
     return {"atoms": [list(atom) for atom in measure.atoms]}
 
@@ -387,8 +401,9 @@ def reference_berger_split(inst: TCInstance, tol=POSITIVITY_REL_TOL, psi=None, p
 
 def reference_moment(inst: TCInstance, k1: int, k2: int) -> float:
     """gamma_(k1, k2) by walking the row-first lattice path: the squared
-    weights along row 0 to k1, then up column k1.  The instance's moment
-    table must reproduce it exactly (same floats, same exception types)."""
+    weights along row 0 to k1, then up column k1.  The instance's closed
+    form must agree with it within rounding, and raise the same exception
+    types."""
     if k1 < 0 or k2 < 0:
         raise ValueError("moment orders must be nonnegative")
     value = 1.0
@@ -438,42 +453,23 @@ def reference_weight(inst: TCInstance, k1: int, k2: int, direction: str) -> floa
 # same exceptions and messages).
 
 
-def reference_weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
-    """``weights_from_measure`` from one ``measure.moment(k)`` per order,
-    stopping at the first order that overflows."""
-    if n < 1:
-        raise ValueError("at least one weight must be requested")
-    gammas = []
-    for k in range(n + 1):
-        try:
-            gamma = measure.moment(k)
-        except OverflowError:
-            gamma = math.inf
-        if gamma == math.inf:
-            raise InvalidMoments(f"moment {k} of the measure overflows")
-        gammas.append(gamma)
-    if gammas[1] <= 0.0:
-        raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
-    if 0.0 in gammas:
-        raise InvalidMoments(f"moment {gammas.index(0.0)} of the measure underflows to 0")
-    weights = tuple(math.sqrt(gammas[k + 1] / gammas[k]) for k in range(n))
-    bound = math.sqrt(max(loc for loc, _ in measure.atoms))
-    for value in weights:
-        if not (value > 0.0 and math.isfinite(value)):
-            raise InvalidWeight(f"weights must be positive and finite, got {value!r}")
-        if value > bound * (1.0 + 1e-12):
-            raise InvalidWeight(f"weight {value!r} exceeds the norm bound {bound!r}")
-    return weights
-
-
 def reference_relative_moments(measure: AtomicMeasure1D, count: int):
-    """``diagram._relative_moments`` summed one order at a time."""
+    """``shifts.relative_moments`` summed one order at a time."""
     top = measure.atoms[-1][0]
     if top == 0.0:
         raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
     ratios = [(loc / top, mass) for loc, mass in measure.atoms]
     moments = [left_sum(mass * ratio**k for ratio, mass in ratios) for k in range(count)]
     return top, [moment / moments[0] for moment in moments]
+
+
+def reference_weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
+    """``weights_from_measure`` from the moments of
+    ``reference_relative_moments``: sqrt(t r_{k+1} / r_k)."""
+    if n < 1:
+        raise ValueError("at least one weight must be requested")
+    top, moments = reference_relative_moments(measure, n + 1)
+    return tuple(math.sqrt(top * moments[k + 1] / moments[k]) for k in range(n))
 
 
 def reference_moment_matrix(source, n: int) -> np.ndarray:

@@ -56,13 +56,18 @@ def write_f1_variant(tmp_path, changes, fixture_name="f1.json") -> str:
     return str(path)
 
 
-# every measure a point mass at 1e10: moment 31 (1e10 ** 31) overflows
+# every measure a point mass at 1e10: its raw moment 31 (1e10 ** 31) overflows
 HUGE_ATOMS = {
     **{name: {"atoms": [[1e10, 1.0]]} for name in ("xi_x", "eta_y", "xi", "eta")},
     "a": 1e5,
 }
-# f1 scaled exactly by 4**20: moment 26 of xi_x (4**520 / 2) overflows
+# f1 scaled exactly by 4**20: raw moment 26 of xi_x (4**520 / 2) overflows
 F1_SCALED_UP = scaled_tc(json.loads((FIXTURES / "f1.json").read_text()), 4.0**20)
+# past the scales verify reaches: moment (12, 0) (about 4**528) overflows,
+# and a row moment (about 4**-528 over the row's base) underflows to 0
+F1_BEYOND = {
+    e: scaled_tc(json.loads((FIXTURES / "f1.json").read_text()), 4.0**e) for e in (44, -44)
+}
 PHI_COEFFICIENT = "phi's coefficient a^2 y0^2 r_s r_t is not finite, got inf"
 TOO_LARGE = "must be finite, got an integer too large for a float"
 
@@ -199,9 +204,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, fixture_name, changes, message",
         [
-            # the weights' moments of atoms at 1e10 overflow
-            ("verify", "f1.json", HUGE_ATOMS, "moment 31 of the measure overflows"),
-            ("verify", "f1.json", F1_SCALED_UP, "moment 26 of the measure overflows"),
+            # f1 scaled by 4**44 and by 4**-44, past the scales verify reaches
+            (
+                "verify",
+                "f1.json",
+                F1_BEYOND[44],
+                "moment (12, 0) of the source is not finite, got inf",
+            ),
+            ("verify", "f1.json", F1_BEYOND[-44], "moments must be positive"),
             # ||1/t|| over psi overflows to -inf, so phi's atom at 0 gets mass +inf;
             # flat refuses the tc file before any arithmetic
             *(
@@ -230,10 +240,6 @@ class TestExitCodes:
                 single_atom(1e9, 3e4),
                 "an oracle matrix has a non-finite entry",
             ),
-            # moment 30 of xi_x (1e-11 ** 30) underflows to 0 and would divide
-            ("verify", "f1.json", tiny_row(1e-11), "moment 30 of the measure underflows to 0"),
-            # the last moment, 33, of xi_x (1e-10 ** 33) underflows to 0
-            ("verify", "f1.json", tiny_row(1e-10), "moment 33 of the measure underflows to 0"),
             # a^2 y0^2 (about 1e306 * 5e307) overflows, though a^2 y0^2 r_s r_t
             # is about 5e305; the flat criterion forms it as y0^2 a^2 / b^2
             *(
@@ -268,8 +274,8 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "overflow",
-            "f1-scaled-overflow",
+            "f1-scaled-by-4**44",
+            "f1-scaled-by-4**-44",
             "non-finite-check",
             "non-finite-reconstruct",
             "non-finite-verify",
@@ -277,8 +283,6 @@ class TestExitCodes:
             "a-square-overflow",
             "row-moment-underflow",
             "hankel-overflow",
-            "weight-moment-underflow",
-            "last-moment-underflow",
             "phi-coefficient-overflow-check",
             "phi-coefficient-overflow-flat",
             "a-too-large-for-a-float",
@@ -299,6 +303,22 @@ class TestExitCodes:
         assert err.startswith("invalid instance: ")
         if message is not None:
             assert err.splitlines()[0] == f"invalid instance: {message}"
+
+    @pytest.mark.parametrize(
+        "changes, expected",
+        [(HUGE_ATOMS, 0), (F1_SCALED_UP, 0), (tiny_row(1e-11), 1), (tiny_row(1e-10), 1)],
+        ids=["overflow", "f1-scaled-overflow", "weight-moment-underflow", "last-moment-underflow"],
+    )
+    def test_verify_reaches_the_verdict_of_check(self, tmp_path, changes, expected):
+        # the raw moments of these files overflow or underflow; the moments
+        # relative to each measure's largest location do neither
+        path = write_f1_variant(tmp_path, changes)
+        assert run_capture(["check", path])[0] == expected
+        code, out, _ = run_capture(["verify", path, "--json"])
+        assert code == expected
+        oracles = json.loads(out)["oracles"].values()
+        entries = [e for value in oracles for e in (value if isinstance(value, list) else [value])]
+        assert "contradiction" not in {entry["status"] for entry in entries}
 
     @pytest.mark.parametrize(
         "name", ["eta_y", "xi_x"], ids=["atom-near-zero", "xi-x-atom-near-zero"]

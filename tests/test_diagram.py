@@ -14,7 +14,6 @@ from tcshift.errors import (
     DegenerateMeasure,
     DepthExceeded,
     InvalidFlat,
-    InvalidMoments,
     InvalidWeight,
     NonFinite,
     NotProbability,
@@ -105,12 +104,6 @@ class TestWeights:
                             inst, k1, k2, direction
                         ), (k1, k2, direction)
 
-    def test_weights_error_comes_before_a_bad_direction(self):
-        # the order-33 moment of delta_{1e-10} underflows to 0
-        inst = TCInstance(dirac(1e-10), dirac(1.0), dirac(1.0), dirac(1.0), 1.0)
-        with pytest.raises(InvalidMoments, match="^moment 33 of the measure underflows to 0$"):
-            inst.weight_at(0, 0, "d")
-
     def test_moment_ratios_recover_squared_weights(self):
         rng = random.Random(7)
         instances = [f1_instance(), n1_instance()] + [
@@ -181,7 +174,7 @@ INDICES = range(36)
 
 
 class TestMomentTable:
-    """The cached gamma table against the path walk it replaced."""
+    """The closed-form moments against the path walk, within rounding."""
 
     @settings(max_examples=25)
     @given(
@@ -189,8 +182,8 @@ class TestMomentTable:
             st.sampled_from(("f1", "n1")),
             st.integers(0, 2**32),
         ),
-        # at 1e9 and 1e10 the order-33 moments of most instances overflow,
-        # so no weight table exists
+        # at 1e9 and 1e10 the order-33 moments of most instances overflow
+        # to inf, on either route
         scale=st.sampled_from((1.0, 1e-6, 1e6, 1e9, 1e10)),
     )
     def test_matches_the_path_walk(self, source, scale):
@@ -206,11 +199,11 @@ class TestMomentTable:
             for k2 in INDICES:
                 got = _outcome(inst.moment, k1, k2)
                 want = _outcome(walk, k1, k2)
-                if (k1, k2) == (0, 0) and not isinstance(got, str):
-                    # the walk multiplies no weight for gamma_(0, 0); the
-                    # table needs them all
-                    want = _outcome(walk, 1, 0)
-                assert got == want, (k1, k2)
+                if isinstance(got, str) and isinstance(want, str) and got != want:
+                    got, want = float(got), float(want)
+                    assert abs(got - want) <= 1e-12 * abs(want), (k1, k2, got, want)
+                else:
+                    assert got == want, (k1, k2)
         for k1, k2 in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError):
                 inst.moment(k1, k2)

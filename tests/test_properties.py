@@ -8,6 +8,13 @@ diagnostics is divided by c.  For c = 4**k in the normal range every one
 of these scalings is exact in floating point (``scaled_tc``), so the
 report of the scaled file must be the rescaled report, bit for bit.
 
+The two sides can be scaled apart: 4**es on the locations of xi_x and xi
+with a times 2**es, and 4**et on those of eta_y and eta
+(``scaled_apart``).  That scales every horizontal weight by 2**es and
+every vertical one by 2**et, so again no verdict and no mass moves.
+``verify`` reaches the unscaled exit code wherever its moments of order
+12 stay finite and positive, about 4**-40 to 4**40.
+
 A measure is the same measure whatever the order of its atoms, and when
 one atom is split into two exact halves at its location.  So the reports
 of the edited file must be those of the original, byte for byte.
@@ -58,6 +65,7 @@ from helpers import (
     flat_files,
     random_subnormal_instance,
     random_tc_instance,
+    scaled_apart,
     scaled_tc,
     tc_file,
 )
@@ -130,6 +138,72 @@ def test_h0_report_is_exactly_invariant_under_powers_of_4(tmp_path, name):
         if parse_instance(str(path)).instance.check_membership_h0(8) != report:
             broken.append(k)
     assert broken == []
+
+
+def oracle_statuses(text: str) -> set[str]:
+    """The status of every oracle entry of a ``verify --json`` report."""
+    oracles = json.loads(text)["oracles"].values()
+    return {e["status"] for value in oracles for e in (value if isinstance(value, list) else [value])}
+
+
+@pytest.mark.parametrize("name", VALID_TC)
+def test_verify_keeps_its_exit_code_at_every_scale_it_reaches(tmp_path, name):
+    source = FIXTURES / f"{name}.json"
+    data = json.loads(source.read_text())
+    code, _ = run_json("verify", source)
+    assert code in (0, 1)
+    path = tmp_path / "scaled.json"
+    files = [(f"4**{k}", scaled_tc(data, 4.0**k)) for k in range(-40, 39, 2)]
+    files += [
+        (f"apart {es}, {et}", scaled_apart(data, es, et))
+        for es in (-20, 0, 20)
+        for et in (-20, 0, 20)
+    ]
+    broken = []
+    for label, scaled in files:
+        path.write_text(json.dumps(scaled))
+        scaled_code, text = run_json("verify", path)
+        # a subnormal verdict is consistent with every oracle
+        if scaled_code != code or (code == 0 and oracle_statuses(text) != {"consistent"}):
+            broken.append(label)
+    assert broken == []
+
+
+@pytest.mark.parametrize("name", VALID_TC)
+def test_check_keeps_its_exit_code_with_the_sides_scaled_apart(tmp_path, name):
+    source = FIXTURES / f"{name}.json"
+    data = json.loads(source.read_text())
+    code, _ = run_json("check", source)
+    path = tmp_path / "scaled.json"
+    exponents = (-200, -40, 0, 40, 200)
+    broken = []
+    for es in exponents:
+        for et in exponents:
+            path.write_text(json.dumps(scaled_apart(data, es, et)))
+            if run_json("check", path)[0] != code:
+                broken.append((es, et))
+    assert broken == []
+
+
+def masses(report: dict) -> dict:
+    """The masses of psi, phi and mu of a report, in atom order."""
+    return {
+        name: None if report[name] is None else [atom[-1] for atom in report[name]]
+        for name in ("psi", "phi", "mu")
+    }
+
+
+@pytest.mark.parametrize("es, et", [(40, -40), (-40, 40), (100, 3)])
+@pytest.mark.parametrize("name", VALID_TC)
+def test_sides_scaled_apart_keep_every_mass(tmp_path, name, es, et):
+    source = FIXTURES / f"{name}.json"
+    code, text = run_json("reconstruct", source)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(scaled_apart(json.loads(source.read_text()), es, et)))
+    scaled_code, scaled_text = run_json("reconstruct", path)
+    # the printed floats round-trip, so equal values are equal bits
+    assert scaled_code == code
+    assert masses(json.loads(scaled_text)) == masses(json.loads(text))
 
 
 @pytest.mark.parametrize("command", ["check", "reconstruct"])
