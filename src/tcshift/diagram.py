@@ -266,9 +266,7 @@ class TCInstance(Frozen):
             return y[k2]
         if k1 <= limit and k2 <= limit + 1:
             return core_h[k1 - 1] * core_v[k2 - 1]
-        raise DepthExceeded(
-            f"moment ({k1}, {k2}) beyond the depth limit {self.depth_limit}"
-        )
+        raise DepthExceeded(f"moment ({k1}, {k2}) beyond the depth limit {limit}")
 
     def check_membership_h0(self, depth: int = 8) -> H0Report:
         """Decide, to the given depth, whether every row and column shift

@@ -243,6 +243,13 @@ def scaled_apart(data: dict, es: int, et: int) -> dict:
     return {**data, **scaled, "a": data["a"] * 2.0**es}
 
 
+def oracle_statuses(text: str) -> set[str]:
+    """The status of every oracle entry of a ``verify --json`` report."""
+    oracles = json.loads(text)["oracles"].values()
+    entries = (value if isinstance(value, list) else [value] for value in oracles)
+    return {entry["status"] for values in entries for entry in values}
+
+
 def _atoms(measure: AtomicMeasure1D) -> dict:
     return {"atoms": [list(atom) for atom in measure.atoms]}
 

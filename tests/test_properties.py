@@ -63,6 +63,7 @@ from helpers import (
     FLAT_FIXTURES,
     f1_instance,
     flat_files,
+    oracle_statuses,
     random_subnormal_instance,
     random_tc_instance,
     scaled_apart,
@@ -138,12 +139,6 @@ def test_h0_report_is_exactly_invariant_under_powers_of_4(tmp_path, name):
         if parse_instance(str(path)).instance.check_membership_h0(8) != report:
             broken.append(k)
     assert broken == []
-
-
-def oracle_statuses(text: str) -> set[str]:
-    """The status of every oracle entry of a ``verify --json`` report."""
-    oracles = json.loads(text)["oracles"].values()
-    return {e["status"] for value in oracles for e in (value if isinstance(value, list) else [value])}
 
 
 @pytest.mark.parametrize("name", VALID_TC)
