@@ -428,9 +428,10 @@ def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
     write = _json_points(args.param) if args.json else functools.partial(_point_text, args.param)
     for value in _grid(lo, hi, step):
         try:
-            # a tc instance keeps the parts that do not depend on a
+            # each tc point is built from the last, so it reads the parts
+            # that do not depend on a as plain attributes
             if isinstance(instance, TCInstance):
-                candidate = instance.with_a(value)
+                instance = candidate = instance.with_a(value)
             else:
                 candidate = instance._replace(**{args.param: value}).embed()
             outcome: Verdict | str = subnormality_verdict(candidate, opts.tol)

@@ -23,10 +23,10 @@ An instance reads them from the weights of its four measures
 (``shifts.weights_from_measure``) to the fixed depth
 ``TCInstance.depth_limit``; the restriction of the shift to k2 >= i,
 k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
-``TCInstance.with_a`` makes the same instance at another joining weight;
-the values that do not depend on a are computed once for all of them, and
-those already computed are copied into each new instance's own attributes,
-so a point of a sweep reads them as plain attributes.
+``TCInstance.with_a`` makes the same instance at another joining weight,
+with a copy of the values that do not depend on a and that the instance
+has already computed; a sweep builds each point from the last, so every
+point after the first reads them as plain attributes.
 Among them are the runs in which psi's and phi's atoms merge
 (``measures.merge_runs``): psi and phi combine four fixed measures, and
 only the coefficients depend on a.  No run of psi holds two atoms of one
@@ -82,25 +82,6 @@ def _joining_weight(a: float) -> float:
     return a
 
 
-class _free_of_a(cached_property):
-    """A cached property whose value does not depend on the joining weight
-    a.  It is cached in the instance's ``_shared`` dict, which every
-    instance made by ``TCInstance.with_a`` shares, so a sweep over a
-    computes it once.  Like ``cached_property`` it is a non-data
-    descriptor: ``with_a`` copies the values already in ``_shared`` into
-    the new instance's own dict, where they are read as plain attributes.
-    A computation that raises stores nothing, so each instance raises
-    afresh."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        shared = instance._shared
-        if self.attrname not in shared:
-            shared[self.attrname] = self.func(instance)
-        return shared[self.attrname]
-
-
 class TCInstance(Frozen):
     """A 2-variable weighted shift with a tensor-form core.
 
@@ -116,6 +97,8 @@ class TCInstance(Frozen):
     #: Largest weight index; moments are valid for k1 <= depth_limit + 1
     #: when k2 = 0, and for k1 <= depth_limit, k2 <= depth_limit + 1.
     depth_limit = 32
+    #: The caches that depend on a, which ``with_a`` does not copy.
+    _DEPENDS_ON_A = ("_boundary", "_moments")
 
     def __init__(
         self,
@@ -140,63 +123,56 @@ class TCInstance(Frozen):
         """The same instance at another joining weight.
 
         The measures were checked when this instance was made, so only a
-        is checked.  The new instance shares the values that do not depend
-        on a: those already computed are copied into its own attributes,
-        which shadow the ``_free_of_a`` properties, and the rest are still
-        computed on first use, so an invalid instance raises the error that
-        it raises when built afresh; its weights and moments are its own.
+        is checked.  The new instance starts from a copy of this one's own
+        attributes, less the caches that depend on a: the values that do
+        not depend on a and that this instance has already computed are
+        read as plain attributes, and the rest are computed on first use,
+        so an invalid instance raises the error that it raises when built
+        afresh.  Two instances made from one root share none of the values
+        that either computes later; a sweep builds each point from the
+        last, so its first point computes them for every later one.
         """
         a = _joining_weight(a)
         other = object.__new__(type(self))
-        vars(other).update(
-            self._shared,
-            xi_x=self.xi_x,
-            eta_y=self.eta_y,
-            xi=self.xi,
-            eta=self.eta,
-            a=a,
-            _shared=self._shared,
-            in_family=True,
-        )
+        state = vars(other)
+        state.update(vars(self), a=a, in_family=True)
+        for name in self._DEPENDS_ON_A:
+            state.pop(name, None)
         return other
 
-    # Derived values that do not depend on a, cached once per with_a family.
+    # Derived values that do not depend on a, which with_a copies.
 
     @cached_property
-    def _shared(self) -> dict:
-        return {}
-
-    @_free_of_a
     def y0_sq(self) -> float:
         return self.eta_y.moment(1)
 
-    @_free_of_a
+    @cached_property
     def recip_s_xi(self) -> float:
         return self.xi.reciprocal_norm()
 
-    @_free_of_a
+    @cached_property
     def recip_t_eta(self) -> float:
         return self.eta.reciprocal_norm()
 
-    @_free_of_a
+    @cached_property
     def eta_y_tail(self) -> AtomicMeasure1D:
         """Berger measure of the column-0 shift with its first weight removed."""
         return restriction_measure(self.eta_y, 1)
 
-    @_free_of_a
+    @cached_property
     def recip_t_eta_y_tail(self) -> float:
         return self.eta_y_tail.reciprocal_norm()
 
-    @_free_of_a
+    @cached_property
     def xi_tilde(self) -> AtomicMeasure1D:
         return self.xi.tilde()
 
-    @_free_of_a
+    @cached_property
     def psi_runs(self) -> MergeRuns | None:
         """The merge runs of psi's terms, tail and eta."""
         return merge_runs((self.eta_y_tail, self.eta))
 
-    @_free_of_a
+    @cached_property
     def phi_runs(self) -> MergeRuns | None:
         """The merge runs of phi's terms, xi_x, delta_0 and xi~."""
         return merge_runs((self.xi_x, dirac(0.0), self.xi_tilde))

@@ -41,8 +41,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import reduce
-from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from itertools import chain
+from operator import add, itemgetter
 from typing import Any, Iterable, Literal, NamedTuple, Sequence, Union
 
 from .errors import AtomAtZero, NonFinite, NotProbability, PreconditionViolated
@@ -68,32 +68,6 @@ def left_sum(values: Iterable[float]) -> float:
     report, would depend on the Python version.
     """
     return reduce(add, values, 0)
-
-
-def power_sums(pairs: Sequence[tuple[float, float]], count: int) -> list[float]:
-    """``left_sum(mass * base**k for base, mass in pairs)`` for k < count,
-    to the bit, with a power too large for a float making its sum inf.
-
-    The sums are built atom by atom: one map over every order per atom,
-    added from the left in atom order, which are the additions that
-    ``left_sum`` makes order by order.  Only when a power overflows are
-    the orders summed one by one, so that each sum raises on its own.
-    """
-    orders = range(count)
-    totals = [0] * count
-    try:
-        for base, mass in pairs:
-            totals = list(map(add, totals, map(mul, repeat(mass), map(pow, repeat(base), orders))))
-    except OverflowError:
-        return list(map(_power_sum, repeat(pairs), orders))
-    return totals
-
-
-def _power_sum(pairs: Sequence[tuple[float, float]], k: int) -> float:
-    try:
-        return left_sum(mass * base**k for base, mass in pairs)
-    except OverflowError:
-        return math.inf
 
 
 def same_location(u: float, v: float) -> bool:

@@ -165,21 +165,26 @@ def hankel_psd(
     measure on [0, inf) only if both are positive semidefinite.  Returns
     the base and shifted report of each sequence in turn, all decided in
     one stack.  Every moment that a matrix uses must be positive and
-    finite; the rest are not looked at.  Each sequence is checked
-    before the next is drawn, so an iterator that computes them raises
-    what one call per sequence would.
+    finite; the rest are not looked at, and one that is not positive is
+    named with its order and the position of its sequence.  Each sequence
+    is checked before the next is drawn, so an iterator that computes
+    them raises what one call per sequence would.
     """
     import numpy as np
 
     stack = []
-    for moments in sequences:
+    for position, moments in enumerate(sequences):
         if len(moments) < 2 * n + 2:
             raise PreconditionViolated(
                 f"need {2 * n + 2} moments for order {n}, got {len(moments)}"
             )
         used = moments[: 2 * n + 2]
-        if any(v <= 0.0 for v in used):
-            raise InvalidMoments("moments must be positive")
+        for order, value in enumerate(used):
+            if value <= 0.0:
+                raise InvalidMoments(
+                    f"moments must be positive, got {value!r} at order {order}"
+                    f" of sequence {position}"
+                )
         if not all(map(math.isfinite, used)):
             raise NonFinite("an oracle matrix has a non-finite entry")
         # base row i is moments[i : i + n + 1], shifted row i is base row i + 1

@@ -324,7 +324,7 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
     b_sq = flat.b**2
     a_sq = flat.a**2
     rest_y = flat.rest_y if flat.rest_y > PROBABILITY_TOL else 0.0
-    sigma_atoms = flat.sigma.atoms if flat.sigma is not None and rest_y > 0.0 else ()
+    sigma_atoms = flat.sigma.atoms if rest_y else ()
     y0_sq = flat.m * b_sq + rest_y * left_sum(t * mass for t, mass in sigma_atoms)
     tail_atoms = [(b_sq, flat.m * b_sq / y0_sq)]
     tail_atoms.extend((t, rest_y * t * mass / y0_sq) for t, mass in sigma_atoms)

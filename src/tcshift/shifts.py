@@ -14,19 +14,31 @@ deliberately not supported: inputs enter as measures.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, mul
 
 from .errors import DegenerateMeasure
-from .measures import AtomicMeasure1D, at_merged_locations, power_sums
+from .measures import AtomicMeasure1D, at_merged_locations
 
 
 def relative_moments(measure: AtomicMeasure1D, count: int) -> tuple[float, list[float]]:
     """The largest location t of the measure, and its moments of orders 0
     to count - 1 over its total mass and over t^k.  Each lies between the
-    share of the mass at t and 1, so none overflows or underflows to 0."""
+    share of the mass at t and 1, so none overflows or underflows to 0.
+
+    The sums are built atom by atom, one map over every order per atom,
+    added from the left in atom order: the additions that ``left_sum``
+    makes order by order.  Every base loc / t is at most 1, so no power
+    overflows.
+    """
     top = measure.atoms[-1][0]
     if top == 0.0:
         raise DegenerateMeasure("measure concentrated at 0 has no weight sequence")
-    moments = power_sums([(loc / top, mass) for loc, mass in measure.atoms], count)
+    orders = range(count)
+    moments = [0] * count
+    for loc, mass in measure.atoms:
+        powers = map(pow, repeat(loc / top), orders)
+        moments = list(map(add, moments, map(mul, repeat(mass), powers)))
     return top, [moment / moments[0] for moment in moments]
 
 

@@ -455,7 +455,7 @@ def reference_weight(inst: TCInstance, k1: int, k2: int, direction: str) -> floa
 
 
 # Reference moment sums and oracle matrices: built one order, one entry at a
-# time.  The atom-major sums of tcshift.measures.power_sums and the matrices
+# time.  The atom-major sums of tcshift.shifts.relative_moments and the matrices
 # that tcshift.oracles builds whole must reproduce them exactly (same bits,
 # same exceptions and messages).
 

@@ -211,7 +211,12 @@ class TestExitCodes:
                 F1_BEYOND[44],
                 "moment (12, 0) of the source is not finite, got inf",
             ),
-            ("verify", "f1.json", F1_BEYOND[-44], "moments must be positive"),
+            (
+                "verify",
+                "f1.json",
+                F1_BEYOND[-44],
+                "moments must be positive, got 0.0 at order 9 of sequence 4",
+            ),
             # ||1/t|| over psi overflows to -inf, so phi's atom at 0 gets mass +inf;
             # flat refuses the tc file before any arithmetic
             *(
@@ -232,7 +237,12 @@ class TestExitCodes:
                 "the square of the joining weight a overflows, got 1e+200",
             ),
             # a row moment (about 1e-9 ** 37) underflows to 0
-            ("verify", "f1.json", single_atom(1e-9, 3e-5), "moments must be positive"),
+            (
+                "verify",
+                "f1.json",
+                single_atom(1e-9, 3e-5),
+                "moments must be positive, got 0.0 at order 25 of sequence 11",
+            ),
             # a Hankel entry (about 1e9 ** 37) overflows to inf
             (
                 "verify",

@@ -3,6 +3,8 @@
 import functools
 import math
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -267,8 +269,9 @@ def _xi_x_at_negative_zero() -> TCInstance:
 
 
 class TestWithA:
-    """``with_a`` shares the values that do not depend on a; everything it
-    yields must equal what a freshly built instance yields."""
+    """``with_a`` copies the values that do not depend on a and that its
+    instance has computed; everything it yields must equal what a freshly
+    built instance yields."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -295,8 +298,15 @@ class TestWithA:
         points = [1.2 * a_max * k / 60 for k in range(61)]
         points += [inst.a * (0.5 + k / 40) for k in range(41)]
         points += [0.0, -1.0, 1e200, math.inf, math.nan]
+        # one chain, as a sweep walks it: each point from the last that was made
+        chain = [inst]
+
+        def next_point(value):
+            chain.append(chain[-1].with_a(value))
+            return chain[-1]
+
         for value in points:
-            assert _verdict_at(inst.with_a, value) == _verdict_at(
+            assert _verdict_at(next_point, value) == _verdict_at(
                 functools.partial(_fresh, inst), value
             ), value
 
@@ -352,11 +362,13 @@ class TestWithA:
     @pytest.mark.parametrize("make", [f1_instance, n1_instance, *GENERATORS.values()])
     def test_a_family_merges_psi_and_phi_once(self, make, merges):
         inst = make(random.Random(7)) if make in GENERATORS.values() else make()
-        subnormality_verdict(inst.with_a(inst.a))
+        member = inst.with_a(inst.a)
+        subnormality_verdict(member)
         assert merges.count("runs") == 2
         merges.clear()
         for k in range(1, 11):
-            subnormality_verdict(inst.with_a(inst.a * (0.5 + k / 10)))
+            member = member.with_a(inst.a * (0.5 + k / 10))
+            subnormality_verdict(member)
         assert merges == []
 
     @pytest.mark.parametrize("make", [f1_instance, n1_instance])
@@ -365,7 +377,7 @@ class TestWithA:
         subnormality_verdict(inst)
         subnormality_verdict(_fresh(inst, 0.5 * inst.a))
         assert "runs" not in merges
-        assert "psi_runs" not in inst._shared and "phi_runs" not in inst._shared
+        assert "psi_runs" not in vars(inst) and "phi_runs" not in vars(inst)
 
     @pytest.mark.parametrize("make", [f1_instance, n1_instance, trivial_instance])
     def test_moments_match_a_fresh_instance(self, make):
@@ -378,50 +390,73 @@ class TestWithA:
                 for k2 in INDICES:
                     assert _outcome(shifted.moment, k1, k2) == _outcome(fresh.moment, k1, k2)
 
+    @pytest.mark.parametrize("make", [f1_instance, n1_instance, trivial_instance])
+    def test_copies_no_cache_that_depends_on_a(self, make):
+        inst = make()
+        names = [
+            name for name, value in vars(TCInstance).items() if isinstance(value, cached_property)
+        ]
+        assert set(TCInstance._DEPENDS_ON_A) < set(names)
+        for name in names:
+            getattr(inst, name)
+        value = 0.8 * inst.a
+        shifted, fresh = inst.with_a(value), _fresh(inst, value)
+        for name in names:
+            assert repr(getattr(shifted, name)) == repr(getattr(fresh, name)), name
+
     def test_shares_the_values_that_do_not_depend_on_a(self):
-        inst = f1_instance()
-        shifted = inst.with_a(0.5)
-        assert shifted.eta_y_tail is inst.eta_y_tail
-        assert shifted.xi_tilde is inst.xi_tilde
-        assert shifted.moment(1, 1) != inst.moment(1, 1)
+        member = f1_instance().with_a(0.7)
+        member.moment(1, 1)  # the weights and moments exist first
+        subnormality_verdict(member)
+        shifted = member.with_a(0.5)
+        assert shifted.eta_y_tail is member.eta_y_tail
+        assert shifted.xi_tilde is member.xi_tilde
+        assert shifted._weights is member._weights
+        assert shifted.moment(1, 1) != member.moment(1, 1)
 
     @pytest.fixture
-    def shared_reads(self, monkeypatch):
-        """Reads of a ``_free_of_a`` property that go through it."""
-        reads = []
-        get = diagram._free_of_a.__get__
+    def a_free_calls(self, monkeypatch):
+        """Calls of the functions that compute the values that do not
+        depend on a, by name."""
+        calls = []
+        for owner, name in (
+            (diagram, "restriction_measure"),
+            (AtomicMeasure1D, "tilde"),
+            (diagram, "merge_runs"),
+        ):
 
-        def counting_get(self, instance, owner=None):
-            if instance is not None:
-                reads.append(self.attrname)
-            return get(self, instance, owner)
+            def counting(*args, _name=name, _original=getattr(owner, name)):
+                calls.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(diagram._free_of_a, "__get__", counting_get)
-        return reads
+            monkeypatch.setattr(owner, name, counting)
+        return calls
 
     @pytest.mark.parametrize("make", [f1_instance, n1_instance, *GENERATORS.values()])
-    def test_a_member_reads_the_computed_values_as_plain_attributes(self, make, shared_reads):
+    def test_a_member_reads_the_computed_values_as_plain_attributes(self, make, a_free_calls):
         inst = make(random.Random(7)) if make in GENERATORS.values() else make()
-        subnormality_verdict(inst.with_a(inst.a))
-        assert shared_reads  # the first member computes them
-        member = inst.with_a(0.75 * inst.a)
-        assert inst._shared and vars(member).items() >= inst._shared.items()
+        a_free_calls.clear()  # a generator may call them itself
+        member = inst.with_a(inst.a)
+        subnormality_verdict(member)
+        # the first point computes them
+        assert Counter(a_free_calls) == {"restriction_measure": 1, "tilde": 1, "merge_runs": 2}
         fresh = subnormality_verdict(_fresh(inst, 0.75 * inst.a))
-        shared_reads.clear()
-        assert subnormality_verdict(member) == fresh
-        assert shared_reads == []
+        a_free_calls.clear()
+        assert subnormality_verdict(member.with_a(0.75 * inst.a)) == fresh
+        assert a_free_calls == []
 
-    def test_a_value_that_raises_is_never_shared(self, shared_reads):
+    def test_a_value_that_raises_is_never_shared(self, a_free_calls):
         # eta_y = delta_0 has no tail, so every point raises
-        inst = TCInstance(half_half(), dirac(0.0), dirac(1.0), dirac(1.0), math.sqrt(0.5))
+        member = TCInstance(half_half(), dirac(0.0), dirac(1.0), dirac(1.0), math.sqrt(0.5))
         errors = []
         for value in (0.5, 0.6, 0.7):
+            member = member.with_a(value)
             with pytest.raises(DegenerateMeasure) as raised:
-                subnormality_verdict(inst.with_a(value))
+                subnormality_verdict(member)
             errors.append(str(raised.value))
         assert errors == [errors[0]] * 3
-        assert shared_reads.count("eta_y_tail") == 3
-        assert inst._shared == {}
+        assert a_free_calls.count("restriction_measure") == 3
+        assert "eta_y_tail" not in vars(member)
 
 
 DEPTHS = range(1, 9)
