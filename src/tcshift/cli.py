@@ -34,7 +34,13 @@ from .oracles import (
     moment_matrix_2d,
     oracle_status,
 )
-from .reconstruct import Verdict, berger_measure, flat_verdict, subnormality_verdict
+from .reconstruct import (
+    Verdict,
+    berger_measure,
+    compute_phi,
+    flat_verdict,
+    subnormality_verdict,
+)
 
 EXIT_SUBNORMAL = 0
 EXIT_NOT_SUBNORMAL = 1
@@ -200,10 +206,14 @@ def _oracle_payloads(
             "status": status(interp.passed),
         }
     n = opts.window
-    lines = (instance.row_moments, instance.column_moments)
+    lines = (("row", instance.row_moments), ("column", instance.column_moments))
     # every row and column pair in one stack: base, shifted, base, ...
     reports = iter(
-        hankel_psd((moments(index, 2 * n + 2) for moments in lines for index in range(n + 1)), n)
+        hankel_psd(
+            (moments(index, 2 * n + 2) for _, moments in lines for index in range(n + 1)),
+            n,
+            names=[f"{line} {index}" for line, _ in lines for index in range(n + 1)],
+        )
     )
     for name in ("hankel_rows", "hankel_columns"):
         entries = []
@@ -319,10 +329,15 @@ def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str,
             f"the scalar criterion says {_verdict_name(scalar)} but the general"
             f" criterion says {_verdict_name(verdict)}"
         )
+    # check prints no measure; the others print phi, which a verdict
+    # decided by psi has not built
     measures = command != "check"
+    phi = verdict.phi
+    if measures and phi is None:
+        phi = compute_phi(tc, verdict.diagnostics.recip_t_psi)
     mu = None
     if verdict.subnormal and measures:
-        mu = berger_measure(tc, opts.tol, psi=verdict.psi, phi=verdict.phi)
+        mu = berger_measure(tc, opts.tol, psi=verdict.psi, phi=phi)
     report = {
         "command": command,
         "kind": "flat" if flat else "tc",
@@ -330,7 +345,7 @@ def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str,
         "witness": _witness_payload(verdict),
         "diagnostics": verdict.diagnostics._asdict(),
         "psi": verdict.psi.atoms if measures else None,
-        "phi": verdict.phi.atoms if measures else None,
+        "phi": phi.atoms if measures else None,
         "mu": None if mu is None else mu.atoms,
         "oracles": _oracle_payloads(tc, verdict, mu, opts) if command == "verify" else None,
     }

@@ -13,7 +13,7 @@ verdict as inconclusive rather than contradictory.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidMoments, NonFinite, PreconditionViolated
@@ -90,12 +90,13 @@ def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
 
     atoms = mu.atoms
     side = order + 1
-    locations = dict.fromkeys(loc for s, t, _ in atoms for loc in (s, t))
-    powers = np.array([[loc**k for k in range(side)] for loc in locations])
-    row = dict(zip(locations, range(len(locations))))
-    s_rows = np.array([row[s] for s, _, _ in atoms])
-    t_rows = np.array([row[t] for _, t, _ in atoms])
-    masses = np.array([mass for _, _, mass in atoms])
+    # the (s, t, mass) columns, read once; unique locations are sorted, with
+    # 0.0 and -0.0 one location, whose powers have the same bits in a sum
+    columns = np.fromiter(chain.from_iterable(atoms), float, 3 * len(atoms)).reshape(-1, 3)
+    locations, rows = np.unique(columns[:, :2].ravel(), return_inverse=True)
+    powers = np.array([[loc**k for k in range(side)] for loc in locations.tolist()])
+    s_rows, t_rows = rows.reshape(-1, 2).T
+    masses = columns[:, 2]
     # the entries with k1 + k2 <= order of a flattened side x side square, row by row
     triangle = [k1 * side + k2 for k1 in range(side) for k2 in range(side - k1)]
     total = np.zeros((1, len(triangle)))
@@ -157,6 +158,7 @@ def hankel_psd(
     sequences: Iterable[Sequence[float]],
     n: int,
     tol: float = DEFAULT_PSD_TOL,
+    names: Sequence[str] | None = None,
 ) -> tuple[PsdReport, ...]:
     """Stieltjes conditions for one-variable moment data.
 
@@ -166,7 +168,8 @@ def hankel_psd(
     the base and shifted report of each sequence in turn, all decided in
     one stack.  Every moment that a matrix uses must be positive and
     finite; the rest are not looked at, and one that is not positive is
-    named with its order and the position of its sequence.  Each sequence
+    named with its order and its sequence: ``names[position]`` when names
+    are given, ``sequence {position}`` otherwise.  Each sequence
     is checked before the next is drawn, so an iterator that computes
     them raises what one call per sequence would.
     """
@@ -181,9 +184,9 @@ def hankel_psd(
         used = moments[: 2 * n + 2]
         for order, value in enumerate(used):
             if value <= 0.0:
+                name = f"sequence {position}" if names is None else names[position]
                 raise InvalidMoments(
-                    f"moments must be positive, got {value!r} at order {order}"
-                    f" of sequence {position}"
+                    f"moments must be positive, got {value!r} at order {order} of {name}"
                 )
         if not all(map(math.isfinite, used)):
             raise NonFinite("an oracle matrix has a non-finite entry")

@@ -19,8 +19,12 @@ plus signed corrections supported on the two axes, which cancel and so
 must be merged; it is kept as test-only reference code, and the two forms
 must agree atom for atom.
 A verdict is the decision alone: psi, phi and, when negative, a witness
-atom.  The joint measure is ``berger_measure`` of the verdict's psi and
-phi, assembled only when a caller asks for it.  Flat instances also have
+atom.  psi is decided first, and a negative atom of psi settles the
+verdict, so phi is built only when psi is positive: a verdict whose
+witness is psi holds no phi, and a caller that reports phi builds it with
+``compute_phi`` and the verdict's ``recip_t_psi``.  The joint measure is
+``berger_measure`` of the verdict's psi and phi, assembled only when a
+caller asks for it.  Flat instances also have
 the scalar criterion ``flat_verdict``, which must reach the verdict of the
 embedded instance.
 
@@ -36,9 +40,9 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .errors import PreconditionViolated
+from .errors import NonFinite, PreconditionViolated
 from .diagram import FlatInstance, TCInstance
 from .measures import (
     POSITIVITY_REL_TOL,
@@ -81,13 +85,14 @@ class Witness(NamedTuple):
 
 class Verdict(NamedTuple):
     """Subnormality decision with psi and phi; a negative verdict carries
-    the witness atom, a positive one none."""
+    the witness atom, a positive one none.  phi is None exactly when the
+    witness is psi, whose negative atom decides without it."""
 
     subnormal: bool
     witness: Witness | None
     diagnostics: Diagnostics
     psi: SignedMeasure1D
-    phi: SignedMeasure1D
+    phi: SignedMeasure1D | None
 
 
 def compute_psi(instance: TCInstance) -> SignedMeasure1D:
@@ -137,33 +142,45 @@ def _phi(
 
 
 def _decide(
-    psi: SignedMeasure1D, phi: SignedMeasure1D, diag: Diagnostics, tol: float
+    psi: SignedMeasure1D,
+    build_phi: Callable[[], SignedMeasure1D],
+    diag: Diagnostics,
+    tol: float,
 ) -> Verdict:
-    """The verdict once psi and phi are known: the first of them with a
-    negative atom gives the witness."""
-    for name, measure in (("psi", psi), ("phi", phi)):
-        check = positivity(measure, tol)
-        if not check.positive:
-            return Verdict(False, Witness(name, check.location, check.mass), diag, psi, phi)
+    """The verdict once psi is known.  A diagnostic that is not finite is
+    refused by name, so that no report holds one.  A negative atom of psi
+    is the witness, and phi is then never built; otherwise ``build_phi``
+    makes it, and a negative atom of phi is the witness."""
+    for name, value in zip(diag._fields, diag):
+        if not math.isfinite(value):
+            raise NonFinite(f"the diagnostic {name} is not finite, got {value!r}")
+    check = positivity(psi, tol)
+    if not check.positive:
+        return Verdict(False, Witness("psi", check.location, check.mass), diag, psi, None)
+    phi = build_phi()
+    check = positivity(phi, tol)
+    if not check.positive:
+        return Verdict(False, Witness("phi", check.location, check.mass), diag, psi, phi)
     return Verdict(True, None, diag, psi, phi)
 
 
 def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verdict:
-    """Decide subnormality via positivity of psi and phi.
+    """Decide subnormality via positivity of psi and then of phi.
 
-    psi is checked first; when it fails, phi is still evaluated (with the
-    signed reciprocal integral) so reports can show both measures.
+    psi is checked first.  When it fails, phi is not built and the
+    verdict's phi is None; a report that shows phi builds it with
+    ``compute_phi(instance, verdict.diagnostics.recip_t_psi)``, the
+    signed reciprocal integral that a verdict on phi uses.
     """
     psi = compute_psi(instance)
     recip_t_psi = psi.reciprocal_norm()
-    phi = compute_phi(instance, recip_t_psi)
     diag = Diagnostics(
         recip_s_xi=instance.recip_s_xi,
         recip_t_eta=instance.recip_t_eta,
         recip_t_psi=recip_t_psi,
         recip_t_eta_y_tail=instance.recip_t_eta_y_tail,
     )
-    return _decide(psi, phi, diag, tol)
+    return _decide(psi, lambda: compute_phi(instance, recip_t_psi), diag, tol)
 
 
 def berger_measure(
@@ -334,11 +351,15 @@ def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
     # (b/a) sqrt(m) >= y0 is exactly positivity of psi at the atom b^2.
     psi = combine([(1.0, tail), (-a_sq, dirac(b_sq))])
     recip_t_psi = recip_tail - a_sq / b_sq
-    phi = _phi(flat.xi_x, y0_sq * recip_t_psi, y0_sq * a_sq / b_sq, dirac(1.0))
     diag = Diagnostics(
         recip_s_xi=1.0,
         recip_t_eta=1.0 / b_sq,
         recip_t_psi=recip_t_psi,
         recip_t_eta_y_tail=recip_tail,
     )
-    return _decide(psi, phi, diag, tol)
+    return _decide(
+        psi,
+        lambda: _phi(flat.xi_x, y0_sq * recip_t_psi, y0_sq * a_sq / b_sq, dirac(1.0)),
+        diag,
+        tol,
+    )

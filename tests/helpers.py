@@ -250,6 +250,12 @@ def oracle_statuses(text: str) -> set[str]:
     return {entry["status"] for values in entries for entry in values}
 
 
+def refuse_constant(name: str):
+    """A ``parse_constant`` for ``json.loads``: a report holds no
+    ``Infinity``, ``-Infinity`` or ``NaN``, which are not JSON."""
+    raise AssertionError(f"a report holds {name}")
+
+
 def _atoms(measure: AtomicMeasure1D) -> dict:
     return {"atoms": [list(atom) for atom in measure.atoms]}
 

@@ -22,7 +22,14 @@ from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
 from tcshift.measures import AtomicMeasure1D, SignedMeasure2D
 
-from helpers import assert_measures_close, f1_instance, flat_files, oracle_statuses, scaled_tc
+from helpers import (
+    assert_measures_close,
+    f1_instance,
+    flat_files,
+    oracle_statuses,
+    refuse_constant,
+    scaled_tc,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,6 +76,16 @@ F1_BEYOND = {
     e: scaled_tc(json.loads((FIXTURES / "f1.json").read_text()), 4.0**e) for e in (44, -44)
 }
 PHI_COEFFICIENT = "phi's coefficient a^2 y0^2 r_s r_t is not finite, got inf"
+# f1_flat with a^2 y0^2 past the float range; psi fails at b^2 = 1e308
+PHI_OVERFLOW = {"b": 1e154, "a": 1e153}
+NON_FINITE_RECIP_T_PSI = "the diagnostic recip_t_psi is not finite, got -inf"
+# window 12 on a file whose rows pass and whose eta lies at 1e-12
+COLUMN_UNDERFLOW = {
+    "xi": {"atoms": [[1e-5, 1.0]]},
+    "eta": {"atoms": [[1e-12, 1.0]]},
+    "a": 1.0,
+    "options": {"window": 12},
+}
 TOO_LARGE = "must be finite, got an integer too large for a float"
 
 
@@ -215,12 +232,12 @@ class TestExitCodes:
                 "verify",
                 "f1.json",
                 F1_BEYOND[-44],
-                "moments must be positive, got 0.0 at order 9 of sequence 4",
+                "moments must be positive, got 0.0 at order 9 of row 4",
             ),
-            # ||1/t|| over psi overflows to -inf, so phi's atom at 0 gets mass +inf;
+            # ||1/t|| over psi overflows to -inf, a diagnostic no report may hold;
             # flat refuses the tc file before any arithmetic
             *(
-                (command, "f1.json", NON_FINITE, "atom mass must be finite, got inf")
+                (command, "f1.json", NON_FINITE, NON_FINITE_RECIP_T_PSI)
                 for command in ("check", "reconstruct", "verify")
             ),
             (
@@ -241,7 +258,14 @@ class TestExitCodes:
                 "verify",
                 "f1.json",
                 single_atom(1e-9, 3e-5),
-                "moments must be positive, got 0.0 at order 25 of sequence 11",
+                "moments must be positive, got 0.0 at order 25 of row 11",
+            ),
+            # the rows pass, and a column moment (about 1e-12 ** 25) underflows to 0
+            (
+                "verify",
+                "f1.json",
+                COLUMN_UNDERFLOW,
+                "moments must be positive, got 0.0 at order 25 of column 9",
             ),
             # a Hankel entry (about 1e9 ** 37) overflows to inf
             (
@@ -251,10 +275,11 @@ class TestExitCodes:
                 "an oracle matrix has a non-finite entry",
             ),
             # a^2 y0^2 (about 1e306 * 5e307) overflows, though a^2 y0^2 r_s r_t
-            # is about 5e305; the flat criterion forms it as y0^2 a^2 / b^2
+            # is about 5e305; the flat criterion forms it as y0^2 a^2 / b^2.
+            # check decides from psi alone, but these commands print phi
             *(
-                (command, "f1_flat.json", {"b": 1e154, "a": 1e153}, PHI_COEFFICIENT)
-                for command in ("check", "flat")
+                (command, "f1_flat.json", PHI_OVERFLOW, PHI_COEFFICIENT)
+                for command in ("reconstruct", "flat")
             ),
             # an integer literal too large for a float is refused by name
             ("check", "f1.json", {"a": 10**400}, f"a {TOO_LARGE}"),
@@ -292,8 +317,9 @@ class TestExitCodes:
             "non-finite-flat",
             "a-square-overflow",
             "row-moment-underflow",
+            "column-moment-underflow",
             "hankel-overflow",
-            "phi-coefficient-overflow-check",
+            "phi-coefficient-overflow-reconstruct",
             "phi-coefficient-overflow-flat",
             "a-too-large-for-a-float",
             "xi-atom-location-too-large-for-a-float",
@@ -313,6 +339,24 @@ class TestExitCodes:
         assert err.startswith("invalid instance: ")
         if message is not None:
             assert err.splitlines()[0] == f"invalid instance: {message}"
+
+    def test_check_decides_from_psi_alone(self, tmp_path):
+        # phi's coefficient overflows, but psi's atom at b^2 = 1e308 is
+        # negative, and check prints no phi
+        path = write_f1_variant(tmp_path, PHI_OVERFLOW, "f1_flat.json")
+        code, out, _ = run_capture(["check", path])
+        assert code == 1
+        assert "witness: psi @ 1e+308 mass -1e+306 (psi has a negative atom)" in out
+        code, out, _ = run_capture(["check", path, "--json"])
+        report = json.loads(out, parse_constant=refuse_constant)
+        assert code == 1
+        assert report["witness"] == {
+            "location": 1e308,
+            "mass": -1e306,
+            "measure": "psi",
+            "reason": "psi has a negative atom",
+        }
+        assert all(map(math.isfinite, report["diagnostics"].values()))
 
     @pytest.mark.parametrize(
         "changes, expected",
@@ -975,8 +1019,10 @@ class TestOneVariableMerges:
     def test_tc_file(self, callers, command, name):
         code, _, _ = run_capture([command, fixture(f"{name}.json")])
         assert code in (0, 1)
-        # the four parsed measures, then psi and phi
-        assert callers == ["_merge_1d"] * 4 + ["combine"] * 2
+        # the four parsed measures, then psi and phi; check prints no phi,
+        # so it builds none when psi decides
+        decided_by_psi = command == "check" and name == "tc10_psi_witness"
+        assert callers == ["_merge_1d"] * 4 + ["combine"] * (1 if decided_by_psi else 2)
 
     @pytest.mark.parametrize(
         "name, expected",
@@ -1037,6 +1083,35 @@ class TestSweepSharesTheAFreeParts:
         }
         assert counts == {"init": 1, "restriction_measure": 1, "tilde on xi": 1}
 
+
+
+class TestSweepBuildsPhiOnlyPastPsi:
+    """A sweep point whose psi has a negative atom is decided by psi
+    alone: phi is built once per point whose psi is positive."""
+
+    def test_calls(self, monkeypatch):
+        calls = []
+        original = reconstruct.compute_phi
+
+        def counting(instance, *args):
+            calls.append(instance.a)
+            return original(instance, *args)
+
+        patch_everywhere(monkeypatch, original, counting)
+        # f1's psi is (1 - a^2) at t = 1, negative past a = 1
+        code, out, _ = run_capture(
+            ["sweep", fixture("f1.json"), "--param", "a", "--range", "0.5:1.5:0.025"]
+        )
+        assert code == 0 and len(out.splitlines()) == 41
+        f1 = parse_instance(fixture("f1.json")).instance
+        grid = [0.5 + index * 0.025 for index in range(41)]
+        psi_positive = [
+            measures.positivity(reconstruct.compute_psi(f1.with_a(a)), 1e-10).positive
+            for a in grid
+        ]
+        past_psi = [a for a, positive in zip(grid, psi_positive) if positive]
+        assert 0 < len(past_psi) < len(grid)
+        assert calls == past_psi
 
 
 class TestOracleCalls:

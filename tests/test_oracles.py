@@ -113,7 +113,7 @@ class TestMomentTable:
 
     @settings(max_examples=300)
     @given(mu=measures_with_shared_locations(), order=st.integers(0, 12))
-    # 0.0 and -0.0 are one dict key, so the two atoms share one row of powers
+    # 0.0 and -0.0 are one location, so the two atoms share one row of powers
     @example(
         mu=AtomicMeasure2D(((0.0, 5e-324, 0.25), (-0.0, 1.0, 0.25), (5e-324, -0.0, 0.5))),
         order=3,
@@ -127,6 +127,30 @@ class TestMomentTable:
             assert (type(exc), str(exc)) in outcomes.values()
             return
         assert {(k1, k2): bits(table[k1][k2]) for k1, k2 in indices} == outcomes
+
+    @pytest.mark.parametrize("first", [0.0, -0.0], ids=["zero-first", "minus-zero-first"])
+    def test_zero_and_minus_zero_are_one_location(self, first):
+        # both signs of zero on both axes, each first in one case: the table
+        # keeps one of them as the location, and a sum from 0.0 cannot tell
+        other = -first
+        mu = AtomicMeasure2D(
+            (
+                (first, 1.0, 0.125),
+                (other, 2.0, 0.125),
+                (1.0, first, 0.25),
+                (2.0, other, 0.25),
+                (first, 1e100, 0.125),
+                (1e100, other, 0.125),
+            )
+        )
+        coordinates = {str(coordinate) for atom in mu.atoms for coordinate in atom[:2]}
+        assert {"0.0", "-0.0"} <= coordinates
+        order = 3
+        indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
+        table = _moment_table(mu, order)
+        assert [bits(table[k1][k2]) for k1, k2 in indices] == [
+            moment_or_error(mu, k1, k2) for k1, k2 in indices
+        ]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("order", [0, 12])

@@ -57,15 +57,24 @@ from tcshift.cli import (
     run,
 )
 from tcshift.errors import TCShiftError
-from tcshift.reconstruct import Witness, subnormality_verdict
+from tcshift.measures import positivity
+from tcshift.reconstruct import (
+    Witness,
+    compute_phi,
+    compute_psi,
+    flat_verdict,
+    subnormality_verdict,
+)
 
 from helpers import (
     FLAT_FIXTURES,
     f1_instance,
     flat_files,
     oracle_statuses,
+    random_flat_instance,
     random_subnormal_instance,
     random_tc_instance,
+    refuse_constant,
     scaled_apart,
     scaled_tc,
     tc_file,
@@ -391,7 +400,12 @@ def test_every_command_ends_in_an_exit_code(perturbed_path, data):
     for command in COMMANDS:
         for mode in ([], ["--json"]):
             argv = [command[0], str(perturbed_path), *command[1:], *mode]
-            assert run(argv, out=io.StringIO(), err=io.StringIO()) in range(4), argv
+            out = io.StringIO()
+            assert run(argv, out=out, err=io.StringIO()) in range(4), argv
+            # a JSON report, and each JSON line of a sweep, is JSON: no
+            # Infinity or NaN
+            for line in out.getvalue().splitlines() if mode else ():
+                json.loads(line, parse_constant=refuse_constant)
 
 
 def is_subnormal(instance) -> bool:
@@ -429,3 +443,55 @@ def test_a_subnormal_verdict_implies_membership_in_h0(seed):
         member = instance.with_a(a)
         if is_subnormal(member):
             assert member.check_membership_h0(8).passed, a
+
+
+def decision_with_both_measures(instance, tol: float) -> tuple[bool, Witness | None]:
+    """(subnormal, witness) of a decision that builds psi and phi before it
+    looks at either; building phi may raise where psi alone decides."""
+    psi = compute_psi(instance)
+    phi = compute_phi(instance, psi.reciprocal_norm())
+    for name, measure in (("psi", psi), ("phi", phi)):
+        check = positivity(measure, tol)
+        if not check.positive:
+            return False, Witness(name, check.location, check.mass)
+    return True, None
+
+
+def decided_by_psi(verdict) -> bool:
+    return verdict.witness is not None and verdict.witness.measure == "psi"
+
+
+def assert_psi_first_keeps_the_decision(instance, tol: float) -> None:
+    verdict = subnormality_verdict(instance, tol)
+    assert (verdict.phi is None) == decided_by_psi(verdict)
+    try:
+        expected = decision_with_both_measures(instance, tol)
+    except (TCShiftError, ArithmeticError):
+        # phi cannot be built, so psi alone decided
+        assert decided_by_psi(verdict)
+        return
+    assert (verdict.subnormal, verdict.witness) == expected
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_deciding_psi_first_keeps_the_decision(seed):
+    # the verdict decides psi first and builds phi only when psi is
+    # positive; a decision that builds both reaches the same flag and
+    # witness, on the generators and along a sweep grid over a
+    rng = random.Random(seed)
+    tol = Options().tol
+    instance = random_tc_instance(rng)
+    assert_psi_first_keeps_the_decision(instance, tol)
+    # as sweep builds them: each point from the last, a from a/10 to 2a,
+    # so a^2 ||1/s||_xi passes 1 on most grids
+    point = instance
+    for step in range(1, 21):
+        point = point.with_a(instance.a * step / 10)
+        assert_psi_first_keeps_the_decision(point, tol)
+    flat = random_flat_instance(rng)
+    via_flat = flat_verdict(flat, tol)
+    assert (via_flat.phi is None) == decided_by_psi(via_flat)
+    subnormal, witness = decision_with_both_measures(flat.embed(), tol)
+    assert via_flat.subnormal == subnormal
+    assert (via_flat.witness and via_flat.witness.measure) == (witness and witness.measure)
