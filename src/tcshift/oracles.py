@@ -90,8 +90,8 @@ def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
 
     atoms = mu.atoms
     side = order + 1
-    # the (s, t, mass) columns, read once; unique locations are sorted, with
-    # 0.0 and -0.0 one location, whose powers have the same bits in a sum
+    # mu's (s, t, mass) columns, read once.  unique makes 0.0 and -0.0 one
+    # location, which moves no entry: a sum from 0.0 adds either zero alike
     columns = np.fromiter(chain.from_iterable(atoms), float, 3 * len(atoms)).reshape(-1, 3)
     locations, rows = np.unique(columns[:, :2].ravel(), return_inverse=True)
     powers = np.array([[loc**k for k in range(side)] for loc in locations.tolist()])

@@ -151,9 +151,11 @@ def _decide(
     refused by name, so that no report holds one.  A negative atom of psi
     is the witness, and phi is then never built; otherwise ``build_phi``
     makes it, and a negative atom of phi is the witness."""
-    for name, value in zip(diag._fields, diag):
-        if not math.isfinite(value):
-            raise NonFinite(f"the diagnostic {name} is not finite, got {value!r}")
+    # the sum is finite when every diagnostic is, unless it overflows
+    if not math.isfinite(sum(diag)):
+        for name, value in zip(diag._fields, diag):
+            if not math.isfinite(value):
+                raise NonFinite(f"the diagnostic {name} is not finite, got {value!r}")
     check = positivity(psi, tol)
     if not check.positive:
         return Verdict(False, Witness("psi", check.location, check.mass), diag, psi, None)
@@ -174,11 +176,9 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
     """
     psi = compute_psi(instance)
     recip_t_psi = psi.reciprocal_norm()
+    # positional, as keywords cost a sweep point more than a lookup
     diag = Diagnostics(
-        recip_s_xi=instance.recip_s_xi,
-        recip_t_eta=instance.recip_t_eta,
-        recip_t_psi=recip_t_psi,
-        recip_t_eta_y_tail=instance.recip_t_eta_y_tail,
+        instance.recip_s_xi, instance.recip_t_eta, recip_t_psi, instance.recip_t_eta_y_tail
     )
     return _decide(psi, lambda: compute_phi(instance, recip_t_psi), diag, tol)
 

@@ -27,6 +27,8 @@ from tcshift.measures import (
 from tcshift.oracles import moment_interpolation_check
 from tcshift.reconstruct import (
     DEFAULT_TOL,
+    Diagnostics,
+    _decide,
     backward_extension,
     berger_measure,
     compute_phi,
@@ -141,6 +143,24 @@ class TestVerdict:
         verdict = subnormality_verdict(spike_instance(2.0))
         assert not verdict.subnormal
         assert verdict.witness.measure == "psi"
+        assert verdict.phi is None
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1.0, math.inf, 1.0, 1.0), "recip_t_eta is not finite, got inf"),
+            ((1.0, 1.0, -math.inf, 1.0), "recip_t_psi is not finite, got -inf"),
+            ((1.0, 1.0, 1.0, math.nan), "recip_t_eta_y_tail is not finite, got nan"),
+        ],
+    )
+    def test_a_non_finite_diagnostic_is_refused_by_name(self, values, message):
+        with pytest.raises(NonFinite, match=f"^the diagnostic {message}$"):
+            _decide(dirac(1.0), lambda: dirac(1.0), Diagnostics(*values), DEFAULT_TOL)
+
+    def test_finite_diagnostics_whose_sum_overflows_are_kept(self):
+        diag = Diagnostics(1e308, 1e308, 1.0, 1.0)
+        verdict = _decide(dirac(1.0), lambda: dirac(1.0), diag, DEFAULT_TOL)
+        assert verdict.subnormal and verdict.diagnostics == diag
 
     def test_degenerate_column_measure(self):
         inst = TCInstance(dirac(1.0), dirac(0.0), dirac(1.0), dirac(1.0), 1.0)
