@@ -90,13 +90,15 @@ def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
 
     atoms = mu.atoms
     side = order + 1
-    # mu's (s, t, mass) columns, read once.  unique makes 0.0 and -0.0 one
-    # location, which moves no entry: a sum from 0.0 adds either zero alike
-    columns = np.fromiter(chain.from_iterable(atoms), float, 3 * len(atoms)).reshape(-1, 3)
-    locations, rows = np.unique(columns[:, :2].ravel(), return_inverse=True)
+    # mu's (s, t, mass) columns, read once.  0.0 and -0.0 are one location,
+    # which moves no entry: a sum from 0.0 adds either zero alike
+    s_col, t_col, masses = np.fromiter(
+        chain.from_iterable(atoms), float, 3 * len(atoms)
+    ).reshape(-1, 3).T
+    locations = np.unique(np.concatenate((s_col, t_col)))
     powers = np.array([[loc**k for k in range(side)] for loc in locations.tolist()])
-    s_rows, t_rows = rows.reshape(-1, 2).T
-    masses = columns[:, 2]
+    s_rows = locations.searchsorted(s_col)
+    t_rows = locations.searchsorted(t_col)
     # the entries with k1 + k2 <= order of a flattened side x side square, row by row
     triangle = [k1 * side + k2 for k1 in range(side) for k2 in range(side - k1)]
     total = np.zeros((1, len(triangle)))

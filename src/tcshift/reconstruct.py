@@ -176,7 +176,7 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
     """
     psi = compute_psi(instance)
     recip_t_psi = psi.reciprocal_norm()
-    # positional, as keywords cost a sweep point more than a lookup
+    # positional: keywords would cost every sweep point their parsing
     diag = Diagnostics(
         instance.recip_s_xi, instance.recip_t_eta, recip_t_psi, instance.recip_t_eta_y_tail
     )
