@@ -90,12 +90,14 @@ def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
 
     atoms = mu.atoms
     side = order + 1
-    # mu's (s, t, mass) columns, read once.  0.0 and -0.0 are one location,
-    # which moves no entry: a sum from 0.0 adds either zero alike
+    # mu's (s, t, mass) columns, read once, and its distinct locations,
+    # sorted (np.unique would import numpy.ma).  0.0 and -0.0 are one
+    # location, which moves no entry: a sum from 0.0 adds either zero alike
     s_col, t_col, masses = np.fromiter(
         chain.from_iterable(atoms), float, 3 * len(atoms)
     ).reshape(-1, 3).T
-    locations = np.unique(np.concatenate((s_col, t_col)))
+    both = np.sort(np.concatenate((s_col, t_col)))
+    locations = both[np.concatenate(([True], both[1:] != both[:-1]))]
     powers = np.array([[loc**k for k in range(side)] for loc in locations.tolist()])
     s_rows = locations.searchsorted(s_col)
     t_rows = locations.searchsorted(t_col)

@@ -151,7 +151,7 @@ def _decide(
     refused by name, so that no report holds one.  A negative atom of psi
     is the witness, and phi is then never built; otherwise ``build_phi``
     makes it, and a negative atom of phi is the witness."""
-    # the sum is finite when every diagnostic is, unless it overflows
+    # one sum tests all four: it is not finite when a term is not, or on overflow
     if not math.isfinite(sum(diag)):
         for name, value in zip(diag._fields, diag):
             if not math.isfinite(value):

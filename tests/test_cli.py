@@ -858,6 +858,19 @@ class TestColdStart:
         )
         assert (proc.returncode, proc.stdout) == (0, b"set()\n"), proc.stderr
 
+    def test_verify_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs a verify process about 1.6 MB of peak memory; in
+        # numpy 2.4 np.unique loads it, so mu's moment table sorts instead
+        code = (
+            "import io, sys; from tcshift.cli import run;"
+            f" run(['verify', {fixture('tc10_subnormal.json')!r}], out=io.StringIO());"
+            " print('numpy' in sys.modules, 'numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=child_env(), timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"True False\n"), proc.stderr
+
     def test_commands_run_with_dataclasses_blocked(self):
         sweep = "sweep --param a --range 0.1:1.5:0.1"
         cases = (
