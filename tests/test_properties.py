@@ -43,7 +43,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcshift.cli import (
@@ -395,6 +395,8 @@ def perturbed_path(tmp_path_factory) -> Path:
 
 @settings(max_examples=200)
 @given(data=perturbed_files())
+# eta at 5e-324: ||1/t||_eta is inf, and psi fails before phi would refuse it
+@example(data={**JSON_FIXTURES["f1"], "eta": {"atoms": [[5e-324, 1.0]]}})
 def test_every_command_ends_in_an_exit_code(perturbed_path, data):
     perturbed_path.write_text(json.dumps(data))
     for command in COMMANDS:
