@@ -210,9 +210,12 @@ def _oracle_payloads(
     # every row and column pair in one stack: base, shifted, base, ...
     reports = iter(
         hankel_psd(
-            (moments(index, 2 * n + 2) for _, moments in lines for index in range(n + 1)),
+            (
+                (f"{line} {index}", moments(index, 2 * n + 2))
+                for line, moments in lines
+                for index in range(n + 1)
+            ),
             n,
-            names=[f"{line} {index}" for line, _ in lines for index in range(n + 1)],
         )
     )
     for name in ("hankel_rows", "hankel_columns"):

@@ -13,7 +13,7 @@ verdict as inconclusive rather than contradictory.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidMoments, NonFinite, PreconditionViolated
@@ -90,17 +90,12 @@ def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
 
     atoms = mu.atoms
     side = order + 1
-    # mu's (s, t, mass) columns, read once, and its distinct locations,
-    # sorted (np.unique would import numpy.ma).  0.0 and -0.0 are one
-    # location, which moves no entry: a sum from 0.0 adds either zero alike
-    s_col, t_col, masses = np.fromiter(
-        chain.from_iterable(atoms), float, 3 * len(atoms)
-    ).reshape(-1, 3).T
-    both = np.sort(np.concatenate((s_col, t_col)))
-    locations = both[np.concatenate(([True], both[1:] != both[:-1]))]
-    powers = np.array([[loc**k for k in range(side)] for loc in locations.tolist()])
-    s_rows = locations.searchsorted(s_col)
-    t_rows = locations.searchsorted(t_col)
+    locations = dict.fromkeys(loc for s, t, _ in atoms for loc in (s, t))
+    powers = np.array([[loc**k for k in range(side)] for loc in locations])
+    row = dict(zip(locations, range(len(locations))))
+    s_rows = np.array([row[s] for s, _, _ in atoms])
+    t_rows = np.array([row[t] for _, t, _ in atoms])
+    masses = np.array([mass for _, _, mass in atoms])
     # the entries with k1 + k2 <= order of a flattened side x side square, row by row
     triangle = [k1 * side + k2 for k1 in range(side) for k2 in range(side - k1)]
     total = np.zeros((1, len(triangle)))
@@ -159,28 +154,26 @@ def moment_interpolation_check(
 
 
 def hankel_psd(
-    sequences: Iterable[Sequence[float]],
+    sequences: Iterable[tuple[str, Sequence[float]]],
     n: int,
     tol: float = DEFAULT_PSD_TOL,
-    names: Sequence[str] | None = None,
 ) -> tuple[PsdReport, ...]:
     """Stieltjes conditions for one-variable moment data.
 
-    For each sequence in turn, builds the two Hankel matrices
+    For each (name, moments) pair in turn, builds the two Hankel matrices
     (gamma_{i+j}) and (gamma_{i+j+1}) with i, j <= n; the data comes from a
     measure on [0, inf) only if both are positive semidefinite.  Returns
     the base and shifted report of each sequence in turn, all decided in
     one stack.  Every moment that a matrix uses must be positive and
     finite; the rest are not looked at, and one that is not positive is
-    named with its order and its sequence: ``names[position]`` when names
-    are given, ``sequence {position}`` otherwise.  Each sequence
-    is checked before the next is drawn, so an iterator that computes
+    named with its order and its sequence's name.  Each sequence is
+    checked before the next is drawn, so an iterator that computes
     them raises what one call per sequence would.
     """
     import numpy as np
 
     stack = []
-    for position, moments in enumerate(sequences):
+    for name, moments in sequences:
         if len(moments) < 2 * n + 2:
             raise PreconditionViolated(
                 f"need {2 * n + 2} moments for order {n}, got {len(moments)}"
@@ -188,7 +181,6 @@ def hankel_psd(
         used = moments[: 2 * n + 2]
         for order, value in enumerate(used):
             if value <= 0.0:
-                name = f"sequence {position}" if names is None else names[position]
                 raise InvalidMoments(
                     f"moments must be positive, got {value!r} at order {order} of {name}"
                 )

@@ -151,8 +151,11 @@ def test_criterion_6_oracle_soundness():
         assert verdict.subnormal
         reports = []
         for index in range(7):
-            for sequence in (inst.row_moments(index, 14), inst.column_moments(index, 14)):
-                reports.extend(hankel_psd([sequence], 6, tol=1e-9))
+            for line, sequence in (
+                ("row", inst.row_moments(index, 14)),
+                ("column", inst.column_moments(index, 14)),
+            ):
+                reports.extend(hankel_psd([(f"{line} {index}", sequence)], 6, tol=1e-9))
         reports.append(moment_matrix_2d(inst, 6, tol=1e-9))
         reports.append(joint_hyponormality_compression(inst, 6, tol=1e-9))
         for report in reports:

@@ -113,7 +113,7 @@ class TestMomentTable:
 
     @settings(max_examples=300)
     @given(mu=measures_with_shared_locations(), order=st.integers(0, 12))
-    # 0.0 and -0.0 are one location, so the two atoms share one row of powers
+    # 0.0 and -0.0 are one dict key, so the two atoms share one row of powers
     @example(
         mu=AtomicMeasure2D(((0.0, 5e-324, 0.25), (-0.0, 1.0, 0.25), (5e-324, -0.0, 0.5))),
         order=3,
@@ -127,30 +127,6 @@ class TestMomentTable:
             assert (type(exc), str(exc)) in outcomes.values()
             return
         assert {(k1, k2): bits(table[k1][k2]) for k1, k2 in indices} == outcomes
-
-    @pytest.mark.parametrize("first", [0.0, -0.0], ids=["zero-first", "minus-zero-first"])
-    def test_zero_and_minus_zero_are_one_location(self, first):
-        # both signs of zero on both axes, each first in one case: the table
-        # keeps one of them as the location, and a sum from 0.0 cannot tell
-        other = -first
-        mu = AtomicMeasure2D(
-            (
-                (first, 1.0, 0.125),
-                (other, 2.0, 0.125),
-                (1.0, first, 0.25),
-                (2.0, other, 0.25),
-                (first, 1e100, 0.125),
-                (1e100, other, 0.125),
-            )
-        )
-        coordinates = {str(coordinate) for atom in mu.atoms for coordinate in atom[:2]}
-        assert {"0.0", "-0.0"} <= coordinates
-        order = 3
-        indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
-        table = _moment_table(mu, order)
-        assert [bits(table[k1][k2]) for k1, k2 in indices] == [
-            moment_or_error(mu, k1, k2) for k1, k2 in indices
-        ]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("order", [0, 12])
@@ -220,14 +196,15 @@ class TestStackedPsdReports:
     def test_hankel_pairs_of_every_fixture(self, name, instance):
         n = DEFAULT_WINDOW
         checked = 0
-        for moments in (instance.row_moments, instance.column_moments):
+        lines = (("row", instance.row_moments), ("column", instance.column_moments))
+        for line, moments in lines:
             for index in range(n + 1):
                 data = moments(index, 2 * n + 2)
                 base = [[data[i + j] for j in range(n + 1)] for i in range(n + 1)]
                 shifted = [[data[i + j + 1] for j in range(n + 1)] for i in range(n + 1)]
                 assert_stack_reports_match(np.array([base, shifted]))
                 # and hankel_psd, which stacks the pair itself
-                stacked = hankel_psd([data], n)
+                stacked = hankel_psd([(f"{line} {index}", data)], n)
                 assert repr(stacked) == repr(
                     (single_report(np.array(base), 1e-9), single_report(np.array(shifted), 1e-9))
                 )
@@ -238,13 +215,14 @@ class TestStackedPsdReports:
     def test_the_stack_that_verify_builds(self, name, instance):
         # every row sequence, then every column sequence, in one call
         n = DEFAULT_WINDOW
+        lines = (("row", instance.row_moments), ("column", instance.column_moments))
         sequences = [
-            moments(index, 2 * n + 2)
-            for moments in (instance.row_moments, instance.column_moments)
+            (f"{line} {index}", moments(index, 2 * n + 2))
+            for line, moments in lines
             for index in range(n + 1)
         ]
         expected = []
-        for data in sequences:
+        for _, data in sequences:
             for shift in (0, 1):
                 matrix = [[data[i + j + shift] for j in range(n + 1)] for i in range(n + 1)]
                 expected.append(single_report(np.array(matrix), 1e-9))
@@ -254,10 +232,10 @@ class TestStackedPsdReports:
 
     def test_each_sequence_is_checked_before_the_next_is_drawn(self):
         def sequences(*first):
-            yield from first
+            yield from ((f"row {index}", moments) for index, moments in enumerate(first))
             raise AssertionError("drawn past a bad sequence")
 
-        with pytest.raises(InvalidMoments):
+        with pytest.raises(InvalidMoments, match=r"got -0\.5 at order 1 of row 1$"):
             hankel_psd(sequences((1.0,) * 4, (1.0, -0.5, 1.0, 1.0)), 1)
         with pytest.raises(PreconditionViolated):
             hankel_psd(sequences((1.0,) * 4, (1.0,) * 3), 1)
@@ -265,8 +243,8 @@ class TestStackedPsdReports:
         with pytest.raises(NonFinite):
             hankel_psd(sequences((1.0, math.inf, 1.0, 1.0)), 1)
         # entries past the matrices are not checked
-        assert len(hankel_psd([(1.0, 1.0, 1.0, 1.0, math.inf)], 1)) == 2
-        assert len(hankel_psd([(1.0, 1.0, 1.0, 1.0, -1.0)], 1)) == 2
+        assert len(hankel_psd([("row 0", (1.0, 1.0, 1.0, 1.0, math.inf))], 1)) == 2
+        assert len(hankel_psd([("row 0", (1.0, 1.0, 1.0, 1.0, -1.0))], 1)) == 2
 
     def test_no_sequences_no_reports(self):
         assert hankel_psd([], 3) == ()
@@ -390,29 +368,30 @@ class TestJointHyponormalityClosedForm:
 
 class TestHankel:
     def test_constant_moments(self):
-        base, shifted = hankel_psd([(1.0,) * 8], 3)
+        base, shifted = hankel_psd([("row 0", (1.0,) * 8)], 3)
         assert base.passed and shifted.passed
         assert abs(base.min_eigenvalue) <= base.tolerance
 
     def test_two_atom_moments(self):
-        base, shifted = hankel_psd([(1.0, 0.25, 0.25, 0.25, 0.25, 0.25)], 2)
+        base, shifted = hankel_psd([("row 0", (1.0, 0.25, 0.25, 0.25, 0.25, 0.25))], 2)
         assert base.passed and shifted.passed
 
     def test_non_moment_data_fails(self):
-        base, shifted = hankel_psd([(1.0, 1.44, 1.44, 1.44)], 1)
+        base, shifted = hankel_psd([("row 0", (1.0, 1.44, 1.44, 1.44))], 1)
         assert not (base.passed and shifted.passed)
 
     def test_needs_enough_moments(self):
         with pytest.raises(PreconditionViolated):
-            hankel_psd([(1.0, 0.5, 0.5)], 1)
+            hankel_psd([("row 0", (1.0, 0.5, 0.5))], 1)
 
     def test_positive_required(self):
-        with pytest.raises(InvalidMoments):
-            hankel_psd([(1.0, -0.1)], 0)
+        # the refusal names the order and the sequence
+        with pytest.raises(InvalidMoments, match=r"got -0\.1 at order 1 of column 3$"):
+            hankel_psd([("column 3", (1.0, -0.1))], 0)
 
     def test_entries_near_the_largest_float_are_used_as_built(self):
         # symmetrising by 0.5 * (H + H.T) would overflow 1e308 to inf
-        base, shifted = hankel_psd([(1.0, 1e-10, 1e308, 1e300)], 1)
+        base, shifted = hankel_psd([("row 0", (1.0, 1e-10, 1e308, 1e300))], 1)
         assert base.min_eigenvalue == 1.0
         assert base.passed
 
@@ -483,8 +462,11 @@ class TestSoundness:
             verdict = subnormality_verdict(inst)
             assert verdict.subnormal
             for index in range(5):
-                for seq in (inst.row_moments(index, 10), inst.column_moments(index, 10)):
-                    base, shifted = hankel_psd([seq], 4)
+                for line, seq in (
+                    ("row", inst.row_moments(index, 10)),
+                    ("column", inst.column_moments(index, 10)),
+                ):
+                    base, shifted = hankel_psd([(f"{line} {index}", seq)], 4)
                     assert base.passed and shifted.passed
             assert moment_matrix_2d(inst, 6).passed
             assert joint_hyponormality_compression(inst, 6).passed
