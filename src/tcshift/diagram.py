@@ -157,7 +157,7 @@ class TCInstance(Frozen):
     @cached_property
     def eta_y_tail(self) -> AtomicMeasure1D:
         """Berger measure of the column-0 shift with its first weight removed."""
-        return restriction_measure(self.eta_y, 1)
+        return restriction_measure(self.eta_y)
 
     @cached_property
     def recip_t_eta_y_tail(self) -> float:
@@ -380,7 +380,7 @@ class FlatInstance(Frozen):
         if self.p > 0.0:
             atoms.append((0.0, self.p))
         atoms.append((1.0, self.q))
-        if self.rest_x > PROBABILITY_TOL and self.rho is not None:
+        if self.rest_x > PROBABILITY_TOL:
             atoms.extend((loc, self.rest_x * mass) for loc, mass in self.rho.atoms)
         return AtomicMeasure1D(tuple(atoms), probability=True)
 
@@ -390,7 +390,7 @@ class FlatInstance(Frozen):
         if self.l > 0.0:
             atoms.append((0.0, self.l))
         atoms.append((self.b**2, self.m))
-        if self.rest_y > PROBABILITY_TOL and self.sigma is not None:
+        if self.rest_y > PROBABILITY_TOL:
             atoms.extend((loc, self.rest_y * mass) for loc, mass in self.sigma.atoms)
         return AtomicMeasure1D(tuple(atoms), probability=True)
 

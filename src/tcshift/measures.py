@@ -625,8 +625,3 @@ def atom_difference(a: Measure, b: Measure) -> float:
     if not diff.atoms:
         return 0.0
     return max(abs(atom[-1]) for atom in diff.atoms)
-
-
-def measures_equal(a: Measure, b: Measure, tol: float = 1e-12) -> bool:
-    """Atom-wise equality of two measures up to the given mass tolerance."""
-    return atom_difference(a, b) <= tol

@@ -26,6 +26,8 @@ from .measures import AtomicMeasure2D, left_sum
 if TYPE_CHECKING:
     import numpy as np
 
+# the fixed relative tolerances of the oracles: a PSD check scales its own
+# by the matrix trace, and moment interpolation bounds each relative error
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_INTERPOLATION_TOL = 1e-10
 # atoms per accumulate in the interpolation's moment table
@@ -56,7 +58,7 @@ class InterpolationReport(NamedTuple):
     first_failure: tuple[int, int, float, float] | None = None
 
 
-def _psd_reports(stack: np.ndarray, tol: float) -> list[PsdReport]:
+def _psd_reports(stack: np.ndarray) -> list[PsdReport]:
     """One report per matrix of a stack of same-size symmetric matrices.
     Batched, LAPACK gives each matrix the bits of a call on it alone."""
     import numpy as np
@@ -67,7 +69,7 @@ def _psd_reports(stack: np.ndarray, tol: float) -> list[PsdReport]:
     traces = np.trace(stack, axis1=1, axis2=2).tolist()
     reports = []
     for values, trace in zip(eigenvalues, traces):
-        threshold = tol * max(trace, 0.0)
+        threshold = DEFAULT_PSD_TOL * max(trace, 0.0)
         reports.append(PsdReport(stack.shape[1], values[0], values[0] >= -threshold, threshold))
     return reports
 
@@ -111,12 +113,7 @@ def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
     return [list(islice(entries, side - k1)) for k1 in range(side)]
 
 
-def moment_interpolation_check(
-    source,
-    mu: AtomicMeasure2D,
-    order: int,
-    tol: float = DEFAULT_INTERPOLATION_TOL,
-) -> InterpolationReport:
+def moment_interpolation_check(source, mu: AtomicMeasure2D, order: int) -> InterpolationReport:
     """Compare gamma_(k1,k2) with the monomial integrals of mu for all
     k1 + k2 <= order.
 
@@ -142,22 +139,18 @@ def moment_interpolation_check(
         rel = abs(actual - expected) / max(abs(expected), 1e-300)
         if rel > max_err:
             max_err = rel
-        if rel > tol and first_failure is None:
+        if rel > DEFAULT_INTERPOLATION_TOL and first_failure is None:
             first_failure = (k1, k2, expected, actual)
     return InterpolationReport(
         passed=first_failure is None,
         order=order,
         max_rel_error=max_err,
-        tolerance=tol,
+        tolerance=DEFAULT_INTERPOLATION_TOL,
         first_failure=first_failure,
     )
 
 
-def hankel_psd(
-    sequences: Iterable[tuple[str, Sequence[float]]],
-    n: int,
-    tol: float = DEFAULT_PSD_TOL,
-) -> tuple[PsdReport, ...]:
+def hankel_psd(sequences: Iterable[tuple[str, Sequence[float]]], n: int) -> tuple[PsdReport, ...]:
     """Stieltjes conditions for one-variable moment data.
 
     For each (name, moments) pair in turn, builds the two Hankel matrices
@@ -189,7 +182,7 @@ def hankel_psd(
         # base row i is moments[i : i + n + 1], shifted row i is base row i + 1
         rows = [moments[i : i + n + 1] for i in range(n + 2)]
         stack += (rows[:-1], rows[1:])
-    return tuple(_psd_reports(np.array(stack), tol)) if stack else ()
+    return tuple(_psd_reports(np.array(stack))) if stack else ()
 
 
 def _moment_matrix(source, n: int) -> np.ndarray:
@@ -209,19 +202,17 @@ def _moment_matrix(source, n: int) -> np.ndarray:
     return table[first[:, None] + first, second[:, None] + second]
 
 
-def moment_matrix_2d(source, n: int, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
+def moment_matrix_2d(source, n: int) -> PsdReport:
     """Truncated two-variable moment matrix over monomials of degree <= n.
 
     Indexed by multi-indices p, q with entries gamma_(p+q); positive
     semidefinite whenever the data are moments of a measure.  ``source``
     is anything with a ``moment(k1, k2)`` method.
     """
-    return _psd_reports(_moment_matrix(source, n)[None], tol)[0]
+    return _psd_reports(_moment_matrix(source, n)[None])[0]
 
 
-def joint_hyponormality_compression(
-    instance: TCInstance, window: int, tol: float = DEFAULT_PSD_TOL
-) -> PsdReport:
+def joint_hyponormality_compression(instance: TCInstance, window: int) -> PsdReport:
     """Compression of the 2x2 self-commutator operator matrix.
 
     The block operator [[T1*,T1], [T2*,T1]; [T1*,T2], [T2*,T2]] is
@@ -252,7 +243,7 @@ def joint_hyponormality_compression(
     # no 2x2 block's diagonal entry undercuts its least eigenvalue; halving keeps a + b finite
     least = [a / 2 + b / 2 - math.hypot(a / 2 - b / 2, c) for a, b, c in blocks]
     min_eig = min(diagonal + least)
-    threshold = tol * max(left_sum(diagonal), 0.0)
+    threshold = DEFAULT_PSD_TOL * max(left_sum(diagonal), 0.0)
     return PsdReport(2 * side * side, min_eig, min_eig >= -threshold, threshold)
 
 

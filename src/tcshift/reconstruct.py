@@ -63,8 +63,6 @@ from .measures import (
 DEFAULT_TOL = POSITIVITY_REL_TOL
 _ORIGIN = dirac(0.0)
 
-BergerForm = str  # "split" or "correction"
-
 
 class Diagnostics(NamedTuple):
     """Reciprocal norms feeding the criterion and the reconstruction."""
@@ -104,15 +102,14 @@ def compute_psi(instance: TCInstance) -> SignedMeasure1D:
     return combine(terms, instance.psi_runs if instance.in_family else None)
 
 
-def compute_phi(instance: TCInstance, recip_t_psi: float | None = None) -> SignedMeasure1D:
-    """The horizontal slack measure, given ||1/t||_{L1(psi)} or computing it.
+def compute_phi(instance: TCInstance, recip_t_psi: float) -> SignedMeasure1D:
+    """The horizontal slack measure, given ||1/t||_{L1(psi)}.
 
-    That is the signed integral of 1/t against psi, so phi is defined
-    whether or not psi is positive; an atom of psi at the origin, which
-    only the tail can carry, makes that integral raise.
+    That is the signed integral of 1/t against psi (psi's
+    ``reciprocal_norm``), so phi is defined whether or not psi is positive;
+    an atom of psi at the origin, which only the tail can carry, makes that
+    integral raise.
     """
-    if recip_t_psi is None:
-        recip_t_psi = compute_psi(instance).reciprocal_norm()
     return _phi(
         instance.xi_x,
         instance.y0_sq * recip_t_psi,
@@ -186,11 +183,13 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
 def berger_measure(
     instance: TCInstance,
     tol: float = DEFAULT_TOL,
-    form: BergerForm = "split",
-    psi: SignedMeasure1D | None = None,
-    phi: SignedMeasure1D | None = None,
+    form: str = "split",
+    *,
+    psi: SignedMeasure1D,
+    phi: SignedMeasure1D,
 ) -> AtomicMeasure2D:
-    """Assemble the joint Berger measure of a subnormal instance.
+    """Assemble the joint Berger measure of a subnormal instance from its
+    psi and phi, those of its verdict.
 
     ``form="split"`` sums the three mutually singular nonnegative pieces;
     ``form="correction"``, test-only reference code, starts from
@@ -217,10 +216,6 @@ def berger_measure(
     and exact zeros are dropped.  psi~ is made first, so that its errors
     come before those of a scaled mass, as in ``combine``.
     """
-    if psi is None:
-        psi = compute_psi(instance)
-    if phi is None:
-        phi = compute_phi(instance, psi.reciprocal_norm())
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
     recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0
@@ -248,19 +243,13 @@ def berger_measure(
     return combine(terms).as_positive(tol, probability=True)
 
 
-def measure_M(
-    instance: TCInstance,
-    tol: float = DEFAULT_TOL,
-    psi: SignedMeasure1D | None = None,
-) -> AtomicMeasure2D:
+def measure_M(instance: TCInstance, tol: float = DEFAULT_TOL) -> AtomicMeasure2D:
     """Berger measure of the restriction to rows k2 >= 1.
 
     Equals a^2 ||1/s||_{L1(xi)} (xi~ x eta) + delta_0 x psi and exists
     exactly when psi is positive.
     """
-    if psi is None:
-        psi = compute_psi(instance)
-    psi_pos = psi.as_positive(tol)
+    psi_pos = compute_psi(instance).as_positive(tol)
     terms = [(instance.a**2 * instance.recip_s_xi, product(instance.xi_tilde, instance.eta))]
     if psi_pos.atoms:
         terms.append((1.0, product(_ORIGIN, psi_pos)))

@@ -1,4 +1,4 @@
-"""One-variable weighted-shift kernel: moments, weights, restrictions.
+"""One-variable weighted-shift kernel: moments, weights, the restriction.
 
 A subnormal unilateral shift is equivalent data to a probability measure on
 [0, norm^2]: the k-th monomial moment of the measure is the product of the
@@ -6,9 +6,11 @@ first k squared weights.  ``relative_moments`` is the one place where a
 measure's moments are summed, each relative to its largest location so that
 none overflows or underflows; ``weights_from_measure`` takes the weights
 from them, and the diagram takes its moments back as running products of
-their squares.  The square root stays because ``bench/spans.py`` traces
-``weights_from_measure`` as a layer of ``verify``.  Weight input is
-deliberately not supported: inputs enter as measures.
+their squares.  ``restriction_measure`` gives the measure of the shift
+with its first weight removed.  The square root stays because
+``bench/spans.py`` traces ``weights_from_measure`` as a layer of
+``verify``.  Weight input is deliberately not supported: inputs enter as
+measures.
 """
 
 from __future__ import annotations
@@ -56,18 +58,13 @@ def weights_from_measure(measure: AtomicMeasure1D, n: int) -> tuple[float, ...]:
     return tuple(math.sqrt(top * moments[k + 1] / moments[k]) for k in range(n))
 
 
-def restriction_measure(measure: AtomicMeasure1D, h: int) -> AtomicMeasure1D:
-    """Berger measure of the shift with its first h weights removed.
+def restriction_measure(measure: AtomicMeasure1D) -> AtomicMeasure1D:
+    """Berger measure of the shift with its first weight removed.
 
-    The density is s^h / gamma_h; an atom at the origin is annihilated for
-    h >= 1.
+    The density is s / gamma_1, so an atom at the origin is annihilated.
     """
-    if h < 0:
-        raise ValueError("restriction depth must be nonnegative")
-    if h == 0:
-        return at_merged_locations(measure.atoms, probability=True)
-    gamma_h = measure.moment(h)
-    if gamma_h <= 0.0:
+    gamma_1 = measure.moment(1)
+    if gamma_1 <= 0.0:
         raise DegenerateMeasure("measure concentrated at 0 cannot be restricted")
-    atoms = [(loc, mass * loc**h / gamma_h) for loc, mass in measure.atoms if loc > 0.0]
+    atoms = [(loc, mass * loc / gamma_1) for loc, mass in measure.atoms if loc > 0.0]
     return at_merged_locations(atoms, probability=True)

@@ -15,7 +15,6 @@ from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import DegenerateMeasure, TCShiftError
 from tcshift.measures import (
     MERGE_REL_TOL,
-    POSITIVITY_REL_TOL,
     AtomicMeasure1D,
     atom_difference,
     combine,
@@ -388,15 +387,18 @@ def reference_positivity(atoms, tol):
     return False, worst
 
 
-def reference_berger_split(inst: TCInstance, tol=POSITIVITY_REL_TOL, psi=None, phi=None):
+def slack_measures(inst: TCInstance) -> tuple:
+    """psi and phi, phi from psi's signed reciprocal integral as a verdict
+    builds it, whether or not psi is positive."""
+    psi = compute_psi(inst)
+    return psi, compute_phi(inst, psi.reciprocal_norm())
+
+
+def reference_berger_split(inst: TCInstance, tol, psi, phi):
     """The split-form joint measure summed by ``combine`` and then
     ``as_positive``, both of which merge; ``berger_measure(form="split")``
     skips those merges and must reproduce this exactly (same atoms, same
     exceptions and messages)."""
-    if psi is None:
-        psi = compute_psi(inst)
-    if phi is None:
-        phi = compute_phi(inst, psi.reciprocal_norm())
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
     recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0

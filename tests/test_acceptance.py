@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from tcshift.cli import run
-from tcshift.measures import atom_difference, dirac2, measures_equal
+from tcshift import oracles
+from tcshift.measures import atom_difference, dirac2
 from tcshift.oracles import (
     hankel_psd,
     joint_hyponormality_compression,
@@ -57,7 +58,8 @@ def test_criterion_1_f1_reconstruction():
     assert len(mu.atoms) == 4
     for s, t in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         assert mu.mass_at(s, t) == pytest.approx(0.25, abs=1e-12)
-    interpolation = moment_interpolation_check(inst, mu, 16, tol=1e-10)
+    assert oracles.DEFAULT_INTERPOLATION_TOL == 1e-10
+    interpolation = moment_interpolation_check(inst, mu, 16)
     assert interpolation.passed, interpolation.first_failure
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -105,8 +107,8 @@ def test_criterion_4_random_subnormal_instances():
         assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
         assert (
             atom_difference(
-                berger_measure(inst, form="split"),
-                berger_measure(inst, form="correction"),
+                berger_measure(inst, form="split", psi=verdict.psi, phi=verdict.phi),
+                berger_measure(inst, form="correction", psi=verdict.psi, phi=verdict.phi),
             )
             <= 1e-12
         )
@@ -142,6 +144,7 @@ def test_criterion_5_flat_equivalence():
 
 def test_criterion_6_oracle_soundness():
     started = time.perf_counter()
+    assert oracles.DEFAULT_PSD_TOL == 1e-9
     rng = random.Random(606)
     instances = [trivial_instance(), f1_instance()] + [
         random_subnormal_instance(rng) for _ in range(100)
@@ -155,9 +158,9 @@ def test_criterion_6_oracle_soundness():
                 ("row", inst.row_moments(index, 14)),
                 ("column", inst.column_moments(index, 14)),
             ):
-                reports.extend(hankel_psd([(f"{line} {index}", sequence)], 6, tol=1e-9))
-        reports.append(moment_matrix_2d(inst, 6, tol=1e-9))
-        reports.append(joint_hyponormality_compression(inst, 6, tol=1e-9))
+                reports.extend(hankel_psd([(f"{line} {index}", sequence)], 6))
+        reports.append(moment_matrix_2d(inst, 6))
+        reports.append(joint_hyponormality_compression(inst, 6))
         for report in reports:
             assert report.passed
             assert report.min_eigenvalue >= -report.tolerance
@@ -175,7 +178,7 @@ def test_criterion_7_unit_ratio_forces_the_marginal():
     assert atom_difference(extremal_marginal, inst.xi_x) <= 1e-12
     extension = backward_extension(upper, inst.xi_x, math.sqrt(inst.y0_sq))
     assert extension.subnormal
-    assert measures_equal(extension.measure, dirac2(1.0, 1.0), 1e-12)
+    assert atom_difference(extension.measure, dirac2(1.0, 1.0)) <= 1e-12
     _passed(7, "unit mass ratio reproduces the row-0 measure exactly")
 
 

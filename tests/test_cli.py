@@ -6,6 +6,7 @@ import json
 import math
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -814,6 +815,52 @@ class TestSweep:
         )
         assert code == 2
         assert "'a'" in err
+
+    def test_a_flat_sweep_rejects_a_measure_as_its_parameter(self):
+        code, out, err = run_capture(
+            ["sweep", fixture("f1_flat.json"), "--param", "xi", "--range", "0.5:1:0.25"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "invalid instance: flat instances sweep over one of p, q, l, m, b, a\n"
+
+    def test_a_non_numeric_range_is_a_parse_error(self):
+        code, out, err = run_capture(
+            ["sweep", fixture("f1.json"), "--param", "a", "--range", "a:b:c"]
+        )
+        assert (code, out) == (3, "")
+        assert err == "parse error: range must be numeric lo:hi:step, got 'a:b:c'\n"
+
+
+class TestModuleEntryPoint:
+    """``python -m tcshift`` runs ``cli.main`` in a child interpreter."""
+
+    def test_check_exits_with_the_verdict(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcshift", "check", fixture("f1.json")],
+            capture_output=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == run_capture(["check", fixture("f1.json")])[1]
+        assert proc.stderr.decode().startswith("elapsed: ")
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_a_closed_pipe_ends_the_process_by_sigpipe(self):
+        # 1e12 grid points: the reader stops after one line
+        argv = ["sweep", fixture("f1.json"), "--param", "a", "--range", "0.1:1e9:0.001"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "tcshift", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        ) as proc:
+            assert proc.stdout.readline() == b"a=0.1 subnormal\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=60)
+        assert proc.returncode == -signal.SIGPIPE
+        assert err == b""
 
 
 class TestParser:

@@ -92,6 +92,15 @@ class TestWeights:
         with pytest.raises(DepthExceeded):
             inst.weight_at(inst.depth_limit + 1, 0, "h")
 
+    @pytest.mark.parametrize("k1, k2", [(-1, 0), (0, -1)])
+    def test_a_negative_index_is_refused(self, k1, k2):
+        with pytest.raises(ValueError, match="^weight indices must be nonnegative$"):
+            f1_instance().weight_at(k1, k2, "h")
+
+    def test_an_unknown_direction_is_refused(self):
+        with pytest.raises(ValueError, match="^direction must be 'h' or 'v', got 'd'$"):
+            f1_instance().weight_at(0, 0, "d")
+
     def test_follow_the_commutativity_formulas(self):
         rng = random.Random(29)
         instances = [f1_instance(), n1_instance(), trivial_instance()] + [
@@ -577,6 +586,11 @@ class TestFlatInstance:
     def test_remainder_required_when_weighted(self):
         with pytest.raises(InvalidFlat):
             FlatInstance(p=0.3, q=0.3, l=0.5, m=0.5, b=1.0, a=1.0)
+
+    @pytest.mark.parametrize("name", ["rho", "sigma"])
+    def test_a_remainder_of_zero_weight_is_refused(self, name):
+        with pytest.raises(InvalidFlat, match=f"^{name} given but its weight is zero$"):
+            FlatInstance(p=0.5, q=0.5, l=0.5, m=0.5, b=1.0, a=1.0, **{name: dirac(2.0)})
 
     def test_remainder_support_restrictions(self):
         with pytest.raises(InvalidFlat):

@@ -169,16 +169,16 @@ class TestMomentTable:
         assert peak < whole / 10
 
 
-def single_report(matrix: np.ndarray, tol: float) -> PsdReport:
+def single_report(matrix: np.ndarray) -> PsdReport:
     """The report of one matrix from its own eigvalsh and trace calls."""
     min_eig = float(np.linalg.eigvalsh(matrix)[0])
-    threshold = tol * max(float(np.trace(matrix)), 0.0)
+    threshold = 1e-9 * max(float(np.trace(matrix)), 0.0)
     return PsdReport(matrix.shape[0], min_eig, min_eig >= -threshold, threshold)
 
 
-def assert_stack_reports_match(stack: np.ndarray, tol: float = 1e-9) -> None:
+def assert_stack_reports_match(stack: np.ndarray) -> None:
     # repr round-trips every float, so equal reprs are equal bits
-    assert repr(_psd_reports(stack, tol)) == repr([single_report(m, tol) for m in stack])
+    assert repr(_psd_reports(stack)) == repr([single_report(m) for m in stack])
 
 
 class TestStackedPsdReports:
@@ -206,7 +206,7 @@ class TestStackedPsdReports:
                 # and hankel_psd, which stacks the pair itself
                 stacked = hankel_psd([(f"{line} {index}", data)], n)
                 assert repr(stacked) == repr(
-                    (single_report(np.array(base), 1e-9), single_report(np.array(shifted), 1e-9))
+                    (single_report(np.array(base)), single_report(np.array(shifted)))
                 )
                 checked += 1
         assert checked == 2 * (n + 1)
@@ -225,7 +225,7 @@ class TestStackedPsdReports:
         for _, data in sequences:
             for shift in (0, 1):
                 matrix = [[data[i + j + shift] for j in range(n + 1)] for i in range(n + 1)]
-                expected.append(single_report(np.array(matrix), 1e-9))
+                expected.append(single_report(np.array(matrix)))
         assert len(sequences) == 2 * (n + 1)
         assert repr(hankel_psd(sequences, n)) == repr(tuple(expected))
         assert repr(hankel_psd(iter(sequences), n)) == repr(tuple(expected))
@@ -267,7 +267,7 @@ class TestMatricesBuiltWhole:
         for n in range(1, 8):
             expected = reference_moment_matrix(instance, n)
             assert same_array(_moment_matrix(instance, n), expected)
-            report = _psd_reports(expected[None], 1e-9)[0]
+            report = _psd_reports(expected[None])[0]
             assert repr(moment_matrix_2d(instance, n)) == repr(report)
 
     @pytest.mark.parametrize("size", [0, 17, 40])
@@ -287,7 +287,7 @@ class TestMatricesBuiltWhole:
 
 def reference_jh_report(instance, window: int) -> PsdReport:
     """The report of eigvalsh on the compression built entry by entry."""
-    return _psd_reports(reference_joint_hyponormality_matrix(instance, window)[None], 1e-9)[0]
+    return _psd_reports(reference_joint_hyponormality_matrix(instance, window)[None])[0]
 
 
 def stub_instance(weights: dict) -> types.SimpleNamespace:
@@ -304,7 +304,7 @@ class TestJointHyponormalityClosedForm:
     def test_agrees_with_eigvalsh(self, name, instance):
         for window in range(1, 8):
             matrix = reference_joint_hyponormality_matrix(instance, window)
-            expected = _psd_reports(matrix[None], 1e-9)[0]
+            expected = _psd_reports(matrix[None])[0]
             report = joint_hyponormality_compression(instance, window)
             assert report.dimension == expected.dimension
             assert report.passed == expected.passed

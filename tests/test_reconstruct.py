@@ -18,6 +18,8 @@ from tcshift.errors import (
     TCShiftError,
 )
 from tcshift.measures import (
+    PROBABILITY_TOL,
+    AtomicMeasure1D,
     atom_difference,
     combine,
     dirac,
@@ -31,7 +33,6 @@ from tcshift.reconstruct import (
     _decide,
     backward_extension,
     berger_measure,
-    compute_phi,
     compute_psi,
     flat_verdict,
     measure_M,
@@ -54,6 +55,7 @@ from helpers import (
     random_subnormal_instance,
     random_tc_instance,
     reference_berger_split,
+    slack_measures,
     spike_instance,
     trivial_instance,
 )
@@ -62,16 +64,18 @@ from helpers import (
 class TestSlackMeasures:
     def test_trivial_pair_has_zero_slack(self):
         inst = trivial_instance()
-        assert compute_psi(inst).atoms == ()
-        assert compute_phi(inst).atoms == ()
+        psi, phi = slack_measures(inst)
+        assert psi.atoms == ()
+        assert phi.atoms == ()
 
     def test_f1(self):
         inst = f1_instance()
-        assert_measures_close(compute_psi(inst), m1((1.0, 0.5)))
-        assert_measures_close(compute_phi(inst), m1((0.0, 0.25), (1.0, 0.25)))
+        psi, phi = slack_measures(inst)
+        assert_measures_close(psi, m1((1.0, 0.5)))
+        assert_measures_close(phi, m1((0.0, 0.25), (1.0, 0.25)))
 
     def test_n1_phi_goes_negative(self):
-        phi = compute_phi(n1_instance())
+        _, phi = slack_measures(n1_instance())
         assert phi.mass_at(0.0) == pytest.approx(-0.15, abs=1e-12)
         assert phi.mass_at(1.0) == pytest.approx(0.65, abs=1e-12)
 
@@ -170,20 +174,31 @@ class TestVerdict:
     @pytest.mark.parametrize("decide", [subnormality_verdict, berger_measure])
     def test_nan_tolerance_refused(self, decide):
         # not a verdict with a positive atom as its witness
+        inst = f1_instance()
+        psi, phi = slack_measures(inst)
+        slack = {} if decide is subnormality_verdict else {"psi": psi, "phi": phi}
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-            decide(f1_instance(), math.nan)
+            decide(inst, math.nan, **slack)
 
 
 class TestBergerMeasure:
     def test_forms_agree_on_f1(self):
         inst = f1_instance()
-        split = berger_measure(inst, form="split")
-        corrected = berger_measure(inst, form="correction")
+        psi, phi = slack_measures(inst)
+        split = berger_measure(inst, form="split", psi=psi, phi=phi)
+        corrected = berger_measure(inst, form="correction", psi=psi, phi=phi)
         assert_measures_close(split, corrected, 1e-12)
 
+    def test_an_unknown_form_is_refused(self):
+        inst = f1_instance()
+        psi, phi = slack_measures(inst)
+        with pytest.raises(ValueError, match="^form must be 'split' or 'correction', got 'other'$"):
+            berger_measure(inst, form="other", psi=psi, phi=phi)
+
     def test_rejects_negative_slack(self):
+        verdict = subnormality_verdict(n1_instance())
         with pytest.raises(PreconditionViolated):
-            berger_measure(n1_instance())
+            berger_measure(n1_instance(), psi=verdict.psi, phi=verdict.phi)
 
     def test_probability_marginals_and_assembly_on_random_instances(self):
         rng = random.Random(20260810)
@@ -196,8 +211,8 @@ class TestBergerMeasure:
             assert atom_difference(mu.marginal("x"), inst.xi_x) <= 1e-10
             assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
             assert_measures_close(
-                berger_measure(inst, form="split"),
-                berger_measure(inst, form="correction"),
+                berger_measure(inst, form="split", psi=verdict.psi, phi=verdict.phi),
+                berger_measure(inst, form="correction", psi=verdict.psi, phi=verdict.phi),
                 1e-12,
             )
 
@@ -207,7 +222,7 @@ class TestBergerMeasure:
         for inst in instances:
             verdict = subnormality_verdict(inst)
             mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
-            report = moment_interpolation_check(inst, mu, 16, tol=1e-10)
+            report = moment_interpolation_check(inst, mu, 16)
             assert report.passed, report.first_failure
 
 
@@ -220,12 +235,17 @@ def _outcome(build):
         return type(error), str(error)
 
 
-def _split_outcomes(inst, tol=DEFAULT_TOL, psi=None, phi=None):
+def _split_outcomes(inst, tol=DEFAULT_TOL, slack=None):
     """The split-form measure with no merge pass, and as ``combine`` and
-    ``as_positive`` assemble it."""
+    ``as_positive`` assemble it, of the given (psi, phi), else of the
+    instance's own."""
+
+    def assembled(build):
+        return _outcome(lambda: build(*(slack or slack_measures(inst))))
+
     return (
-        _outcome(lambda: berger_measure(inst, tol, "split", psi, phi)),
-        _outcome(lambda: reference_berger_split(inst, tol, psi, phi)),
+        assembled(lambda psi, phi: berger_measure(inst, tol, "split", psi=psi, phi=phi)),
+        assembled(lambda psi, phi: reference_berger_split(inst, tol, psi, phi)),
     )
 
 
@@ -272,13 +292,13 @@ class TestSplitAssembly:
         # a^2 r_s = 1e300 * 1e10 overflows; psi and phi are f1's
         inst = _f1_with(xi=dirac(1e-10), a=1e150)
         f1 = f1_instance()
-        new, reference = _split_outcomes(inst, psi=compute_psi(f1), phi=compute_phi(f1))
+        new, reference = _split_outcomes(inst, slack=slack_measures(f1))
         assert new == reference == (NonFinite, "atom mass must be finite, got inf")
 
     def test_total_off_one(self):
         inst = f1_instance()
-        phi = combine([(2.0, compute_phi(inst))])
-        new, reference = _split_outcomes(inst, phi=phi)
+        psi, phi = slack_measures(inst)
+        new, reference = _split_outcomes(inst, slack=(psi, combine([(2.0, phi)])))
         assert new == reference == (NotProbability, "total mass is 1.5, expected 1")
 
 
@@ -318,7 +338,6 @@ class TestMeasureM:
                 ),
                 measure_M(inst),
                 8,
-                tol=1e-10,
             )
             assert report.passed, report.first_failure
 
@@ -334,11 +353,32 @@ class TestBackwardExtension:
         assert result.measure.atoms == ((1.0, 1.0, 1.0),)
         assert result.ratio == pytest.approx(1.0)
 
+    def test_unit_ratio_refuses_a_marginal_off_nu(self):
+        # nu's mass is within PROBABILITY_TOL of 1, but its distance of 5e-10
+        # from the extremal marginal is above the guard's 10 * tol
+        nu = AtomicMeasure1D(((1.0, 1.0 + 5e-10),), probability=True)
+        assert 5e-10 < PROBABILITY_TOL
+        message = "^unit mass ratio forces the extremal marginal to equal nu$"
+        with pytest.raises(PreconditionViolated, match=message):
+            backward_extension(dirac2(1.0, 1.0), nu, 1.0)
+
+    def test_unit_ratio_admits_a_marginal_within_the_guard(self):
+        nu = AtomicMeasure1D(((1.0, 1.0 + 5e-12),), probability=True)
+        result = backward_extension(dirac2(1.0, 1.0), nu, 1.0)
+        assert result.subnormal
+        assert result.ratio == 1.0
+        (s, t, mass), top = result.measure.atoms
+        assert (s, t) == (1.0, 0.0)
+        assert mass == pytest.approx(5e-12, rel=1e-6)
+        assert top == (1.0, 1.0, 1.0)
+
     def test_f1_agrees_with_the_direct_reconstruction(self):
         inst = f1_instance()
         result = backward_extension(measure_M(inst), inst.xi_x, math.sqrt(inst.y0_sq))
         assert result.subnormal
-        assert_measures_close(result.measure, berger_measure(inst), 1e-12)
+        verdict = subnormality_verdict(inst)
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+        assert_measures_close(result.measure, mu, 1e-12)
 
     def test_n1_fails_the_domination_condition_at_the_origin(self):
         inst = n1_instance()

@@ -59,6 +59,10 @@ class TestWeightsFromMeasure:
         with pytest.raises(DegenerateMeasure):
             weights_from_measure(dirac(0.0), 3)
 
+    def test_no_weight_requested_is_refused(self):
+        with pytest.raises(ValueError, match="^at least one weight must be requested$"):
+            weights_from_measure(dirac(1.0), 0)
+
     def test_monotone_on_random_measures(self):
         rng = random.Random(20260810)
         for _ in range(100):
@@ -129,27 +133,29 @@ class TestTwoAtomMeasure:
 
 class TestRestriction:
     def test_point_mass_fixed(self):
-        assert restriction_measure(dirac(1.0), 7).atoms == ((1.0, 1.0),)
+        assert restriction_measure(dirac(1.0)).atoms == ((1.0, 1.0),)
 
     def test_atom_at_origin_killed(self):
-        got = restriction_measure(m1((0.0, 0.5), (1.0, 0.5)), 1)
+        got = restriction_measure(m1((0.0, 0.5), (1.0, 0.5)))
         assert got.atoms == ((1.0, 1.0),)
 
     def test_reweighting(self):
-        got = restriction_measure(m1((1.0, 0.5), (4.0, 0.5)), 1)
+        got = restriction_measure(m1((1.0, 0.5), (4.0, 0.5)))
         assert_measures_close(got, m1((1.0, 0.2), (4.0, 0.8)))
 
     def test_degenerate(self):
         with pytest.raises(DegenerateMeasure):
-            restriction_measure(dirac(0.0), 1)
+            restriction_measure(dirac(0.0))
 
     def test_composes(self):
+        # h restrictions in turn remove h weights: the density is s^h / gamma_h
         rng = random.Random(99)
         for _ in range(20):
             measure = random_probability(rng, zero_prob=0.3, lo=0.05)
             for h in (2, 3, 4):
-                direct = restriction_measure(measure, h)
+                gamma_h = measure.moment(h)
+                direct = m1(*((loc, mass * loc**h / gamma_h) for loc, mass in measure.atoms))
                 iterated = measure
                 for _ in range(h):
-                    iterated = restriction_measure(iterated, 1)
+                    iterated = restriction_measure(iterated)
                 assert_measures_close(direct, iterated, 1e-12)
