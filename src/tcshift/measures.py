@@ -14,9 +14,10 @@ are one point, at every scale: only an atom at exactly 0.0 is at the origin.
 The nonnegative ``AtomicMeasure1D``/``2D`` subclass ``SignedMeasure1D``/``2D``.
 One signed base under both owns the merge on construction, the total mass,
 ``as_positive`` and the probability-total check; the signed classes add
-their moments (and in 1-D ``mass_at``, ``reciprocal_norm`` and
-``charges_origin``), the nonnegative ones the sign checks and what needs
-positivity.
+their moments (and in 1-D ``reciprocal_norm`` and ``charges_origin``),
+the nonnegative ones the sign checks and what needs positivity.  The
+mass at a point and the planar point mass, which only the tests read, are
+``mass_at`` and ``dirac2`` in ``tests/helpers.py``.
 
 Every measure holds its atoms as a tuple of finite float tuples that is
 
@@ -292,9 +293,6 @@ class SignedMeasure1D(_SignedMeasure):
         if self.atoms and self.atoms[0][0] < 0.0:
             raise ValueError(f"atom location must be nonnegative, got {self.atoms[0][0]!r}")
 
-    def mass_at(self, location: float) -> float:
-        return left_sum(mass for loc, mass in self.atoms if same_location(loc, location))
-
     def charges_origin(self) -> bool:
         """True when an atom is at 0; atoms are sorted and nonnegative, so
         only the first one can be."""
@@ -385,13 +383,6 @@ class AtomicMeasure2D(SignedMeasure2D):
                     raise ValueError(f"atom mass must be positive, got {mass!r} at ({s!r}, {t!r})")
         self._check_probability()
 
-    def mass_at(self, s: float, t: float) -> float:
-        return left_sum(
-            mass
-            for u, v, mass in self.atoms
-            if same_location(u, s) and same_location(v, t)
-        )
-
     def marginal(self, axis: Axis) -> AtomicMeasure1D:
         """The projection, a probability measure when this one is."""
         index = _axis_index(axis)
@@ -433,11 +424,6 @@ def _axis_index(axis: Axis) -> int:
 def dirac(location: float) -> AtomicMeasure1D:
     """Unit point mass at the given location."""
     return AtomicMeasure1D(((location, 1.0),), probability=True)
-
-
-def dirac2(s: float, t: float) -> AtomicMeasure2D:
-    """Unit planar point mass at (s, t)."""
-    return AtomicMeasure2D(((s, t, 1.0),), probability=True)
 
 
 def _finite_masses(atoms: list, names: tuple[str, ...]) -> list:

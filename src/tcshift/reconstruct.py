@@ -16,8 +16,8 @@ phi x delta_0.  Each is a ``product`` at its coefficient, and no two of
 their atoms are at one location, so one sort, and no merge pass, sums
 them.  An equivalent assembly writes the same measure as xi_x x eta~
 plus signed corrections supported on the two axes, which cancel and so
-must be merged; it is kept as test-only reference code, and the two forms
-must agree atom for atom.
+must be merged; the tests keep it (``tests/helpers.py``) as a reference
+that this one must match.
 A verdict is the decision alone: psi, phi and, when negative, a witness
 atom.  psi is decided first, and a negative atom of psi settles the
 verdict, so phi is built only when psi is positive: a verdict whose
@@ -183,38 +183,32 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
 def berger_measure(
     instance: TCInstance,
     tol: float = DEFAULT_TOL,
-    form: str = "split",
     *,
     psi: SignedMeasure1D,
     phi: SignedMeasure1D,
 ) -> AtomicMeasure2D:
     """Assemble the joint Berger measure of a subnormal instance from its
-    psi and phi, those of its verdict.
+    psi and phi, those of its verdict, as the sum of its three mutually
+    singular nonnegative pieces.  Raises PreconditionViolated when psi or
+    phi has a genuinely negative atom.
 
-    ``form="split"`` sums the three mutually singular nonnegative pieces;
-    ``form="correction"``, test-only reference code, starts from
-    xi_x x eta~ and applies the signed axis corrections.  Both must produce
-    the same measure.  Raises PreconditionViolated when psi or phi has a
-    genuinely negative atom.
-
-    The correction form merges its signed sum in ``combine`` and again in
-    ``as_positive``.  The split form makes each piece by ``product`` at its
-    coefficient, with the masses and errors of ``combine``, and one sort of
-    all their atoms gives what ``combine`` and then ``as_positive`` give:
-    every mass is positive and no two atoms are at one location, so both
-    merges keep every atom.  Each piece is a product of two merged
-    measures, and any two locations of a merged measure are apart (see
-    ``product``), so two atoms of one piece differ in s or in t.  Across
-    pieces, the tensor piece has every s and t in the supports of xi and
-    eta, which ``TCInstance`` refuses to let charge the origin, so none is
-    0.0, the only location at 0; the vertical piece has s = 0 and every t
-    in the support of psi, which its ``reciprocal_norm`` refuses to let
-    charge the origin; and the horizontal piece has t = 0.  So a tensor
-    atom is apart from a vertical one in s and from a horizontal one in t,
-    and a vertical atom is apart from a horizontal one in t.  The
-    coefficients a^2 y0^2 r_s r_t, y0^2 ||1/t||_psi and 1 are nonnegative,
-    and exact zeros are dropped.  psi~ is made first, so that its errors
-    come before those of a scaled mass, as in ``combine``.
+    Each piece is made by ``product`` at its coefficient, with the masses
+    and errors of ``combine``, and one sort of all their atoms gives what
+    ``combine`` and then ``as_positive`` give: every mass is positive and
+    no two atoms are at one location, so both merges keep every atom.  Each
+    piece is a product of two merged measures, and any two locations of a
+    merged measure are apart (see ``product``), so two atoms of one piece
+    differ in s or in t.  Across pieces, the tensor piece has every s and t
+    in the supports of xi and eta, which ``TCInstance`` refuses to let
+    charge the origin, so none is 0.0, the only location at 0; the vertical
+    piece has s = 0 and every t in the support of psi, which its
+    ``reciprocal_norm`` refuses to let charge the origin; and the
+    horizontal piece has t = 0.  So a tensor atom is apart from a vertical
+    one in s and from a horizontal one in t, and a vertical atom is apart
+    from a horizontal one in t.  The coefficients a^2 y0^2 r_s r_t,
+    y0^2 ||1/t||_psi and 1 are nonnegative, and exact zeros are dropped.
+    psi~ is made first, so that its errors come before those of a scaled
+    mass, as in ``combine``.
     """
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
@@ -222,38 +216,26 @@ def berger_measure(
     c_tensor = instance.a**2 * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta
     c_axis = instance.y0_sq * recip_t_psi
     eta_tilde = instance.eta.tilde()
-    if form == "split":
-        psi_tilde = psi_pos.tilde() if psi_pos.atoms else None
-        tensor = product(instance.xi_tilde, eta_tilde, c_tensor).atoms
-        vertical = () if psi_tilde is None else product(_ORIGIN, psi_tilde, c_axis).atoms
-        horizontal = product(phi_pos, _ORIGIN).atoms if phi_pos.atoms else ()
-        # the vertical atoms sort first, so the sort finds one run less
-        atoms = sorted(chain(vertical, tensor, horizontal))
-        return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
-    elif form == "correction":
-        terms = [(1.0, product(instance.xi_x, eta_tilde))]
-        if phi_pos.atoms:
-            terms.append((1.0, product(phi_pos, _ORIGIN)))
-            terms.append((-1.0, product(phi_pos, eta_tilde)))
-        if psi_pos.atoms:
-            terms.append((c_axis, product(_ORIGIN, psi_pos.tilde())))
-            terms.append((-c_axis, product(_ORIGIN, eta_tilde)))
-    else:
-        raise ValueError(f"form must be 'split' or 'correction', got {form!r}")
-    return combine(terms).as_positive(tol, probability=True)
+    psi_tilde = psi_pos.tilde() if psi_pos.atoms else None
+    tensor = product(instance.xi_tilde, eta_tilde, c_tensor).atoms
+    vertical = () if psi_tilde is None else product(_ORIGIN, psi_tilde, c_axis).atoms
+    horizontal = product(phi_pos, _ORIGIN).atoms if phi_pos.atoms else ()
+    # the vertical atoms sort first, so the sort finds one run less
+    atoms = sorted(chain(vertical, tensor, horizontal))
+    return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
 
 
-def measure_M(instance: TCInstance, tol: float = DEFAULT_TOL) -> AtomicMeasure2D:
+def measure_M(instance: TCInstance) -> AtomicMeasure2D:
     """Berger measure of the restriction to rows k2 >= 1.
 
     Equals a^2 ||1/s||_{L1(xi)} (xi~ x eta) + delta_0 x psi and exists
     exactly when psi is positive.
     """
-    psi_pos = compute_psi(instance).as_positive(tol)
+    psi_pos = compute_psi(instance).as_positive(DEFAULT_TOL)
     terms = [(instance.a**2 * instance.recip_s_xi, product(instance.xi_tilde, instance.eta))]
     if psi_pos.atoms:
         terms.append((1.0, product(_ORIGIN, psi_pos)))
-    return combine(terms).as_positive(tol, probability=True)
+    return combine(terms).as_positive(DEFAULT_TOL, probability=True)
 
 
 class BackwardExtension2D(NamedTuple):
@@ -275,7 +257,6 @@ def backward_extension(
     mu_m: AtomicMeasure2D,
     nu: AtomicMeasure1D,
     beta00: float,
-    tol: float = DEFAULT_TOL,
 ) -> BackwardExtension2D:
     """Extend a planar measure downward by a new bottom row.
 
@@ -292,12 +273,12 @@ def backward_extension(
     if any(atom[1] == 0.0 for atom in mu_m.atoms):
         return BackwardExtension2D(False, None, failed_condition=1)
     ratio = beta00**2 * mu_m.reciprocal_norm("y")
-    if ratio > 1.0 + tol:
+    if ratio > 1.0 + DEFAULT_TOL:
         return BackwardExtension2D(False, None, failed_condition=2, ratio=ratio)
     extremal = mu_m.extremal()
     extremal_x = extremal.marginal("x")
     slack = combine([(1.0, nu), (-ratio, extremal_x)])
-    check = positivity(slack, tol)
+    check = positivity(slack, DEFAULT_TOL)
     if not check.positive:
         return BackwardExtension2D(
             False,
@@ -306,15 +287,15 @@ def backward_extension(
             ratio=ratio,
             witness=(check.location, check.mass),
         )
-    if abs(ratio - 1.0) <= tol and atom_difference(extremal_x, nu) > 10.0 * max(tol, 1e-15):
+    if abs(ratio - 1.0) <= DEFAULT_TOL and atom_difference(extremal_x, nu) > 10.0 * DEFAULT_TOL:
         raise PreconditionViolated(
             "unit mass ratio forces the extremal marginal to equal nu"
         )
-    rest = slack.as_positive(tol)
+    rest = slack.as_positive(DEFAULT_TOL)
     terms = [(ratio, extremal)]
     if rest.atoms:
         terms.append((1.0, product(rest, _ORIGIN)))
-    measure = combine(terms).as_positive(tol, probability=True)
+    measure = combine(terms).as_positive(DEFAULT_TOL, probability=True)
     return BackwardExtension2D(True, measure, ratio=ratio)
 
 

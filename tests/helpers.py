@@ -7,15 +7,17 @@ import json
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from tcshift.cli import parse_instance
 from tcshift.diagram import FlatInstance, TCInstance
-from tcshift.errors import DegenerateMeasure, TCShiftError
+from tcshift.errors import DegenerateMeasure, PreconditionViolated, TCShiftError
 from tcshift.measures import (
     MERGE_REL_TOL,
     AtomicMeasure1D,
+    AtomicMeasure2D,
     atom_difference,
     combine,
     dirac,
@@ -27,6 +29,21 @@ from tcshift.reconstruct import compute_phi, compute_psi
 
 def m1(*pairs: tuple[float, float], probability: bool = False) -> AtomicMeasure1D:
     return AtomicMeasure1D(tuple(pairs), probability=probability)
+
+
+def dirac2(s: float, t: float) -> AtomicMeasure2D:
+    """Unit planar point mass at (s, t)."""
+    return AtomicMeasure2D(((s, t, 1.0),), probability=True)
+
+
+def mass_at(measure, *point: float) -> float:
+    """Total mass of the atoms at ``point``, a location in 1-D or (s, t)
+    in 2-D, each coordinate matched by ``reference_same_location``."""
+    return left_sum(
+        atom[-1]
+        for atom in measure.atoms
+        if all(map(reference_same_location, atom[:-1], point))
+    )
 
 
 def half_half() -> AtomicMeasure1D:
@@ -396,9 +413,9 @@ def slack_measures(inst: TCInstance) -> tuple:
 
 def reference_berger_split(inst: TCInstance, tol, psi, phi):
     """The split-form joint measure summed by ``combine`` and then
-    ``as_positive``, both of which merge; ``berger_measure(form="split")``
-    skips those merges and must reproduce this exactly (same atoms, same
-    exceptions and messages)."""
+    ``as_positive``, both of which merge; ``berger_measure`` skips those
+    merges and must reproduce this exactly (same atoms, same exceptions and
+    messages)."""
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
     recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0
@@ -412,6 +429,51 @@ def reference_berger_split(inst: TCInstance, tol, psi, phi):
     if phi_pos.atoms:
         terms.append((1.0, product(phi_pos, origin)))
     return combine(terms).as_positive(tol, probability=True)
+
+
+def _reference_positive_part(atoms, tol):
+    """The atoms of positive mass, once ``reference_positivity`` finds no
+    genuinely negative one."""
+    positive, worst = reference_positivity(atoms, tol)
+    if not positive:
+        raise PreconditionViolated(f"measure has a negative atom {worst!r}")
+    return tuple(atom for atom in atoms if atom[-1] > 0.0)
+
+
+def _measure_of(atoms) -> SimpleNamespace:
+    """The measure of these atoms, as ``reference_product_atoms`` reads it."""
+    return SimpleNamespace(atoms=atoms)
+
+
+def reference_berger_correction(inst: TCInstance, tol, psi, phi):
+    """The joint measure in its correction form,
+
+        xi_x x eta~ + phi x (delta_0 - eta~) + y0^2 ||1/t||_psi delta_0 x (psi~ - eta~),
+
+    of the positive parts of the given psi and phi.  Its signed terms
+    cancel, so they are summed by the reference merge and checked by the
+    reference positivity; it shares no merge with the split form that
+    ``berger_measure`` builds, which must agree with it within rounding."""
+    psi_pos = _reference_positive_part(psi.atoms, tol)
+    phi_pos = _reference_positive_part(phi.atoms, tol)
+    origin = _measure_of(((0.0, 1.0),))
+    eta_tilde = inst.eta.tilde()
+    terms = [(1.0, inst.xi_x, eta_tilde)]
+    if phi_pos:
+        phi_part = _measure_of(phi_pos)
+        terms += [(1.0, phi_part, origin), (-1.0, phi_part, eta_tilde)]
+    if psi_pos:
+        c_axis = inst.y0_sq * left_sum(mass / t for t, mass in psi_pos)
+        raw = [(t, mass / t) for t, mass in psi_pos]
+        total = left_sum(mass for _, mass in raw)
+        psi_tilde = _measure_of(tuple((t, mass / total) for t, mass in raw))
+        terms += [(c_axis, origin, psi_tilde), (-c_axis, origin, eta_tilde)]
+    signed = reference_merge_2d(
+        (s, t, coeff * mass)
+        for coeff, mx, my in terms
+        for s, t, mass in reference_product_atoms(mx, my)
+    )
+    return AtomicMeasure2D(_reference_positive_part(signed, tol), probability=True)
 
 
 def reference_moment(inst: TCInstance, k1: int, k2: int) -> float:

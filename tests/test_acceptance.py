@@ -14,7 +14,7 @@ import pytest
 
 from tcshift.cli import run
 from tcshift import oracles
-from tcshift.measures import atom_difference, dirac2
+from tcshift.measures import atom_difference
 from tcshift.oracles import (
     hankel_psd,
     joint_hyponormality_compression,
@@ -22,6 +22,7 @@ from tcshift.oracles import (
     moment_matrix_2d,
 )
 from tcshift.reconstruct import (
+    DEFAULT_TOL,
     backward_extension,
     berger_measure,
     flat_verdict,
@@ -30,10 +31,13 @@ from tcshift.reconstruct import (
 )
 
 from helpers import (
+    dirac2,
     f1_instance,
+    mass_at,
     n1_instance,
     random_flat_instance,
     random_subnormal_instance,
+    reference_berger_correction,
     trivial_instance,
 )
 
@@ -49,15 +53,15 @@ def test_criterion_1_f1_reconstruction():
     inst = f1_instance()
     verdict = subnormality_verdict(inst)
     assert verdict.subnormal
-    assert verdict.psi.mass_at(1.0) == pytest.approx(0.5, abs=1e-12)
+    assert mass_at(verdict.psi, 1.0) == pytest.approx(0.5, abs=1e-12)
     assert len(verdict.psi.atoms) == 1
-    assert verdict.phi.mass_at(0.0) == pytest.approx(0.25, abs=1e-12)
-    assert verdict.phi.mass_at(1.0) == pytest.approx(0.25, abs=1e-12)
+    assert mass_at(verdict.phi, 0.0) == pytest.approx(0.25, abs=1e-12)
+    assert mass_at(verdict.phi, 1.0) == pytest.approx(0.25, abs=1e-12)
     assert len(verdict.phi.atoms) == 2
     mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
     assert len(mu.atoms) == 4
     for s, t in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-        assert mu.mass_at(s, t) == pytest.approx(0.25, abs=1e-12)
+        assert mass_at(mu, s, t) == pytest.approx(0.25, abs=1e-12)
     assert oracles.DEFAULT_INTERPOLATION_TOL == 1e-10
     interpolation = moment_interpolation_check(inst, mu, 16)
     assert interpolation.passed, interpolation.first_failure
@@ -107,8 +111,7 @@ def test_criterion_4_random_subnormal_instances():
         assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
         assert (
             atom_difference(
-                berger_measure(inst, form="split", psi=verdict.psi, phi=verdict.phi),
-                berger_measure(inst, form="correction", psi=verdict.psi, phi=verdict.phi),
+                mu, reference_berger_correction(inst, DEFAULT_TOL, verdict.psi, verdict.phi)
             )
             <= 1e-12
         )
@@ -131,8 +134,8 @@ def test_criterion_5_flat_equivalence():
         assert via_flat.subnormal == via_general.subnormal
         if via_flat.subnormal:
             subnormal_count += 1
-            flat_mu = berger_measure(
-                flat.embed(), form="correction", psi=via_flat.psi, phi=via_flat.phi
+            flat_mu = reference_berger_correction(
+                flat.embed(), DEFAULT_TOL, via_flat.psi, via_flat.phi
             )
             general_mu = berger_measure(
                 flat.embed(), psi=via_general.psi, phi=via_general.phi

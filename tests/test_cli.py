@@ -1,6 +1,5 @@
 """Command-line surface: parsing, exit codes, determinism, sweeps."""
 
-import inspect
 import io
 import json
 import math
@@ -1028,13 +1027,12 @@ class TestBergerAssembly:
 
 
 class TestNoPlanarMerge:
-    """No command merges a planar measure: the joint measure is the split
-    form, whose pieces are summed without a merge pass, never the
-    correction form, whose signed sum must be merged."""
+    """No command merges a planar measure: the joint measure is the sum of
+    three pieces made without a merge pass."""
 
     @pytest.mark.parametrize("command", ["check", "reconstruct", "flat", "verify"])
     def test_calls(self, monkeypatch, command):
-        passes, forms = [], []
+        passes, assemblies = [], []
         merge, original = measures._merge_floats_2d, reconstruct.berger_measure
 
         def counting_merge(prepared):
@@ -1042,16 +1040,15 @@ class TestNoPlanarMerge:
             return merge(prepared)
 
         def counting_berger(*args, **kwargs):
-            arguments = inspect.signature(original).bind(*args, **kwargs).arguments
-            forms.append(arguments.get("form", "split"))
+            assemblies.append(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(measures, "_merge_floats_2d", counting_merge)
         patch_everywhere(monkeypatch, original, counting_berger)
         codes = [run_capture([command, str(path)])[0] for path in sorted(FIXTURES.glob("*.json"))]
         assert passes == []
-        # the split form, once per subnormal file
-        assert forms == ([] if command == "check" else ["split"] * codes.count(0))
+        # one assembly per subnormal file
+        assert len(assemblies) == (0 if command == "check" else codes.count(0))
         assert codes.count(0) >= 2
 
 

@@ -29,7 +29,6 @@ from tcshift.measures import (
     atom_difference,
     combine,
     dirac,
-    dirac2,
     merge_runs,
     positivity,
     product,
@@ -40,7 +39,9 @@ from tcshift.shifts import restriction_measure
 
 from helpers import (
     assert_measures_close,
+    dirac2,
     m1,
+    mass_at,
     outcome,
     random_locations,
     random_probability,
@@ -604,18 +605,9 @@ class TestMergePasses:
         """The three pieces are summed by one sort; no product is merged."""
         inst = self._wide_instance()
         psi, phi = slack_measures(inst)
-        mu = berger_measure(inst, form="split", psi=psi, phi=phi)
+        mu = berger_measure(inst, psi=psi, phi=phi)
         assert len(mu.atoms) > 900
         assert passes == []
-
-    def test_correction_assembly_merges_twice(self, passes):
-        """The signed sum is merged once in ``combine`` and once more in
-        ``as_positive``; no product is merged."""
-        inst = self._wide_instance()
-        psi, phi = slack_measures(inst)
-        mu = berger_measure(inst, form="correction", psi=psi, phi=phi)
-        assert len(mu.atoms) > 900
-        assert len(passes) == 2
 
 
 # A mass factor of 5e-324 or 1e-300 makes a reweighted mass underflow to
@@ -743,7 +735,7 @@ class TestChargesOrigin:
     @given(st.lists(st.tuples(origin_locations, st.floats(0.01, 2.0)), max_size=6))
     def test_nonnegative_measures(self, atoms):
         measure = _built(AtomicMeasure1D, atoms)
-        assert measure.charges_origin() == (measure.mass_at(0.0) != 0.0)
+        assert measure.charges_origin() == (mass_at(measure, 0.0) != 0.0)
 
     @given(
         st.lists(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tcshift.cli import DEFAULT_WINDOW
 from tcshift.errors import DepthExceeded, InvalidMoments, NonFinite, PreconditionViolated
-from tcshift.measures import AtomicMeasure2D, SignedMeasure2D, dirac2
+from tcshift.measures import AtomicMeasure2D, SignedMeasure2D
 from tcshift.oracles import (
     _TABLE_BLOCK,
     PsdReport,
@@ -29,6 +29,7 @@ from tcshift.oracles import (
 from tcshift.reconstruct import berger_measure, subnormality_verdict
 
 from helpers import (
+    dirac2,
     f1_instance,
     fixture_instances,
     outcome,

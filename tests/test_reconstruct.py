@@ -23,7 +23,6 @@ from tcshift.measures import (
     atom_difference,
     combine,
     dirac,
-    dirac2,
     positivity,
 )
 from tcshift.oracles import moment_interpolation_check
@@ -44,16 +43,19 @@ from helpers import (
     FLAT_FIXTURES,
     assert_measures_close,
     assert_scalar_close,
+    dirac2,
     f1_flat,
     f1_instance,
     half_half,
     m1,
+    mass_at,
     n1_flat,
     n1_instance,
     random_flat_instance,
     random_psi_positive_instance,
     random_subnormal_instance,
     random_tc_instance,
+    reference_berger_correction,
     reference_berger_split,
     slack_measures,
     spike_instance,
@@ -76,8 +78,8 @@ class TestSlackMeasures:
 
     def test_n1_phi_goes_negative(self):
         _, phi = slack_measures(n1_instance())
-        assert phi.mass_at(0.0) == pytest.approx(-0.15, abs=1e-12)
-        assert phi.mass_at(1.0) == pytest.approx(0.65, abs=1e-12)
+        assert mass_at(phi, 0.0) == pytest.approx(-0.15, abs=1e-12)
+        assert mass_at(phi, 1.0) == pytest.approx(0.65, abs=1e-12)
 
     def test_flat_closed_form(self):
         # psi = (m b^2 / y0^2) d_{b^2} + ((1-l-m)/y0^2) sigma_1 - a^2 d_{b^2}
@@ -133,7 +135,7 @@ class TestVerdict:
         assert verdict.subnormal
         mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
         for s, t in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-            assert mu.mass_at(s, t) == pytest.approx(0.25, abs=1e-12)
+            assert mass_at(mu, s, t) == pytest.approx(0.25, abs=1e-12)
         assert len(mu.atoms) == 4
 
     def test_n1(self):
@@ -185,15 +187,9 @@ class TestBergerMeasure:
     def test_forms_agree_on_f1(self):
         inst = f1_instance()
         psi, phi = slack_measures(inst)
-        split = berger_measure(inst, form="split", psi=psi, phi=phi)
-        corrected = berger_measure(inst, form="correction", psi=psi, phi=phi)
+        split = berger_measure(inst, psi=psi, phi=phi)
+        corrected = reference_berger_correction(inst, DEFAULT_TOL, psi, phi)
         assert_measures_close(split, corrected, 1e-12)
-
-    def test_an_unknown_form_is_refused(self):
-        inst = f1_instance()
-        psi, phi = slack_measures(inst)
-        with pytest.raises(ValueError, match="^form must be 'split' or 'correction', got 'other'$"):
-            berger_measure(inst, form="other", psi=psi, phi=phi)
 
     def test_rejects_negative_slack(self):
         verdict = subnormality_verdict(n1_instance())
@@ -211,9 +207,7 @@ class TestBergerMeasure:
             assert atom_difference(mu.marginal("x"), inst.xi_x) <= 1e-10
             assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
             assert_measures_close(
-                berger_measure(inst, form="split", psi=verdict.psi, phi=verdict.phi),
-                berger_measure(inst, form="correction", psi=verdict.psi, phi=verdict.phi),
-                1e-12,
+                mu, reference_berger_correction(inst, DEFAULT_TOL, verdict.psi, verdict.phi), 1e-12
             )
 
     def test_interpolates_the_moments(self):
@@ -244,7 +238,7 @@ def _split_outcomes(inst, tol=DEFAULT_TOL, slack=None):
         return _outcome(lambda: build(*(slack or slack_measures(inst))))
 
     return (
-        assembled(lambda psi, phi: berger_measure(inst, tol, "split", psi=psi, phi=phi)),
+        assembled(lambda psi, phi: berger_measure(inst, tol, psi=psi, phi=phi)),
         assembled(lambda psi, phi: reference_berger_split(inst, tol, psi, phi)),
     )
 
@@ -353,11 +347,13 @@ class TestBackwardExtension:
         assert result.measure.atoms == ((1.0, 1.0, 1.0),)
         assert result.ratio == pytest.approx(1.0)
 
-    def test_unit_ratio_refuses_a_marginal_off_nu(self):
-        # nu's mass is within PROBABILITY_TOL of 1, but its distance of 5e-10
-        # from the extremal marginal is above the guard's 10 * tol
-        nu = AtomicMeasure1D(((1.0, 1.0 + 5e-10),), probability=True)
-        assert 5e-10 < PROBABILITY_TOL
+    @pytest.mark.parametrize("excess", [5e-10, 5e-11])
+    def test_unit_ratio_refuses_a_marginal_off_nu(self, excess):
+        # nu's mass is within PROBABILITY_TOL of 1, but its distance from
+        # the extremal marginal is above the guard's 10 * DEFAULT_TOL; 5e-11
+        # is within 100 * DEFAULT_TOL, so a guard ten times as wide admits it
+        nu = AtomicMeasure1D(((1.0, 1.0 + excess),), probability=True)
+        assert 10 * DEFAULT_TOL < excess < PROBABILITY_TOL
         message = "^unit mass ratio forces the extremal marginal to equal nu$"
         with pytest.raises(PreconditionViolated, match=message):
             backward_extension(dirac2(1.0, 1.0), nu, 1.0)
@@ -427,7 +423,7 @@ class TestFlatVerdict:
         inst = f1_flat().embed()
         direct = subnormality_verdict(inst)
         assert_measures_close(
-            berger_measure(inst, form="correction", psi=verdict.psi, phi=verdict.phi),
+            reference_berger_correction(inst, DEFAULT_TOL, verdict.psi, verdict.phi),
             berger_measure(inst, psi=direct.psi, phi=direct.phi),
             1e-12,
         )
@@ -444,14 +440,14 @@ class TestFlatVerdict:
         flat = FlatInstance(p=0.0, q=1.0, l=0.0, m=1.0, b=1.0, a=1.0)
         verdict = flat_verdict(flat)
         assert verdict.subnormal
-        mu = berger_measure(flat.embed(), form="correction", psi=verdict.psi, phi=verdict.phi)
+        mu = reference_berger_correction(flat.embed(), DEFAULT_TOL, verdict.psi, verdict.phi)
         assert mu.atoms == ((1.0, 1.0, 1.0),)
 
     def test_degenerate_tensor_pair_with_tall_core(self):
         flat = FlatInstance(p=0.0, q=1.0, l=0.0, m=1.0, b=1.5, a=1.0)
         verdict = flat_verdict(flat)
         assert verdict.subnormal
-        mu = berger_measure(flat.embed(), form="correction", psi=verdict.psi, phi=verdict.phi)
+        mu = reference_berger_correction(flat.embed(), DEFAULT_TOL, verdict.psi, verdict.phi)
         assert_measures_close(mu, dirac2(1.0, 2.25), 1e-12)
 
     def test_matches_the_general_criterion_on_random_instances(self):
@@ -468,7 +464,7 @@ class TestFlatVerdict:
             if via_flat.subnormal:
                 inst = flat.embed()
                 assert_measures_close(
-                    berger_measure(inst, form="correction", psi=via_flat.psi, phi=via_flat.phi),
+                    reference_berger_correction(inst, DEFAULT_TOL, via_flat.psi, via_flat.phi),
                     berger_measure(inst, psi=via_general.psi, phi=via_general.phi),
                     1e-12,
                 )
