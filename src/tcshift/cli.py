@@ -282,29 +282,32 @@ def _mu_pieces(atoms: Sequence[Sequence[float]]) -> list[str]:
     exactly ``json.dumps(atoms)``.
 
     json writes a finite float with ``float.__repr__``, and the atoms of an
-    ``AtomicMeasure2D`` are finite by construction (``_finite_nonzero`` and
-    the merge check them), so each distinct location can be turned into
-    digits once: the tensor part of mu has n^2 atoms on about 2n locations.
-    A zero is not cached, since 0.0 and -0.0 are one key but two texts.
+    ``AtomicMeasure2D`` are finite by construction (``_as_floats`` and
+    ``product`` check them), so each row writes its ``[s, `` once, and each
+    distinct t is turned into digits, with the ``, `` after it, once: the
+    tensor part of mu has n^2 atoms in n rows on about 2n locations.  A zero
+    is not cached, since 0.0 and -0.0 are one key but two texts; for the
+    same reason a row at s = 0, where both may stand, writes each atom's s.
     """
-    digits: dict[float, str] = {}
+    t_texts: dict[float, str] = {}
 
-    def text(value: float) -> str:
-        written = repr(value)
-        if value:
-            digits[value] = written
+    def t_text(t: float) -> str:
+        written = f"{t!r}, "
+        if t:
+            t_texts[t] = written
         return written
 
-    get = digits.get
+    get = t_texts.get
     pieces = ["["]
-    for _, row in itertools.groupby(atoms, operator.itemgetter(0)):
+    for s, row in itertools.groupby(atoms, operator.itemgetter(0)):
         if len(pieces) > 1:
             pieces.append(", ")
-        pieces.append(
-            ", ".join(
-                [f"[{get(s) or text(s)}, {get(t) or text(t)}, {mass!r}]" for s, t, mass in row]
-            )
-        )
+        if s:
+            head = f"[{s!r}, "
+            texts = [f"{head}{get(t) or t_text(t)}{mass!r}]" for _, t, mass in row]
+        else:
+            texts = [f"[{zero!r}, {get(t) or t_text(t)}{mass!r}]" for zero, t, mass in row]
+        pieces.append(", ".join(texts))
     pieces.append("]")
     return pieces
 

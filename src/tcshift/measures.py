@@ -29,7 +29,9 @@ The constructors establish this with one sort and one merge pass.  Any
 two locations of a merged 1-D measure are apart, so ``product`` of merged
 factors, at any coefficient, and ``at_merged_locations`` of atoms at some
 of a merged measure's locations (as ``tilde`` and the 1-D ``as_positive``
-make) skip the merge pass; ``product``'s docstring gives the proof.  A 1-D
+make) skip the merge pass; ``product``'s docstring gives the proof, and
+why its product of nonnegative factors at a nonnegative coefficient skips
+the sign pass too.  A 1-D
 ``combine`` of fixed measures at changing coefficients can skip the sort
 and the merge too: where ``merge_runs`` finds that no run of the merge of
 their locations holds more than two atoms, the runs are the same at every
@@ -469,6 +471,12 @@ def product(mx: SignedMeasure1D, my: SignedMeasure1D, coeff: float = 1.0) -> Sig
     in s (across rows): the merge would keep each one.  Sorting and merging
     is therefore the identity on them, except that it drops masses that
     are exactly zero, as done here.
+
+    Nor does the sign pass run when both factors are nonnegative and
+    ``coeff >= 0``: every coordinate is a location of a factor, so none is
+    negative, and every mass left after the zeros are dropped is positive.
+    Only the total-mass check runs then.  At a negative ``coeff`` the whole
+    check runs, and names the first negative mass.
     """
     atoms = [(s, t, coeff * (ms * mt)) for s, ms in mx.atoms for t, mt in my.atoms]
     if not math.isfinite(sum(map(itemgetter(2), atoms))):
@@ -481,7 +489,12 @@ def product(mx: SignedMeasure1D, my: SignedMeasure1D, coeff: float = 1.0) -> Sig
         atoms = [atom for atom in atoms if atom[2]]
     if isinstance(mx, AtomicMeasure1D) and isinstance(my, AtomicMeasure1D):
         probability = mx.probability and my.probability and coeff == 1.0
-        return _from_merged(AtomicMeasure2D, tuple(atoms), probability=probability)
+        if coeff < 0.0:
+            return _from_merged(AtomicMeasure2D, tuple(atoms), probability=probability)
+        measure = object.__new__(AtomicMeasure2D)
+        vars(measure).update(atoms=tuple(atoms), probability=probability)
+        measure._check_probability()
+        return measure
     return _from_merged(SignedMeasure2D, tuple(atoms))
 
 

@@ -12,11 +12,15 @@ The diagram is subnormal exactly when both are positive measures, and the
 joint measure then splits into three mutually singular pieces: a tensor
 part a^2 y0^2 r_s r_t (xi~ x eta~) in the open quadrant, a vertical-axis
 part y0^2 ||1/t||_psi (delta_0 x psi~), and a horizontal-axis part
-phi x delta_0.  Each is a ``product`` at its coefficient, and no two of
-their atoms are at one location, so one sort, and no merge pass, sums
-them.  An equivalent assembly writes the same measure as xi_x x eta~
-plus signed corrections supported on the two axes, which cancel and so
-must be merged; the tests keep it (``tests/helpers.py``) as a reference
+phi x delta_0.  Each is a ``product`` of nonnegative factors at a
+nonnegative coefficient, which skips the sign pass, and no two of their
+atoms are at one location.  So neither a merge pass nor a sort sums them:
+laid out as phi's atom at the origin, the vertical part, then the tensor
+rows with each other atom of phi just before the first row at its s or
+past it, they are in sorted order, and the joint measure's sign check is
+the only one.  An equivalent assembly writes the same measure as xi_x x
+eta~ plus signed corrections supported on the two axes, which cancel and
+so must be merged; the tests keep it (``tests/helpers.py``) as a reference
 that this one must match.
 A verdict is the decision alone: psi, phi and, when negative, a witness
 atom.  psi is decided first, and a negative atom of psi settles the
@@ -39,7 +43,7 @@ second route to every answer.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from bisect import bisect_left
 from typing import Callable, NamedTuple
 
 from .errors import NonFinite, PreconditionViolated
@@ -193,7 +197,7 @@ def berger_measure(
     phi has a genuinely negative atom.
 
     Each piece is made by ``product`` at its coefficient, with the masses
-    and errors of ``combine``, and one sort of all their atoms gives what
+    and errors of ``combine``, and their atoms in sorted order give what
     ``combine`` and then ``as_positive`` give: every mass is positive and
     no two atoms are at one location, so both merges keep every atom.  Each
     piece is a product of two merged measures, and any two locations of a
@@ -206,9 +210,18 @@ def berger_measure(
     horizontal piece has t = 0.  So a tensor atom is apart from a vertical
     one in s and from a horizontal one in t, and a vertical atom is apart
     from a horizontal one in t.  The coefficients a^2 y0^2 r_s r_t,
-    y0^2 ||1/t||_psi and 1 are nonnegative, and exact zeros are dropped.
-    psi~ is made first, so that its errors come before those of a scaled
-    mass, as in ``combine``.
+    y0^2 ||1/t||_psi and 1 are nonnegative, and exact zeros are dropped,
+    so ``product`` skips its sign pass, and the joint measure's own check
+    is the only one.  psi~ is made first, so that its errors come before
+    those of a scaled mass, as in ``combine``.
+
+    The atoms are laid out in the order that sorting them gives, so no
+    sort runs.  Every s of the tensor piece and every t of the tensor and
+    vertical pieces is positive, so the vertical piece (at s = 0, in the
+    order of its t) and then the tensor rows are in order, and each atom
+    (s, 0) of phi goes just before the first of them whose s is equal or
+    larger, the place ``bisect_left`` finds for it: phi's atom at s = 0
+    (0.0 or -0.0) comes first.
     """
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
@@ -220,8 +233,15 @@ def berger_measure(
     tensor = product(instance.xi_tilde, eta_tilde, c_tensor).atoms
     vertical = () if psi_tilde is None else product(_ORIGIN, psi_tilde, c_axis).atoms
     horizontal = product(phi_pos, _ORIGIN).atoms if phi_pos.atoms else ()
-    # the vertical atoms sort first, so the sort finds one run less
-    atoms = sorted(chain(vertical, tensor, horizontal))
+    body = vertical + tensor
+    atoms = []
+    start = 0
+    for atom in horizontal:
+        end = bisect_left(body, atom, start)
+        atoms.extend(body[start:end])
+        atoms.append(atom)
+        start = end
+    atoms.extend(body[start:])
     return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
 
 

@@ -567,6 +567,8 @@ class TestMuText:
             (),
             # 0.0 and -0.0 are one dict key but two texts
             ((0.0, 1.0, 0.5), (-0.0, 2.0, 0.5)),
+            # a row's s is written once, but not the first zero's for the next
+            ((-0.0, 1.0, 0.5), (0.0, 2.0, 0.25), (1.0, 1.0, 0.125), (1.0, 2.0, 0.125)),
             ((1.0, 0.0, 0.5), (1.0, -0.0, 0.5), (2.0, -0.0, 0.25), (2.0, 0.0, -0.0)),
             *(
                 ((v, v, v), (v, 1.0, -v), (1.0, v, 0.5), (1.0, 2.0, v))

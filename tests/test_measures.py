@@ -207,6 +207,11 @@ class TestProduct:
         assert product(dirac(1.0), dirac(2.0)).probability
         assert not product(dirac(1.0), m1((1.0, 0.5))).probability
 
+    def test_negative_coefficient_is_sign_checked(self):
+        with pytest.raises(ValueError) as raised:
+            product(dirac(1.0), dirac(2.0), -1.0)
+        assert str(raised.value) == "atom mass must be positive, got -1.0 at (1.0, 2.0)"
+
 
 class TestCombine:
     def test_full_cancellation(self):
@@ -602,12 +607,31 @@ class TestMergePasses:
         return parse_instance(str(fixture)).instance
 
     def test_split_assembly_makes_no_merge_pass(self, passes):
-        """The three pieces are summed by one sort; no product is merged."""
+        """The three pieces are laid out in sorted order; none is merged."""
         inst = self._wide_instance()
         psi, phi = slack_measures(inst)
         mu = berger_measure(inst, psi=psi, phi=phi)
         assert len(mu.atoms) > 900
         assert passes == []
+
+    def test_split_assembly_checks_signs_once(self, monkeypatch):
+        """mu's atoms are sign-checked once, as mu: the tensor piece's 900
+        atoms are not scanned again by ``product``."""
+        inst = self._wide_instance()
+        psi, phi = slack_measures(inst)
+        scanned = []
+        check = AtomicMeasure2D._check
+
+        def counting(measure):
+            scanned.append(len(measure.atoms))
+            check(measure)
+
+        monkeypatch.setattr(AtomicMeasure2D, "_check", counting)
+        mu = berger_measure(inst, psi=psi, phi=phi)
+        assert len(mu.atoms) == 955 and len(mu.atoms) in scanned
+        # mu and at most the 23 atoms of the vertical piece and the 32 of
+        # the horizontal one; with the tensor piece it would be 1910
+        assert sum(scanned) <= 955 + 23 + 32
 
 
 # A mass factor of 5e-324 or 1e-300 makes a reweighted mass underflow to

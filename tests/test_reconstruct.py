@@ -20,6 +20,7 @@ from tcshift.errors import (
 from tcshift.measures import (
     PROBABILITY_TOL,
     AtomicMeasure1D,
+    AtomicMeasure2D,
     atom_difference,
     combine,
     dirac,
@@ -251,8 +252,11 @@ def _f1_with(**changes):
 
 
 class TestSplitAssembly:
-    """The split form sums its pieces with one sort and no merge; it must
-    match the merged sum atom for atom and error for error."""
+    """The split form lays its pieces out in sorted order as it builds them,
+    with no sort and no merge: phi's atom at the origin, the vertical piece,
+    then the tensor rows with each other atom of phi just before the first
+    row at its s or past it.  It must match the merged sum atom for atom
+    and error for error."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -266,6 +270,21 @@ class TestSplitAssembly:
         new, reference = _split_outcomes(f1_instance())
         assert new == reference
         assert "(0.0, 0.0, " in new
+
+    def test_no_vertical_piece(self):
+        # at a = 1 psi is 0, so phi's atom at the origin comes just before
+        # the tensor piece
+        new, reference = _split_outcomes(_f1_with(a=1.0))
+        assert new == reference
+        assert new == repr(AtomicMeasure2D(((0.0, 0.0, 0.5), (1.0, 1.0, 0.5)), True))
+
+    def test_phi_atoms_in_the_rows_of_the_tensor_piece(self):
+        # 30 of phi's atoms are at the s of a tensor row, before its atoms
+        inst = parse_instance(str(FIXTURES / "tc30_subnormal_wide.json")).instance
+        new, reference = _split_outcomes(inst)
+        assert new == reference
+        rows = {s for s, _ in inst.xi_tilde.atoms}
+        assert sum(s in rows for s, _ in slack_measures(inst)[1].atoms) == 30
 
     def test_phi_atom_within_a_merge_distance_of_an_xi_atom(self):
         # phi keeps xi_x's atom at 1 - 3e-13 and xi~ sits at 1: both stay
