@@ -630,7 +630,7 @@ class TestMergePasses:
         mu = berger_measure(inst, psi=psi, phi=phi)
         assert len(mu.atoms) == 955 and len(mu.atoms) in scanned
         # mu and at most the 23 atoms of the vertical piece and the 32 of
-        # the horizontal one; with the tensor piece it would be 1910
+        # the horizontal one; a second scan of the 900 tensor atoms makes 1910
         assert sum(scanned) <= 955 + 23 + 32
 
 
