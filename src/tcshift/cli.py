@@ -458,7 +458,7 @@ def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
             outcome: Verdict | str = subnormality_verdict(candidate, opts.tol)
         except (TCShiftError, ValueError, ArithmeticError) as exc:
             outcome = str(exc)
-        print(write(value, outcome), file=out)
+        out.write(write(value, outcome) + "\n")
     return EXIT_SUBNORMAL
 
 
@@ -493,10 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_options(args, file_options: Options) -> Options:
+    """The file's options with the flags that are set in their place; the
+    file's own, already checked, when no flag is set."""
     flags = {name: getattr(args, name) for name, *_ in OPTIONS}
-    return file_options._replace(
-        **{name: value for name, value in flags.items() if value is not None}
-    )
+    flags = {name: value for name, value in flags.items() if value is not None}
+    return file_options._replace(**flags) if flags else file_options
 
 
 def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:

@@ -35,8 +35,9 @@ the sign pass too.  A 1-D
 ``combine`` of fixed measures at changing coefficients can skip the sort
 and the merge too: where ``merge_runs`` finds that no run of the merge of
 their locations holds more than two atoms, the runs are the same at every
-coefficient, and each run's sum is the same bits in either order, so
-``combine`` only multiplies and adds in those runs.
+coefficient, and each run's sum is the same bits in either order.  So
+``merge_runs`` keeps the (term, mass) of each run's two atoms, and
+``combine`` makes each run's total in one pass over those pairs.
 """
 
 from __future__ import annotations
@@ -499,15 +500,15 @@ def product(mx: SignedMeasure1D, my: SignedMeasure1D, coeff: float = 1.0) -> Sig
 
 
 class MergeRuns(NamedTuple):
-    """The runs of a 1-D merge: the location of each run's first atom and
-    the indices of its atoms among the atoms of the terms laid end to end.
-    A run of one atom has as its second index the one past the last atom,
-    where ``combine`` puts a 0.0: x + 0.0 is x for every x but -0.0, and
-    both are dropped as zero."""
+    """The runs of a 1-D merge: the location of each run's first atom, and
+    for each run the term index and the mass of its first atom and of its
+    second, ``(i, m, j, n)``, in term order.  A run of one atom pairs with
+    the slot one past the last term at mass 0.0, where ``combine`` puts a
+    coefficient 0.0: x + 0.0 * 0.0 is x for every x but -0.0, and both are
+    dropped as zero."""
 
     heads: tuple[float, ...]
-    first: tuple[int, ...]
-    second: tuple[int, ...]
+    pairs: tuple[tuple[int, float, int, float], ...]
 
 
 def merge_runs(measures: Sequence[SignedMeasure1D]) -> MergeRuns | None:
@@ -524,21 +525,25 @@ def merge_runs(measures: Sequence[SignedMeasure1D]) -> MergeRuns | None:
     additions; the two masses of a run of two sum to the same bits in
     either order.  A merged measure puts at most one atom in a run, so two
     measures always pass the second test.
+
+    Each run keeps its atoms' term indices and masses, so ``combine`` reads
+    neither the measures nor their locations again.
     """
-    locations = [loc for measure in measures for loc, _ in measure.atoms]
-    if len({math.copysign(1.0, loc) for loc in locations if loc == 0.0}) > 1:
+    atoms = [
+        (term, loc, mass) for term, measure in enumerate(measures) for loc, mass in measure.atoms
+    ]
+    if len({math.copysign(1.0, loc) for _, loc, _ in atoms if loc == 0.0}) > 1:
         return None
-    head_of = _run_heads(set(locations))
-    runs: dict[float, list[int]] = {}
-    for index, loc in enumerate(locations):
-        runs.setdefault(head_of[loc], []).append(index)
+    head_of = _run_heads({loc for _, loc, _ in atoms})
+    runs: dict[float, list[tuple[int, float]]] = {}
+    for term, loc, mass in atoms:
+        runs.setdefault(head_of[loc], []).append((term, mass))
     if any(len(run) > 2 for run in runs.values()):
         return None
     heads = sorted(runs)
-    past_last = len(locations)
-    first = [runs[head][0] for head in heads]
-    second = [runs[head][1] if len(runs[head]) == 2 else past_last for head in heads]
-    return MergeRuns(tuple(heads), tuple(first), tuple(second))
+    slot = (len(measures), 0.0)
+    pairs = [run[0] + (run[1] if len(run) == 2 else slot) for run in map(runs.get, heads)]
+    return MergeRuns(tuple(heads), tuple(pairs))
 
 
 def combine(
@@ -551,23 +556,24 @@ def combine(
     combination like ``[(1, m), (-1, m)]`` yields the empty (zero) measure.
 
     ``runs``, from ``merge_runs`` of the terms' 1-D measures in term order,
-    replaces the sort and the merge pass by a sum in each run, with the
-    same result to the bit; as only 1-D measures have runs, they are tried
-    before the dimension check.  The merge then runs anyway when a
-    coefficient is zero, as its term is skipped, which may move a run's
-    first atom, and when a mass is not finite, so that the error names it
-    as before.
+    replaces the sort and the merge pass by one pass over the run pairs,
+    each run's total ``c[i] * m + c[j] * n``, with the same result to the
+    bit; as only 1-D measures have runs, they are tried before the
+    dimension check.  The merge then runs anyway when a coefficient is
+    zero, as its term is skipped, which may move a run's first atom, and
+    when a total is not finite: the merge then names a product that is not
+    finite, as before, or sums two finite ones to the same total.
     """
-    if runs is not None and all(coeff != 0.0 for coeff, _ in terms):
-        masses = [coeff * mass for coeff, measure in terms for _, mass in measure.atoms]
-        if math.isfinite(sum(masses)):
-            masses.append(0.0)
-            get = masses.__getitem__
-            totals = map(add, map(get, runs.first), map(get, runs.second))
-            # tuple() of a list allocates once; of an iterator it
-            # resizes, and the freed tuples pile up in the free lists
-            atoms = list(filter(itemgetter(1), zip(runs.heads, totals)))
-            return _from_merged(SignedMeasure1D, tuple(atoms))
+    if runs is not None:
+        c = [coeff for coeff, _ in terms]
+        if 0.0 not in c:
+            c.append(0.0)
+            totals = [c[i] * m + c[j] * n for i, m, j, n in runs.pairs]
+            if math.isfinite(sum(totals)):
+                # tuple() of a list allocates once; of an iterator it
+                # resizes, and the freed tuples pile up in the free lists
+                atoms = list(filter(itemgetter(1), zip(runs.heads, totals)))
+                return _from_merged(SignedMeasure1D, tuple(atoms))
     planar = {isinstance(measure, SignedMeasure2D) for _, measure in terms}
     if len(planar) > 1:
         raise ValueError("cannot combine measures of different dimensions")
@@ -596,22 +602,37 @@ class Positivity(NamedTuple):
     mass: float | None = None
 
 
+_POSITIVE = Positivity(True)
+_MASS = itemgetter(-1)
+
+
 def positivity(measure: Measure, tol: float = POSITIVITY_REL_TOL) -> Positivity:
     """Decide whether a (signed) measure is positive.
 
     A mass is accepted when it is at least ``-tol`` times the total
     variation; the zero measure counts as positive.  When the check fails
     the most negative atom is reported as the witness.
+
+    A measure with no negative atom is positive at once, so the total
+    variation is summed only when some atom is negative.  At ``tol > 0`` a
+    total variation that overflows raises NonFinite, naming it: the
+    accepted bound would be ``-inf``, which every mass meets.  At
+    ``tol = 0`` every negative atom fails, whatever the total variation.
     """
     if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     atoms = measure.atoms
     if not atoms:
-        return Positivity(True)
-    masses = list(map(itemgetter(-1), atoms))
-    worst_mass = min(masses)
-    if worst_mass >= -tol * left_sum(map(abs, masses)):
-        return Positivity(True)
+        return _POSITIVE
+    worst_mass = min(map(_MASS, atoms))
+    if worst_mass >= 0.0:
+        return _POSITIVE
+    masses = list(map(_MASS, atoms))
+    variation = left_sum(map(abs, masses))
+    if tol and not math.isfinite(variation):
+        raise NonFinite(f"the measure's total variation is not finite, got {variation!r}")
+    if worst_mass >= -tol * variation:
+        return _POSITIVE
     worst = atoms[masses.index(worst_mass)]
     if len(worst) == 2:
         return Positivity(False, worst[0], worst[1])

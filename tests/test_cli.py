@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tcshift
-from tcshift import measures, oracles, reconstruct, shifts
+from tcshift import cli, measures, oracles, reconstruct, shifts
 from tcshift.cli import DEFAULT_ORDER, _mu_pieces, parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
@@ -87,6 +87,15 @@ COLUMN_UNDERFLOW = {
     "options": {"window": 12},
 }
 TOO_LARGE = "must be finite, got an integer too large for a float"
+# a^2 r_s within an ulp of the largest float and three equal eta masses just
+# above 1/3: each of psi's three negative atoms is finite, but their total
+# variation overflows
+PSI_VARIATION_OVERFLOW = {
+    **{name: {"atoms": [[1.0, 1.0]]} for name in ("xi_x", "eta_y", "xi")},
+    "eta": {"atoms": [[loc, 0.3333333333333334] for loc in (2.0, 3.0, 4.0)]},
+    "a": 1.3407807929942596e154,
+}
+PSI_VARIATION_MESSAGE = "the measure's total variation is not finite, got inf"
 
 
 def child_env() -> dict:
@@ -340,6 +349,15 @@ class TestExitCodes:
         if message is not None:
             assert err.splitlines()[0] == f"invalid instance: {message}"
 
+    @pytest.mark.parametrize("command", ["check", "reconstruct", "verify"])
+    def test_a_psi_whose_total_variation_overflows_is_refused(self, tmp_path, command):
+        # before, the bound -tol * inf accepted psi's negative atoms, and
+        # phi gave the witness
+        path = write_f1_variant(tmp_path, PSI_VARIATION_OVERFLOW)
+        code, out, err = run_capture([command, path])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"invalid instance: {PSI_VARIATION_MESSAGE}"
+
     def test_check_decides_from_psi_alone(self, tmp_path):
         # phi's coefficient overflows, but psi's atom at b^2 = 1e308 is
         # negative, and check prints no phi
@@ -485,6 +503,21 @@ class TestOptions:
         # oracle to reach past the table; it must read the instance's
         # moments before it builds the table of the measure's.
         assert_refused_beyond_the_depth_in_a_child("f1.json")
+
+    @pytest.mark.parametrize(
+        "flags, checks", [([], 1), (["--tol", "1e-10"], 2)], ids=["no-flag", "tol-flag"]
+    )
+    def test_options_are_checked_once_unless_a_flag_is_set(self, monkeypatch, flags, checks):
+        init = cli.Options.__init__
+        calls = []
+
+        def counting(self, /, **values):
+            calls.append(values)
+            init(self, **values)
+
+        monkeypatch.setattr(cli.Options, "__init__", counting)
+        assert run_capture(["check", fixture("f1.json"), *flags])[0] == 0
+        assert len(calls) == checks
 
     def test_integer_options_are_accepted(self, tmp_path):
         path = write_f1_variant(tmp_path, {"options": {"tol": 0, "order": 4, "window": 1}})
@@ -767,6 +800,16 @@ class TestSweep:
                 assert payload["error"] == message + repr(payload["value"])
             else:
                 assert line.split(" invalid: ")[1].startswith(message)
+
+    def test_a_point_whose_psi_variation_overflows_is_invalid(self, tmp_path):
+        path = write_f1_variant(tmp_path, PSI_VARIATION_OVERFLOW)
+        a = PSI_VARIATION_OVERFLOW["a"]
+        grid = f"1e154:{a!r}:{a - 1e154!r}"
+        code, out, _ = run_capture(["sweep", path, "--param", "a", "--range", grid, "--json"])
+        assert code == 0
+        first, last = map(json.loads, out.splitlines())
+        assert first["verdict"] == "not-subnormal" and first["witness"]["measure"] == "psi"
+        assert last == {"error": PSI_VARIATION_MESSAGE, "param": "a", "value": a}
 
     def test_points_that_psi_decides_are_not_refused_for_phi(self, tmp_path):
         # phi's coefficient overflows at every point, but psi's atom at

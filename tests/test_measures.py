@@ -123,6 +123,32 @@ class TestReciprocalNorm:
         assert repr(measure.reciprocal_norm()) == repr(expected)
 
 
+    @given(
+        pairs=st.one_of(
+            st.lists(
+                st.tuples(
+                    st.floats(5e-324, 1e300),
+                    st.floats(-1e300, 1e300, allow_subnormal=True).filter(bool),
+                ),
+                max_size=8,
+            ),
+            st.tuples(st.floats(5e-324, 1e300), st.floats(-1e300, 1e300).filter(bool)).map(
+                lambda atom: [atom]
+            ),
+        )
+    )
+    @example(pairs=[])
+    @example(pairs=[(5e-324, 1.0)])
+    @example(pairs=[(1e300, -5e-324)])
+    def test_keeps_the_bits_of_the_left_sum_of_the_divisions(self, pairs):
+        # the empty measure's norm is the int 0, as left_sum starts from it
+        measure = SignedMeasure1D(pairs)
+        got = measure.reciprocal_norm()
+        expected = measures.left_sum(mass / loc for loc, mass in measure.atoms)
+        assert type(got) is type(expected)
+        assert repr(got) == repr(expected)
+
+
 class TestTilde:
     def test_fixed_point(self):
         assert dirac(1.0).tilde().atoms == ((1.0, 1.0),)
@@ -277,6 +303,15 @@ class TestMergeRuns:
     )
     # the skipped term's atom heads the run, so the merge moves its location
     @example(measures_=[dirac(1.0), dirac(1.0 + 1e-13)], coefficients=[0.0, 1.0, 1.0])
+    # a run of two atoms whose masses cancel exactly is dropped
+    @example(measures_=[dirac(1.0), dirac(1.0 + 1e-13)], coefficients=[1.0, -1.0, 1.0])
+    # two finite products whose sum overflows: the merge names that value
+    @example(
+        measures_=[m1((1.0, 1e308)), SignedMeasure1D(((1.0 + 1e-13, 1e308), (2.0, 1.0)))],
+        coefficients=[1.5, 1.5, 1.0],
+    )
+    # a run of one atom, at a negative coefficient
+    @example(measures_=[m1((1.0, 0.5), (3.0, 0.25)), dirac(2.0)], coefficients=[-0.5, 1.0, 1.0])
     def test_runs_give_the_bits_of_the_merge(self, measures_, coefficients):
         runs = merge_runs(measures_)
         if runs is None:
@@ -293,7 +328,12 @@ class TestMergeRuns:
     def test_runs(self):
         tail = m1((1.0, 0.5), (2.0, 0.5))
         eta = m1((1.0 + 1e-13, 0.25), (3.0, 0.75))
-        assert merge_runs((tail, eta)) == ((1.0, 2.0, 3.0), (0, 1, 3), (2, 4, 4))
+        # (term, mass) of each run's first and second atom; a run of one
+        # atom pairs with the slot past the last term, at mass 0.0
+        assert merge_runs((tail, eta)) == (
+            (1.0, 2.0, 3.0),
+            ((0, 0.5, 1, 0.25), (0, 0.5, 2, 0.0), (1, 0.75, 2, 0.0)),
+        )
 
     def test_a_run_of_three_atoms_has_no_runs(self):
         assert merge_runs((dirac(1.0), dirac(1.0), dirac(1.0 + 1e-13))) is None
@@ -304,7 +344,7 @@ class TestMergeRuns:
 
     def test_empty_measures_have_empty_runs(self):
         runs = merge_runs((SignedMeasure1D(()),))
-        assert runs == ((), (), ())
+        assert runs == ((), ())
         assert combine([(1.0, SignedMeasure1D(()))], runs).atoms == ()
 
 
@@ -337,6 +377,28 @@ class TestPositivity:
     def test_rounding_noise_accepted(self):
         noisy = SignedMeasure1D(((0.5, -1e-15), (1.0, 1.0)))
         assert positivity(noisy).positive
+
+    def test_a_positive_measure_whose_total_variation_overflows_is_positive(self):
+        # at tol = 0 the bound was 0 * inf, NaN, which no mass meets
+        huge = SignedMeasure1D(((0.0, 1e308), (1.0, 1e308)))
+        for tol in (0.0, 1e-10):
+            assert positivity(huge, tol) == (True, None, None)
+            assert huge.as_positive(tol).atoms == huge.atoms
+
+    def test_an_overflowing_total_variation_is_refused_at_a_positive_tolerance(self):
+        # the bound -tol * inf is -inf, which every mass meets
+        signed = SignedMeasure1D(((0.0, -1e308), (1.0, -1e308), (2.0, 0.5)))
+        message = "^the measure's total variation is not finite, got inf$"
+        with pytest.raises(NonFinite, match=message):
+            positivity(signed, 1e-10)
+        with pytest.raises(NonFinite, match=message):
+            signed.as_positive(1e-10)
+
+    def test_an_overflowing_total_variation_at_zero_tolerance_names_the_witness(self):
+        signed = SignedMeasure1D(((0.0, -1e308), (1.0, -1e308), (2.0, 0.5)))
+        assert positivity(signed, 0.0) == (False, 0.0, -1e308)
+        with pytest.raises(PreconditionViolated, match="negative atom of mass -1e\\+308 at 0.0"):
+            signed.as_positive(0.0)
 
     @pytest.mark.parametrize("tol", [-1e-12, math.nan])
     def test_tolerance_must_be_nonnegative(self, tol):
