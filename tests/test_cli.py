@@ -351,8 +351,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["check", "reconstruct", "verify"])
     def test_a_psi_whose_total_variation_overflows_is_refused(self, tmp_path, command):
-        # before, the bound -tol * inf accepted psi's negative atoms, and
-        # phi gave the witness
+        # the bound -tol * inf would accept psi's negative atoms, and phi
+        # would give the witness
         path = write_f1_variant(tmp_path, PSI_VARIATION_OVERFLOW)
         code, out, err = run_capture([command, path])
         assert (code, out) == (2, "")

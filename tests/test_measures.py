@@ -122,14 +122,10 @@ class TestReciprocalNorm:
         expected = functools.reduce(operator.add, map(operator.truediv, masses, locations), 0)
         assert repr(measure.reciprocal_norm()) == repr(expected)
 
-
     @given(
         pairs=st.one_of(
             st.lists(
-                st.tuples(
-                    st.floats(5e-324, 1e300),
-                    st.floats(-1e300, 1e300, allow_subnormal=True).filter(bool),
-                ),
+                st.tuples(st.floats(5e-324, 1e300), st.floats(-1e300, 1e300).filter(bool)),
                 max_size=8,
             ),
             st.tuples(st.floats(5e-324, 1e300), st.floats(-1e300, 1e300).filter(bool)).map(
@@ -305,7 +301,7 @@ class TestMergeRuns:
     @example(measures_=[dirac(1.0), dirac(1.0 + 1e-13)], coefficients=[0.0, 1.0, 1.0])
     # a run of two atoms whose masses cancel exactly is dropped
     @example(measures_=[dirac(1.0), dirac(1.0 + 1e-13)], coefficients=[1.0, -1.0, 1.0])
-    # two finite products whose sum overflows: the merge names that value
+    # two finite products whose sum overflows: the runs give the merge's inf
     @example(
         measures_=[m1((1.0, 1e308)), SignedMeasure1D(((1.0 + 1e-13, 1e308), (2.0, 1.0)))],
         coefficients=[1.5, 1.5, 1.0],
@@ -379,7 +375,7 @@ class TestPositivity:
         assert positivity(noisy).positive
 
     def test_a_positive_measure_whose_total_variation_overflows_is_positive(self):
-        # at tol = 0 the bound was 0 * inf, NaN, which no mass meets
+        # at tol = 0 the bound -0.0 * inf is NaN, which no mass meets
         huge = SignedMeasure1D(((0.0, 1e308), (1.0, 1e308)))
         for tol in (0.0, 1e-10):
             assert positivity(huge, tol) == (True, None, None)
