@@ -196,6 +196,11 @@ def _oracle_payloads(
     def status(passed: bool) -> str:
         return oracle_status(verdict.subnormal, passed)
 
+    n, m = opts.window, max(1, opts.order // 2)
+    # the tables only as deep as the oracles read: weights to order - 1 for
+    # the interpolation's moments, 2m - 1 for the moment matrix's, 2n for
+    # the Hankel matrices' (moments to 2n + 1) and n for the compression
+    instance = instance.with_depth(max(opts.order - 1, 2 * m - 1, 2 * n))
     oracles: dict[str, Any] = {}
     if mu is not None:
         interp = moment_interpolation_check(instance, mu, opts.order)
@@ -205,7 +210,6 @@ def _oracle_payloads(
             "max_rel_error": interp.max_rel_error,
             "status": status(interp.passed),
         }
-    n = opts.window
     lines = (("row", instance.row_moments), ("column", instance.column_moments))
     # every row and column pair in one stack: base, shifted, base, ...
     reports = iter(
@@ -233,7 +237,7 @@ def _oracle_payloads(
             )
         oracles[name] = entries
     for name, psd in (
-        ("moment_matrix", moment_matrix_2d(instance, max(1, opts.order // 2))),
+        ("moment_matrix", moment_matrix_2d(instance, m)),
         ("joint_hyponormality", joint_hyponormality_compression(instance, n)),
     ):
         oracles[name] = dict(psd._asdict(), status=status(psd.passed))

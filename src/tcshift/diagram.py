@@ -20,9 +20,10 @@ they have a closed form in the four measures' own moments:
     gamma_(k1, k2) = a^2 y0^2 gamma^xi_(k1-1) gamma^eta_(k2-1)  (k1, k2 >= 1)
 
 An instance reads them from the weights of its four measures
-(``shifts.weights_from_measure``) to the fixed depth
-``TCInstance.depth_limit``; the restriction of the shift to k2 >= i,
-k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
+(``shifts.weights_from_measure``), to the fixed depth
+``TCInstance.depth_limit`` or to the shallower one that ``with_depth``
+states for a reader that reads no deeper; the restriction of the shift to
+k2 >= i, k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
 ``TCInstance.with_a`` makes the same instance at another joining weight,
 with a copy of the values that do not depend on a and that the instance
 has already computed; a sweep builds each point from the last, so every
@@ -97,8 +98,13 @@ class TCInstance(Frozen):
     #: Largest weight index; moments are valid for k1 <= depth_limit + 1
     #: when k2 = 0, and for k1 <= depth_limit, k2 <= depth_limit + 1.
     depth_limit = 32
+    #: Largest weight index that the tables of weights and moments are
+    #: made to; ``with_depth`` makes a shallower copy.
+    depth = depth_limit
     #: The caches that depend on a, which ``with_a`` does not copy.
     _DEPENDS_ON_A = ("_boundary", "_moments")
+    #: The tables, made to ``depth``, which ``with_depth`` does not copy.
+    _TABLES = ("_weights", "_boundary", "_moments")
 
     def __init__(
         self,
@@ -140,6 +146,29 @@ class TCInstance(Frozen):
             state.pop(name, None)
         return other
 
+    def with_depth(self, depth: int) -> TCInstance:
+        """The same instance with its tables made only to weight index
+        ``depth`` (at most ``depth_limit``), for a reader that reads no
+        deeper.  Each entry has the full table's bits: each order of
+        ``shifts.relative_moments`` is its own sum over the atoms, and the
+        running products and the boundary recursion read only lower
+        orders.  A read past ``depth`` makes the tables to ``depth_limit``
+        first, and one past ``depth_limit`` raises ``DepthExceeded``.
+        """
+        other = object.__new__(type(self))
+        state = vars(other)
+        state.update(vars(self), depth=min(depth, self.depth_limit))
+        for name in self._TABLES:
+            state.pop(name, None)
+        return other
+
+    def _deepen(self) -> None:
+        """Make the tables to depth_limit, on a read past a shallower depth."""
+        state = vars(self)
+        state["depth"] = self.depth_limit
+        for name in self._TABLES:
+            state.pop(name, None)
+
     # Derived values that do not depend on a, which with_a copies.
 
     @cached_property
@@ -179,20 +208,20 @@ class TCInstance(Frozen):
 
     @cached_property
     def _weights(self) -> tuple[tuple[float, ...], ...]:
-        """The first depth_limit + 1 weights of xi_x, eta_y, xi and eta."""
+        """The first depth + 1 weights of xi_x, eta_y, xi and eta."""
         return tuple(
-            weights_from_measure(measure, self.depth_limit + 1)
+            weights_from_measure(measure, self.depth + 1)
             for measure in (self.xi_x, self.eta_y, self.xi, self.eta)
         )
 
     @cached_property
     def _boundary(self) -> tuple[list[float], list[float]]:
-        """alpha(0, k) and beta(k, 0) at k - 1 for 1 <= k <= depth_limit,
-        by the commutativity recursions."""
+        """alpha(0, k) and beta(k, 0) at k - 1 for 1 <= k <= depth, by the
+        commutativity recursions."""
         x, y, core_h, core_v = self._weights
         column = [self.a]
         row = [self.a * y[0] / x[0]]
-        for k in range(1, self.depth_limit):
+        for k in range(1, self.depth):
             column.append(column[-1] * core_v[k - 1] / y[k])
             row.append(row[-1] * core_h[k - 1] / x[k])
         return column, row
@@ -200,8 +229,8 @@ class TCInstance(Frozen):
     @cached_property
     def _moments(self) -> tuple[list[float], ...]:
         """gamma^xi_x_k, gamma^eta_y_k, a^2 y0^2 gamma^xi_k and gamma^eta_k for
-        k <= depth_limit + 1: running products of squared weights, inf where
-        they overflow."""
+        k <= depth + 1: running products of squared weights, inf where they
+        overflow."""
         x, y, core_h, core_v = (
             list(accumulate((w * w for w in weights), mul, initial=1.0))
             for weights in self._weights
@@ -222,10 +251,14 @@ class TCInstance(Frozen):
                 f"index ({k1}, {k2}) beyond the depth limit {self.depth_limit}"
             )
         x, y, core_h, core_v = self._weights
-        if direction == "h":
-            return x[k1] if k2 == 0 else core_h[k1 - 1] if k1 else self._boundary[0][k2 - 1]
-        if direction == "v":
-            return y[k2] if k1 == 0 else core_v[k2 - 1] if k2 else self._boundary[1][k1 - 1]
+        try:
+            if direction == "h":
+                return x[k1] if k2 == 0 else core_h[k1 - 1] if k1 else self._boundary[0][k2 - 1]
+            if direction == "v":
+                return y[k2] if k1 == 0 else core_v[k2 - 1] if k2 else self._boundary[1][k1 - 1]
+        except IndexError:  # past a shallow depth
+            self._deepen()
+            return self.weight_at(k1, k2, direction)
         raise ValueError(f"direction must be 'h' or 'v', got {direction!r}")
 
     def moment(self, k1: int, k2: int) -> float:
@@ -236,12 +269,16 @@ class TCInstance(Frozen):
             raise ValueError("moment orders must be nonnegative")
         x, y, core_h, core_v = self._moments
         limit = self.depth_limit
-        if k2 == 0 and k1 <= limit + 1:
-            return x[k1]
-        if k1 == 0 and k2 <= limit + 1:
-            return y[k2]
-        if k1 <= limit and k2 <= limit + 1:
-            return core_h[k1 - 1] * core_v[k2 - 1]
+        try:
+            if k2 == 0 and k1 <= limit + 1:
+                return x[k1]
+            if k1 == 0 and k2 <= limit + 1:
+                return y[k2]
+            if k1 <= limit and k2 <= limit + 1:
+                return core_h[k1 - 1] * core_v[k2 - 1]
+        except IndexError:  # past a shallow depth
+            self._deepen()
+            return self.moment(k1, k2)
         raise DepthExceeded(f"moment ({k1}, {k2}) beyond the depth limit {limit}")
 
     def check_membership_h0(self, depth: int = 8) -> H0Report:

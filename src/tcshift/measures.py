@@ -562,7 +562,8 @@ def combine(
     dimension check.  The merge then runs anyway when a coefficient is
     zero, as its term is skipped, which may move a run's first atom, and
     when a total is not finite: the merge then names a product that is not
-    finite, as before, or sums two finite ones to the same total.
+    finite, or the location of a run whose finite products sum past the
+    float range, so that every mass of a combination is finite.
     """
     if runs is not None:
         c = [coeff for coeff, _ in terms]
@@ -584,14 +585,28 @@ def combine(
             if coeff != 0.0
             for loc, mass in measure.atoms
         ]
-        return _from_merged(SignedMeasure1D, _merge_floats_1d(_finite_masses(atoms1, _NAMES_1D)))
+        merged = _merge_floats_1d(_finite_masses(atoms1, _NAMES_1D))
+        return _from_merged(SignedMeasure1D, _finite_totals(merged))
     atoms2 = [
         (s, t, coeff * mass)
         for coeff, measure in terms
         if coeff != 0.0
         for s, t, mass in measure.atoms
     ]
-    return _from_merged(SignedMeasure2D, _merge_floats_2d(_finite_masses(atoms2, _NAMES_2D)))
+    merged = _merge_floats_2d(_finite_masses(atoms2, _NAMES_2D))
+    return _from_merged(SignedMeasure2D, _finite_totals(merged))
+
+
+def _finite_totals(atoms: tuple) -> tuple:
+    """Merged atoms whose masses are each finite; a mass that the merge
+    summed past the float range raises NonFinite, naming its location.
+    The masses are walked only when their sum is not finite."""
+    if not math.isfinite(sum(map(itemgetter(-1), atoms))):
+        for *location, mass in atoms:
+            if not math.isfinite(mass):
+                where = location[0] if len(location) == 1 else tuple(location)
+                raise NonFinite(f"the combined mass at {where!r} is not finite, got {mass!r}")
+    return atoms
 
 
 class Positivity(NamedTuple):
@@ -606,7 +621,9 @@ _POSITIVE = Positivity(True)
 _MASS = itemgetter(-1)
 
 
-def positivity(measure: Measure, tol: float = POSITIVITY_REL_TOL) -> Positivity:
+def positivity(
+    measure: Measure, tol: float = POSITIVITY_REL_TOL, name: str = "the measure"
+) -> Positivity:
     """Decide whether a (signed) measure is positive.
 
     A mass is accepted when it is at least ``-tol`` times the total
@@ -615,9 +632,10 @@ def positivity(measure: Measure, tol: float = POSITIVITY_REL_TOL) -> Positivity:
 
     A measure with no negative atom is positive at once, so the total
     variation is summed only when some atom is negative.  At ``tol > 0`` a
-    total variation that overflows raises NonFinite, naming it: the
-    accepted bound would be ``-inf``, which every mass meets.  At
-    ``tol = 0`` every negative atom fails, whatever the total variation.
+    total variation that overflows raises NonFinite, naming it as
+    ``name``'s: the accepted bound would be ``-inf``, which every mass
+    meets.  At ``tol = 0`` every negative atom fails, whatever the total
+    variation.
     """
     if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
@@ -630,7 +648,7 @@ def positivity(measure: Measure, tol: float = POSITIVITY_REL_TOL) -> Positivity:
     masses = list(map(_MASS, atoms))
     variation = left_sum(map(abs, masses))
     if tol and not math.isfinite(variation):
-        raise NonFinite(f"the measure's total variation is not finite, got {variation!r}")
+        raise NonFinite(f"{name}'s total variation is not finite, got {variation!r}")
     if worst_mass >= -tol * variation:
         return _POSITIVE
     worst = atoms[masses.index(worst_mass)]

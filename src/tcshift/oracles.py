@@ -90,20 +90,24 @@ def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
     """
     import numpy as np
 
-    atoms = mu.atoms
     side = order + 1
-    locations = dict.fromkeys(loc for s, t, _ in atoms for loc in (s, t))
+    # the s, t and mass columns, read once
+    s_col, t_col, masses = list(zip(*mu.atoms)) or [(), (), ()]
+    count = len(masses)
+    coordinates = s_col + t_col
+    # -0.0 and 0.0 are one key, so they share a row of powers: their terms
+    # differ only in the sign of a zero, which no total keeps
+    locations = dict.fromkeys(coordinates)
     powers = np.array([[loc**k for k in range(side)] for loc in locations])
     row = dict(zip(locations, range(len(locations))))
-    s_rows = np.array([row[s] for s, _, _ in atoms])
-    t_rows = np.array([row[t] for _, t, _ in atoms])
-    masses = np.array([mass for _, _, mass in atoms])
+    rows = np.array(list(map(row.__getitem__, coordinates)))
+    s_rows, t_rows, masses = rows[:count], rows[count:], np.array(masses)
     # the entries with k1 + k2 <= order of a flattened side x side square, row by row
     triangle = [k1 * side + k2 for k1 in range(side) for k2 in range(side - k1)]
     total = np.zeros((1, len(triangle)))
     # an inf or NaN term is the term Python makes, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(atoms), _TABLE_BLOCK):
+        for start in range(0, count, _TABLE_BLOCK):
             block = slice(start, start + _TABLE_BLOCK)
             weighted = masses[block, None] * powers[s_rows[block]]
             terms = weighted[:, :, None] * powers[t_rows[block]][:, None, :]
@@ -165,7 +169,7 @@ def hankel_psd(sequences: Iterable[tuple[str, Sequence[float]]], n: int) -> tupl
     """
     import numpy as np
 
-    stack = []
+    used_rows = []
     for name, moments in sequences:
         if len(moments) < 2 * n + 2:
             raise PreconditionViolated(
@@ -179,10 +183,16 @@ def hankel_psd(sequences: Iterable[tuple[str, Sequence[float]]], n: int) -> tupl
                 )
         if not all(map(math.isfinite, used)):
             raise NonFinite("an oracle matrix has a non-finite entry")
-        # base row i is moments[i : i + n + 1], shifted row i is base row i + 1
-        rows = [moments[i : i + n + 1] for i in range(n + 2)]
-        stack += (rows[:-1], rows[1:])
-    return tuple(_psd_reports(np.array(stack))) if stack else ()
+        used_rows.append(used)
+    if not used_rows:
+        return ()
+    # entry (i, j) of the base matrix is moments[i + j], of the shifted one
+    # moments[i + j + 1]: one index of the (S, 2n + 2) array makes the
+    # (S, 2, n + 1, n + 1) stack, each sequence's base and shifted in turn
+    i = np.arange(n + 1)
+    index = i[:, None] + i
+    stack = np.array(used_rows)[:, [index, index + 1]]
+    return tuple(_psd_reports(stack.reshape(-1, n + 1, n + 1)))
 
 
 def _moment_matrix(source, n: int) -> np.ndarray:

@@ -157,11 +157,11 @@ def _decide(
         for name, value in zip(diag._fields, diag):
             if not math.isfinite(value):
                 raise NonFinite(f"the diagnostic {name} is not finite, got {value!r}")
-    check = positivity(psi, tol)
+    check = positivity(psi, tol, "psi")
     if not check.positive:
         return Verdict(False, Witness("psi", check.location, check.mass), diag, psi, None)
     phi = build_phi()
-    check = positivity(phi, tol)
+    check = positivity(phi, tol, "phi")
     if not check.positive:
         return Verdict(False, Witness("phi", check.location, check.mass), diag, psi, phi)
     return Verdict(True, None, diag, psi, phi)

@@ -95,7 +95,7 @@ PSI_VARIATION_OVERFLOW = {
     "eta": {"atoms": [[loc, 0.3333333333333334] for loc in (2.0, 3.0, 4.0)]},
     "a": 1.3407807929942596e154,
 }
-PSI_VARIATION_MESSAGE = "the measure's total variation is not finite, got inf"
+PSI_VARIATION_MESSAGE = "psi's total variation is not finite, got inf"
 
 
 def child_env() -> dict:
@@ -589,6 +589,41 @@ def sorted_triples(draw) -> list:
     """Sorted (s, t, mass) triples whose locations repeat, as mu's do."""
     locations = st.sampled_from(draw(st.lists(finite, min_size=1, max_size=6)))
     return sorted(draw(st.lists(st.tuples(locations, locations, finite), max_size=40)))
+
+
+def report_outcome(argv) -> tuple:
+    """Exit code, stdout and stderr less its timing line."""
+    code, out, err = run_capture(argv)
+    return code, out, [line for line in err.splitlines() if not line.startswith("elapsed:")]
+
+
+class TestShallowTables:
+    """verify makes the instance's tables only as deep as its oracles read,
+    and reports what a full-depth instance reports, byte for byte."""
+
+    @pytest.mark.parametrize("exponent", [0, 20, -20], ids=["unscaled", "4**20", "4**-20"])
+    @pytest.mark.parametrize("name", ["f1", "n1", "tc10_subnormal", "tc10_phi_witness"])
+    def test_reports_are_those_of_full_tables(self, tmp_path, monkeypatch, name, exponent):
+        data = scaled_tc(json.loads((FIXTURES / f"{name}.json").read_text()), 4.0**exponent)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        deepened = []
+        deepen = TCInstance._deepen
+        monkeypatch.setattr(
+            TCInstance, "_deepen", lambda self: (deepened.append(self.depth), deepen(self))
+        )
+        codes = set()
+        for order in (0, 1, 2, 3, 11, 12, 13, 24, 33):
+            for window in (1, 4, 5, 15):
+                argv = ["verify", str(path), "--order", str(order), "--window", str(window)]
+                shallow = report_outcome([*argv, "--json"])
+                with monkeypatch.context() as full_depth:
+                    full_depth.setattr(TCInstance, "with_depth", lambda self, depth: self)
+                    assert report_outcome([*argv, "--json"]) == shallow, (order, window)
+                codes.add(shallow[0])
+        # no oracle reads past the depth that verify states
+        assert deepened == []
+        assert codes <= {0, 1, 2}
 
 
 class TestMuText:

@@ -22,10 +22,12 @@ from tcshift.errors import (
     TCShiftError,
 )
 from tcshift import diagram, measures
+from tcshift.cli import parse_instance
 from tcshift.measures import AtomicMeasure1D, dirac
 from tcshift.reconstruct import subnormality_verdict
 
 from helpers import (
+    FIXTURES,
     assert_measures_close,
     assert_scalar_close,
     f1_instance,
@@ -248,6 +250,104 @@ class TestMomentTable:
         inst.row_moments(3, 20)
         inst.column_moments(3, 20)
         assert calls == []
+
+
+def _tables(inst: TCInstance) -> list:
+    """The repr of each entry of the weights, boundary weights and moments."""
+    return [
+        [list(map(repr, table)) for table in tables]
+        for tables in (inst._weights, inst._boundary, inst._moments)
+    ]
+
+
+def _every_read(inst: TCInstance) -> list:
+    """The outcome of every weight and moment read, within the depth limit
+    and one past it."""
+    indices = range(inst.depth_limit + 3)
+    return [
+        _outcome(read, k1, k2)
+        for k1 in indices
+        for k2 in indices
+        for read in (
+            functools.partial(inst.weight_at, direction="h"),
+            functools.partial(inst.weight_at, direction="v"),
+            inst.moment,
+        )
+    ]
+
+
+def _depth_instances():
+    rng = random.Random(34)
+    yield from (f1_instance(), n1_instance(), trivial_instance())
+    yield from (_scaled(f1_instance(), 4.0**e) for e in (20, -20))
+    yield from (random_tc_instance(rng) for _ in range(6))
+
+
+class TestWithDepth:
+    """Tables made to a shallower depth hold the bits of the full ones, and
+    a read past them is answered as on a full instance."""
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("f1", (0.5000000000000001, 1.0, 0.2500000000000001, 0.7071067811865476)),
+            (
+                "tc10_subnormal",
+                (2.9518555687539334e17, 1.9567478980277988, 4.5955716810314624e33, 0.389757995163881),
+            ),
+        ],
+    )
+    def test_a_built_instance_keeps_the_full_depth(self, name, expected):
+        inst = parse_instance(str(FIXTURES / f"{name}.json")).instance
+        assert inst.depth == inst.depth_limit == 32
+        got = (
+            inst.moment(33, 0),
+            inst.weight_at(32, 0, "h"),
+            inst.moment(32, 33),
+            inst.weight_at(0, 32, "h"),
+        )
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 11, 31, 32])
+    def test_each_shallow_table_is_a_prefix_of_the_full_one(self, depth):
+        for inst in _depth_instances():
+            shallow = inst.with_depth(depth)
+            assert shallow.depth == depth
+            # each boundary recursion starts from its first weight
+            lengths = (depth + 1, max(depth, 1), depth + 2)
+            for full_tables, shallow_tables, length in zip(
+                _tables(inst), _tables(shallow), lengths
+            ):
+                for full_table, shallow_table in zip(full_tables, shallow_tables):
+                    assert shallow_table == full_table[:length]
+
+    def test_a_depth_past_the_limit_is_the_limit(self):
+        assert f1_instance().with_depth(100000).depth == TCInstance.depth_limit
+
+    @pytest.mark.parametrize("depth", [0, 3, 11])
+    def test_every_read_past_the_depth_is_answered_as_on_a_full_instance(self, depth):
+        for inst in _depth_instances():
+            shallow = inst.with_depth(depth)
+            assert _every_read(shallow) == _every_read(inst)
+            assert shallow.depth == inst.depth_limit
+
+    def test_a_read_within_the_depth_makes_no_deeper_table(self):
+        shallow = f1_instance().with_depth(11)
+        shallow.moment(12, 0)
+        shallow.moment(1, 12)
+        shallow.weight_at(0, 11, "h")
+        shallow.weight_at(11, 0, "v")
+        assert shallow.depth == 11
+        assert len(shallow._weights[0]) == 12
+        shallow.moment(13, 0)
+        assert shallow.depth == TCInstance.depth_limit
+        assert len(shallow._weights[0]) == TCInstance.depth_limit + 1
+
+    def test_with_a_keeps_the_depth(self):
+        inst = f1_instance()
+        shallow = inst.with_depth(5).with_a(0.25)
+        assert shallow.depth == 5
+        assert _every_read(shallow) == _every_read(_fresh(inst, 0.25))
 
 
 def _verdict_at(make, a: float):

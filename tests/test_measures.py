@@ -253,6 +253,26 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine([(1.0, dirac(1.0)), (1.0, dirac2(1.0, 1.0))])
 
+    def test_a_run_whose_finite_masses_sum_past_the_float_range_is_refused(self):
+        # each product is finite, and the run's total is inf
+        measures_ = [m1((1.0, 1e308)), SignedMeasure1D(((1.0 + 1e-13, 1e308), (2.0, 1.0)))]
+        terms = [(1.5, measure) for measure in measures_]
+        message = "^the combined mass at 1.0 is not finite, got inf$"
+        with pytest.raises(NonFinite, match=message):
+            combine(terms)
+        with pytest.raises(NonFinite, match=message):
+            combine(terms, merge_runs(measures_))
+
+    def test_a_planar_point_whose_masses_sum_past_the_float_range_is_refused(self):
+        point = SignedMeasure2D(((1.0, 2.0, 1e308), (3.0, 0.0, 1.0)))
+        with pytest.raises(NonFinite, match=r"^the combined mass at \(1.0, 2.0\) is not finite"):
+            combine([(1.5, point), (1.5, point)])
+
+    def test_masses_whose_sum_overflows_at_apart_locations_are_kept(self):
+        # no total is inf, though the sum of all of them is
+        got = combine([(1.0, m1((1.0, 1e308), (2.0, 1e308))), (1.0, m1((3.0, 1e308)))])
+        assert got.atoms == ((1.0, 1e308), (2.0, 1e308), (3.0, 1e308))
+
     @given(
         pairs_a=atom_lists,
         pairs_b=atom_lists,
@@ -301,7 +321,7 @@ class TestMergeRuns:
     @example(measures_=[dirac(1.0), dirac(1.0 + 1e-13)], coefficients=[0.0, 1.0, 1.0])
     # a run of two atoms whose masses cancel exactly is dropped
     @example(measures_=[dirac(1.0), dirac(1.0 + 1e-13)], coefficients=[1.0, -1.0, 1.0])
-    # two finite products whose sum overflows: the runs give the merge's inf
+    # two finite products whose sum overflows: both refuse the run's total by name
     @example(
         measures_=[m1((1.0, 1e308)), SignedMeasure1D(((1.0 + 1e-13, 1e308), (2.0, 1.0)))],
         coefficients=[1.5, 1.5, 1.0],

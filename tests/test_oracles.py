@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tcshift import oracles
 from tcshift.cli import DEFAULT_WINDOW
 from tcshift.errors import DepthExceeded, InvalidMoments, NonFinite, PreconditionViolated
 from tcshift.measures import AtomicMeasure2D, SignedMeasure2D
@@ -128,6 +129,27 @@ class TestMomentTable:
             assert (type(exc), str(exc)) in outcomes.values()
             return
         assert {(k1, k2): bits(table[k1][k2]) for k1, k2 in indices} == outcomes
+
+    @pytest.mark.parametrize(
+        "cls, masses",
+        [(AtomicMeasure2D, (0.25, 0.25, 0.25, 0.25)), (SignedMeasure2D, (0.5, -0.25, -1.0, 2.0))],
+        ids=["positive", "signed"],
+    )
+    def test_both_zeros_on_each_axis(self, cls, masses):
+        # an atom at s = -0.0 and one at s = 0.0, and the same for t: each
+        # keeps its own zero, and every entry has mu.moment's bits, the sign
+        # of a zero included
+        points = ((-0.0, 1.0), (0.0, 2.0), (1.0, -0.0), (2.0, 0.0))
+        mu = cls(tuple((s, t, mass) for (s, t), mass in zip(points, masses)))
+        assert [(bits(s), bits(t)) for s, t, _ in mu.atoms] == [
+            (bits(s), bits(t)) for s, t in points
+        ]
+        order = 8
+        table = _moment_table(mu, order)
+        indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
+        assert [bits(table[k1][k2]) for k1, k2 in indices] == [
+            bits(mu.moment(k1, k2)) for k1, k2 in indices
+        ]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("order", [0, 12])
@@ -249,6 +271,36 @@ class TestStackedPsdReports:
 
     def test_no_sequences_no_reports(self):
         assert hankel_psd([], 3) == ()
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_the_stack_is_the_nested_list_stack(self, monkeypatch, n):
+        # f1's rows and columns, then moments of random scales
+        instance = f1_instance()
+        rng = random.Random(34 + n)
+        sequences = [
+            (f"{line} {index}", moments(index, 2 * n + 2))
+            for line, moments in (("row", instance.row_moments), ("column", instance.column_moments))
+            for index in range(n + 1)
+        ] + [
+            (f"random {index}", [rng.uniform(0.5, 2.0) * 10.0 ** rng.uniform(-50.0, 50.0)
+                                 for _ in range(2 * n + 2 + index)])
+            for index in range(3)
+        ]
+        # base row i is moments[i : i + n + 1], shifted row i is base row i + 1
+        nested = []
+        for _, moments in sequences:
+            rows = [moments[i : i + n + 1] for i in range(n + 2)]
+            nested += (rows[:-1], rows[1:])
+        stacks = []
+
+        def recording(stack):
+            stacks.append(stack)
+            return _psd_reports(stack)
+
+        monkeypatch.setattr(oracles, "_psd_reports", recording)
+        hankel_psd(sequences, n)
+        assert len(stacks) == 1
+        assert same_array(stacks[0], np.array(nested))
 
 
 def matrix_instances():
