@@ -198,9 +198,10 @@ def _oracle_payloads(
 
     n, m = opts.window, max(1, opts.order // 2)
     # the tables only as deep as the oracles read: weights to order - 1 for
-    # the interpolation's moments, 2m - 1 for the moment matrix's, 2n for
-    # the Hankel matrices' (moments to 2n + 1) and n for the compression
-    instance = instance.with_depth(max(opts.order - 1, 2 * m - 1, 2 * n))
+    # the interpolation's moments, 2m - 1 for the moment matrix's, 2n + 1
+    # for the Hankel matrices' (core moments (2n + 1, k)) and n for the
+    # compression; a read past the depth is refused
+    instance = instance.with_depth(max(opts.order - 1, 2 * m - 1, 2 * n + 1))
     oracles: dict[str, Any] = {}
     if mu is not None:
         interp = moment_interpolation_check(instance, mu, opts.order)

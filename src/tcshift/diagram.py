@@ -20,10 +20,11 @@ they have a closed form in the four measures' own moments:
     gamma_(k1, k2) = a^2 y0^2 gamma^xi_(k1-1) gamma^eta_(k2-1)  (k1, k2 >= 1)
 
 An instance reads them from the weights of its four measures
-(``shifts.weights_from_measure``), to the fixed depth
-``TCInstance.depth_limit`` or to the shallower one that ``with_depth``
-states for a reader that reads no deeper; the restriction of the shift to
-k2 >= i, k1 >= j has the moments gamma_(j + k1, i + k2) / gamma_(j, i).
+(``shifts.weights_from_measure``), made to its ``depth``: 32 on a built
+instance, or the shallower one that ``with_depth`` states for a reader
+that reads no deeper.  A read past the depth raises ``DepthExceeded``.
+The restriction of the shift to k2 >= i, k1 >= j has the moments
+gamma_(j + k1, i + k2) / gamma_(j, i).
 ``TCInstance.with_a`` makes the same instance at another joining weight,
 with a copy of the values that do not depend on a and that the instance
 has already computed; a sweep builds each point from the last, so every
@@ -95,16 +96,13 @@ class TCInstance(Frozen):
     #: True on an instance made by ``with_a``, whose verdict shares psi's
     #: and phi's merge runs with the rest of its family.
     in_family = False
-    #: Largest weight index; moments are valid for k1 <= depth_limit + 1
-    #: when k2 = 0, and for k1 <= depth_limit, k2 <= depth_limit + 1.
-    depth_limit = 32
-    #: Largest weight index that the tables of weights and moments are
-    #: made to; ``with_depth`` makes a shallower copy.
-    depth = depth_limit
+    #: Largest weight index, which the tables of weights and moments are
+    #: made to; moments are valid for k1 <= depth + 1 when k2 = 0, k2 <=
+    #: depth + 1 when k1 = 0, and k1 <= depth, k2 <= depth + 1 in the core.
+    #: ``with_depth`` makes a shallower copy.
+    depth = 32
     #: The caches that depend on a, which ``with_a`` does not copy.
     _DEPENDS_ON_A = ("_boundary", "_moments")
-    #: The tables, made to ``depth``, which ``with_depth`` does not copy.
-    _TABLES = ("_weights", "_boundary", "_moments")
 
     def __init__(
         self,
@@ -125,6 +123,17 @@ class TCInstance(Frozen):
                 raise AtomAtZero(f"{name} has an atom at 0")
         vars(self)["a"] = _joining_weight(a)
 
+    def _copy(self, drop: tuple[str, ...], changes: dict[str, object]) -> TCInstance:
+        """A copy of this instance's own attributes with ``changes``, less
+        the caches named in ``drop``."""
+        other = object.__new__(type(self))
+        state = vars(other)
+        state.update(vars(self))
+        state.update(changes)
+        for name in drop:
+            state.pop(name, None)
+        return other
+
     def with_a(self, a: float) -> TCInstance:
         """The same instance at another joining weight.
 
@@ -138,36 +147,17 @@ class TCInstance(Frozen):
         that either computes later; a sweep builds each point from the
         last, so its first point computes them for every later one.
         """
-        a = _joining_weight(a)
-        other = object.__new__(type(self))
-        state = vars(other)
-        state.update(vars(self), a=a, in_family=True)
-        for name in self._DEPENDS_ON_A:
-            state.pop(name, None)
-        return other
+        return self._copy(self._DEPENDS_ON_A, {"a": _joining_weight(a), "in_family": True})
 
     def with_depth(self, depth: int) -> TCInstance:
         """The same instance with its tables made only to weight index
-        ``depth`` (at most ``depth_limit``), for a reader that reads no
+        ``depth`` (at most this instance's), for a reader that reads no
         deeper.  Each entry has the full table's bits: each order of
         ``shifts.relative_moments`` is its own sum over the atoms, and the
         running products and the boundary recursion read only lower
-        orders.  A read past ``depth`` makes the tables to ``depth_limit``
-        first, and one past ``depth_limit`` raises ``DepthExceeded``.
+        orders.  A read past ``depth`` raises ``DepthExceeded``.
         """
-        other = object.__new__(type(self))
-        state = vars(other)
-        state.update(vars(self), depth=min(depth, self.depth_limit))
-        for name in self._TABLES:
-            state.pop(name, None)
-        return other
-
-    def _deepen(self) -> None:
-        """Make the tables to depth_limit, on a read past a shallower depth."""
-        state = vars(self)
-        state["depth"] = self.depth_limit
-        for name in self._TABLES:
-            state.pop(name, None)
+        return self._copy(("_weights", *self._DEPENDS_ON_A), {"depth": min(depth, self.depth)})
 
     # Derived values that do not depend on a, which with_a copies.
 
@@ -246,19 +236,13 @@ class TCInstance(Frozen):
         """
         if k1 < 0 or k2 < 0:
             raise ValueError("weight indices must be nonnegative")
-        if k1 > self.depth_limit or k2 > self.depth_limit:
-            raise DepthExceeded(
-                f"index ({k1}, {k2}) beyond the depth limit {self.depth_limit}"
-            )
+        if k1 > self.depth or k2 > self.depth:
+            raise DepthExceeded(f"index ({k1}, {k2}) beyond the depth limit {self.depth}")
         x, y, core_h, core_v = self._weights
-        try:
-            if direction == "h":
-                return x[k1] if k2 == 0 else core_h[k1 - 1] if k1 else self._boundary[0][k2 - 1]
-            if direction == "v":
-                return y[k2] if k1 == 0 else core_v[k2 - 1] if k2 else self._boundary[1][k1 - 1]
-        except IndexError:  # past a shallow depth
-            self._deepen()
-            return self.weight_at(k1, k2, direction)
+        if direction == "h":
+            return x[k1] if k2 == 0 else core_h[k1 - 1] if k1 else self._boundary[0][k2 - 1]
+        if direction == "v":
+            return y[k2] if k1 == 0 else core_v[k2 - 1] if k2 else self._boundary[1][k1 - 1]
         raise ValueError(f"direction must be 'h' or 'v', got {direction!r}")
 
     def moment(self, k1: int, k2: int) -> float:
@@ -268,18 +252,14 @@ class TCInstance(Frozen):
         if k1 < 0 or k2 < 0:
             raise ValueError("moment orders must be nonnegative")
         x, y, core_h, core_v = self._moments
-        limit = self.depth_limit
-        try:
-            if k2 == 0 and k1 <= limit + 1:
-                return x[k1]
-            if k1 == 0 and k2 <= limit + 1:
-                return y[k2]
-            if k1 <= limit and k2 <= limit + 1:
-                return core_h[k1 - 1] * core_v[k2 - 1]
-        except IndexError:  # past a shallow depth
-            self._deepen()
-            return self.moment(k1, k2)
-        raise DepthExceeded(f"moment ({k1}, {k2}) beyond the depth limit {limit}")
+        depth = self.depth
+        if k2 == 0 and k1 <= depth + 1:
+            return x[k1]
+        if k1 == 0 and k2 <= depth + 1:
+            return y[k2]
+        if k1 <= depth and k2 <= depth + 1:
+            return core_h[k1 - 1] * core_v[k2 - 1]
+        raise DepthExceeded(f"moment ({k1}, {k2}) beyond the depth limit {depth}")
 
     def check_membership_h0(self, depth: int = 8) -> H0Report:
         """Decide, to the given depth, whether every row and column shift

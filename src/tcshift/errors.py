@@ -22,7 +22,7 @@ class InvalidWeight(TCShiftError):
 
 
 class DepthExceeded(TCShiftError):
-    """A weight or moment index lies beyond the fixed depth limit."""
+    """A weight or moment index lies beyond the instance's depth."""
 
 
 class NonFinite(TCShiftError, ValueError):

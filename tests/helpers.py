@@ -493,7 +493,7 @@ def reference_moment(inst: TCInstance, k1: int, k2: int) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _reference_weights(measure: AtomicMeasure1D) -> tuple[float, ...]:
-    return reference_weights_from_measure(measure, TCInstance.depth_limit + 1)
+    return reference_weights_from_measure(measure, TCInstance.depth + 1)
 
 
 def reference_weight(inst: TCInstance, k1: int, k2: int, direction: str) -> float:

@@ -599,7 +599,9 @@ def report_outcome(argv) -> tuple:
 
 class TestShallowTables:
     """verify makes the instance's tables only as deep as its oracles read,
-    and reports what a full-depth instance reports, byte for byte."""
+    and reports what a full-depth instance reports, byte for byte: as a
+    read past the stated depth is refused, the reports agree only if no
+    oracle reads deeper."""
 
     @pytest.mark.parametrize("exponent", [0, 20, -20], ids=["unscaled", "4**20", "4**-20"])
     @pytest.mark.parametrize("name", ["f1", "n1", "tc10_subnormal", "tc10_phi_witness"])
@@ -607,22 +609,15 @@ class TestShallowTables:
         data = scaled_tc(json.loads((FIXTURES / f"{name}.json").read_text()), 4.0**exponent)
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(data))
-        deepened = []
-        deepen = TCInstance._deepen
-        monkeypatch.setattr(
-            TCInstance, "_deepen", lambda self: (deepened.append(self.depth), deepen(self))
-        )
         codes = set()
-        for order in (0, 1, 2, 3, 11, 12, 13, 24, 33):
-            for window in (1, 4, 5, 15):
+        for order in (0, 1, 2, 3, 11, 12, 13, 24, 33, 34):
+            for window in (1, 4, 5, 15, 16):
                 argv = ["verify", str(path), "--order", str(order), "--window", str(window)]
                 shallow = report_outcome([*argv, "--json"])
                 with monkeypatch.context() as full_depth:
                     full_depth.setattr(TCInstance, "with_depth", lambda self, depth: self)
                     assert report_outcome([*argv, "--json"]) == shallow, (order, window)
                 codes.add(shallow[0])
-        # no oracle reads past the depth that verify states
-        assert deepened == []
         assert codes <= {0, 1, 2}
 
 

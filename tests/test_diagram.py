@@ -92,7 +92,7 @@ class TestWeights:
     def test_depth_limit(self):
         inst = f1_instance()
         with pytest.raises(DepthExceeded):
-            inst.weight_at(inst.depth_limit + 1, 0, "h")
+            inst.weight_at(inst.depth + 1, 0, "h")
 
     @pytest.mark.parametrize("k1, k2", [(-1, 0), (0, -1)])
     def test_a_negative_index_is_refused(self, k1, k2):
@@ -108,7 +108,7 @@ class TestWeights:
         instances = [f1_instance(), n1_instance(), trivial_instance()] + [
             random_tc_instance(rng) for _ in range(20)
         ]
-        indices = range(TCInstance.depth_limit + 1)
+        indices = range(TCInstance.depth + 1)
         for inst in instances:
             for k1 in indices:
                 for k2 in indices:
@@ -223,7 +223,7 @@ class TestMomentTable:
 
     def test_valid_indices(self):
         inst = f1_instance()
-        limit = inst.depth_limit
+        limit = inst.depth
         for k1 in INDICES:
             for k2 in INDICES:
                 valid = k1 <= limit + 1 if k2 == 0 else k1 <= limit and k2 <= limit + 1
@@ -244,8 +244,8 @@ class TestMomentTable:
             return weight_at(self, *args)
 
         monkeypatch.setattr(TCInstance, "weight_at", counting)
-        for k1 in range(inst.depth_limit + 1):
-            for k2 in range(inst.depth_limit + 2):
+        for k1 in range(inst.depth + 1):
+            for k2 in range(inst.depth + 2):
                 inst.moment(k1, k2)
         inst.row_moments(3, 20)
         inst.column_moments(3, 20)
@@ -260,20 +260,28 @@ def _tables(inst: TCInstance) -> list:
     ]
 
 
-def _every_read(inst: TCInstance) -> list:
-    """The outcome of every weight and moment read, within the depth limit
-    and one past it."""
-    indices = range(inst.depth_limit + 3)
-    return [
-        _outcome(read, k1, k2)
-        for k1 in indices
-        for k2 in indices
-        for read in (
-            functools.partial(inst.weight_at, direction="h"),
-            functools.partial(inst.weight_at, direction="v"),
-            inst.moment,
-        )
-    ]
+def _reads_within(depth: int):
+    """Every weight and moment read that an instance of the given depth
+    answers: weight indices up to depth, moments up to depth + 1 on row 0
+    and column 0, and k1 <= depth, k2 <= depth + 1 in the core."""
+    indices = range(depth + 1)
+    for direction in ("h", "v"):
+        weight_at = functools.partial(TCInstance.weight_at, direction=direction)
+        yield from ((weight_at, k1, k2) for k1 in indices for k2 in indices)
+    yield from ((TCInstance.moment, k, 0) for k in range(depth + 2))
+    yield from ((TCInstance.moment, 0, k) for k in range(1, depth + 2))
+    yield from (
+        (TCInstance.moment, k1, k2) for k1 in range(1, depth + 1) for k2 in range(1, depth + 2)
+    )
+
+
+def _first_reads_past(depth: int):
+    """The first read past each bound of ``_reads_within(depth)``."""
+    for direction in ("h", "v"):
+        weight_at = functools.partial(TCInstance.weight_at, direction=direction)
+        yield from ((weight_at, depth + 1, 0), (weight_at, 0, depth + 1))
+    for k1, k2 in ((depth + 2, 0), (0, depth + 2), (depth + 1, 1), (1, depth + 2)):
+        yield TCInstance.moment, k1, k2
 
 
 def _depth_instances():
@@ -285,7 +293,7 @@ def _depth_instances():
 
 class TestWithDepth:
     """Tables made to a shallower depth hold the bits of the full ones, and
-    a read past them is answered as on a full instance."""
+    a read past them is refused."""
 
     @pytest.mark.parametrize(
         "name, expected",
@@ -299,7 +307,7 @@ class TestWithDepth:
     )
     def test_a_built_instance_keeps_the_full_depth(self, name, expected):
         inst = parse_instance(str(FIXTURES / f"{name}.json")).instance
-        assert inst.depth == inst.depth_limit == 32
+        assert inst.depth == 32
         got = (
             inst.moment(33, 0),
             inst.weight_at(32, 0, "h"),
@@ -322,32 +330,34 @@ class TestWithDepth:
                     assert shallow_table == full_table[:length]
 
     def test_a_depth_past_the_limit_is_the_limit(self):
-        assert f1_instance().with_depth(100000).depth == TCInstance.depth_limit
+        assert f1_instance().with_depth(100000).depth == TCInstance.depth
 
-    @pytest.mark.parametrize("depth", [0, 3, 11])
-    def test_every_read_past_the_depth_is_answered_as_on_a_full_instance(self, depth):
+    @pytest.mark.parametrize("depth", [0, 3, 11, 31, 32])
+    def test_every_read_within_the_depth_is_that_of_a_full_instance(self, depth):
         for inst in _depth_instances():
             shallow = inst.with_depth(depth)
-            assert _every_read(shallow) == _every_read(inst)
-            assert shallow.depth == inst.depth_limit
+            for read, k1, k2 in _reads_within(depth):
+                got = _outcome(functools.partial(read, shallow), k1, k2)
+                assert got == _outcome(functools.partial(read, inst), k1, k2), (k1, k2)
 
-    def test_a_read_within_the_depth_makes_no_deeper_table(self):
-        shallow = f1_instance().with_depth(11)
-        shallow.moment(12, 0)
-        shallow.moment(1, 12)
-        shallow.weight_at(0, 11, "h")
-        shallow.weight_at(11, 0, "v")
-        assert shallow.depth == 11
-        assert len(shallow._weights[0]) == 12
-        shallow.moment(13, 0)
-        assert shallow.depth == TCInstance.depth_limit
-        assert len(shallow._weights[0]) == TCInstance.depth_limit + 1
+    @pytest.mark.parametrize("depth", [0, 3, 11, 31, 32])
+    def test_the_first_read_past_each_bound_is_refused(self, depth):
+        for inst in _depth_instances():
+            shallow = inst.with_depth(depth)
+            for read, k1, k2 in _first_reads_past(depth):
+                with pytest.raises(DepthExceeded, match=f"beyond the depth limit {depth}$"):
+                    read(shallow, k1, k2)
 
     def test_with_a_keeps_the_depth(self):
         inst = f1_instance()
         shallow = inst.with_depth(5).with_a(0.25)
         assert shallow.depth == 5
-        assert _every_read(shallow) == _every_read(_fresh(inst, 0.25))
+        fresh = _fresh(inst, 0.25)
+        for read, k1, k2 in _reads_within(5):
+            assert repr(read(shallow, k1, k2)) == repr(read(fresh, k1, k2)), (k1, k2)
+        for read, k1, k2 in _first_reads_past(5):
+            with pytest.raises(DepthExceeded, match="beyond the depth limit 5$"):
+                read(shallow, k1, k2)
 
 
 def _verdict_at(make, a: float):

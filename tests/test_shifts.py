@@ -22,7 +22,7 @@ from helpers import (
     reference_weights_from_measure,
 )
 
-DEPTH = TCInstance.depth_limit + 1
+DEPTH = TCInstance.depth + 1
 
 
 def fixture_measures():
