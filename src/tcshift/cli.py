@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, TCShiftError, ValidationError
 from .diagram import FlatInstance, TCInstance
-from .measures import AtomicMeasure1D, AtomicMeasure2D, Frozen, to_float
+from .measures import AtomicMeasure1D, Frozen, to_float
 from .oracles import (
     hankel_psd,
     joint_hyponormality_compression,
@@ -35,6 +35,7 @@ from .oracles import (
     oracle_status,
 )
 from .reconstruct import (
+    BergerMeasure,
     Verdict,
     berger_measure,
     compute_phi,
@@ -191,7 +192,7 @@ def _witness_payload(verdict: Verdict) -> dict[str, Any] | None:
 
 
 def _oracle_payloads(
-    instance: TCInstance, verdict: Verdict, mu: AtomicMeasure2D | None, opts: Options
+    instance: TCInstance, verdict: Verdict, mu: BergerMeasure | None, opts: Options
 ) -> dict[str, Any]:
     def status(passed: bool) -> str:
         return oracle_status(verdict.subnormal, passed)
@@ -204,7 +205,7 @@ def _oracle_payloads(
     instance = instance.with_depth(max(opts.order - 1, 2 * m - 1, 2 * n + 1))
     oracles: dict[str, Any] = {}
     if mu is not None:
-        interp = moment_interpolation_check(instance, mu, opts.order)
+        interp = moment_interpolation_check(instance, mu.joined(), opts.order)
         oracles["moment_interpolation"] = {
             "passed": interp.passed,
             "order": interp.order,
@@ -266,7 +267,8 @@ def render_text(report: dict[str, Any]) -> str:
     )
     lines += [f"{key}: {_fmt6(value)}" for key, value in report["diagnostics"].items()]
     if report["psi"] is not None:
-        lines += [f"{key}: {_fmt_atoms(report[key])}" for key in ("psi", "phi", "mu")]
+        atoms = {**report, "mu": None if report["mu"] is None else report["mu"].joined().atoms}
+        lines += [f"{key}: {_fmt_atoms(atoms[key])}" for key in ("psi", "phi", "mu")]
     for name, payload in sorted((report["oracles"] or {}).items()):
         for entry in payload if isinstance(payload, list) else [payload]:
             label = f"{name}[{entry['index']}]" if "index" in entry else name
@@ -282,45 +284,34 @@ def render_text(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _mu_pieces(atoms: Sequence[Sequence[float]]) -> list[str]:
-    """Pieces of text, one per row of atoms with equal s, that join to
-    exactly ``json.dumps(atoms)``.
+def _mu_pieces(mu: BergerMeasure) -> list[str]:
+    """Pieces of text that join to exactly ``json.dumps(mu.joined().atoms)``.
 
-    json writes a finite float with ``float.__repr__``, and the atoms of an
-    ``AtomicMeasure2D`` are finite by construction (``_as_floats`` and
-    ``product`` check them), so each row writes its ``[s, `` once, and each
-    distinct t is turned into digits, with the ``, `` after it, once: the
-    tensor part of mu has n^2 atoms in n rows on about 2n locations.  A zero
-    is not cached, since 0.0 and -0.0 are one key but two texts; for the
-    same reason a row at s = 0, where both may stand, writes each atom's s.
+    json writes a finite float with ``float.__repr__``, and the masses of
+    the pieces are finite, as ``berger_measure`` checks them, so each row of
+    ``mu.rows()`` is one string: its ``[s, `` once, then each t's text with
+    the ``, `` after it and the mass's repr.  The t texts of a row of more
+    than one atom are kept for the rows that follow with the same tuple of
+    locations: the tensor part of mu has n^2 atoms in n rows that share n
+    locations of t, and phi's rows of one atom may stand between them.
     """
-    t_texts: dict[float, str] = {}
-
-    def t_text(t: float) -> str:
-        written = f"{t!r}, "
-        if t:
-            t_texts[t] = written
-        return written
-
-    get = t_texts.get
-    pieces = ["["]
-    for s, row in itertools.groupby(atoms, operator.itemgetter(0)):
-        if len(pieces) > 1:
-            pieces.append(", ")
-        if s:
-            head = f"[{s!r}, "
-            texts = [f"{head}{get(t) or t_text(t)}{mass!r}]" for _, t, mass in row]
-        else:
-            texts = [f"[{zero!r}, {get(t) or t_text(t)}{mass!r}]" for zero, t, mass in row]
-        pieces.append(", ".join(texts))
-    pieces.append("]")
-    return pieces
+    rows = []
+    ts_written, t_texts = None, []
+    for s, ts, masses in mu.rows():
+        texts = t_texts if ts is ts_written else [f"{t!r}, " for t in ts]
+        if len(ts) > 1:
+            ts_written, t_texts = ts, texts
+        head = f"[{s!r}, "
+        atoms = ("], " + head).join(map(operator.add, texts, map(repr, masses)))
+        rows.append(f"{head}{atoms}]")
+    return ["[", ", ".join(rows), "]"]
 
 
 def render_json(report: dict[str, Any]) -> str:
-    """``json.dumps(report, sort_keys=True)``, with mu's atoms written by
-    ``_mu_pieces`` into the place of the ``"mu": null`` that the dump of the
-    report without them holds.  With sorted keys, that is its first one."""
+    """``json.dumps(report, sort_keys=True)`` of the report with mu's joined
+    atoms, mu written from its pieces by ``_mu_pieces`` into the place of
+    the ``"mu": null`` that the dump of the report without them holds.  With
+    sorted keys, that is its first one."""
     head, tail = json.dumps({**report, "mu": None}, sort_keys=True).split('"mu": null', 1)
     mu = report["mu"]
     return "".join([head, '"mu": ', *(["null"] if mu is None else _mu_pieces(mu)), tail])
@@ -357,7 +348,7 @@ def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str,
         "diagnostics": verdict.diagnostics._asdict(),
         "psi": verdict.psi.atoms if measures else None,
         "phi": phi.atoms if measures else None,
-        "mu": None if mu is None else mu.atoms,
+        "mu": mu,
         "oracles": _oracle_payloads(tc, verdict, mu, opts) if command == "verify" else None,
     }
     return report, EXIT_SUBNORMAL if verdict.subnormal else EXIT_NOT_SUBNORMAL

@@ -12,16 +12,15 @@ The diagram is subnormal exactly when both are positive measures, and the
 joint measure then splits into three mutually singular pieces: a tensor
 part a^2 y0^2 r_s r_t (xi~ x eta~) in the open quadrant, a vertical-axis
 part y0^2 ||1/t||_psi (delta_0 x psi~), and a horizontal-axis part
-phi x delta_0.  Each is a ``product`` of nonnegative factors at a
-nonnegative coefficient, which skips the sign pass, and no two of their
-atoms are at one location.  So neither a merge pass nor a sort sums them:
-laid out as phi's atom at the origin, the vertical part, then the tensor
-rows with each other atom of phi just before the first row at its s or
-past it, they are in sorted order, and the joint measure's sign check is
-the only one.  An equivalent assembly writes the same measure as xi_x x
-eta~ plus signed corrections supported on the two axes, which cancel and
-so must be merged; the tests keep it (``tests/helpers.py``) as a reference
-that this one must match.
+phi x delta_0.  No two of their atoms are at one location, so neither a
+merge pass nor a sort sums them: laid out as phi's atom at the origin,
+the vertical part, then the tensor rows with each other atom of phi just
+before the first row at its s or past it, they are in sorted order.
+``berger_measure`` keeps them apart, the tensor part's n^2 atoms as one
+row of masses per atom of xi~, never built as tuples.  An equivalent
+assembly writes the same measure as xi_x x eta~ plus signed corrections
+supported on the two axes, which cancel and so must be merged; the tests
+keep it (``tests/helpers.py``) as a reference that this one must match.
 A verdict is the decision alone: psi, phi and, when negative, a witness
 atom.  psi is decided first, and a negative atom of psi settles the
 verdict, so phi is built only when psi is positive: a verdict whose
@@ -44,9 +43,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .errors import NonFinite, PreconditionViolated
+from .errors import NonFinite, NotProbability, PreconditionViolated
 from .diagram import FlatInstance, TCInstance
 from .measures import (
     POSITIVITY_REL_TOL,
@@ -55,7 +56,6 @@ from .measures import (
     AtomicMeasure2D,
     MergeRuns,
     SignedMeasure1D,
-    _from_merged,
     atom_difference,
     combine,
     dirac,
@@ -184,44 +184,74 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
     return _decide(psi, lambda: compute_phi(instance, recip_t_psi), diag, tol)
 
 
+class BergerMeasure(NamedTuple):
+    """The joint Berger measure as its three pieces: the atoms (s, 0.0, m)
+    of phi x delta_0, those (0.0, t, m) of y0^2 ||1/t||_psi
+    (delta_0 x psi~), and a^2 y0^2 r_s r_t (xi~ x eta~) as rows
+    (s, ts, masses), one per atom of xi~, whose atoms are (s, t, m) for
+    t, m in zip(ts, masses).  The rows share eta~'s tuple of locations
+    unless a mass underflowed to zero."""
+
+    horizontal: tuple
+    vertical: tuple
+    core: list
+
+    def rows(self) -> list:
+        """Each atom of phi as a row of one, the vertical piece as one row
+        and the core rows, in the order that sorting the atoms gives.  Every
+        t off the horizontal piece is positive, so an atom of phi goes just
+        before the first row whose s is equal or larger, where
+        ``bisect_left`` puts it: phi's atom at s = 0 (0.0 or -0.0) first."""
+        body = self.core
+        if self.vertical:
+            ss, ts, masses = zip(*self.vertical)
+            body = [(ss[0], ts, masses), *body]
+        heads = [row[0] for row in body]
+        rows, start = [], 0
+        for s, t, mass in self.horizontal:
+            end = bisect_left(heads, s, start)
+            rows += body[start:end]
+            rows.append((s, (t,), (mass,)))
+            start = end
+        return rows + body[start:]
+
+    def joined(self) -> AtomicMeasure2D:
+        """The joint measure, its atoms those of ``rows``; they are sorted,
+        merged, positive and of total mass one, so no check runs."""
+        atoms = tuple((s, t, m) for s, ts, masses in self.rows() for t, m in zip(ts, masses))
+        measure = object.__new__(AtomicMeasure2D)
+        vars(measure).update(atoms=atoms, probability=True)
+        return measure
+
+
 def berger_measure(
     instance: TCInstance,
     tol: float = DEFAULT_TOL,
     *,
     psi: SignedMeasure1D,
     phi: SignedMeasure1D,
-) -> AtomicMeasure2D:
-    """Assemble the joint Berger measure of a subnormal instance from its
-    psi and phi, those of its verdict, as the sum of its three mutually
-    singular nonnegative pieces.  Raises PreconditionViolated when psi or
-    phi has a genuinely negative atom.
+) -> BergerMeasure:
+    """The joint Berger measure of a subnormal instance, from its psi and
+    phi, those of its verdict, as its three mutually singular nonnegative
+    pieces.  Raises PreconditionViolated when psi or phi has a genuinely
+    negative atom, and NotProbability when the total mass is not one.
 
-    Each piece is made by ``product`` at its coefficient, with the masses
-    and errors of ``combine``, and their atoms in sorted order give what
-    ``combine`` and then ``as_positive`` give: every mass is positive and
-    no two atoms are at one location, so both merges keep every atom.  Each
-    piece is a product of two merged measures, and any two locations of a
-    merged measure are apart (see ``product``), so two atoms of one piece
-    differ in s or in t.  Across pieces, the tensor piece has every s and t
-    in the supports of xi and eta, which ``TCInstance`` refuses to let
-    charge the origin, so none is 0.0, the only location at 0; the vertical
-    piece has s = 0 and every t in the support of psi, which its
-    ``reciprocal_norm`` refuses to let charge the origin; and the
-    horizontal piece has t = 0.  So a tensor atom is apart from a vertical
-    one in s and from a horizontal one in t, and a vertical atom is apart
-    from a horizontal one in t.  The coefficients a^2 y0^2 r_s r_t,
-    y0^2 ||1/t||_psi and 1 are nonnegative, and exact zeros are dropped,
-    so ``product`` skips its sign pass, and the joint measure's own check
-    is the only one.  psi~ is made first, so that its errors come before
-    those of a scaled mass, as in ``combine``.
+    Each piece has the masses and errors of ``product`` at its coefficient
+    (the core's non-finite ones named by ``product`` itself), and joined
+    they are what ``combine`` and then ``as_positive`` give: no mass is
+    exactly zero and no two atoms are at one location, so both merges keep
+    every atom.  Within a piece, any two locations of a merged factor are
+    apart (see ``product``).  Across pieces, the core has every s and t in
+    the supports of xi and eta, which ``TCInstance`` refuses to let charge
+    the origin; the vertical piece has s = 0 and every t in the support of
+    psi, which its ``reciprocal_norm`` refuses to let charge the origin;
+    and the horizontal piece has t = 0.
 
-    The atoms are laid out in the order that sorting them gives, so no
-    sort runs.  Every s of the tensor piece and every t of the tensor and
-    vertical pieces is positive, so the vertical piece (at s = 0, in the
-    order of its t) and then the tensor rows are in order, and each atom
-    (s, 0) of phi goes just before the first of them whose s is equal or
-    larger, the place ``bisect_left`` finds for it: phi's atom at s = 0
-    (0.0 or -0.0) comes first.
+    No sign scan runs, as none could fail: every coordinate is a location
+    of a factor, and the coefficients a^2 y0^2 r_s r_t, y0^2 ||1/t||_psi
+    and 1 are nonnegative.  Only the total is checked, summed in atom
+    order.  psi~ is made first, so that its errors come before those of a
+    scaled mass, as in ``combine``.
     """
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
@@ -230,19 +260,26 @@ def berger_measure(
     c_axis = instance.y0_sq * recip_t_psi
     eta_tilde = instance.eta.tilde()
     psi_tilde = psi_pos.tilde() if psi_pos.atoms else None
-    tensor = product(instance.xi_tilde, eta_tilde, c_tensor).atoms
+    ts, mts = zip(*eta_tilde.atoms)
+    core = []
+    for s, ms in instance.xi_tilde.atoms:
+        masses = [c_tensor * (ms * mt) for mt in mts]
+        row_ts = ts
+        if 0.0 in masses:
+            row_ts = tuple(t for t, mass in zip(ts, masses) if mass)
+            masses = [mass for mass in masses if mass]
+        if masses:
+            core.append((s, row_ts, masses))
+    if not math.isfinite(sum(map(sum, map(itemgetter(2), core)))):
+        # raises, naming the first mass that is not finite, unless only the sum overflows
+        product(instance.xi_tilde, eta_tilde, c_tensor)
     vertical = () if psi_tilde is None else product(_ORIGIN, psi_tilde, c_axis).atoms
     horizontal = product(phi_pos, _ORIGIN).atoms if phi_pos.atoms else ()
-    body = vertical + tensor
-    atoms = []
-    start = 0
-    for atom in horizontal:
-        end = bisect_left(body, atom, start)
-        atoms.extend(body[start:end])
-        atoms.append(atom)
-        start = end
-    atoms.extend(body[start:])
-    return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
+    measure = BergerMeasure(horizontal, vertical, core)
+    total = left_sum(chain.from_iterable(map(itemgetter(2), measure.rows())))
+    if abs(total - 1.0) > PROBABILITY_TOL:
+        raise NotProbability(f"total mass is {total!r}, expected 1")
+    return measure
 
 
 def measure_M(instance: TCInstance) -> AtomicMeasure2D:

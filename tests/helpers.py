@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import random
+from bisect import bisect_left
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from tcshift.measures import (
     MERGE_REL_TOL,
     AtomicMeasure1D,
     AtomicMeasure2D,
+    _from_merged,
     atom_difference,
     combine,
     dirac,
@@ -429,6 +431,35 @@ def reference_berger_split(inst: TCInstance, tol, psi, phi):
     if phi_pos.atoms:
         terms.append((1.0, product(phi_pos, origin)))
     return combine(terms).as_positive(tol, probability=True)
+
+
+def reference_berger_measure(inst: TCInstance, tol, psi, phi) -> AtomicMeasure2D:
+    """The split-form joint measure built as one tuple of atoms: each piece
+    by ``product``, the three laid out in sorted order by ``bisect_left``
+    and checked as one ``AtomicMeasure2D``, its signs and its total.
+    ``berger_measure`` must give its atoms bit for bit through ``joined``,
+    and its exceptions and messages."""
+    psi_pos = psi.as_positive(tol)
+    phi_pos = phi.as_positive(tol)
+    recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0
+    c_tensor = inst.a**2 * inst.y0_sq * inst.recip_s_xi * inst.recip_t_eta
+    c_axis = inst.y0_sq * recip_t_psi
+    eta_tilde = inst.eta.tilde()
+    psi_tilde = psi_pos.tilde() if psi_pos.atoms else None
+    origin = dirac(0.0)
+    tensor = product(inst.xi_tilde, eta_tilde, c_tensor).atoms
+    vertical = () if psi_tilde is None else product(origin, psi_tilde, c_axis).atoms
+    horizontal = product(phi_pos, origin).atoms if phi_pos.atoms else ()
+    body = vertical + tensor
+    atoms = []
+    start = 0
+    for atom in horizontal:
+        end = bisect_left(body, atom, start)
+        atoms.extend(body[start:end])
+        atoms.append(atom)
+        start = end
+    atoms.extend(body[start:])
+    return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
 
 
 def _reference_positive_part(atoms, tol):

@@ -58,7 +58,7 @@ def test_criterion_1_f1_reconstruction():
     assert mass_at(verdict.phi, 0.0) == pytest.approx(0.25, abs=1e-12)
     assert mass_at(verdict.phi, 1.0) == pytest.approx(0.25, abs=1e-12)
     assert len(verdict.phi.atoms) == 2
-    mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+    mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
     assert len(mu.atoms) == 4
     for s, t in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         assert mass_at(mu, s, t) == pytest.approx(0.25, abs=1e-12)
@@ -94,7 +94,7 @@ def test_criterion_3_trivial_pair_exact():
     assert verdict.subnormal
     assert verdict.psi.atoms == ()
     assert verdict.phi.atoms == ()
-    mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+    mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
     assert mu.atoms == ((1.0, 1.0, 1.0),)
     _passed(3, "zero slack measures, exact unit point mass")
 
@@ -105,7 +105,7 @@ def test_criterion_4_random_subnormal_instances():
         inst = random_subnormal_instance(rng)
         verdict = subnormality_verdict(inst)
         assert verdict.subnormal
-        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
         assert abs(mu.total_mass - 1.0) <= 1e-12
         assert atom_difference(mu.marginal("x"), inst.xi_x) <= 1e-10
         assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
@@ -139,7 +139,7 @@ def test_criterion_5_flat_equivalence():
             )
             general_mu = berger_measure(
                 flat.embed(), psi=via_general.psi, phi=via_general.phi
-            )
+            ).joined()
             assert atom_difference(flat_mu, general_mu) <= 1e-12
     assert 0 < subnormal_count < 200
     _passed(5, f"200 instances agree ({subnormal_count} subnormal)")

@@ -21,6 +21,7 @@ from tcshift.cli import DEFAULT_ORDER, _mu_pieces, parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
 from tcshift.measures import AtomicMeasure1D, SignedMeasure2D
+from tcshift.reconstruct import BergerMeasure
 
 from helpers import (
     assert_measures_close,
@@ -585,10 +586,21 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def sorted_triples(draw) -> list:
-    """Sorted (s, t, mass) triples whose locations repeat, as mu's do."""
+def berger_pieces(draw) -> BergerMeasure:
+    """Pieces of finite floats: phi's atoms sorted by s, a vertical piece
+    at one s, and core rows that share one tuple of t, as mu's do, or hold
+    their own."""
     locations = st.sampled_from(draw(st.lists(finite, min_size=1, max_size=6)))
-    return sorted(draw(st.lists(st.tuples(locations, locations, finite), max_size=40)))
+    horizontal = sorted(draw(st.lists(st.tuples(locations, locations, finite), max_size=6)))
+    axis = draw(locations)
+    column = draw(st.lists(st.tuples(locations, finite), max_size=6))
+    vertical = [(axis, t, mass) for t, mass in column]
+    shared = tuple(draw(st.lists(locations, min_size=1, max_size=6)))
+    core = []
+    for s, own in sorted(draw(st.lists(st.tuples(locations, st.booleans()), max_size=6))):
+        ts = tuple(draw(st.lists(locations, min_size=1, max_size=6))) if own else shared
+        core.append((s, ts, draw(st.lists(finite, min_size=len(ts), max_size=len(ts)))))
+    return BergerMeasure(tuple(horizontal), tuple(vertical), core)
 
 
 def report_outcome(argv) -> tuple:
@@ -621,32 +633,65 @@ class TestShallowTables:
         assert codes <= {0, 1, 2}
 
 
+SHARED_TS = (1.0, 2.0)
+
+
 class TestMuText:
-    """mu's atoms are written as ``json.dumps`` writes them."""
+    """mu's pieces are written as ``json.dumps`` writes their joined atoms."""
 
     @pytest.mark.parametrize(
-        "atoms",
+        "mu, atoms",
         [
-            (),
-            # 0.0 and -0.0 are one dict key but two texts
-            ((0.0, 1.0, 0.5), (-0.0, 2.0, 0.5)),
-            # a row's s is written once, but not the first zero's for the next
-            ((-0.0, 1.0, 0.5), (0.0, 2.0, 0.25), (1.0, 1.0, 0.125), (1.0, 2.0, 0.125)),
-            ((1.0, 0.0, 0.5), (1.0, -0.0, 0.5), (2.0, -0.0, 0.25), (2.0, 0.0, -0.0)),
-            *(
-                ((v, v, v), (v, 1.0, -v), (1.0, v, 0.5), (1.0, 2.0, v))
-                for v in (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+            (BergerMeasure((), (), []), []),
+            # phi's atom at the origin, at s = -0.0 or 0.0, comes first, and
+            # each other one just before the first core row at its s or past it
+            (
+                BergerMeasure(
+                    ((-0.0, 0.0, 0.5), (1.0, 0.0, 0.0625)),
+                    ((0.0, 1.0, 0.25),),
+                    [(1.0, (1.0, 2.0), [0.0625, 0.125])],
+                ),
+                [
+                    [-0.0, 0.0, 0.5],
+                    [0.0, 1.0, 0.25],
+                    [1.0, 0.0, 0.0625],
+                    [1.0, 1.0, 0.0625],
+                    [1.0, 2.0, 0.125],
+                ],
             ),
-            *(((v, v, 0.5), (v, 2.0, v), (2.0, v, v)) for v in (1e16, 1e22, 100.0)),
-            [[0.5, 1.0, 0.25], [0.5, 2.0, 0.25], [1.5, 1.0, 0.5]],
+            # a row of phi between two core rows that share their t
+            (
+                BergerMeasure(
+                    ((0.0, -0.0, 0.5), (1.5, 0.0, 0.25)),
+                    (),
+                    [(1.0, SHARED_TS, [0.0625, 0.0625]), (2.0, SHARED_TS, [0.0625, 0.0625])],
+                ),
+                [
+                    [0.0, -0.0, 0.5],
+                    [1.0, 1.0, 0.0625],
+                    [1.0, 2.0, 0.0625],
+                    [1.5, 0.0, 0.25],
+                    [2.0, 1.0, 0.0625],
+                    [2.0, 2.0, 0.0625],
+                ],
+            ),
+            *(
+                (
+                    BergerMeasure(((0.0, 0.0, v),), ((0.0, v, v),), [(v, (v, 1.0), [-v, 0.5])]),
+                    [[0.0, 0.0, v], [0.0, v, v], [v, v, -v], [v, 1.0, 0.5]],
+                )
+                for v in (5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1.7976931348623157e308)
+            ),
         ],
     )
-    def test_examples(self, atoms):
-        assert "".join(_mu_pieces(atoms)) == json.dumps(atoms)
+    def test_examples(self, mu, atoms):
+        # json.dumps tells -0.0 from 0.0
+        assert json.dumps(mu.joined().atoms) == json.dumps(atoms)
+        assert "".join(_mu_pieces(mu)) == json.dumps(atoms)
 
-    @given(atoms=sorted_triples())
-    def test_sorted_triples(self, atoms):
-        assert "".join(_mu_pieces(atoms)) == json.dumps(atoms)
+    @given(mu=berger_pieces())
+    def test_pieces(self, mu):
+        assert "".join(_mu_pieces(mu)) == json.dumps(mu.joined().atoms)
 
 
 class TestFlatCommand:

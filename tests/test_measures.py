@@ -688,13 +688,14 @@ class TestMergePasses:
         """The three pieces are laid out in sorted order; none is merged."""
         inst = self._wide_instance()
         psi, phi = slack_measures(inst)
-        mu = berger_measure(inst, psi=psi, phi=phi)
+        mu = berger_measure(inst, psi=psi, phi=phi).joined()
         assert len(mu.atoms) > 900
         assert passes == []
 
-    def test_split_assembly_checks_signs_once(self, monkeypatch):
-        """mu's atoms are sign-checked once, as mu: the tensor piece's 900
-        atoms are not scanned again by ``product``."""
+    def test_split_assembly_scans_no_sign(self, monkeypatch):
+        """No sign check scans mu's atoms, neither as they are assembled
+        nor when they are joined: the tensor piece's 900 atoms are never
+        built by ``product``, and the axis pieces' skip the scan too."""
         inst = self._wide_instance()
         psi, phi = slack_measures(inst)
         scanned = []
@@ -705,11 +706,9 @@ class TestMergePasses:
             check(measure)
 
         monkeypatch.setattr(AtomicMeasure2D, "_check", counting)
-        mu = berger_measure(inst, psi=psi, phi=phi)
-        assert len(mu.atoms) == 955 and len(mu.atoms) in scanned
-        # mu and at most the 23 atoms of the vertical piece and the 32 of
-        # the horizontal one; a second scan of the 900 tensor atoms makes 1910
-        assert sum(scanned) <= 955 + 23 + 32
+        mu = berger_measure(inst, psi=psi, phi=phi).joined()
+        assert len(mu.atoms) == 955
+        assert scanned == []
 
 
 # A mass factor of 5e-324 or 1e-300 makes a reweighted mass underflow to

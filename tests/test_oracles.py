@@ -53,7 +53,7 @@ class TestMomentInterpolation:
 
     def test_f1(self):
         verdict = subnormality_verdict(f1_instance())
-        mu = berger_measure(f1_instance(), psi=verdict.psi, phi=verdict.phi)
+        mu = berger_measure(f1_instance(), psi=verdict.psi, phi=verdict.phi).joined()
         report = moment_interpolation_check(f1_instance(), mu, 16)
         assert report.passed
         assert report.max_rel_error <= 1e-12

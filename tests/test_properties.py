@@ -265,6 +265,12 @@ def test_atom_order_and_split_atoms_leave_the_report_unchanged(tmp_path, name, c
     assert broken == []
 
 
+def stdlib_report(report: dict) -> dict:
+    """The report with mu's pieces joined into its atoms, as the stdlib
+    encodes it."""
+    return {**report, "mu": None if report["mu"] is None else report["mu"].joined().atoms}
+
+
 @pytest.mark.parametrize(
     "name, command",
     [
@@ -279,7 +285,7 @@ def test_atom_order_and_split_atoms_leave_the_report_unchanged(tmp_path, name, c
 def test_json_reports_are_the_stdlib_encoding(name, command):
     parsed = parse_instance(str(FIXTURES / f"{name}.json"))
     report, _ = _execute(command, parsed, parsed.options)
-    assert render_json(report) == json.dumps(report, sort_keys=True)
+    assert render_json(report) == json.dumps(stdlib_report(report), sort_keys=True)
 
 
 def test_a_200_atom_json_report_is_the_stdlib_encoding():
@@ -287,8 +293,9 @@ def test_a_200_atom_json_report_is_the_stdlib_encoding():
     instance = random_subnormal_instance(random.Random(15), n_atoms=(200, 200))
     report, code = _execute("reconstruct", ParsedFile(instance, Options()), Options())
     assert code == 0
-    assert len(report["mu"]) > 200 * 200
-    assert render_json(report) == json.dumps(report, sort_keys=True)
+    encodable = stdlib_report(report)
+    assert len(encodable["mu"]) > 200 * 200
+    assert render_json(report) == json.dumps(encodable, sort_keys=True)
 
 
 # finite floats, with the ones whose repr is least like the others': the

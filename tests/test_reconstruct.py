@@ -1,5 +1,6 @@
 """Verdicts, the reconstructed joint measure, and its cross-checks."""
 
+import json
 import math
 import random
 import types
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tcshift.cli import parse_instance
+from tcshift.cli import _mu_pieces, parse_instance
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import (
     DegenerateMeasure,
@@ -33,6 +34,7 @@ from tcshift.reconstruct import (
     _decide,
     backward_extension,
     berger_measure,
+    compute_phi,
     compute_psi,
     flat_verdict,
     measure_M,
@@ -47,6 +49,7 @@ from helpers import (
     dirac2,
     f1_flat,
     f1_instance,
+    fixture_instances,
     half_half,
     m1,
     mass_at,
@@ -57,6 +60,7 @@ from helpers import (
     random_subnormal_instance,
     random_tc_instance,
     reference_berger_correction,
+    reference_berger_measure,
     reference_berger_split,
     slack_measures,
     spike_instance,
@@ -127,14 +131,14 @@ class TestVerdict:
         inst = trivial_instance()
         verdict = subnormality_verdict(inst)
         assert verdict.subnormal
-        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
         assert mu.atoms == ((1.0, 1.0, 1.0),)
 
     def test_f1(self):
         inst = f1_instance()
         verdict = subnormality_verdict(inst)
         assert verdict.subnormal
-        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
         for s, t in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
             assert mass_at(mu, s, t) == pytest.approx(0.25, abs=1e-12)
         assert len(mu.atoms) == 4
@@ -188,7 +192,7 @@ class TestBergerMeasure:
     def test_forms_agree_on_f1(self):
         inst = f1_instance()
         psi, phi = slack_measures(inst)
-        split = berger_measure(inst, psi=psi, phi=phi)
+        split = berger_measure(inst, psi=psi, phi=phi).joined()
         corrected = reference_berger_correction(inst, DEFAULT_TOL, psi, phi)
         assert_measures_close(split, corrected, 1e-12)
 
@@ -203,7 +207,7 @@ class TestBergerMeasure:
             inst = random_subnormal_instance(rng)
             verdict = subnormality_verdict(inst)
             assert verdict.subnormal
-            mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+            mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
             assert abs(mu.total_mass - 1.0) <= 1e-12
             assert atom_difference(mu.marginal("x"), inst.xi_x) <= 1e-10
             assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
@@ -216,7 +220,7 @@ class TestBergerMeasure:
         instances = [f1_instance()] + [random_subnormal_instance(rng) for _ in range(10)]
         for inst in instances:
             verdict = subnormality_verdict(inst)
-            mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+            mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
             report = moment_interpolation_check(inst, mu, 16)
             assert report.passed, report.first_failure
 
@@ -231,17 +235,17 @@ def _outcome(build):
 
 
 def _split_outcomes(inst, tol=DEFAULT_TOL, slack=None):
-    """The split-form measure with no merge pass, and as ``combine`` and
-    ``as_positive`` assemble it, of the given (psi, phi), else of the
-    instance's own."""
+    """The split-form measure joined from its pieces, and as ``combine``
+    and ``as_positive`` assemble it, of the given (psi, phi), else of the
+    instance's own.  The first must be what ``reference_berger_measure``
+    builds as one tuple of atoms, bit for bit and error for error."""
 
     def assembled(build):
         return _outcome(lambda: build(*(slack or slack_measures(inst))))
 
-    return (
-        assembled(lambda psi, phi: berger_measure(inst, tol, psi=psi, phi=phi)),
-        assembled(lambda psi, phi: reference_berger_split(inst, tol, psi, phi)),
-    )
+    new = assembled(lambda psi, phi: berger_measure(inst, tol, psi=psi, phi=phi).joined())
+    assert new == assembled(lambda psi, phi: reference_berger_measure(inst, tol, psi, phi))
+    return new, assembled(lambda psi, phi: reference_berger_split(inst, tol, psi, phi))
 
 
 def _f1_with(**changes):
@@ -313,6 +317,85 @@ class TestSplitAssembly:
         psi, phi = slack_measures(inst)
         new, reference = _split_outcomes(inst, slack=(psi, combine([(2.0, phi)])))
         assert new == reference == (NotProbability, "total mass is 1.5, expected 1")
+
+    def test_overflowing_coefficient_over_an_underflowing_mass(self):
+        # at an infinite coefficient the core mass at (2e-10, 2) underflows
+        # to 0 before it is scaled, so it is dropped, not made NaN
+        inst = _f1_with(
+            xi=m1((1e-10, 1.0), (2e-10, 1e-200)), eta=m1((1.0, 1.0), (2.0, 1e-200)), a=1e150
+        )
+        new, reference = _split_outcomes(inst, slack=slack_measures(f1_instance()))
+        assert new == reference == (NonFinite, "atom mass must be finite, got inf")
+
+    @pytest.mark.parametrize(
+        "name, scale, refused",
+        [
+            ("f1", 1.0 + 4e-9, True),
+            ("f1", 1.0 - 4e-9, True),
+            ("f1", 1.0 + 1e-9, False),
+            ("tc10_subnormal", 1.0 + 4e-9, True),
+            ("tc10_subnormal", 1.0 - 4e-9, True),
+            ("tc30_subnormal_wide", 1.0 + 1e-8, True),
+            ("tc30_subnormal_wide", 1.0 + 3e-9, False),
+        ],
+    )
+    def test_total_near_the_tolerance(self, name, scale, refused):
+        # phi scaled so that the total misses 1 by a little more than
+        # PROBABILITY_TOL, or a little less; the message's total has the
+        # bits of the masses summed in atom order, which on the tc files
+        # differ from those of the rows' sums summed
+        inst = parse_instance(str(FIXTURES / f"{name}.json")).instance
+        psi, phi = slack_measures(inst)
+        new, reference = _split_outcomes(inst, slack=(psi, combine([(scale, phi)])))
+        assert new == reference
+        if refused:
+            assert new[0] is NotProbability and new[1].startswith("total mass is ")
+        else:
+            assert new.startswith("AtomicMeasure2D(")
+
+
+PIECE_SOURCES = {
+    "subnormal": (random_subnormal_instance, 300),
+    "psi-positive": (random_psi_positive_instance, 300),
+    "mixed": (random_tc_instance, 300),
+    "flat": (lambda rng: random_flat_instance(rng).embed(), 300),
+    "wide": (lambda rng: random_subnormal_instance(rng, n_atoms=(10, 40)), 20),
+}
+
+
+class TestPieces:
+    """``berger_measure``'s pieces join to the atoms that
+    ``reference_berger_measure`` builds as one tuple, bit for bit, or raise
+    what it raises; and the report writes them as ``json.dumps`` writes the
+    reference's atoms."""
+
+    @staticmethod
+    def _subnormal_and_same(inst) -> bool:
+        verdict = subnormality_verdict(inst)
+        psi, phi = verdict.psi, verdict.phi
+        if phi is None:
+            phi = compute_phi(inst, verdict.diagnostics.recip_t_psi)
+        joined = _outcome(lambda: berger_measure(inst, psi=psi, phi=phi).joined())
+        # the repr tells -0.0 from 0.0
+        assert joined == _outcome(lambda: reference_berger_measure(inst, DEFAULT_TOL, psi, phi))
+        if verdict.subnormal:
+            text = "".join(_mu_pieces(berger_measure(inst, psi=psi, phi=phi)))
+            expected = reference_berger_measure(inst, DEFAULT_TOL, psi, phi).atoms
+            assert text == json.dumps(expected)
+        return verdict.subnormal
+
+    @pytest.mark.parametrize("source", PIECE_SOURCES)
+    def test_generated_instances(self, source):
+        generate, count = PIECE_SOURCES[source]
+        rng = random.Random(37)
+        subnormal = sum(self._subnormal_and_same(generate(rng)) for _ in range(count))
+        assert subnormal >= count // 10
+
+    @pytest.mark.parametrize(
+        "inst", [pytest.param(inst, id=name) for name, inst in fixture_instances()]
+    )
+    def test_fixtures(self, inst):
+        self._subnormal_and_same(inst)
 
 
 class TestMeasureM:
@@ -392,7 +475,7 @@ class TestBackwardExtension:
         result = backward_extension(measure_M(inst), inst.xi_x, math.sqrt(inst.y0_sq))
         assert result.subnormal
         verdict = subnormality_verdict(inst)
-        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
         assert_measures_close(result.measure, mu, 1e-12)
 
     def test_n1_fails_the_domination_condition_at_the_origin(self):
@@ -429,7 +512,7 @@ class TestBackwardExtension:
             )
             assert verdict.subnormal == result.subnormal
             if verdict.subnormal:
-                mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+                mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
                 assert_measures_close(mu, result.measure, 1e-12)
             seen[verdict.subnormal] += 1
         assert seen[True] >= 5 and seen[False] >= 5
@@ -443,7 +526,7 @@ class TestFlatVerdict:
         direct = subnormality_verdict(inst)
         assert_measures_close(
             reference_berger_correction(inst, DEFAULT_TOL, verdict.psi, verdict.phi),
-            berger_measure(inst, psi=direct.psi, phi=direct.phi),
+            berger_measure(inst, psi=direct.psi, phi=direct.phi).joined(),
             1e-12,
         )
 
@@ -484,7 +567,7 @@ class TestFlatVerdict:
                 inst = flat.embed()
                 assert_measures_close(
                     reference_berger_correction(inst, DEFAULT_TOL, via_flat.psi, via_flat.phi),
-                    berger_measure(inst, psi=via_general.psi, phi=via_general.phi),
+                    berger_measure(inst, psi=via_general.psi, phi=via_general.phi).joined(),
                     1e-12,
                 )
             else:
