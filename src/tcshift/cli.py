@@ -289,7 +289,7 @@ def _mu_pieces(mu: BergerMeasure) -> list[str]:
 
     json writes a finite float with ``float.__repr__``, and the masses of
     the pieces are finite, as ``berger_measure`` checks them, so each row of
-    ``mu.rows()`` is one string: its ``[s, `` once, then each t's text with
+    ``mu.rows`` is one string: its ``[s, `` once, then each t's text with
     the ``, `` after it and the mass's repr.  The t texts of a row of more
     than one atom are kept for the rows that follow with the same tuple of
     locations: the tensor part of mu has n^2 atoms in n rows that share n
@@ -297,7 +297,7 @@ def _mu_pieces(mu: BergerMeasure) -> list[str]:
     """
     rows = []
     ts_written, t_texts = None, []
-    for s, ts, masses in mu.rows():
+    for s, ts, masses in mu.rows:
         texts = t_texts if ts is ts_written else [f"{t!r}, " for t in ts]
         if len(ts) > 1:
             ts_written, t_texts = ts, texts

@@ -1,42 +1,39 @@
-"""Finitely atomic measures on the half line and the quarter plane.
+"""Finitely atomic measures on the half line, and their planar products.
 
 Every quantity in this package reduces to arithmetic on (location, mass)
-atom lists: monomial moments, reciprocal norms, the tilde and extremal
-renormalisations, marginals, Cartesian products, signed linear combinations
-and positivity checks with an explicit witness.  Keeping that arithmetic
-exact up to float rounding is what makes the brute-force verification
-oracles trustworthy.
+atom lists: monomial moments, reciprocal norms, the tilde renormalisation,
+signed linear combinations and positivity checks with an explicit witness.
+Keeping that arithmetic exact up to float rounding is what makes the
+brute-force verification oracles trustworthy.
 
 Conventions: locations are nonnegative, probability measures have total
 mass one, and locations u, v with |u - v| <= MERGE_REL_TOL * max(|u|, |v|)
 are one point, at every scale: only an atom at exactly 0.0 is at the origin.
 
-The nonnegative ``AtomicMeasure1D``/``2D`` subclass ``SignedMeasure1D``/``2D``.
-One signed base under both owns the merge on construction, the total mass,
-``as_positive`` and the probability-total check; the signed classes add
-their moments (and in 1-D ``reciprocal_norm`` and ``charges_origin``),
-the nonnegative ones the sign checks and what needs positivity.  The
-mass at a point and the planar point mass, which only the tests read, are
-``mass_at`` and ``dirac2`` in ``tests/helpers.py``.
+The measures are one-dimensional: ``SignedMeasure1D``, and its nonnegative
+subclass ``AtomicMeasure1D``.  The one planar function is ``product``, the
+product of two nonnegative measures; the joint measure is assembled from
+such products and never merged in the plane (see ``reconstruct``), so a
+product is a record of atoms, ``PlanarAtoms``, with no checks.  The mass
+at a point, the planar point mass and the planar measures of the paper's
+second route, which only the tests read, are in ``tests/helpers.py``.
 
-Every measure holds its atoms as a tuple of finite float tuples that is
+Every measure holds its atoms as a tuple of finite float pairs that is
 
-- sorted, by location or by (s, t);
-- merged: no two consecutive atoms are at the same point;
+- sorted by location;
+- merged: no two consecutive atoms are at the same location;
 - zero-free: no mass is exactly zero.
 
 The constructors establish this with one sort and one merge pass.  Any
-two locations of a merged 1-D measure are apart, so ``product`` of merged
-factors, at any coefficient, and ``at_merged_locations`` of atoms at some
-of a merged measure's locations (as ``tilde`` and the 1-D ``as_positive``
-make) skip the merge pass; ``product``'s docstring gives the proof, and
-why its product of nonnegative factors at a nonnegative coefficient skips
-the sign pass too.  A 1-D
-``combine`` of fixed measures at changing coefficients can skip the sort
-and the merge too: where ``merge_runs`` finds that no run of the merge of
-their locations holds more than two atoms, the runs are the same at every
-coefficient, and each run's sum is the same bits in either order.  So
-``merge_runs`` keeps the (term, mass) of each run's two atoms, and
+two locations of a merged measure are apart, so ``product`` of merged
+factors and ``at_merged_locations`` of atoms at some of a merged measure's
+locations (as ``tilde`` and ``as_positive`` make) skip the merge pass;
+``product``'s docstring gives the proof, and why it skips the sign pass
+too.  A ``combine`` of fixed measures at changing coefficients can skip
+the sort and the merge too: where ``merge_runs`` finds that no run of the
+merge of their locations holds more than two atoms, the runs are the same
+at every coefficient, and each run's sum is the same bits in either order.
+So ``merge_runs`` keeps the (term, mass) of each run's two atoms, and
 ``combine`` makes each run's total in one pass over those pairs.
 """
 
@@ -47,7 +44,7 @@ from bisect import bisect_right
 from functools import reduce
 from itertools import chain
 from operator import add, itemgetter
-from typing import Any, Iterable, Literal, NamedTuple, Sequence, Union
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .errors import AtomAtZero, NonFinite, NotProbability, PreconditionViolated
 
@@ -59,8 +56,6 @@ POSITIVITY_REL_TOL = 1e-12
 
 #: Slack accepted when a measure claims total mass one.
 PROBABILITY_TOL = 1e-9
-
-Axis = Literal["x", "y"]
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -94,12 +89,8 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-_NAMES_1D = ("atom location", "atom mass")
-_NAMES_2D = ("atom s-coordinate", "atom t-coordinate", "atom mass")
-
-
-def _as_floats(atoms: Iterable[Sequence[float]], names: tuple[str, ...]) -> list:
-    """The atoms as tuples of finite floats, in input order.
+def _as_floats(atoms: Iterable[Sequence[float]]) -> list:
+    """The atoms as pairs of finite floats, in input order.
 
     The values may be any numbers, the ints of a JSON file too; this is
     where an instance file's atoms become floats.  Finiteness is checked in
@@ -111,30 +102,17 @@ def _as_floats(atoms: Iterable[Sequence[float]], names: tuple[str, ...]) -> list
     if not isinstance(atoms, (tuple, list)):
         atoms = tuple(atoms)
     try:
-        if len(names) == 2:
-            prepared = [(float(u), float(m)) for u, m in atoms]
-        else:
-            prepared = [(float(u), float(v), float(m)) for u, v, m in atoms]
+        prepared = [(float(u), float(m)) for u, m in atoms]
         if math.isfinite(sum(chain.from_iterable(prepared))):
             return prepared
     except (ArithmeticError, TypeError, ValueError):
         pass
-    if len(names) == 2:
-        return [(_finite(u, names[0]), _finite(m, names[1])) for u, m in atoms]
-    return [
-        (_finite(u, names[0]), _finite(v, names[1]), _finite(m, names[2]))
-        for u, v, m in atoms
-    ]
+    return [(_finite(u, "atom location"), _finite(m, "atom mass")) for u, m in atoms]
 
 
 def _merge_1d(atoms: Iterable[Sequence[float]]) -> tuple[tuple[float, float], ...]:
     """Sort atoms by location, merge coincident locations, drop exact zeros."""
-    return _merge_floats_1d(_as_floats(atoms, _NAMES_1D))
-
-
-def _merge_2d(atoms: Iterable[Sequence[float]]) -> tuple[tuple[float, float, float], ...]:
-    """Sort atoms by (s, t), merge coincident points, drop exact zeros."""
-    return _merge_floats_2d(_as_floats(atoms, _NAMES_2D))
+    return _merge_floats_1d(_as_floats(atoms))
 
 
 def _merge_floats_1d(prepared: list) -> tuple[tuple[float, float], ...]:
@@ -171,32 +149,6 @@ def _run_heads(values: set) -> dict:
     all of them."""
     heads = [head for head, _ in _merge_floats_1d([(value, 1.0) for value in values])]
     return {value: heads[bisect_right(heads, value) - 1] for value in values}
-
-
-def _merge_floats_2d(prepared: list) -> tuple[tuple[float, float, float], ...]:
-    """Merge finite float triples, which this sorts in place.
-
-    Two atoms are at one point when their s-coordinates are in one run of
-    the 1-D merge of every s, and their t-coordinates in one run of that of
-    every t.  The masses of the atoms at one point are summed in sorted
-    order, at the location of the first of them, and a sum that is exactly
-    zero is dropped.  The points keep the order of their first atoms, so
-    the result is sorted.
-    """
-    if not prepared:
-        return ()
-    prepared.sort()
-    s_heads = _run_heads({s for s, _, _ in prepared})
-    t_heads = _run_heads({t for _, t, _ in prepared})
-    points: dict = {}
-    for s, t, mass in prepared:
-        key = (s_heads[s], t_heads[t])
-        point = points.get(key)
-        if point is None:
-            points[key] = [s, t, mass]
-        else:
-            point[2] += mass
-    return tuple((s, t, total) for s, t, total in points.values() if total)
 
 
 def _from_merged(cls: type, atoms: tuple, **fields: bool):
@@ -248,53 +200,33 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _SignedMeasure(Frozen):
-    """What the 1-D and 2-D measures share: an atom is a tuple of
-    coordinates ending in its mass, and ``_names`` names its entries."""
+class SignedMeasure1D(Frozen):
+    """Finite signed combination of point masses on [0, inf)."""
 
     _fields = ("atoms",)
 
     def __init__(self, atoms: Iterable[Sequence[float]]) -> None:
-        merge = _merge_1d if len(self._names) == 2 else _merge_2d
-        vars(self)["atoms"] = merge(atoms)
+        vars(self)["atoms"] = _merge_1d(atoms)
         self._check()
-
-    @property
-    def total_mass(self) -> float:
-        return left_sum(map(itemgetter(-1), self.atoms))
-
-    def as_positive(
-        self, tol: float = POSITIVITY_REL_TOL, *, probability: bool = False
-    ) -> AtomicMeasure1D | AtomicMeasure2D:
-        """Drop rounding-level negative atoms; reject genuinely negative ones."""
-        check = positivity(self, tol)
-        if not check.positive:
-            raise PreconditionViolated(
-                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
-            )
-        positive = [atom for atom in self.atoms if atom[-1] > 0.0]
-        if len(self._names) == 2:
-            # in 1-D the survivors are apart, as any two atoms are
-            return at_merged_locations(positive, probability)
-        # in 2-D a run of every s (or t) joins atoms through the others,
-        # and a dropped atom may have split a run of survivors: merge again
-        return _from_merged(AtomicMeasure2D, _merge_floats_2d(positive), probability=probability)
-
-    def _check_probability(self) -> None:
-        """The total-mass check of the nonnegative subclasses."""
-        if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
-            raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
-
-
-class SignedMeasure1D(_SignedMeasure):
-    """Finite signed combination of point masses on [0, inf)."""
-
-    _names = _NAMES_1D
 
     def _check(self) -> None:
         # atoms are sorted, so atoms[0][0] is the least location
         if self.atoms and self.atoms[0][0] < 0.0:
             raise ValueError(f"atom location must be nonnegative, got {self.atoms[0][0]!r}")
+
+    @property
+    def total_mass(self) -> float:
+        return left_sum(map(itemgetter(1), self.atoms))
+
+    def as_positive(self, tol: float = POSITIVITY_REL_TOL) -> AtomicMeasure1D:
+        """Drop rounding-level negative atoms; reject genuinely negative ones.
+        The survivors are apart, as any two atoms of a merged measure are."""
+        check = positivity(self, tol)
+        if not check.positive:
+            raise PreconditionViolated(
+                f"measure has a negative atom of mass {check.mass!r} at {check.location!r}"
+            )
+        return at_merged_locations([atom for atom in self.atoms if atom[1] > 0.0], False)
 
     def charges_origin(self) -> bool:
         """True when an atom is at 0; atoms are sorted and nonnegative, so
@@ -329,7 +261,8 @@ class AtomicMeasure1D(SignedMeasure1D):
         for loc, mass in self.atoms:
             if mass <= 0.0:
                 raise ValueError(f"atom mass must be positive, got {mass!r} at {loc!r}")
-        self._check_probability()
+        if self.probability and abs(self.total_mass - 1.0) > PROBABILITY_TOL:
+            raise NotProbability(f"total mass is {self.total_mass!r}, expected 1")
 
     def is_probability(self) -> bool:
         return abs(self.total_mass - 1.0) <= PROBABILITY_TOL
@@ -342,100 +275,19 @@ class AtomicMeasure1D(SignedMeasure1D):
         return at_merged_locations([(loc, mass / total) for loc, mass in raw], probability=True)
 
 
-class SignedMeasure2D(_SignedMeasure):
-    """Finite signed combination of planar point masses."""
-
-    _names = _NAMES_2D
-
-    def _check(self) -> None:
-        atoms = self.atoms
-        # atoms are sorted by s, so atoms[0][0] is the least s
-        if atoms and (atoms[0][0] < 0.0 or min(map(itemgetter(1), atoms)) < 0.0):
-            for s, t, _ in atoms:
-                if s < 0.0 or t < 0.0:
-                    raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
-
-    def moment(self, k1: int, k2: int) -> float:
-        """Integral of s^k1 t^k2."""
-        if k1 < 0 or k2 < 0:
-            raise ValueError("moment orders must be nonnegative")
-        return left_sum(mass * s**k1 * t**k2 for s, t, mass in self.atoms)
-
-
-class AtomicMeasure2D(SignedMeasure2D):
-    """Finitely atomic nonnegative measure on the closed quarter plane."""
-
-    _fields = ("atoms", "probability")
-
-    def __init__(self, atoms: Iterable[Sequence[float]], probability: bool = False) -> None:
-        vars(self)["probability"] = probability
-        super().__init__(atoms)
-
-    def _check(self) -> None:
-        # one loop, as the first error depends on the atom order
-        atoms = self.atoms
-        if atoms and (
-            atoms[0][0] < 0.0
-            or min(map(itemgetter(1), atoms)) < 0.0
-            or min(map(itemgetter(2), atoms)) <= 0.0
-        ):
-            for s, t, mass in atoms:
-                if s < 0.0 or t < 0.0:
-                    raise ValueError(f"atom coordinates must be nonnegative, got ({s!r}, {t!r})")
-                if mass <= 0.0:
-                    raise ValueError(f"atom mass must be positive, got {mass!r} at ({s!r}, {t!r})")
-        self._check_probability()
-
-    def marginal(self, axis: Axis) -> AtomicMeasure1D:
-        """The projection, a probability measure when this one is."""
-        index = _axis_index(axis)
-        return AtomicMeasure1D(
-            tuple((atom[index], atom[2]) for atom in self.atoms),
-            probability=self.probability,
-        )
-
-    def reciprocal_norm(self, axis: Axis) -> float:
-        """Integral of 1/s or 1/t over the chosen coordinate."""
-        index = _axis_index(axis)
-        if any(atom[index] == 0.0 for atom in self.atoms):
-            raise AtomAtZero(
-                f"measure has an atom with zero {axis}-coordinate, reciprocal not integrable"
-            )
-        return left_sum(atom[2] / atom[index] for atom in self.atoms)
-
-    def extremal(self) -> "AtomicMeasure2D":
-        """Reweight by 1/t and renormalise; a probability measure again."""
-        norm = self.reciprocal_norm("y")
-        raw = [(s, t, mass / (t * norm)) for s, t, mass in self.atoms]
-        total = left_sum(mass for _, _, mass in raw)
-        return AtomicMeasure2D(
-            tuple((s, t, mass / total) for s, t, mass in raw), probability=True
-        )
-
-
-Measure = Union[SignedMeasure1D, SignedMeasure2D]
-
-
-def _axis_index(axis: Axis) -> int:
-    if axis == "x":
-        return 0
-    if axis == "y":
-        return 1
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
 def dirac(location: float) -> AtomicMeasure1D:
     """Unit point mass at the given location."""
     return AtomicMeasure1D(((location, 1.0),), probability=True)
 
 
-def _finite_masses(atoms: list, names: tuple[str, ...]) -> list:
-    """Float atoms at finite locations, as they are when every mass is
-    finite; otherwise ``_as_floats`` walks them, and a non-finite mass
-    raises, naming the first one in input order."""
-    if math.isfinite(sum(map(itemgetter(-1), atoms))):
-        return atoms
-    return _as_floats(atoms, names)
+def _finite_masses(atoms: list) -> list:
+    """Float atoms at finite coordinates, as they are when every mass is
+    finite; otherwise a non-finite mass raises, naming the first one in
+    input order."""
+    if not math.isfinite(sum(map(itemgetter(-1), atoms))):
+        for *_, mass in atoms:
+            _finite(mass, "atom mass")
+    return atoms
 
 
 def at_merged_locations(
@@ -445,20 +297,26 @@ def at_merged_locations(
     atoms at some of the locations of one merged measure, in its order: any
     two of them are apart (see ``product``), so the sort and the merge keep
     each atom, except that the merge drops exact zeros, as done here."""
-    atoms = _finite_masses(atoms, _NAMES_1D)
+    atoms = _finite_masses(atoms)
     if 0.0 in map(itemgetter(1), atoms):
         atoms = [atom for atom in atoms if atom[1]]
     return _from_merged(AtomicMeasure1D, tuple(atoms), probability=probability)
 
 
-def product(mx: SignedMeasure1D, my: SignedMeasure1D, coeff: float = 1.0) -> SignedMeasure2D:
-    """Cartesian product measure, scaled by ``coeff``; masses multiply atom
-    by atom, each to ``coeff * (ms * mt)``.
+class PlanarAtoms(NamedTuple):
+    """A planar measure as its atoms (s, t, mass), sorted by (s, t), apart
+    and of positive mass: a ``product``, or the joint measure that
+    ``BergerMeasure.joined`` lays out.  It holds no checks."""
 
-    Returns an ``AtomicMeasure2D`` when both factors are nonnegative (the
-    result is then a probability measure exactly when both factors are and
-    ``coeff`` is 1) and a ``SignedMeasure2D`` otherwise.  The atoms are
-    those of ``combine([(coeff, product(mx, my))])``, error for error.
+    atoms: tuple
+
+
+def product(mx: AtomicMeasure1D, my: AtomicMeasure1D, coeff: float = 1.0) -> PlanarAtoms:
+    """Cartesian product of two nonnegative measures, scaled by
+    ``coeff >= 0``; masses multiply atom by atom, each to
+    ``coeff * (ms * mt)``, and a mass that is exactly zero is dropped.  A
+    mass that is not finite raises NonFinite, naming the first such mass
+    of the unscaled product, else of the scaled one.
 
     No merge pass runs: the atoms, built in nested (s, t) order, are
     already sorted and merged.  The locations of a merged factor strictly
@@ -469,34 +327,24 @@ def product(mx: SignedMeasure1D, my: SignedMeasure1D, coeff: float = 1.0) -> Sig
     MERGE_REL_TOL * v by only MERGE_REL_TOL * (w - v).  So any two
     locations of a merged factor are apart, the nested order is the sorted
     order, and consecutive product atoms are apart in t (within a row) or
-    in s (across rows): the merge would keep each one.  Sorting and merging
+    in s (across rows): a merge would keep each one.  Sorting and merging
     is therefore the identity on them, except that it drops masses that
     are exactly zero, as done here.
 
-    Nor does the sign pass run when both factors are nonnegative and
-    ``coeff >= 0``: every coordinate is a location of a factor, so none is
-    negative, and every mass left after the zeros are dropped is positive.
-    Only the total-mass check runs then.  At a negative ``coeff`` the whole
-    check runs, and names the first negative mass.
+    Nor does a sign pass run: every coordinate is a location of a factor,
+    so none is negative, and every mass left after the zeros are dropped
+    is positive.
     """
     atoms = [(s, t, coeff * (ms * mt)) for s, ms in mx.atoms for t, mt in my.atoms]
     if not math.isfinite(sum(map(itemgetter(2), atoms))):
         # the unscaled product names a non-finite mass first, and drops a
         # zero one, which coeff * 0.0 would make NaN at an infinite coeff
         unscaled = [(s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms]
-        atoms = [(s, t, coeff * mass) for s, t, mass in _as_floats(unscaled, _NAMES_2D) if mass]
-        _as_floats(atoms, _NAMES_2D)
+        atoms = [(s, t, coeff * mass) for s, t, mass in _finite_masses(unscaled) if mass]
+        _finite_masses(atoms)
     if 0.0 in map(itemgetter(2), atoms):
         atoms = [atom for atom in atoms if atom[2]]
-    if isinstance(mx, AtomicMeasure1D) and isinstance(my, AtomicMeasure1D):
-        probability = mx.probability and my.probability and coeff == 1.0
-        if coeff < 0.0:
-            return _from_merged(AtomicMeasure2D, tuple(atoms), probability=probability)
-        measure = object.__new__(AtomicMeasure2D)
-        vars(measure).update(atoms=tuple(atoms), probability=probability)
-        measure._check_probability()
-        return measure
-    return _from_merged(SignedMeasure2D, tuple(atoms))
+    return PlanarAtoms(tuple(atoms))
 
 
 class MergeRuns(NamedTuple):
@@ -547,10 +395,10 @@ def merge_runs(measures: Sequence[SignedMeasure1D]) -> MergeRuns | None:
 
 
 def combine(
-    terms: Sequence[tuple[float, Measure]],
+    terms: Sequence[tuple[float, SignedMeasure1D]],
     runs: MergeRuns | None = None,
-) -> SignedMeasure1D | SignedMeasure2D:
-    """Signed linear combination of measures sharing one dimension.
+) -> SignedMeasure1D:
+    """Signed linear combination of measures.
 
     Coincident locations merge and exactly cancelled atoms are pruned, so a
     combination like ``[(1, m), (-1, m)]`` yields the empty (zero) measure.
@@ -558,8 +406,7 @@ def combine(
     ``runs``, from ``merge_runs`` of the terms' 1-D measures in term order,
     replaces the sort and the merge pass by one pass over the run pairs,
     each run's total ``c[i] * m + c[j] * n``, with the same result to the
-    bit; as only 1-D measures have runs, they are tried before the
-    dimension check.  The merge then runs anyway when a coefficient is
+    bit.  The merge then runs anyway when a coefficient is
     zero, as its term is skipped, which may move a run's first atom, and
     when a total is not finite: the merge then names a product that is not
     finite, or the location of a run whose finite products sum past the
@@ -575,37 +422,24 @@ def combine(
                 # resizes, and the freed tuples pile up in the free lists
                 atoms = list(filter(itemgetter(1), zip(runs.heads, totals)))
                 return _from_merged(SignedMeasure1D, tuple(atoms))
-    planar = {isinstance(measure, SignedMeasure2D) for _, measure in terms}
-    if len(planar) > 1:
-        raise ValueError("cannot combine measures of different dimensions")
-    if True not in planar:
-        atoms1 = [
-            (loc, coeff * mass)
-            for coeff, measure in terms
-            if coeff != 0.0
-            for loc, mass in measure.atoms
-        ]
-        merged = _merge_floats_1d(_finite_masses(atoms1, _NAMES_1D))
-        return _from_merged(SignedMeasure1D, _finite_totals(merged))
-    atoms2 = [
-        (s, t, coeff * mass)
+    atoms = [
+        (loc, coeff * mass)
         for coeff, measure in terms
         if coeff != 0.0
-        for s, t, mass in measure.atoms
+        for loc, mass in measure.atoms
     ]
-    merged = _merge_floats_2d(_finite_masses(atoms2, _NAMES_2D))
-    return _from_merged(SignedMeasure2D, _finite_totals(merged))
+    merged = _merge_floats_1d(_finite_masses(atoms))
+    return _from_merged(SignedMeasure1D, _finite_totals(merged))
 
 
 def _finite_totals(atoms: tuple) -> tuple:
     """Merged atoms whose masses are each finite; a mass that the merge
     summed past the float range raises NonFinite, naming its location.
     The masses are walked only when their sum is not finite."""
-    if not math.isfinite(sum(map(itemgetter(-1), atoms))):
-        for *location, mass in atoms:
+    if not math.isfinite(sum(map(itemgetter(1), atoms))):
+        for loc, mass in atoms:
             if not math.isfinite(mass):
-                where = location[0] if len(location) == 1 else tuple(location)
-                raise NonFinite(f"the combined mass at {where!r} is not finite, got {mass!r}")
+                raise NonFinite(f"the combined mass at {loc!r} is not finite, got {mass!r}")
     return atoms
 
 
@@ -613,16 +447,16 @@ class Positivity(NamedTuple):
     """Outcome of a positivity check; the witness is the worst atom."""
 
     positive: bool
-    location: float | tuple[float, float] | None = None
+    location: float | None = None
     mass: float | None = None
 
 
 _POSITIVE = Positivity(True)
-_MASS = itemgetter(-1)
+_MASS = itemgetter(1)
 
 
 def positivity(
-    measure: Measure, tol: float = POSITIVITY_REL_TOL, name: str = "the measure"
+    measure: SignedMeasure1D, tol: float = POSITIVITY_REL_TOL, name: str = "the measure"
 ) -> Positivity:
     """Decide whether a (signed) measure is positive.
 
@@ -651,15 +485,5 @@ def positivity(
         raise NonFinite(f"{name}'s total variation is not finite, got {variation!r}")
     if worst_mass >= -tol * variation:
         return _POSITIVE
-    worst = atoms[masses.index(worst_mass)]
-    if len(worst) == 2:
-        return Positivity(False, worst[0], worst[1])
-    return Positivity(False, (worst[0], worst[1]), worst[2])
-
-
-def atom_difference(a: Measure, b: Measure) -> float:
-    """Largest atom mass of a - b; zero exactly when the measures agree."""
-    diff = combine([(1.0, a), (-1.0, b)])
-    if not diff.atoms:
-        return 0.0
-    return max(abs(atom[-1]) for atom in diff.atoms)
+    location, mass = atoms[masses.index(worst_mass)]
+    return Positivity(False, location, mass)

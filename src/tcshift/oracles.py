@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidMoments, NonFinite, PreconditionViolated
 from .diagram import TCInstance
-from .measures import AtomicMeasure2D, left_sum
+from .measures import PlanarAtoms, left_sum
 
 # numpy is imported inside the functions that use it (the matrix builders and
 # mu's moment table), so that the commands that never run an oracle start
@@ -74,19 +74,21 @@ def _psd_reports(stack: np.ndarray) -> list[PsdReport]:
     return reports
 
 
-def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
-    """``table[k1][k2]`` is ``mu.moment(k1, k2)`` to the bit for k1 + k2 <= order.
+def _moment_table(mu: PlanarAtoms, order: int) -> list[list[float]]:
+    """``table[k1][k2]`` is the integral of s^k1 t^k2 against mu for
+    k1 + k2 <= order: the sum from the left, from 0, of the terms
+    ``(mass * s**k1) * t**k2`` over mu's atoms in their order, to the bit.
 
-    numpy makes the floating-point operations of ``mu.moment``, in its
-    order.  Each power is taken once per distinct location with Python's
-    ``**``, as numpy's ``power`` need not give libm's bits, and a power too
-    large for a float raises ``OverflowError`` as in ``mu.moment``.  Each
-    term is ``(mass * s**k1) * t**k2``.  ``np.add.accumulate`` sums the
-    terms in atom order from a row of 0.0, as ``left_sum`` does from 0, so
-    that no entry is -0.0; ``sum``, ``dot`` and the like would add
-    pairwise.  The atoms go in blocks of ``_TABLE_BLOCK``, each carrying on
-    from the running row of the last, so the terms held at once number
-    ``_TABLE_BLOCK * (order + 1)**2`` at most, at any count of atoms.
+    numpy makes those floating-point operations, in that order.  Each
+    power is taken once per distinct location with Python's ``**``, as
+    numpy's ``power`` need not give libm's bits, and a power too large for
+    a float raises ``OverflowError`` as ``**`` does.  ``np.add.accumulate``
+    sums the terms in atom order from a row of 0.0, as ``left_sum`` does
+    from 0, so that no entry is -0.0; ``sum``, ``dot`` and the like would
+    add pairwise.  The atoms go in blocks of ``_TABLE_BLOCK``, each
+    carrying on from the running row of the last, so the terms held at
+    once number ``_TABLE_BLOCK * (order + 1)**2`` at most, at any count of
+    atoms.
     """
     import numpy as np
 
@@ -117,12 +119,12 @@ def _moment_table(mu: AtomicMeasure2D, order: int) -> list[list[float]]:
     return [list(islice(entries, side - k1)) for k1 in range(side)]
 
 
-def moment_interpolation_check(source, mu: AtomicMeasure2D, order: int) -> InterpolationReport:
+def moment_interpolation_check(source, mu: PlanarAtoms, order: int) -> InterpolationReport:
     """Compare gamma_(k1,k2) with the monomial integrals of mu for all
     k1 + k2 <= order.
 
-    ``source`` is anything with a ``moment(k1, k2)`` method: an instance,
-    or a measure.  Reports the maximal relative error and the first
+    ``source`` is anything with a ``moment(k1, k2)`` method, such as an
+    instance.  Reports the maximal relative error and the first
     failing index; a source moment that is inf or NaN raises ``NonFinite``.
     """
     # the source first: past its depth it raises before mu's table is built

@@ -16,11 +16,13 @@ phi x delta_0.  No two of their atoms are at one location, so neither a
 merge pass nor a sort sums them: laid out as phi's atom at the origin,
 the vertical part, then the tensor rows with each other atom of phi just
 before the first row at its s or past it, they are in sorted order.
-``berger_measure`` keeps them apart, the tensor part's n^2 atoms as one
-row of masses per atom of xi~, never built as tuples.  An equivalent
-assembly writes the same measure as xi_x x eta~ plus signed corrections
-supported on the two axes, which cancel and so must be merged; the tests
-keep it (``tests/helpers.py``) as a reference that this one must match.
+``berger_measure`` lays them out once as rows, the tensor part's n^2
+atoms as one row of masses per atom of xi~, never built as tuples.  Two
+other constructions stay in the tests (``tests/helpers.py``) as
+references that this one must match: the joint measure written as
+xi_x x eta~ plus signed corrections supported on the two axes, which
+cancel and so must be merged, and the paper's second route, the measure
+of the rows k2 >= 1 extended backward by row 0.
 A verdict is the decision alone: psi, phi and, when negative, a witness
 atom.  psi is decided first, and a negative atom of psi settles the
 verdict, so phi is built only when psi is positive: a verdict whose
@@ -33,10 +35,7 @@ embedded instance.
 
 When psi fails positivity the diagram is not even subnormal after deleting
 row 0; when only phi fails, the upper part is subnormal but no backward
-extension by y0 exists.  ``backward_extension`` re-derives the same verdict
-through the three classical conditions (reciprocal integrability, the norm
-bound on the prepended weight, marginal domination), giving an independent
-second route to every answer.
+extension by y0 exists.
 """
 
 from __future__ import annotations
@@ -47,16 +46,15 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .errors import NonFinite, NotProbability, PreconditionViolated
+from .errors import NonFinite, NotProbability
 from .diagram import FlatInstance, TCInstance
 from .measures import (
     POSITIVITY_REL_TOL,
     PROBABILITY_TOL,
     AtomicMeasure1D,
-    AtomicMeasure2D,
     MergeRuns,
+    PlanarAtoms,
     SignedMeasure1D,
-    atom_difference,
     combine,
     dirac,
     left_sum,
@@ -185,43 +183,40 @@ def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verd
 
 
 class BergerMeasure(NamedTuple):
-    """The joint Berger measure as its three pieces: the atoms (s, 0.0, m)
-    of phi x delta_0, those (0.0, t, m) of y0^2 ||1/t||_psi
-    (delta_0 x psi~), and a^2 y0^2 r_s r_t (xi~ x eta~) as rows
-    (s, ts, masses), one per atom of xi~, whose atoms are (s, t, m) for
-    t, m in zip(ts, masses).  The rows share eta~'s tuple of locations
-    unless a mass underflowed to zero."""
+    """The joint Berger measure as rows (s, ts, masses), in the order that
+    sorting its atoms gives; the atoms of a row are (s, t, m) for t, m in
+    zip(ts, masses).  The core rows share eta~'s tuple of locations unless
+    a mass underflowed to zero."""
 
-    horizontal: tuple
-    vertical: tuple
-    core: list
+    rows: list
 
-    def rows(self) -> list:
-        """Each atom of phi as a row of one, the vertical piece as one row
-        and the core rows, in the order that sorting the atoms gives.  Every
-        t off the horizontal piece is positive, so an atom of phi goes just
-        before the first row whose s is equal or larger, where
-        ``bisect_left`` puts it: phi's atom at s = 0 (0.0 or -0.0) first."""
-        body = self.core
-        if self.vertical:
-            ss, ts, masses = zip(*self.vertical)
-            body = [(ss[0], ts, masses), *body]
-        heads = [row[0] for row in body]
-        rows, start = [], 0
-        for s, t, mass in self.horizontal:
-            end = bisect_left(heads, s, start)
-            rows += body[start:end]
-            rows.append((s, (t,), (mass,)))
-            start = end
-        return rows + body[start:]
-
-    def joined(self) -> AtomicMeasure2D:
+    def joined(self) -> PlanarAtoms:
         """The joint measure, its atoms those of ``rows``; they are sorted,
-        merged, positive and of total mass one, so no check runs."""
-        atoms = tuple((s, t, m) for s, ts, masses in self.rows() for t, m in zip(ts, masses))
-        measure = object.__new__(AtomicMeasure2D)
-        vars(measure).update(atoms=atoms, probability=True)
-        return measure
+        apart, positive and of total mass one, so no check runs."""
+        return PlanarAtoms(
+            tuple((s, t, m) for s, ts, masses in self.rows for t, m in zip(ts, masses))
+        )
+
+
+def _laid_out(horizontal: tuple, vertical: tuple, core: list) -> list:
+    """The atoms (s, 0.0, m) of phi x delta_0 each as a row of one, those
+    (0.0, t, m) of the vertical piece as one row and the core rows, in the
+    order that sorting the atoms gives.  Every t off the horizontal piece
+    is positive, so an atom of phi goes just before the first row whose s
+    is equal or larger, where ``bisect_left`` puts it: phi's atom at s = 0
+    (0.0 or -0.0) first."""
+    body = core
+    if vertical:
+        ss, ts, masses = zip(*vertical)
+        body = [(ss[0], ts, masses), *body]
+    heads = [row[0] for row in body]
+    rows, start = [], 0
+    for s, t, mass in horizontal:
+        end = bisect_left(heads, s, start)
+        rows += body[start:end]
+        rows.append((s, (t,), (mass,)))
+        start = end
+    return rows + body[start:]
 
 
 def berger_measure(
@@ -238,10 +233,10 @@ def berger_measure(
 
     Each piece has the masses and errors of ``product`` at its coefficient
     (the core's non-finite ones named by ``product`` itself), and joined
-    they are what ``combine`` and then ``as_positive`` give: no mass is
-    exactly zero and no two atoms are at one location, so both merges keep
-    every atom.  Within a piece, any two locations of a merged factor are
-    apart (see ``product``).  Across pieces, the core has every s and t in
+    they are what a planar merge of the three would give: no mass is
+    exactly zero and no two atoms are at one location, so a merge would
+    keep every atom.  Within a piece, any two locations of a merged factor
+    are apart (see ``product``).  Across pieces, the core has every s and t in
     the supports of xi and eta, which ``TCInstance`` refuses to let charge
     the origin; the vertical piece has s = 0 and every t in the support of
     psi, which its ``reciprocal_norm`` refuses to let charge the origin;
@@ -251,7 +246,7 @@ def berger_measure(
     of a factor, and the coefficients a^2 y0^2 r_s r_t, y0^2 ||1/t||_psi
     and 1 are nonnegative.  Only the total is checked, summed in atom
     order.  psi~ is made first, so that its errors come before those of a
-    scaled mass, as in ``combine``.
+    scaled mass, as when the scaled pieces are summed.
     """
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
@@ -275,85 +270,11 @@ def berger_measure(
         product(instance.xi_tilde, eta_tilde, c_tensor)
     vertical = () if psi_tilde is None else product(_ORIGIN, psi_tilde, c_axis).atoms
     horizontal = product(phi_pos, _ORIGIN).atoms if phi_pos.atoms else ()
-    measure = BergerMeasure(horizontal, vertical, core)
-    total = left_sum(chain.from_iterable(map(itemgetter(2), measure.rows())))
+    rows = _laid_out(horizontal, vertical, core)
+    total = left_sum(chain.from_iterable(map(itemgetter(2), rows)))
     if abs(total - 1.0) > PROBABILITY_TOL:
         raise NotProbability(f"total mass is {total!r}, expected 1")
-    return measure
-
-
-def measure_M(instance: TCInstance) -> AtomicMeasure2D:
-    """Berger measure of the restriction to rows k2 >= 1.
-
-    Equals a^2 ||1/s||_{L1(xi)} (xi~ x eta) + delta_0 x psi and exists
-    exactly when psi is positive.
-    """
-    psi_pos = compute_psi(instance).as_positive(DEFAULT_TOL)
-    terms = [(instance.a**2 * instance.recip_s_xi, product(instance.xi_tilde, instance.eta))]
-    if psi_pos.atoms:
-        terms.append((1.0, product(_ORIGIN, psi_pos)))
-    return combine(terms).as_positive(DEFAULT_TOL, probability=True)
-
-
-class BackwardExtension2D(NamedTuple):
-    """Outcome of prepending row 0 to a subnormal upper part.
-
-    ``failed_condition`` indexes the three requirements in order:
-    1 reciprocal integrability of 1/t, 2 the bound beta00^2 ||1/t|| <= 1,
-    3 atom-wise domination of the scaled extremal marginal by nu.
-    """
-
-    subnormal: bool
-    measure: AtomicMeasure2D | None
-    failed_condition: int | None = None
-    ratio: float | None = None
-    witness: tuple[float, float] | None = None
-
-
-def backward_extension(
-    mu_m: AtomicMeasure2D,
-    nu: AtomicMeasure1D,
-    beta00: float,
-) -> BackwardExtension2D:
-    """Extend a planar measure downward by a new bottom row.
-
-    Given the measure of the upper part, the measure nu of the new row-0
-    shift and the prepended vertical weight beta00, the extension is
-    subnormal exactly when (1) no atom of mu_m sits on the s-axis,
-    (2) r := beta00^2 ||1/t||_{L1(mu_m)} <= 1 and (3) r (mu_m)_ext^X <= nu
-    atom-wise; the extended measure is then
-
-        r (mu_m)_ext + (nu - r (mu_m)_ext^X) x delta_0.
-
-    When r = 1, condition (3) forces the extremal marginal to equal nu.
-    """
-    if any(atom[1] == 0.0 for atom in mu_m.atoms):
-        return BackwardExtension2D(False, None, failed_condition=1)
-    ratio = beta00**2 * mu_m.reciprocal_norm("y")
-    if ratio > 1.0 + DEFAULT_TOL:
-        return BackwardExtension2D(False, None, failed_condition=2, ratio=ratio)
-    extremal = mu_m.extremal()
-    extremal_x = extremal.marginal("x")
-    slack = combine([(1.0, nu), (-ratio, extremal_x)])
-    check = positivity(slack, DEFAULT_TOL)
-    if not check.positive:
-        return BackwardExtension2D(
-            False,
-            None,
-            failed_condition=3,
-            ratio=ratio,
-            witness=(check.location, check.mass),
-        )
-    if abs(ratio - 1.0) <= DEFAULT_TOL and atom_difference(extremal_x, nu) > 10.0 * DEFAULT_TOL:
-        raise PreconditionViolated(
-            "unit mass ratio forces the extremal marginal to equal nu"
-        )
-    rest = slack.as_positive(DEFAULT_TOL)
-    terms = [(ratio, extremal)]
-    if rest.atoms:
-        terms.append((1.0, product(rest, _ORIGIN)))
-    measure = combine(terms).as_positive(DEFAULT_TOL, probability=True)
-    return BackwardExtension2D(True, measure, ratio=ratio)
+    return BergerMeasure(rows)
 
 
 def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:

@@ -9,33 +9,35 @@ import random
 from bisect import bisect_left
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from tcshift.cli import parse_instance
 from tcshift.diagram import FlatInstance, TCInstance
-from tcshift.errors import DegenerateMeasure, PreconditionViolated, TCShiftError
+from tcshift.errors import (
+    AtomAtZero,
+    DegenerateMeasure,
+    NonFinite,
+    NotProbability,
+    PreconditionViolated,
+    TCShiftError,
+)
 from tcshift.measures import (
     MERGE_REL_TOL,
+    PROBABILITY_TOL,
     AtomicMeasure1D,
-    AtomicMeasure2D,
-    _from_merged,
-    atom_difference,
+    PlanarAtoms,
     combine,
     dirac,
     left_sum,
-    product,
+    positivity,
 )
-from tcshift.reconstruct import compute_phi, compute_psi
+from tcshift.reconstruct import DEFAULT_TOL, compute_phi, compute_psi
 
 
 def m1(*pairs: tuple[float, float], probability: bool = False) -> AtomicMeasure1D:
     return AtomicMeasure1D(tuple(pairs), probability=probability)
-
-
-def dirac2(s: float, t: float) -> AtomicMeasure2D:
-    """Unit planar point mass at (s, t)."""
-    return AtomicMeasure2D(((s, t, 1.0),), probability=True)
 
 
 def mass_at(measure, *point: float) -> float:
@@ -83,6 +85,14 @@ def assert_scalar_close(actual: float, expected: float, tol: float = 1e-12) -> N
     assert abs(actual - expected) <= tol * max(1.0, abs(expected)), (actual, expected)
 
 
+def atom_difference(a, b) -> float:
+    """Largest atom mass of a - b, merged by the reference merge of their
+    dimension; zero exactly when the measures agree."""
+    atoms = [*a.atoms, *((*atom[:-1], -atom[-1]) for atom in b.atoms)]
+    merge = reference_merge_2d if atoms and len(atoms[0]) == 3 else reference_merge_1d
+    return max((abs(atom[-1]) for atom in merge(atoms)), default=0.0)
+
+
 def assert_measures_close(actual, expected, tol: float = 1e-12) -> None:
     diff = atom_difference(actual, expected)
     assert diff <= tol, f"measures differ by {diff!r} > {tol!r}:\n  {actual}\n  {expected}"
@@ -126,9 +136,8 @@ def _constructive_column_data(rng, eta, u):
     slack_mass = 1.0 - u
     slack = random_probability(rng, n_atoms=(1, 3), avoid=[loc for loc, _ in eta.atoms])
     slack_atoms = tuple((loc, slack_mass * mass) for loc, mass in slack.atoms)
-    tail = combine([(u, eta), (1.0, AtomicMeasure1D(slack_atoms))]).as_positive(
-        0.0, probability=True
-    )
+    tail = combine([(u, eta), (1.0, AtomicMeasure1D(slack_atoms))]).as_positive(0.0)
+    tail = AtomicMeasure1D(tail.atoms, probability=True)
     ell = rng.uniform(0.0, 0.5)
     y0_sq = (1.0 - ell) / tail.reciprocal_norm()
     atoms = [(t, y0_sq * mass / t) for t, mass in tail.atoms]
@@ -331,7 +340,7 @@ def reference_same_location(u: float, v: float) -> bool:
 def _reference_finite(value: float, what: str) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+        raise NonFinite(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -396,70 +405,14 @@ def reference_product_atoms(mx, my):
 
 
 def reference_positivity(atoms, tol):
-    """(positive, worst atom or None) of an atom tuple."""
+    """(positive, worst atom or None) of an atom tuple; one with no
+    negative mass is positive, whatever its total variation."""
     if not atoms:
         return True, None
-    variation = sum(abs(atom[-1]) for atom in atoms)
     worst = min(atoms, key=lambda atom: atom[-1])
-    if worst[-1] >= -tol * variation:
+    if worst[-1] >= 0.0 or worst[-1] >= -tol * sum(abs(atom[-1]) for atom in atoms):
         return True, None
     return False, worst
-
-
-def slack_measures(inst: TCInstance) -> tuple:
-    """psi and phi, phi from psi's signed reciprocal integral as a verdict
-    builds it, whether or not psi is positive."""
-    psi = compute_psi(inst)
-    return psi, compute_phi(inst, psi.reciprocal_norm())
-
-
-def reference_berger_split(inst: TCInstance, tol, psi, phi):
-    """The split-form joint measure summed by ``combine`` and then
-    ``as_positive``, both of which merge; ``berger_measure`` skips those
-    merges and must reproduce this exactly (same atoms, same exceptions and
-    messages)."""
-    psi_pos = psi.as_positive(tol)
-    phi_pos = phi.as_positive(tol)
-    recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0
-    c_tensor = inst.a**2 * inst.y0_sq * inst.recip_s_xi * inst.recip_t_eta
-    c_axis = inst.y0_sq * recip_t_psi
-    eta_tilde = inst.eta.tilde()
-    origin = dirac(0.0)
-    terms = [(c_tensor, product(inst.xi_tilde, eta_tilde))]
-    if psi_pos.atoms:
-        terms.append((c_axis, product(origin, psi_pos.tilde())))
-    if phi_pos.atoms:
-        terms.append((1.0, product(phi_pos, origin)))
-    return combine(terms).as_positive(tol, probability=True)
-
-
-def reference_berger_measure(inst: TCInstance, tol, psi, phi) -> AtomicMeasure2D:
-    """The split-form joint measure built as one tuple of atoms: each piece
-    by ``product``, the three laid out in sorted order by ``bisect_left``
-    and checked as one ``AtomicMeasure2D``, its signs and its total.
-    ``berger_measure`` must give its atoms bit for bit through ``joined``,
-    and its exceptions and messages."""
-    psi_pos = psi.as_positive(tol)
-    phi_pos = phi.as_positive(tol)
-    recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0
-    c_tensor = inst.a**2 * inst.y0_sq * inst.recip_s_xi * inst.recip_t_eta
-    c_axis = inst.y0_sq * recip_t_psi
-    eta_tilde = inst.eta.tilde()
-    psi_tilde = psi_pos.tilde() if psi_pos.atoms else None
-    origin = dirac(0.0)
-    tensor = product(inst.xi_tilde, eta_tilde, c_tensor).atoms
-    vertical = () if psi_tilde is None else product(origin, psi_tilde, c_axis).atoms
-    horizontal = product(phi_pos, origin).atoms if phi_pos.atoms else ()
-    body = vertical + tensor
-    atoms = []
-    start = 0
-    for atom in horizontal:
-        end = bisect_left(body, atom, start)
-        atoms.extend(body[start:end])
-        atoms.append(atom)
-        start = end
-    atoms.extend(body[start:])
-    return _from_merged(AtomicMeasure2D, tuple(atoms), probability=True)
 
 
 def _reference_positive_part(atoms, tol):
@@ -476,7 +429,91 @@ def _measure_of(atoms) -> SimpleNamespace:
     return SimpleNamespace(atoms=atoms)
 
 
-def reference_berger_correction(inst: TCInstance, tol, psi, phi):
+_ORIGIN = _measure_of(((0.0, 1.0),))
+
+
+def _reference_probability(atoms) -> PlanarAtoms:
+    """Planar atoms whose total mass, summed in atom order, must be one."""
+    total = left_sum(atom[2] for atom in atoms)
+    if abs(total - 1.0) > PROBABILITY_TOL:
+        raise NotProbability(f"total mass is {total!r}, expected 1")
+    return PlanarAtoms(atoms)
+
+
+def reference_combination(terms, tol) -> PlanarAtoms:
+    """The probability measure sum of ``coeff * atoms`` over the terms
+    ``(coeff, planar atoms)``: summed by the reference merge, its positive
+    part taken by the reference positivity and merged again, as dropping an
+    atom may split a run."""
+    signed = reference_merge_2d(
+        (s, t, coeff * mass) for coeff, atoms in terms for s, t, mass in atoms
+    )
+    return _reference_probability(reference_merge_2d(_reference_positive_part(signed, tol)))
+
+
+def _reference_scaled_product(coeff, mx, my):
+    """``coeff`` times the reference product of two measures, exact zeros
+    dropped; a non-finite mass is named as ``product`` names it."""
+    return reference_merge_2d(
+        (s, t, coeff * mass) for s, t, mass in reference_product_atoms(mx, my)
+    )
+
+
+def slack_measures(inst: TCInstance) -> tuple:
+    """psi and phi, phi from psi's signed reciprocal integral as a verdict
+    builds it, whether or not psi is positive."""
+    psi = compute_psi(inst)
+    return psi, compute_phi(inst, psi.reciprocal_norm())
+
+
+def _split_parts(inst: TCInstance, tol, psi, phi) -> tuple:
+    """The positive parts of psi and phi, eta~, and the coefficients
+    a^2 y0^2 r_s r_t and y0^2 ||1/t||_psi of the split form."""
+    psi_pos = psi.as_positive(tol)
+    phi_pos = phi.as_positive(tol)
+    recip_t_psi = psi_pos.reciprocal_norm() if psi_pos.atoms else 0.0
+    c_tensor = inst.a**2 * inst.y0_sq * inst.recip_s_xi * inst.recip_t_eta
+    return psi_pos, phi_pos, inst.eta.tilde(), c_tensor, inst.y0_sq * recip_t_psi
+
+
+def reference_berger_split(inst: TCInstance, tol, psi, phi) -> PlanarAtoms:
+    """The split-form joint measure summed by the reference merge, with
+    the reference positivity; ``berger_measure`` skips those merges and
+    must reproduce this exactly (same atoms, same exceptions and
+    messages)."""
+    psi_pos, phi_pos, eta_tilde, c_tensor, c_axis = _split_parts(inst, tol, psi, phi)
+    terms = [(c_tensor, reference_product_atoms(inst.xi_tilde, eta_tilde))]
+    if psi_pos.atoms:
+        terms.append((c_axis, reference_product_atoms(_ORIGIN, psi_pos.tilde())))
+    if phi_pos.atoms:
+        terms.append((1.0, reference_product_atoms(phi_pos, _ORIGIN)))
+    return reference_combination(terms, tol)
+
+
+def reference_berger_measure(inst: TCInstance, tol, psi, phi) -> PlanarAtoms:
+    """The split-form joint measure built as one tuple of atoms: each piece
+    a scaled reference product, the three laid out in sorted order by
+    ``bisect_left`` and checked by the reference positivity and total.
+    ``berger_measure`` must give its atoms bit for bit through ``joined``,
+    and its exceptions and messages."""
+    psi_pos, phi_pos, eta_tilde, c_tensor, c_axis = _split_parts(inst, tol, psi, phi)
+    psi_tilde = psi_pos.tilde() if psi_pos.atoms else None
+    tensor = _reference_scaled_product(c_tensor, inst.xi_tilde, eta_tilde)
+    vertical = () if psi_tilde is None else _reference_scaled_product(c_axis, _ORIGIN, psi_tilde)
+    horizontal = _reference_scaled_product(1.0, phi_pos, _ORIGIN)
+    body = vertical + tensor
+    atoms = []
+    start = 0
+    for atom in horizontal:
+        end = bisect_left(body, atom, start)
+        atoms.extend(body[start:end])
+        atoms.append(atom)
+        start = end
+    atoms.extend(body[start:])
+    return _reference_probability(_reference_positive_part(atoms, tol))
+
+
+def reference_berger_correction(inst: TCInstance, tol, psi, phi) -> PlanarAtoms:
     """The joint measure in its correction form,
 
         xi_x x eta~ + phi x (delta_0 - eta~) + y0^2 ||1/t||_psi delta_0 x (psi~ - eta~),
@@ -487,24 +524,145 @@ def reference_berger_correction(inst: TCInstance, tol, psi, phi):
     ``berger_measure`` builds, which must agree with it within rounding."""
     psi_pos = _reference_positive_part(psi.atoms, tol)
     phi_pos = _reference_positive_part(phi.atoms, tol)
-    origin = _measure_of(((0.0, 1.0),))
     eta_tilde = inst.eta.tilde()
     terms = [(1.0, inst.xi_x, eta_tilde)]
     if phi_pos:
         phi_part = _measure_of(phi_pos)
-        terms += [(1.0, phi_part, origin), (-1.0, phi_part, eta_tilde)]
+        terms += [(1.0, phi_part, _ORIGIN), (-1.0, phi_part, eta_tilde)]
     if psi_pos:
         c_axis = inst.y0_sq * left_sum(mass / t for t, mass in psi_pos)
         raw = [(t, mass / t) for t, mass in psi_pos]
         total = left_sum(mass for _, mass in raw)
         psi_tilde = _measure_of(tuple((t, mass / total) for t, mass in raw))
-        terms += [(c_axis, origin, psi_tilde), (-c_axis, origin, eta_tilde)]
-    signed = reference_merge_2d(
-        (s, t, coeff * mass)
-        for coeff, mx, my in terms
-        for s, t, mass in reference_product_atoms(mx, my)
+        terms += [(c_axis, _ORIGIN, psi_tilde), (-c_axis, _ORIGIN, eta_tilde)]
+    return reference_combination(
+        [(coeff, reference_product_atoms(mx, my)) for coeff, mx, my in terms], tol
     )
-    return AtomicMeasure2D(_reference_positive_part(signed, tol), probability=True)
+
+
+# Planar measures for the tests: PlanarAtoms records summed by the
+# reference merge.  tcshift has no planar measure type, as it never merges
+# in the plane; these carry the paper's second route, the backward
+# extension of the measure of the rows k2 >= 1 by row 0.
+
+
+def dirac2(s: float, t: float) -> PlanarAtoms:
+    """Unit planar point mass at (s, t)."""
+    return PlanarAtoms(((s, t, 1.0),))
+
+
+def planar_moment(measure, k1: int, k2: int) -> float:
+    """Integral of s^k1 t^k2: the terms (mass * s**k1) * t**k2 summed from
+    the left in atom order."""
+    return left_sum(mass * s**k1 * t**k2 for s, t, mass in measure.atoms)
+
+
+def moment_source(measure) -> SimpleNamespace:
+    """A planar measure as a source of ``moment(k1, k2)``, as the oracles
+    read an instance."""
+    return SimpleNamespace(moment=functools.partial(planar_moment, measure))
+
+
+def _axis(axis: int) -> int:
+    """``axis`` as an index of a coordinate; index 2 would read the mass."""
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 or 1, got {axis!r}")
+    return axis
+
+
+def marginal(measure, axis: int) -> AtomicMeasure1D:
+    """The projection of a nonnegative planar measure onto the s-axis
+    (``axis`` 0) or the t-axis (1)."""
+    axis = _axis(axis)
+    return AtomicMeasure1D((atom[axis], atom[2]) for atom in measure.atoms)
+
+
+def reciprocal_norm(measure, axis: int) -> float:
+    """Integral of 1/s (``axis`` 0) or 1/t (1); AtomAtZero when an atom
+    has that coordinate zero."""
+    axis = _axis(axis)
+    if any(atom[axis] == 0.0 for atom in measure.atoms):
+        raise AtomAtZero(
+            f"measure has an atom with zero coordinate {axis}, reciprocal not integrable"
+        )
+    return left_sum(atom[2] / atom[axis] for atom in measure.atoms)
+
+
+def extremal(measure) -> PlanarAtoms:
+    """Reweight by 1/t and renormalise."""
+    norm = reciprocal_norm(measure, 1)
+    raw = [(s, t, mass / (t * norm)) for s, t, mass in measure.atoms]
+    total = left_sum(mass for _, _, mass in raw)
+    return PlanarAtoms(tuple((s, t, mass / total) for s, t, mass in raw))
+
+
+def measure_M(inst: TCInstance) -> PlanarAtoms:
+    """Berger measure of the restriction to rows k2 >= 1.
+
+    Equals a^2 ||1/s||_{L1(xi)} (xi~ x eta) + delta_0 x psi and exists
+    exactly when psi is positive.
+    """
+    psi_pos = compute_psi(inst).as_positive(DEFAULT_TOL)
+    terms = [(inst.a**2 * inst.recip_s_xi, reference_product_atoms(inst.xi_tilde, inst.eta))]
+    if psi_pos.atoms:
+        terms.append((1.0, reference_product_atoms(_ORIGIN, psi_pos)))
+    return reference_combination(terms, DEFAULT_TOL)
+
+
+class BackwardExtension(NamedTuple):
+    """Outcome of prepending row 0 to a subnormal upper part.
+
+    ``failed_condition`` indexes the three requirements in order:
+    1 reciprocal integrability of 1/t, 2 the bound beta00^2 ||1/t|| <= 1,
+    3 atom-wise domination of the scaled extremal marginal by nu.
+    """
+
+    subnormal: bool
+    measure: PlanarAtoms | None
+    failed_condition: int | None = None
+    ratio: float | None = None
+    witness: tuple[float, float] | None = None
+
+
+def backward_extension(mu_m, nu: AtomicMeasure1D, beta00: float) -> BackwardExtension:
+    """Extend a planar measure downward by a new bottom row.
+
+    Given the measure of the upper part, the measure nu of the new row-0
+    shift and the prepended vertical weight beta00, the extension is
+    subnormal exactly when (1) no atom of mu_m sits on the s-axis,
+    (2) r := beta00^2 ||1/t||_{L1(mu_m)} <= 1 and (3) r (mu_m)_ext^X <= nu
+    atom-wise; the extended measure is then
+
+        r (mu_m)_ext + (nu - r (mu_m)_ext^X) x delta_0.
+
+    When r = 1, condition (3) forces the extremal marginal to equal nu.
+    That guard compares their largest atom difference with
+    10 * DEFAULT_TOL (1e-11), while ``AtomicMeasure1D(..., probability=True)``
+    admits a total off 1 by up to PROBABILITY_TOL (1e-9): it refuses, as
+    PreconditionViolated, a nu that the constructor accepts, such as mass
+    1 + 5e-10 at 1 against ``dirac2(1.0, 1.0)`` at beta00 = 1.  This is
+    an open fault.
+    """
+    if any(t == 0.0 for _, t, _ in mu_m.atoms):
+        return BackwardExtension(False, None, failed_condition=1)
+    ratio = beta00**2 * reciprocal_norm(mu_m, 1)
+    if ratio > 1.0 + DEFAULT_TOL:
+        return BackwardExtension(False, None, failed_condition=2, ratio=ratio)
+    upper = extremal(mu_m)
+    upper_x = marginal(upper, 0)
+    slack = combine([(1.0, nu), (-ratio, upper_x)])
+    check = positivity(slack, DEFAULT_TOL)
+    if not check.positive:
+        return BackwardExtension(
+            False, None, failed_condition=3, ratio=ratio, witness=(check.location, check.mass)
+        )
+    if abs(ratio - 1.0) <= DEFAULT_TOL and atom_difference(upper_x, nu) > 10.0 * DEFAULT_TOL:
+        raise PreconditionViolated("unit mass ratio forces the extremal marginal to equal nu")
+    rest = slack.as_positive(DEFAULT_TOL)
+    terms = [(ratio, upper.atoms)]
+    if rest.atoms:
+        terms.append((1.0, reference_product_atoms(rest, _ORIGIN)))
+    return BackwardExtension(True, reference_combination(terms, DEFAULT_TOL), ratio=ratio)
 
 
 def reference_moment(inst: TCInstance, k1: int, k2: int) -> float:

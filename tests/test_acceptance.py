@@ -14,29 +14,28 @@ import pytest
 
 from tcshift.cli import run
 from tcshift import oracles
-from tcshift.measures import atom_difference
 from tcshift.oracles import (
     hankel_psd,
     joint_hyponormality_compression,
     moment_interpolation_check,
     moment_matrix_2d,
 )
-from tcshift.reconstruct import (
-    DEFAULT_TOL,
-    backward_extension,
-    berger_measure,
-    flat_verdict,
-    measure_M,
-    subnormality_verdict,
-)
+from tcshift.reconstruct import DEFAULT_TOL, berger_measure, flat_verdict, subnormality_verdict
 
 from helpers import (
+    atom_difference,
+    backward_extension,
     dirac2,
+    extremal,
     f1_instance,
+    marginal,
     mass_at,
+    measure_M,
     n1_instance,
+    planar_moment,
     random_flat_instance,
     random_subnormal_instance,
+    reciprocal_norm,
     reference_berger_correction,
     trivial_instance,
 )
@@ -106,9 +105,9 @@ def test_criterion_4_random_subnormal_instances():
         verdict = subnormality_verdict(inst)
         assert verdict.subnormal
         mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
-        assert abs(mu.total_mass - 1.0) <= 1e-12
-        assert atom_difference(mu.marginal("x"), inst.xi_x) <= 1e-10
-        assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
+        assert abs(planar_moment(mu, 0, 0) - 1.0) <= 1e-12
+        assert atom_difference(marginal(mu, 0), inst.xi_x) <= 1e-10
+        assert atom_difference(marginal(mu, 1), inst.eta_y) <= 1e-10
         assert (
             atom_difference(
                 mu, reference_berger_correction(inst, DEFAULT_TOL, verdict.psi, verdict.phi)
@@ -175,9 +174,9 @@ def test_criterion_6_oracle_soundness():
 def test_criterion_7_unit_ratio_forces_the_marginal():
     inst = trivial_instance()
     upper = measure_M(inst)
-    ratio = inst.y0_sq * upper.reciprocal_norm("y")
+    ratio = inst.y0_sq * reciprocal_norm(upper, 1)
     assert ratio == pytest.approx(1.0, abs=1e-12)
-    extremal_marginal = upper.extremal().marginal("x")
+    extremal_marginal = marginal(extremal(upper), 0)
     assert atom_difference(extremal_marginal, inst.xi_x) <= 1e-12
     extension = backward_extension(upper, inst.xi_x, math.sqrt(inst.y0_sq))
     assert extension.subnormal

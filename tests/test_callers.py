@@ -13,8 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tcshift"
 
 AWAITING_CALLERS = {
     "check_membership_h0": "ROADMAP item 5: the level at which a pair fails",
-    "measure_M": "ROADMAP item 7: the backward-extension oracle",
-    "backward_extension": "ROADMAP item 7: the backward-extension oracle",
 }
 
 

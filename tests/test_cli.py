@@ -20,7 +20,7 @@ from tcshift import cli, measures, oracles, reconstruct, shifts
 from tcshift.cli import DEFAULT_ORDER, _mu_pieces, parse_instance, run
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import ParseError, ValidationError
-from tcshift.measures import AtomicMeasure1D, SignedMeasure2D
+from tcshift.measures import AtomicMeasure1D
 from tcshift.reconstruct import BergerMeasure
 
 from helpers import (
@@ -586,21 +586,20 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def berger_pieces(draw) -> BergerMeasure:
-    """Pieces of finite floats: phi's atoms sorted by s, a vertical piece
-    at one s, and core rows that share one tuple of t, as mu's do, or hold
-    their own."""
+def berger_rows(draw) -> BergerMeasure:
+    """Rows of finite floats: rows of one atom, as phi's are, rows that
+    share one tuple of t, as mu's core rows do, and rows that hold their
+    own."""
     locations = st.sampled_from(draw(st.lists(finite, min_size=1, max_size=6)))
-    horizontal = sorted(draw(st.lists(st.tuples(locations, locations, finite), max_size=6)))
-    axis = draw(locations)
-    column = draw(st.lists(st.tuples(locations, finite), max_size=6))
-    vertical = [(axis, t, mass) for t, mass in column]
     shared = tuple(draw(st.lists(locations, min_size=1, max_size=6)))
-    core = []
-    for s, own in sorted(draw(st.lists(st.tuples(locations, st.booleans()), max_size=6))):
-        ts = tuple(draw(st.lists(locations, min_size=1, max_size=6))) if own else shared
-        core.append((s, ts, draw(st.lists(finite, min_size=len(ts), max_size=len(ts)))))
-    return BergerMeasure(tuple(horizontal), tuple(vertical), core)
+    kinds = st.sampled_from(("one", "own", "shared"))
+    rows = []
+    for s, kind in draw(st.lists(st.tuples(locations, kinds), max_size=8)):
+        ts = shared
+        if kind != "shared":
+            ts = tuple(draw(st.lists(locations, min_size=1, max_size=1 if kind == "one" else 6)))
+        rows.append((s, ts, draw(st.lists(finite, min_size=len(ts), max_size=len(ts)))))
+    return BergerMeasure(rows)
 
 
 def report_outcome(argv) -> tuple:
@@ -637,19 +636,22 @@ SHARED_TS = (1.0, 2.0)
 
 
 class TestMuText:
-    """mu's pieces are written as ``json.dumps`` writes their joined atoms."""
+    """mu's rows are written as ``json.dumps`` writes their joined atoms."""
 
     @pytest.mark.parametrize(
         "mu, atoms",
         [
-            (BergerMeasure((), (), []), []),
-            # phi's atom at the origin, at s = -0.0 or 0.0, comes first, and
-            # each other one just before the first core row at its s or past it
+            (BergerMeasure([]), []),
+            # a row of one atom at s = -0.0, one at 0.0, and one at the s of
+            # the core row after it
             (
                 BergerMeasure(
-                    ((-0.0, 0.0, 0.5), (1.0, 0.0, 0.0625)),
-                    ((0.0, 1.0, 0.25),),
-                    [(1.0, (1.0, 2.0), [0.0625, 0.125])],
+                    [
+                        (-0.0, (0.0,), (0.5,)),
+                        (0.0, (1.0,), (0.25,)),
+                        (1.0, (0.0,), (0.0625,)),
+                        (1.0, (1.0, 2.0), [0.0625, 0.125]),
+                    ]
                 ),
                 [
                     [-0.0, 0.0, 0.5],
@@ -662,9 +664,12 @@ class TestMuText:
             # a row of phi between two core rows that share their t
             (
                 BergerMeasure(
-                    ((0.0, -0.0, 0.5), (1.5, 0.0, 0.25)),
-                    (),
-                    [(1.0, SHARED_TS, [0.0625, 0.0625]), (2.0, SHARED_TS, [0.0625, 0.0625])],
+                    [
+                        (0.0, (-0.0,), (0.5,)),
+                        (1.0, SHARED_TS, [0.0625, 0.0625]),
+                        (1.5, (0.0,), (0.25,)),
+                        (2.0, SHARED_TS, [0.0625, 0.0625]),
+                    ]
                 ),
                 [
                     [0.0, -0.0, 0.5],
@@ -677,7 +682,7 @@ class TestMuText:
             ),
             *(
                 (
-                    BergerMeasure(((0.0, 0.0, v),), ((0.0, v, v),), [(v, (v, 1.0), [-v, 0.5])]),
+                    BergerMeasure([(0.0, (0.0,), (v,)), (0.0, (v,), (v,)), (v, (v, 1.0), [-v, 0.5])]),
                     [[0.0, 0.0, v], [0.0, v, v], [v, v, -v], [v, 1.0, 0.5]],
                 )
                 for v in (5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1.7976931348623157e308)
@@ -689,7 +694,7 @@ class TestMuText:
         assert json.dumps(mu.joined().atoms) == json.dumps(atoms)
         assert "".join(_mu_pieces(mu)) == json.dumps(atoms)
 
-    @given(mu=berger_pieces())
+    @given(mu=berger_rows())
     def test_pieces(self, mu):
         assert "".join(_mu_pieces(mu)) == json.dumps(mu.joined().atoms)
 
@@ -1147,28 +1152,43 @@ class TestBergerAssembly:
 
 
 class TestNoPlanarMerge:
-    """No command merges a planar measure: the joint measure is the sum of
-    three pieces made without a merge pass."""
+    """No command merges a planar measure: the package has no planar
+    merge, and the joint measure is laid out once per subnormal file from
+    three pieces made without one."""
 
     @pytest.mark.parametrize("command", ["check", "reconstruct", "flat", "verify"])
     def test_calls(self, monkeypatch, command):
-        passes, assemblies = [], []
-        merge, original = measures._merge_floats_2d, reconstruct.berger_measure
-
-        def counting_merge(prepared):
-            passes.append(len(prepared))
-            return merge(prepared)
+        assert [name for name in vars(measures) if "2d" in name.lower()] == []
+        assemblies = []
+        original = reconstruct.berger_measure
 
         def counting_berger(*args, **kwargs):
             assemblies.append(args[0])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(measures, "_merge_floats_2d", counting_merge)
         patch_everywhere(monkeypatch, original, counting_berger)
         codes = [run_capture([command, str(path)])[0] for path in sorted(FIXTURES.glob("*.json"))]
-        assert passes == []
         # one assembly per subnormal file
         assert len(assemblies) == (0 if command == "check" else codes.count(0))
+        assert codes.count(0) >= 2
+
+    @pytest.mark.parametrize("form", ["--json", "--text"])
+    @pytest.mark.parametrize("command", ["check", "reconstruct", "flat", "verify"])
+    def test_rows_are_laid_out_once(self, monkeypatch, command, form):
+        """The writer, the text report and the interpolation oracle read the
+        rows that ``berger_measure`` laid out; none lays them out again."""
+        layouts = []
+        original = reconstruct._laid_out
+
+        def counting_layout(*args):
+            layouts.append(len(args[2]))
+            return original(*args)
+
+        monkeypatch.setattr(reconstruct, "_laid_out", counting_layout)
+        codes = [
+            run_capture([command, str(path), form])[0] for path in sorted(FIXTURES.glob("*.json"))
+        ]
+        assert len(layouts) == (0 if command == "check" else codes.count(0))
         assert codes.count(0) >= 2
 
 
@@ -1333,8 +1353,7 @@ class TestOracleCalls:
 
         for fn in (oracles.moment_interpolation_check, oracles.moment_matrix_2d):
             patch_everywhere(monkeypatch, fn, entering(fn))
-        for owner, label in ((TCInstance, "instance"), (SignedMeasure2D, "measure")):
-            monkeypatch.setattr(owner, "moment", counting(label, owner.moment))
+        monkeypatch.setattr(TCInstance, "moment", counting("instance", TCInstance.moment))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         code, out, _ = run_capture(["verify", fixture(name), "--json"])
         assert code in (0, 1)
@@ -1344,6 +1363,5 @@ class TestOracleCalls:
         # one call per distinct entry, after the guard call
         matrix_calls = calls.count(("moment_matrix_2d", "instance"))
         assert 0 < matrix_calls <= (2 * n + 1) * (2 * n + 2) // 2 + 1
-        assert calls.count(("moment_interpolation_check", "measure")) == 0
         # every Hankel pair in one stack, then the moment matrix
         assert sum(label == "eigvalsh" for _, label in calls) == 2

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tcshift import oracles
 from tcshift.cli import DEFAULT_WINDOW
 from tcshift.errors import DepthExceeded, InvalidMoments, NonFinite, PreconditionViolated
-from tcshift.measures import AtomicMeasure2D, SignedMeasure2D
+from tcshift.measures import PlanarAtoms, product
 from tcshift.oracles import (
     _TABLE_BLOCK,
     PsdReport,
@@ -33,7 +33,9 @@ from helpers import (
     dirac2,
     f1_instance,
     fixture_instances,
+    moment_source,
     outcome,
+    planar_moment,
     random_probability,
     random_subnormal_instance,
     random_tc_instance,
@@ -81,9 +83,9 @@ def bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-def moment_or_error(mu: AtomicMeasure2D, k1: int, k2: int):
+def moment_or_error(mu: PlanarAtoms, k1: int, k2: int):
     try:
-        return bits(mu.moment(k1, k2))
+        return bits(planar_moment(mu, k1, k2))
     except ArithmeticError as exc:
         return type(exc), str(exc)
 
@@ -99,25 +101,27 @@ LOCATIONS = st.one_of(
 
 
 @st.composite
-def measures_with_shared_locations(draw) -> AtomicMeasure2D:
+def measures_with_shared_locations(draw) -> PlanarAtoms:
     """Atoms whose coordinates come from a pool of at most four values, so
-    that s and t repeat across atoms and between the two axes."""
+    that s and t repeat across atoms, at one point too, and between the
+    two axes."""
     pool = draw(st.lists(LOCATIONS, min_size=1, max_size=4))
     location = st.sampled_from(pool)
     mass = st.floats(min_value=1e-300, max_value=1e300)
     atoms = draw(st.lists(st.tuples(location, location, mass), min_size=1, max_size=6))
-    return AtomicMeasure2D(tuple(atoms))
+    return PlanarAtoms(tuple(atoms))
 
 
 class TestMomentTable:
-    """The interpolation's table of mu's moments is mu.moment, to the bit,
-    and raises exactly when some moment it holds raises."""
+    """The interpolation's table of mu's moments is the left sum of the
+    terms in atom order, to the bit, and raises exactly when some moment it
+    holds raises."""
 
     @settings(max_examples=300)
     @given(mu=measures_with_shared_locations(), order=st.integers(0, 12))
     # 0.0 and -0.0 are one dict key, so the two atoms share one row of powers
     @example(
-        mu=AtomicMeasure2D(((0.0, 5e-324, 0.25), (-0.0, 1.0, 0.25), (5e-324, -0.0, 0.5))),
+        mu=PlanarAtoms(((0.0, 5e-324, 0.25), (-0.0, 1.0, 0.25), (5e-324, -0.0, 0.5))),
         order=3,
     )
     def test_equals_the_measure_moments(self, mu, order):
@@ -131,24 +135,20 @@ class TestMomentTable:
         assert {(k1, k2): bits(table[k1][k2]) for k1, k2 in indices} == outcomes
 
     @pytest.mark.parametrize(
-        "cls, masses",
-        [(AtomicMeasure2D, (0.25, 0.25, 0.25, 0.25)), (SignedMeasure2D, (0.5, -0.25, -1.0, 2.0))],
+        "masses",
+        [(0.25, 0.25, 0.25, 0.25), (0.5, -0.25, -1.0, 2.0)],
         ids=["positive", "signed"],
     )
-    def test_both_zeros_on_each_axis(self, cls, masses):
-        # an atom at s = -0.0 and one at s = 0.0, and the same for t: each
-        # keeps its own zero, and every entry has mu.moment's bits, the sign
-        # of a zero included
+    def test_both_zeros_on_each_axis(self, masses):
+        # an atom at s = -0.0 and one at s = 0.0, and the same for t: every
+        # entry has the bits of the left sum, the sign of a zero included
         points = ((-0.0, 1.0), (0.0, 2.0), (1.0, -0.0), (2.0, 0.0))
-        mu = cls(tuple((s, t, mass) for (s, t), mass in zip(points, masses)))
-        assert [(bits(s), bits(t)) for s, t, _ in mu.atoms] == [
-            (bits(s), bits(t)) for s, t in points
-        ]
+        mu = PlanarAtoms(tuple((s, t, mass) for (s, t), mass in zip(points, masses)))
         order = 8
         table = _moment_table(mu, order)
         indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
         assert [bits(table[k1][k2]) for k1, k2 in indices] == [
-            bits(mu.moment(k1, k2)) for k1, k2 in indices
+            bits(planar_moment(mu, k1, k2)) for k1, k2 in indices
         ]
 
     @pytest.mark.filterwarnings("error")
@@ -164,12 +164,12 @@ class TestMomentTable:
             for _ in range(len(pool) ** 2 - 2)
         ]
         points = [(s, t) for s in pool for t in pool]
-        mu = SignedMeasure2D(tuple((s, t, mass) for (s, t), mass in zip(points, masses)))
+        mu = PlanarAtoms(tuple((s, t, mass) for (s, t), mass in zip(points, masses)))
         assert len(mu.atoms) > 2 * _TABLE_BLOCK
         table = _moment_table(mu, order)
         indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
         assert [bits(table[k1][k2]) for k1, k2 in indices] == [
-            bits(mu.moment(k1, k2)) for k1, k2 in indices
+            bits(planar_moment(mu, k1, k2)) for k1, k2 in indices
         ]
         if order:
             assert any(math.isnan(value) for row in table for value in row)
@@ -180,7 +180,7 @@ class TestMomentTable:
         # of terms would hold 54 MB here
         order = 12
         pool = [1.0 + k / 200.0 for k in range(200)]
-        mu = AtomicMeasure2D(tuple((s, t, 1.0) for s in pool for t in pool))
+        mu = PlanarAtoms(tuple((s, t, 1.0) for s in pool for t in pool))
         whole = len(mu.atoms) * (order + 1) ** 2 * 8
         tracemalloc.start()
         try:
@@ -333,7 +333,7 @@ class TestMatricesBuiltWhole:
     def test_a_measure_source(self):
         rng = random.Random(7)
         mx, my = random_probability(rng, lo=0.0), random_probability(rng, lo=0.0)
-        mu = AtomicMeasure2D(tuple((s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms))
+        mu = moment_source(product(mx, my))
         for n in range(1, 6):
             assert same_array(_moment_matrix(mu, n), reference_moment_matrix(mu, n))
 
@@ -473,11 +473,7 @@ class TestMomentMatrix:
         for _ in range(10):
             mx = random_probability(rng, lo=0.0, zero_prob=0.3)
             my = random_probability(rng, lo=0.0, zero_prob=0.3)
-            mu = AtomicMeasure2D(
-                tuple(
-                    (s, t, ms * mt) for s, ms in mx.atoms for t, mt in my.atoms
-                )
-            )
+            mu = moment_source(product(mx, my))
             for order in (2, 4, 6):
                 assert moment_matrix_2d(mu, order).passed
 

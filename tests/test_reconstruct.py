@@ -21,8 +21,7 @@ from tcshift.errors import (
 from tcshift.measures import (
     PROBABILITY_TOL,
     AtomicMeasure1D,
-    AtomicMeasure2D,
-    atom_difference,
+    PlanarAtoms,
     combine,
     dirac,
     positivity,
@@ -32,12 +31,11 @@ from tcshift.reconstruct import (
     DEFAULT_TOL,
     Diagnostics,
     _decide,
-    backward_extension,
+    _laid_out,
     berger_measure,
     compute_phi,
     compute_psi,
     flat_verdict,
-    measure_M,
     subnormality_verdict,
 )
 
@@ -46,22 +44,29 @@ from helpers import (
     FLAT_FIXTURES,
     assert_measures_close,
     assert_scalar_close,
+    atom_difference,
+    backward_extension,
     dirac2,
     f1_flat,
     f1_instance,
     fixture_instances,
     half_half,
     m1,
+    marginal,
     mass_at,
+    measure_M,
     n1_flat,
+    planar_moment,
     n1_instance,
     random_flat_instance,
     random_psi_positive_instance,
     random_subnormal_instance,
     random_tc_instance,
+    reciprocal_norm,
     reference_berger_correction,
     reference_berger_measure,
     reference_berger_split,
+    reference_combination,
     slack_measures,
     spike_instance,
     trivial_instance,
@@ -208,9 +213,9 @@ class TestBergerMeasure:
             verdict = subnormality_verdict(inst)
             assert verdict.subnormal
             mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
-            assert abs(mu.total_mass - 1.0) <= 1e-12
-            assert atom_difference(mu.marginal("x"), inst.xi_x) <= 1e-10
-            assert atom_difference(mu.marginal("y"), inst.eta_y) <= 1e-10
+            assert abs(planar_moment(mu, 0, 0) - 1.0) <= 1e-12
+            assert atom_difference(marginal(mu, 0), inst.xi_x) <= 1e-10
+            assert atom_difference(marginal(mu, 1), inst.eta_y) <= 1e-10
             assert_measures_close(
                 mu, reference_berger_correction(inst, DEFAULT_TOL, verdict.psi, verdict.phi), 1e-12
             )
@@ -280,7 +285,7 @@ class TestSplitAssembly:
         # the tensor piece
         new, reference = _split_outcomes(_f1_with(a=1.0))
         assert new == reference
-        assert new == repr(AtomicMeasure2D(((0.0, 0.0, 0.5), (1.0, 1.0, 0.5)), True))
+        assert new == repr(PlanarAtoms(((0.0, 0.0, 0.5), (1.0, 1.0, 0.5))))
 
     def test_phi_atoms_in_the_rows_of_the_tensor_piece(self):
         # 30 of phi's atoms are at the s of a tensor row, before its atoms
@@ -351,7 +356,7 @@ class TestSplitAssembly:
         if refused:
             assert new[0] is NotProbability and new[1].startswith("total mass is ")
         else:
-            assert new.startswith("AtomicMeasure2D(")
+            assert new.startswith("PlanarAtoms(")
 
 
 PIECE_SOURCES = {
@@ -398,19 +403,78 @@ class TestPieces:
         self._subnormal_and_same(inst)
 
 
+# Coordinates from a few values, so that phi's s often meets a core row's.
+_coordinates = st.sampled_from((1e-300, 0.25, 1.0, 1.0 + 1e-9, 3.0, 1e300))
+_masses = st.floats(1e-300, 1.0)
+
+
+@st.composite
+def _pieces(draw) -> tuple:
+    """The three pieces as ``berger_measure`` hands them to ``_laid_out``:
+    phi's atoms (s, 0.0, m), s = 0 (either sign) first if any; the vertical
+    atoms (0.0, t, m); and core rows (s, ts, masses), every coordinate
+    sorted and apart within a piece, and every core coordinate positive."""
+    origin = draw(st.sampled_from(((), (0.0,), (-0.0,))))
+    phi_s = (*origin, *sorted(draw(st.sets(_coordinates))))
+    horizontal = tuple((s, 0.0, draw(_masses)) for s in phi_s)
+    vertical = tuple((0.0, t, draw(_masses)) for t in sorted(draw(st.sets(_coordinates))))
+    ts = tuple(sorted(draw(st.sets(_coordinates, min_size=1))))
+    core = [
+        (s, ts, [draw(_masses) for _ in ts])
+        for s in sorted(draw(st.sets(_coordinates, min_size=1)))
+    ]
+    return horizontal, vertical, core
+
+
+class TestLaidOut:
+    """The rows of ``_laid_out`` hold each atom of the three pieces once,
+    in the order that sorting the atoms gives."""
+
+    @given(pieces=_pieces())
+    def test_rows_are_the_sorted_atoms(self, pieces):
+        horizontal, vertical, core = pieces
+        rows = _laid_out(horizontal, vertical, core)
+        atoms = [(s, t, m) for s, ts, masses in rows for t, m in zip(ts, masses)]
+        pieces_atoms = [*horizontal, *vertical]
+        pieces_atoms += [(s, t, m) for s, ts, masses in core for t, m in zip(ts, masses)]
+        assert atoms == sorted(atoms)
+        assert sorted(atoms) == sorted(pieces_atoms)
+
+    @pytest.mark.parametrize(
+        "horizontal, vertical, rows",
+        [
+            # no vertical piece: phi's atom at the origin is the first row
+            (((-0.0, 0.0, 0.25),), (), [(-0.0, (0.0,), (0.25,)), (1.0, (2.0,), [0.75])]),
+            # phi's atom at the origin comes before the vertical row
+            (
+                ((0.0, 0.0, 0.25),),
+                ((0.0, 0.5, 0.25), (0.0, 2.0, 0.25)),
+                [(0.0, (0.0,), (0.25,)), (0.0, (0.5, 2.0), (0.25, 0.25)), (1.0, (2.0,), [0.75])],
+            ),
+            # an atom of phi at a core row's s comes just before that row
+            (
+                ((1.0, 0.0, 0.25), (3.0, 0.0, 0.25)),
+                (),
+                [(1.0, (0.0,), (0.25,)), (1.0, (2.0,), [0.75]), (3.0, (0.0,), (0.25,))],
+            ),
+        ],
+        ids=["no-vertical-piece", "origin-before-vertical", "phi-at-a-core-row"],
+    )
+    def test_examples(self, horizontal, vertical, rows):
+        assert repr(_laid_out(horizontal, vertical, [(1.0, (2.0,), [0.75])])) == repr(rows)
+
+
 class TestMeasureM:
     def test_trivial_pair(self):
         assert measure_M(trivial_instance()).atoms == ((1.0, 1.0, 1.0),)
 
     def test_f1(self):
-        expected = combine(
-            [(0.5, dirac2(1.0, 1.0)), (0.5, dirac2(0.0, 1.0))]
-        ).as_positive()
+        expected = PlanarAtoms(((0.0, 1.0, 0.5), (1.0, 1.0, 0.5)))
         assert_measures_close(measure_M(f1_instance()), expected, 1e-12)
 
     def test_f1_reciprocal_norm_matches_the_column_tail(self):
         inst = f1_instance()
-        assert_scalar_close(measure_M(inst).reciprocal_norm("y"), 1.0)
+        assert_scalar_close(reciprocal_norm(measure_M(inst), 1), 1.0)
         assert_scalar_close(inst.eta_y_tail.reciprocal_norm(), 1.0)
 
     def test_reciprocal_norm_identity_on_random_instances(self):
@@ -418,7 +482,7 @@ class TestMeasureM:
         for _ in range(20):
             inst = random_psi_positive_instance(rng)
             assert_scalar_close(
-                measure_M(inst).reciprocal_norm("y"),
+                reciprocal_norm(measure_M(inst), 1),
                 inst.eta_y_tail.reciprocal_norm(),
                 1e-12,
             )
@@ -488,9 +552,9 @@ class TestBackwardExtension:
         assert mass == pytest.approx(-0.15, abs=1e-12)
 
     def test_atom_on_the_s_axis_fails_first(self):
-        measure = combine(
-            [(0.5, dirac2(1.0, 1.0)), (0.5, dirac2(1.0, 0.0))]
-        ).as_positive()
+        measure = reference_combination(
+            [(0.5, dirac2(1.0, 1.0).atoms), (0.5, dirac2(1.0, 0.0).atoms)], DEFAULT_TOL
+        )
         result = backward_extension(measure, dirac(1.0), 0.5)
         assert not result.subnormal
         assert result.failed_condition == 1

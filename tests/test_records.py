@@ -6,27 +6,9 @@ import pytest
 
 from tcshift.cli import Options, ParsedFile
 from tcshift.diagram import FlatInstance, H0Report, TCInstance
-from tcshift.measures import (
-    _NAMES_1D,
-    AtomicMeasure1D,
-    AtomicMeasure2D,
-    Positivity,
-    SignedMeasure1D,
-    SignedMeasure2D,
-    _SignedMeasure,
-    dirac,
-)
+from tcshift.measures import AtomicMeasure1D, PlanarAtoms, Positivity, SignedMeasure1D, dirac
 from tcshift.oracles import InterpolationReport, PsdReport
-from tcshift.reconstruct import BackwardExtension2D, Diagnostics, Verdict, Witness
-
-
-class Probe(_SignedMeasure):
-    """The shared measure base with no checks of its own."""
-
-    _names = _NAMES_1D
-
-    def _check(self) -> None:
-        pass
+from tcshift.reconstruct import Diagnostics, Verdict, Witness
 
 
 def tc_instance() -> TCInstance:
@@ -59,12 +41,6 @@ FLAT = "FlatInstance(p=0.0, q=1.0, l=0.0, m=1.0, b=1.0, a=0.5, rho=None, sigma=N
 # (class, factory, exact repr, a field to assign)
 CASES = [
     (
-        _SignedMeasure,
-        lambda: Probe(((2.0, 0.5), (1.0, 0.5))),
-        "Probe(atoms=((1.0, 0.5), (2.0, 0.5)))",
-        "atoms",
-    ),
-    (
         SignedMeasure1D,
         lambda: SignedMeasure1D([(2.0, -0.25), (1.0, 0.5)]),
         "SignedMeasure1D(atoms=((1.0, 0.5), (2.0, -0.25)))",
@@ -77,16 +53,10 @@ CASES = [
         "probability",
     ),
     (
-        SignedMeasure2D,
-        lambda: SignedMeasure2D(((1.0, 2.0, -0.5),)),
-        "SignedMeasure2D(atoms=((1.0, 2.0, -0.5),))",
+        PlanarAtoms,
+        lambda: PlanarAtoms(((1.0, 2.0, 1.0),)),
+        "PlanarAtoms(atoms=((1.0, 2.0, 1.0),))",
         "atoms",
-    ),
-    (
-        AtomicMeasure2D,
-        lambda: AtomicMeasure2D(((1.0, 2.0, 1.0),), probability=True),
-        "AtomicMeasure2D(atoms=((1.0, 2.0, 1.0),), probability=True)",
-        "probability",
     ),
     (
         Positivity,
@@ -141,13 +111,6 @@ CASES = [
         " recip_t_eta_y_tail=2.0), psi=SignedMeasure1D(atoms=((1.0, 1.5), (2.0, -0.5))),"
         " phi=SignedMeasure1D(atoms=()))",
         "subnormal",
-    ),
-    (
-        BackwardExtension2D,
-        lambda: BackwardExtension2D(False, None, failed_condition=2, ratio=1.5),
-        "BackwardExtension2D(subnormal=False, measure=None, failed_condition=2,"
-        " ratio=1.5, witness=None)",
-        "failed_condition",
     ),
     (Options, lambda: Options(), OPTIONS, "tol"),
     (
