@@ -205,7 +205,7 @@ def _oracle_payloads(
     instance = instance.with_depth(max(opts.order - 1, 2 * m - 1, 2 * n + 1))
     oracles: dict[str, Any] = {}
     if mu is not None:
-        interp = moment_interpolation_check(instance, mu.joined(), opts.order)
+        interp = moment_interpolation_check(instance, mu, opts.order)
         oracles["moment_interpolation"] = {
             "passed": interp.passed,
             "order": interp.order,

@@ -23,6 +23,8 @@ An instance reads them from the weights of its four measures
 (``shifts.weights_from_measure``), made to its ``depth``: 32 on a built
 instance, or the shallower one that ``with_depth`` states for a reader
 that reads no deeper.  A read past the depth raises ``DepthExceeded``.
+The oracles read them as whole tables, a triangle (``moment_table``), a
+row or a column, with one depth check each and the same products.
 The restriction of the shift to k2 >= i, k1 >= j has the moments
 gamma_(j + k1, i + k2) / gamma_(j, i).
 ``TCInstance.with_a`` makes the same instance at another joining weight,
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Literal, NamedTuple
 
@@ -292,15 +294,47 @@ class TCInstance(Frozen):
                 scale *= core_top / top
         return H0Report(True, depth)
 
+    def moment_table(self, order: int) -> list[list[float]]:
+        """``table[k1][k2]`` is ``moment(k1, k2)`` for k1 + k2 <= order, to
+        the bit: the same products of the running products.  By total
+        order, the first moment past the depth is (depth + 2, 0), so one
+        read of gamma_(order, 0), or of that one, raises what reading each
+        entry in that order raises."""
+        self.moment(min(order, self.depth + 2), 0)
+        x, y, core_h, core_v = self._moments
+        return [y[: order + 1]] + [
+            [x[k1], *map(mul, repeat(core_h[k1 - 1]), core_v[: order - k1])]
+            for k1 in range(1, order + 1)
+        ]
+
+    # A row or column read gives moment(...) / base for each entry, to the
+    # bit, in the order of reading each entry and dividing it: the base's
+    # read, a division by a base of zero, then the first moment past the
+    # depth, which one read of the last entry, or of that one, raises.
+
     def row_moments(self, row: int, count: int) -> tuple[float, ...]:
-        """Moments of the one-variable shift along a fixed row."""
+        """Moments of the one-variable shift along a fixed row,
+        gamma_(k, row) / gamma_(0, row) for k < count.  The row stops at
+        k = depth + 1 on row 0 and at k = depth above it."""
         base = self.moment(0, row)
-        return tuple(self.moment(k, row) / base for k in range(count))
+        x, _, core_h, core_v = self._moments
+        line = [base, *map(mul, core_h[: count - 1], repeat(core_v[row - 1]))] if row else x
+        moments = tuple(gamma / base for gamma in line[:count])
+        if count > 1:
+            self.moment(min(count - 1, self.depth + 1 + (row == 0)), row)
+        return moments
 
     def column_moments(self, column: int, count: int) -> tuple[float, ...]:
-        """Moments of the one-variable shift along a fixed column."""
+        """Moments of the one-variable shift along a fixed column,
+        gamma_(column, k) / gamma_(column, 0) for k < count.  The column
+        stops at k = depth + 1 up to column depth and at k = 0 past it."""
         base = self.moment(column, 0)
-        return tuple(self.moment(column, k) / base for k in range(count))
+        _, y, core_h, core_v = self._moments
+        line = [base, *map(mul, repeat(core_h[column - 1]), core_v[: count - 1])] if column else y
+        moments = tuple(gamma / base for gamma in line[:count])
+        if count > 1:
+            self.moment(column, min(count - 1, self.depth + 2 if column <= self.depth else 1))
+        return moments
 
 
 def _check_unit_interval(name: str, value: float, *, allow_zero: bool) -> None:

@@ -122,7 +122,9 @@ def _merge_floats_1d(prepared: list) -> tuple[tuple[float, float], ...]:
     it is at the same location as the run's first atom, and a run whose
     masses sum to exactly zero is dropped.  Any two locations of one run
     are at the same location: with h <= u < v in a run headed by h,
-    v - u <= v - h <= MERGE_REL_TOL * v.
+    v - u <= v - h <= MERGE_REL_TOL * v.  A run's sum can pass the float
+    range, so where some atoms were merged or dropped the masses are
+    checked (``_finite_totals``); where none were, each is an input's.
     """
     if not prepared:
         return ()
@@ -141,6 +143,8 @@ def _merge_floats_1d(prepared: list) -> tuple[tuple[float, float], ...]:
             head, total = loc, mass
     if total:
         append((head, total))
+    if len(merged) < len(prepared):
+        return _finite_totals(tuple(merged))
     return tuple(merged)
 
 
@@ -428,8 +432,7 @@ def combine(
         if coeff != 0.0
         for loc, mass in measure.atoms
     ]
-    merged = _merge_floats_1d(_finite_masses(atoms))
-    return _from_merged(SignedMeasure1D, _finite_totals(merged))
+    return _from_merged(SignedMeasure1D, _merge_floats_1d(_finite_masses(atoms)))
 
 
 def _finite_totals(atoms: tuple) -> tuple:

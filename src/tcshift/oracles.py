@@ -13,25 +13,23 @@ verdict as inconclusive rather than contradictory.
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidMoments, NonFinite, PreconditionViolated
 from .diagram import TCInstance
-from .measures import PlanarAtoms, left_sum
+from .measures import left_sum
 
-# numpy is imported inside the functions that use it (the matrix builders and
-# mu's moment table), so that the commands that never run an oracle start
-# without it.
+# numpy is imported inside the functions that build and decide the PSD
+# matrices, so that the commands that never run an oracle start without it.
 if TYPE_CHECKING:
     import numpy as np
+
+    from .reconstruct import BergerMeasure
 
 # the fixed relative tolerances of the oracles: a PSD check scales its own
 # by the matrix trace, and moment interpolation bounds each relative error
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_INTERPOLATION_TOL = 1e-10
-# atoms per accumulate in the interpolation's moment table
-_TABLE_BLOCK = 256
 
 
 class PsdReport(NamedTuple):
@@ -59,7 +57,9 @@ class InterpolationReport(NamedTuple):
 
 
 def _psd_reports(stack: np.ndarray) -> list[PsdReport]:
-    """One report per matrix of a stack of same-size symmetric matrices.
+    """One report per matrix of a stack of same-size symmetric matrices:
+    the Hankel pairs of ``hankel_psd`` or the moment matrix of
+    ``_moment_matrix``, the only matrices that numpy builds and decides.
     Batched, LAPACK gives each matrix the bits of a call on it alone."""
     import numpy as np
 
@@ -74,79 +74,35 @@ def _psd_reports(stack: np.ndarray) -> list[PsdReport]:
     return reports
 
 
-def _moment_table(mu: PlanarAtoms, order: int) -> list[list[float]]:
-    """``table[k1][k2]`` is the integral of s^k1 t^k2 against mu for
-    k1 + k2 <= order: the sum from the left, from 0, of the terms
-    ``(mass * s**k1) * t**k2`` over mu's atoms in their order, to the bit.
-
-    numpy makes those floating-point operations, in that order.  Each
-    power is taken once per distinct location with Python's ``**``, as
-    numpy's ``power`` need not give libm's bits, and a power too large for
-    a float raises ``OverflowError`` as ``**`` does.  ``np.add.accumulate``
-    sums the terms in atom order from a row of 0.0, as ``left_sum`` does
-    from 0, so that no entry is -0.0; ``sum``, ``dot`` and the like would
-    add pairwise.  The atoms go in blocks of ``_TABLE_BLOCK``, each
-    carrying on from the running row of the last, so the terms held at
-    once number ``_TABLE_BLOCK * (order + 1)**2`` at most, at any count of
-    atoms.
-    """
-    import numpy as np
-
-    side = order + 1
-    # the s, t and mass columns, read once
-    s_col, t_col, masses = list(zip(*mu.atoms)) or [(), (), ()]
-    count = len(masses)
-    coordinates = s_col + t_col
-    # -0.0 and 0.0 are one key, so they share a row of powers: their terms
-    # differ only in the sign of a zero, which no total keeps
-    locations = dict.fromkeys(coordinates)
-    powers = np.array([[loc**k for k in range(side)] for loc in locations])
-    row = dict(zip(locations, range(len(locations))))
-    rows = np.array(list(map(row.__getitem__, coordinates)))
-    s_rows, t_rows, masses = rows[:count], rows[count:], np.array(masses)
-    # the entries with k1 + k2 <= order of a flattened side x side square, row by row
-    triangle = [k1 * side + k2 for k1 in range(side) for k2 in range(side - k1)]
-    total = np.zeros((1, len(triangle)))
-    # an inf or NaN term is the term Python makes, with no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, count, _TABLE_BLOCK):
-            block = slice(start, start + _TABLE_BLOCK)
-            weighted = masses[block, None] * powers[s_rows[block]]
-            terms = weighted[:, :, None] * powers[t_rows[block]][:, None, :]
-            terms = terms.reshape(-1, side * side)[:, triangle]
-            total = np.add.accumulate(np.concatenate((total, terms)), axis=0)[-1:]
-    entries = iter(total[0].tolist())
-    return [list(islice(entries, side - k1)) for k1 in range(side)]
-
-
-def moment_interpolation_check(source, mu: PlanarAtoms, order: int) -> InterpolationReport:
+def moment_interpolation_check(source, mu: BergerMeasure, order: int) -> InterpolationReport:
     """Compare gamma_(k1,k2) with the monomial integrals of mu for all
     k1 + k2 <= order.
 
-    ``source`` is anything with a ``moment(k1, k2)`` method, such as an
-    instance.  Reports the maximal relative error and the first
-    failing index; a source moment that is inf or NaN raises ``NonFinite``.
+    ``source`` and ``mu`` are anything with a ``moment_table(order)``
+    method, such as an instance and a joint measure: their tables are
+    compared entry by entry, by total order.  Reports the maximal relative
+    error and the first failing index; a source moment that is inf or NaN
+    raises ``NonFinite``.
     """
     # the source first: past its depth it raises before mu's table is built
-    expected_moments = [
-        (k1, total - k1, source.moment(k1, total - k1))
-        for total in range(order + 1)
-        for k1 in range(total, -1, -1)
-    ]
-    for k1, k2, expected in expected_moments:
+    expected = source.moment_table(order)
+    indices = [(k1, total - k1) for total in range(order + 1) for k1 in range(total, -1, -1)]
+    for k1, k2 in indices:
         # the relative error against inf or NaN is NaN, which no comparison fails
-        if not math.isfinite(expected):
-            raise NonFinite(f"moment ({k1}, {k2}) of the source is not finite, got {expected!r}")
-    table = _moment_table(mu, order)
+        if not math.isfinite(expected[k1][k2]):
+            raise NonFinite(
+                f"moment ({k1}, {k2}) of the source is not finite, got {expected[k1][k2]!r}"
+            )
+    table = mu.moment_table(order)
     max_err = 0.0
     first_failure = None
-    for k1, k2, expected in expected_moments:
-        actual = table[k1][k2]
-        rel = abs(actual - expected) / max(abs(expected), 1e-300)
+    for k1, k2 in indices:
+        gamma, actual = expected[k1][k2], table[k1][k2]
+        rel = abs(actual - gamma) / max(abs(gamma), 1e-300)
         if rel > max_err:
             max_err = rel
         if rel > DEFAULT_INTERPOLATION_TOL and first_failure is None:
-            first_failure = (k1, k2, expected, actual)
+            first_failure = (k1, k2, gamma, actual)
     return InterpolationReport(
         passed=first_failure is None,
         order=order,
@@ -198,17 +154,14 @@ def hankel_psd(sequences: Iterable[tuple[str, Sequence[float]]], n: int) -> tupl
 
 
 def _moment_matrix(source, n: int) -> np.ndarray:
-    """The matrix (gamma_(p+q)) over multi-indices of degree <= n, from one
-    ``source.moment`` call per distinct entry after a guard call."""
+    """The matrix (gamma_(p+q)) over multi-indices of degree <= n, indexed
+    from the source's ``moment_table(2n)`` after a guard call."""
     import numpy as np
 
-    gamma = source.moment
     # out of the moment table exactly when any entry is: fail before the basis
-    gamma(2 * n, 0)
+    source.moment(2 * n, 0)
     # table[k1][k2] = gamma(k1, k2), padded to a square that no index reaches
-    table = np.array(
-        [[gamma(k1, k2) for k2 in range(2 * n + 1 - k1)] + [0.0] * k1 for k1 in range(2 * n + 1)]
-    )
+    table = np.array([row + [0.0] * k1 for k1, row in enumerate(source.moment_table(2 * n))])
     first = np.array([k1 for total in range(n + 1) for k1 in range(total, -1, -1)])
     second = np.array([total - k1 for total in range(n + 1) for k1 in range(total, -1, -1)])
     return table[first[:, None] + first, second[:, None] + second]

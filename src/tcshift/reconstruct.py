@@ -17,7 +17,9 @@ merge pass nor a sort sums them: laid out as phi's atom at the origin,
 the vertical part, then the tensor rows with each other atom of phi just
 before the first row at its s or past it, they are in sorted order.
 ``berger_measure`` lays them out once as rows, the tensor part's n^2
-atoms as one row of masses per atom of xi~, never built as tuples.  Two
+atoms as one row of masses per atom of xi~, never built as tuples, and
+keeps the pieces with them: mu's moments are then sums over one axis at a
+time (``BergerMeasure.moment_table``), as the diagram's are.  Two
 other constructions stay in the tests (``tests/helpers.py``) as
 references that this one must match: the joint measure written as
 xi_x x eta~ plus signed corrections supported on the two axes, which
@@ -186,9 +188,19 @@ class BergerMeasure(NamedTuple):
     """The joint Berger measure as rows (s, ts, masses), in the order that
     sorting its atoms gives; the atoms of a row are (s, t, m) for t, m in
     zip(ts, masses).  The core rows share eta~'s tuple of locations unless
-    a mass underflowed to zero."""
+    a mass underflowed to zero.  The pieces that the rows are made of come
+    with them: the core is c_tensor (xi~ x eta~), the vertical piece
+    c_axis (delta_0 x psi~) and the horizontal one phi x delta_0, phi the
+    positive part of the verdict's phi (psi~ and phi empty where they
+    have no atom)."""
 
     rows: list
+    c_tensor: float
+    xi_tilde: AtomicMeasure1D
+    eta_tilde: AtomicMeasure1D
+    c_axis: float
+    psi_tilde: AtomicMeasure1D
+    phi: AtomicMeasure1D
 
     def joined(self) -> PlanarAtoms:
         """The joint measure, its atoms those of ``rows``; they are sorted,
@@ -196,6 +208,23 @@ class BergerMeasure(NamedTuple):
         return PlanarAtoms(
             tuple((s, t, m) for s, ts, masses in self.rows for t, m in zip(ts, masses))
         )
+
+    def moment_table(self, order: int) -> list[list[float]]:
+        """``table[k1][k2]`` is the integral of s^k1 t^k2 against the joint
+        measure for k1 + k2 <= order, from its pieces one axis at a time:
+        (c_tensor S(k1)) T(k2), with S and T the moments of xi~ and eta~,
+        plus c_axis P(k2) at k1 = 0, with P those of psi~, and phi's k1-th
+        moment at k2 = 0.  Each moment is a left sum (``moment``), so a
+        power too large for a float raises ``OverflowError``."""
+        orders = range(order + 1)
+        core_s = [self.c_tensor * self.xi_tilde.moment(k) for k in orders]
+        core_t = [self.eta_tilde.moment(k) for k in orders]
+        table = [[s * t for t in core_t[: order + 1 - k1]] for k1, s in enumerate(core_s)]
+        for k2 in orders:
+            table[0][k2] += self.c_axis * self.psi_tilde.moment(k2)
+        for k1 in orders:
+            table[k1][0] += self.phi.moment(k1)
+        return table
 
 
 def _laid_out(horizontal: tuple, vertical: tuple, core: list) -> list:
@@ -246,7 +275,8 @@ def berger_measure(
     of a factor, and the coefficients a^2 y0^2 r_s r_t, y0^2 ||1/t||_psi
     and 1 are nonnegative.  Only the total is checked, summed in atom
     order.  psi~ is made first, so that its errors come before those of a
-    scaled mass, as when the scaled pieces are summed.
+    scaled mass, as when the scaled pieces are summed.  The rows come with
+    the pieces and coefficients that they are made of.
     """
     psi_pos = psi.as_positive(tol)
     phi_pos = phi.as_positive(tol)
@@ -254,7 +284,7 @@ def berger_measure(
     c_tensor = instance.a**2 * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta
     c_axis = instance.y0_sq * recip_t_psi
     eta_tilde = instance.eta.tilde()
-    psi_tilde = psi_pos.tilde() if psi_pos.atoms else None
+    psi_tilde = psi_pos.tilde() if psi_pos.atoms else psi_pos
     ts, mts = zip(*eta_tilde.atoms)
     core = []
     for s, ms in instance.xi_tilde.atoms:
@@ -268,13 +298,13 @@ def berger_measure(
     if not math.isfinite(sum(map(sum, map(itemgetter(2), core)))):
         # raises, naming the first mass that is not finite, unless only the sum overflows
         product(instance.xi_tilde, eta_tilde, c_tensor)
-    vertical = () if psi_tilde is None else product(_ORIGIN, psi_tilde, c_axis).atoms
+    vertical = product(_ORIGIN, psi_tilde, c_axis).atoms if psi_tilde.atoms else ()
     horizontal = product(phi_pos, _ORIGIN).atoms if phi_pos.atoms else ()
     rows = _laid_out(horizontal, vertical, core)
     total = left_sum(chain.from_iterable(map(itemgetter(2), rows)))
     if abs(total - 1.0) > PROBABILITY_TOL:
         raise NotProbability(f"total mass is {total!r}, expected 1")
-    return BergerMeasure(rows)
+    return BergerMeasure(rows, c_tensor, instance.xi_tilde, eta_tilde, c_axis, psi_tilde, phi_pos)
 
 
 def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:

@@ -33,7 +33,16 @@ from tcshift.measures import (
     left_sum,
     positivity,
 )
-from tcshift.reconstruct import DEFAULT_TOL, compute_phi, compute_psi
+from tcshift.reconstruct import (
+    DEFAULT_TOL,
+    BergerMeasure,
+    _laid_out,
+    compute_phi,
+    compute_psi,
+)
+
+#: The empty measure, as ``berger_measure`` keeps a psi~ or phi with no atom.
+EMPTY = AtomicMeasure1D(())
 
 
 def m1(*pairs: tuple[float, float], probability: bool = False) -> AtomicMeasure1D:
@@ -557,10 +566,52 @@ def planar_moment(measure, k1: int, k2: int) -> float:
     return left_sum(mass * s**k1 * t**k2 for s, t, mass in measure.atoms)
 
 
+def entrywise_source(moment) -> SimpleNamespace:
+    """A source of ``moment(k1, k2)`` and of ``moment_table(order)``, as the
+    oracles read an instance, whose table calls ``moment`` once per entry
+    by total order, k1 from the largest: the order in which the
+    interpolation names the first entry that is past a depth or not
+    finite."""
+
+    def moment_table(order: int) -> list:
+        table = [[None] * (order + 1 - k1) for k1 in range(order + 1)]
+        for total in range(order + 1):
+            for k1 in range(total, -1, -1):
+                table[k1][total - k1] = moment(k1, total - k1)
+        return table
+
+    return SimpleNamespace(moment=moment, moment_table=moment_table)
+
+
 def moment_source(measure) -> SimpleNamespace:
-    """A planar measure as a source of ``moment(k1, k2)``, as the oracles
-    read an instance."""
-    return SimpleNamespace(moment=functools.partial(planar_moment, measure))
+    """A planar measure as a source of moments, as the oracles read an
+    instance."""
+    return entrywise_source(functools.partial(planar_moment, measure))
+
+
+def tensor_berger(
+    xi_tilde: AtomicMeasure1D,
+    eta_tilde: AtomicMeasure1D,
+    c_tensor: float = 1.0,
+    c_axis: float = 0.0,
+    psi_tilde: AtomicMeasure1D = EMPTY,
+    phi: AtomicMeasure1D = EMPTY,
+) -> BergerMeasure:
+    """A ``BergerMeasure`` of the given pieces, its rows laid out as
+    ``berger_measure`` lays them out: ``tensor_berger(dirac(s), dirac(t))``
+    is the unit point mass at (s, t)."""
+    horizontal = tuple((s, 0.0, m) for s, m in phi.atoms)
+    vertical = tuple((0.0, t, c_axis * m) for t, m in psi_tilde.atoms)
+    ts, mts = zip(*eta_tilde.atoms)
+    core = [(s, ts, [c_tensor * (ms * mt) for mt in mts]) for s, ms in xi_tilde.atoms]
+    rows = _laid_out(horizontal, vertical, core)
+    return BergerMeasure(rows, c_tensor, xi_tilde, eta_tilde, c_axis, psi_tilde, phi)
+
+
+def rows_only(rows: list) -> BergerMeasure:
+    """A ``BergerMeasure`` of the given rows with no pieces, for the readers
+    of its rows alone."""
+    return BergerMeasure(rows, *[None] * (len(BergerMeasure._fields) - 1))
 
 
 def _axis(axis: int) -> int:

@@ -57,10 +57,10 @@ def test_criterion_1_f1_reconstruction():
     assert mass_at(verdict.phi, 0.0) == pytest.approx(0.25, abs=1e-12)
     assert mass_at(verdict.phi, 1.0) == pytest.approx(0.25, abs=1e-12)
     assert len(verdict.phi.atoms) == 2
-    mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi).joined()
-    assert len(mu.atoms) == 4
+    mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+    assert len(mu.joined().atoms) == 4
     for s, t in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-        assert mass_at(mu, s, t) == pytest.approx(0.25, abs=1e-12)
+        assert mass_at(mu.joined(), s, t) == pytest.approx(0.25, abs=1e-12)
     assert oracles.DEFAULT_INTERPOLATION_TOL == 1e-10
     interpolation = moment_interpolation_check(inst, mu, 16)
     assert interpolation.passed, interpolation.first_failure

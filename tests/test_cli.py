@@ -29,6 +29,7 @@ from helpers import (
     flat_files,
     oracle_statuses,
     refuse_constant,
+    rows_only,
     scaled_tc,
 )
 
@@ -317,6 +318,13 @@ class TestExitCodes:
                 {"xi": {"atoms": [[math.inf, 0.5], [10**400, 0.5]]}},
                 "xi: atom location must be finite, got inf",
             ),
+            # two finite masses at one location sum past the float range
+            (
+                "check",
+                "f1.json",
+                {"xi_x": {"atoms": [[1.0, 1e308], [1.0 + 1e-14, 1e308]]}},
+                "xi_x: the combined mass at 1.0 is not finite, got inf",
+            ),
         ],
         ids=[
             "f1-scaled-by-4**44",
@@ -337,6 +345,7 @@ class TestExitCodes:
             "tol-too-large-for-a-float",
             "order-too-large-for-a-float",
             "xi-inf-before-an-integer-too-large-for-a-float",
+            "xi_x-merged-mass-overflow",
         ],
     )
     def test_failures_after_parsing_are_invalid_instances(
@@ -599,7 +608,7 @@ def berger_rows(draw) -> BergerMeasure:
         if kind != "shared":
             ts = tuple(draw(st.lists(locations, min_size=1, max_size=1 if kind == "one" else 6)))
         rows.append((s, ts, draw(st.lists(finite, min_size=len(ts), max_size=len(ts)))))
-    return BergerMeasure(rows)
+    return rows_only(rows)
 
 
 def report_outcome(argv) -> tuple:
@@ -632,6 +641,37 @@ class TestShallowTables:
         assert codes <= {0, 1, 2}
 
 
+# (flag, value, the moment named on a subnormal file, on the others):
+# the exit code and the index past the depth 32 that verify named when it
+# read each moment on its own, which the tables read whole must name too
+# (None: no read past the depth, and the verdict's exit code)
+DEPTH_EDGES = [
+    ("--order", 33, None, None),
+    ("--order", 34, (34, 0), (34, 0)),
+    ("--order", 35, (34, 0), (34, 0)),
+    # the interpolation, which only a subnormal verdict runs, reads first
+    ("--order", 36, (34, 0), (36, 0)),
+    ("--window", 15, None, None),
+    ("--window", 16, (33, 1), (33, 1)),
+    ("--window", 17, (34, 0), (34, 0)),
+]
+
+
+@pytest.mark.parametrize("flag, value, on_subnormal, on_other", DEPTH_EDGES)
+@pytest.mark.parametrize(
+    "name", ["f1", "n1", "tc10_subnormal", "tc10_psi_witness", "tc30_subnormal_wide"]
+)
+def test_verify_names_the_first_moment_past_the_depth(name, flag, value, on_subnormal, on_other):
+    path = fixture(f"{name}.json")
+    subnormal = run_capture(["check", path])[0] == 0
+    code, _, err = report_outcome(["verify", path, flag, str(value), "--json"])
+    index = on_subnormal if subnormal else on_other
+    if index is None:
+        assert (code, err) == (0 if subnormal else 1, [])
+    else:
+        assert (code, err) == (2, [f"invalid instance: moment {index} beyond the depth limit 32"])
+
+
 SHARED_TS = (1.0, 2.0)
 
 
@@ -641,11 +681,11 @@ class TestMuText:
     @pytest.mark.parametrize(
         "mu, atoms",
         [
-            (BergerMeasure([]), []),
+            (rows_only([]), []),
             # a row of one atom at s = -0.0, one at 0.0, and one at the s of
             # the core row after it
             (
-                BergerMeasure(
+                rows_only(
                     [
                         (-0.0, (0.0,), (0.5,)),
                         (0.0, (1.0,), (0.25,)),
@@ -663,7 +703,7 @@ class TestMuText:
             ),
             # a row of phi between two core rows that share their t
             (
-                BergerMeasure(
+                rows_only(
                     [
                         (0.0, (-0.0,), (0.5,)),
                         (1.0, SHARED_TS, [0.0625, 0.0625]),
@@ -682,7 +722,7 @@ class TestMuText:
             ),
             *(
                 (
-                    BergerMeasure([(0.0, (0.0,), (v,)), (0.0, (v,), (v,)), (v, (v, 1.0), [-v, 0.5])]),
+                    rows_only([(0.0, (0.0,), (v,)), (0.0, (v,), (v,)), (v, (v, 1.0), [-v, 0.5])]),
                     [[0.0, 0.0, v], [0.0, v, v], [v, v, -v], [v, 1.0, 0.5]],
                 )
                 for v in (5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1.7976931348623157e308)
@@ -1360,8 +1400,8 @@ class TestOracleCalls:
         # a subnormal verdict runs the interpolation, against mu
         assert ("moment_interpolation" in json.loads(out)["oracles"]) == (code == 0)
         n = max(1, DEFAULT_ORDER // 2)
-        # one call per distinct entry, after the guard call
-        matrix_calls = calls.count(("moment_matrix_2d", "instance"))
-        assert 0 < matrix_calls <= (2 * n + 1) * (2 * n + 2) // 2 + 1
+        # the guard call, and the table's one depth check: the entries are
+        # read whole from the running products
+        assert calls.count(("moment_matrix_2d", "instance")) == 2
         # every Hankel pair in one stack, then the moment matrix
         assert sum(label == "eigvalsh" for _, label in calls) == 2

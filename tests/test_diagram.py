@@ -34,6 +34,7 @@ from helpers import (
     half_half,
     m1,
     n1_instance,
+    outcome,
     random_psi_positive_instance,
     random_subnormal_instance,
     random_tc_instance,
@@ -284,6 +285,26 @@ def _first_reads_past(depth: int):
         yield TCInstance.moment, k1, k2
 
 
+def _entrywise_table(inst: TCInstance, order: int) -> list:
+    """``inst.moment_table(order)`` from one ``moment`` call per entry, by
+    total order, k1 from the largest, as the moment interpolation reads."""
+    table = [[None] * (order + 1 - k1) for k1 in range(order + 1)]
+    for total in range(order + 1):
+        for k1 in range(total, -1, -1):
+            table[k1][total - k1] = inst.moment(k1, total - k1)
+    return table
+
+
+def _entrywise_row(inst: TCInstance, row: int, count: int) -> tuple:
+    base = inst.moment(0, row)
+    return tuple(inst.moment(k, row) / base for k in range(count))
+
+
+def _entrywise_column(inst: TCInstance, column: int, count: int) -> tuple:
+    base = inst.moment(column, 0)
+    return tuple(inst.moment(column, k) / base for k in range(count))
+
+
 def _depth_instances():
     rng = random.Random(34)
     yield from (f1_instance(), n1_instance(), trivial_instance())
@@ -347,6 +368,24 @@ class TestWithDepth:
             for read, k1, k2 in _first_reads_past(depth):
                 with pytest.raises(DepthExceeded, match=f"beyond the depth limit {depth}$"):
                     read(shallow, k1, k2)
+
+    @pytest.mark.parametrize("depth", [0, 3, 11, 31, 32])
+    def test_tables_read_whole_are_the_moments_read_one_by_one(self, depth):
+        # every entry to the bit, and past the depth the error of the first
+        # entry that reading one by one, in the oracles' order, refuses
+        for inst in _depth_instances():
+            shallow = inst.with_depth(depth)
+            for order in range(depth + 4):
+                got = outcome(shallow.moment_table, order)
+                assert got == outcome(_entrywise_table, shallow, order), order
+            for index in range(depth + 4):
+                for count in range(depth + 5):
+                    for read, entrywise in (
+                        (shallow.row_moments, _entrywise_row),
+                        (shallow.column_moments, _entrywise_column),
+                    ):
+                        got = outcome(read, index, count)
+                        assert got == outcome(entrywise, shallow, index, count), (index, count)
 
     def test_with_a_keeps_the_depth(self):
         inst = f1_instance()

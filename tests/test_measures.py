@@ -290,8 +290,21 @@ run_masses = st.one_of(
     st.floats(-4.0, 4.0, allow_nan=False),
     st.sampled_from((5e-324, -5e-324, 1e308, -1e308, 1e-200)),
 )
-run_measures = st.lists(st.tuples(run_locations, run_masses), max_size=5).map(
-    lambda atoms: SignedMeasure1D(tuple(atoms))
+
+
+def _measure_or_none(atoms: list) -> SignedMeasure1D | None:
+    """The signed measure of the atoms, or None where two of them merge to
+    a mass past the float range, which the constructor refuses."""
+    try:
+        return SignedMeasure1D(tuple(atoms))
+    except NonFinite:
+        return None
+
+
+run_measures = (
+    st.lists(st.tuples(run_locations, run_masses), max_size=5)
+    .map(_measure_or_none)
+    .filter(lambda measure: measure is not None)
 )
 run_coefficients = st.one_of(
     st.floats(-4.0, 4.0, allow_nan=False),
@@ -434,6 +447,31 @@ class TestConstruction:
     def test_negative_location_rejected(self):
         with pytest.raises(ValueError):
             m1((-1.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "cls, atoms, message",
+        [
+            (AtomicMeasure1D, ((1.0, 1e308), (1.0 + 1e-14, 1e308)), "1.0 is not finite, got inf"),
+            (SignedMeasure1D, ((1.0, 1e308), (1.0 + 1e-14, 1e308)), "1.0 is not finite, got inf"),
+            (
+                SignedMeasure1D,
+                ((2.0 + 1e-13, -1e308), (0.5, 1.0), (2.0, -1e308)),
+                "2.0 is not finite, got -inf",
+            ),
+        ],
+    )
+    def test_a_merged_mass_past_the_float_range_is_refused(self, cls, atoms, message):
+        # each mass is finite and their run's sum is not: refused as combine
+        # refuses it, naming the run's location
+        with pytest.raises(NonFinite, match=f"^the combined mass at {message}$"):
+            cls(atoms)
+
+    def test_masses_whose_sum_overflows_at_apart_locations_are_kept(self):
+        # no run merges, so no mass is summed: the total is inf, and the
+        # probability check, not the merge, refuses a file of such a measure
+        measure = m1((1.0, 1e308), (2.0, 1e308))
+        assert measure.atoms == ((1.0, 1e308), (2.0, 1e308))
+        assert measure.total_mass == math.inf
 
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError):

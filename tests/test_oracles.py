@@ -2,24 +2,21 @@
 
 import math
 import random
-import struct
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcshift import oracles
-from tcshift.cli import DEFAULT_WINDOW
+from tcshift.cli import DEFAULT_WINDOW, parse_instance
 from tcshift.errors import DepthExceeded, InvalidMoments, NonFinite, PreconditionViolated
-from tcshift.measures import PlanarAtoms, product
+from tcshift.measures import AtomicMeasure1D, dirac, product
 from tcshift.oracles import (
-    _TABLE_BLOCK,
     PsdReport,
     _moment_matrix,
-    _moment_table,
     _psd_reports,
     hankel_psd,
     joint_hyponormality_compression,
@@ -27,12 +24,15 @@ from tcshift.oracles import (
     moment_matrix_2d,
     oracle_status,
 )
-from tcshift.reconstruct import berger_measure, subnormality_verdict
+from tcshift.reconstruct import BergerMeasure, berger_measure, subnormality_verdict
 
 from helpers import (
-    dirac2,
+    EMPTY,
+    FIXTURES,
+    entrywise_source,
     f1_instance,
     fixture_instances,
+    m1,
     moment_source,
     outcome,
     planar_moment,
@@ -43,25 +43,26 @@ from helpers import (
     reference_moment_matrix,
     same_array,
     spike_instance,
+    tensor_berger,
     trivial_instance,
 )
 
 
 class TestMomentInterpolation:
     def test_trivial_pair(self):
-        report = moment_interpolation_check(trivial_instance(), dirac2(1.0, 1.0), 10)
+        report = moment_interpolation_check(trivial_instance(), tensor_berger(dirac(1.0), dirac(1.0)), 10)
         assert report.passed
         assert report.max_rel_error == 0.0
 
     def test_f1(self):
         verdict = subnormality_verdict(f1_instance())
-        mu = berger_measure(f1_instance(), psi=verdict.psi, phi=verdict.phi).joined()
+        mu = berger_measure(f1_instance(), psi=verdict.psi, phi=verdict.phi)
         report = moment_interpolation_check(f1_instance(), mu, 16)
         assert report.passed
         assert report.max_rel_error <= 1e-12
 
     def test_wrong_measure_fails_at_the_first_moment(self):
-        report = moment_interpolation_check(f1_instance(), dirac2(1.0, 1.0), 2)
+        report = moment_interpolation_check(f1_instance(), tensor_berger(dirac(1.0), dirac(1.0)), 2)
         assert not report.passed
         k1, k2, expected, actual = report.first_failure
         assert (k1, k2) == (1, 0)
@@ -72,123 +73,146 @@ class TestMomentInterpolation:
     def test_a_non_finite_expected_moment_is_refused(self, value):
         # a relative error against inf or NaN is NaN, which no comparison
         # with the tolerance catches
-        source = types.SimpleNamespace(
-            moment=lambda k1, k2: value if (k1, k2) == (1, 0) else 1.0
-        )
+        source = entrywise_source(lambda k1, k2: value if (k1, k2) == (1, 0) else 1.0)
         with pytest.raises(NonFinite, match=r"moment \(1, 0\)"):
-            moment_interpolation_check(source, dirac2(1.0, 1.0), 2)
+            moment_interpolation_check(source, tensor_berger(dirac(1.0), dirac(1.0)), 2)
+
+    @pytest.mark.parametrize("name", ["f1", "tc10_subnormal", "tc30_subnormal_wide"])
+    @pytest.mark.parametrize("piece", ["phi", "psi_tilde"])
+    def test_moving_one_atom_of_an_axis_piece_fails_on_that_axis(self, name, piece):
+        # the core entries are products of per-axis sums, as the diagram's
+        # are, so what the check tests beyond that algebra sits in row 0
+        # (phi) and column 0 (psi~)
+        inst = parse_instance(str(FIXTURES / f"{name}.json")).instance
+        verdict = subnormality_verdict(inst)
+        mu = berger_measure(inst, psi=verdict.psi, phi=verdict.phi)
+        assert moment_interpolation_check(inst, mu, 12).passed
+        # the atom that carries most of the first moment, moved to twice its location
+        atoms = list(getattr(mu, piece).atoms)
+        heaviest = max(range(len(atoms)), key=lambda index: atoms[index][0] * atoms[index][1])
+        loc, mass = atoms[heaviest]
+        atoms[heaviest] = (2.0 * loc, mass)
+        moved = mu._replace(**{piece: AtomicMeasure1D(atoms)})
+        report = moment_interpolation_check(inst, moved, 12)
+        assert not report.passed
+        k1, k2 = report.first_failure[:2]
+        assert (k1, k2) == ((1, 0) if piece == "phi" else (0, 1))
+        table, moved_table = mu.moment_table(12), moved.moment_table(12)
+        changed = {
+            (k1, k2)
+            for k1, row in enumerate(table)
+            for k2, value in enumerate(row)
+            if moved_table[k1][k2] != value
+        }
+        axis = {(k, 0) for k in range(1, 13)} if piece == "phi" else {(0, k) for k in range(1, 13)}
+        assert changed == axis
 
 
-def bits(value: float) -> bytes:
-    return struct.pack("<d", value)
-
-
-def moment_or_error(mu: PlanarAtoms, k1: int, k2: int):
-    try:
-        return bits(planar_moment(mu, k1, k2))
-    except ArithmeticError as exc:
-        return type(exc), str(exc)
-
-
-# s**k and t**k underflow to 0 at 5e-324, overflow near 1e308, and keep the
-# sign of -0.0 at odd k
+# s**k and t**k overflow past 1e308 from (1e30)**11 on; no product of
+# powers and masses leaves the normal range, where a relative error of the
+# per-axis sums could grow
 LOCATIONS = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, 5e-324, 1e-160, 0.5, 1.0, 3.0, 1e154, 1e300, 1.7976931348623157e308]
-    ),
-    st.floats(min_value=0.0, max_value=1e308),
+    st.sampled_from([1e-3, 0.5, 1.0, 3.0, 1e30]),
+    st.floats(min_value=1e-3, max_value=1e3),
 )
 
 
 @st.composite
-def measures_with_shared_locations(draw) -> PlanarAtoms:
-    """Atoms whose coordinates come from a pool of at most four values, so
-    that s and t repeat across atoms, at one point too, and between the
-    two axes."""
-    pool = draw(st.lists(LOCATIONS, min_size=1, max_size=4))
-    location = st.sampled_from(pool)
-    mass = st.floats(min_value=1e-300, max_value=1e300)
-    atoms = draw(st.lists(st.tuples(location, location, mass), min_size=1, max_size=6))
-    return PlanarAtoms(tuple(atoms))
+def piece_measures(draw, origin: bool = False) -> AtomicMeasure1D:
+    """A nonnegative 1-D measure of up to five atoms; with ``origin``, it
+    may charge 0.0 or -0.0, as phi may."""
+    locations = LOCATIONS | st.sampled_from([0.0, -0.0]) if origin else LOCATIONS
+    atoms = draw(
+        st.lists(st.tuples(locations, st.floats(1e-6, 1.0)), min_size=1, max_size=5)
+    )
+    return AtomicMeasure1D(atoms)
+
+
+@st.composite
+def berger_pieces(draw) -> BergerMeasure:
+    """A joint measure of core, vertical and horizontal pieces at
+    coefficients of either size; psi~ and phi may be empty."""
+    coefficient = st.floats(1e-3, 1e3)
+    psi_tilde = draw(st.just(EMPTY) | piece_measures())
+    phi = draw(st.just(EMPTY) | piece_measures(origin=True))
+    return tensor_berger(
+        draw(piece_measures()),
+        draw(piece_measures()),
+        draw(coefficient),
+        draw(coefficient),
+        psi_tilde,
+        phi,
+    )
+
+
+def assert_table_close(mu: BergerMeasure, order: int) -> None:
+    """mu's table holds the moments of its joined atoms within 1e-13
+    relative, and raises OverflowError exactly when some moment does."""
+    joined = mu.joined()
+    indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
+    outcomes = {index: outcome(planar_moment, joined, *index) for index in indices}
+    try:
+        table = mu.moment_table(order)
+    except OverflowError as exc:
+        assert (OverflowError, str(exc)) in outcomes.values()
+        return
+    assert all(isinstance(value, str) for value in outcomes.values())
+    for k1, k2 in indices:
+        expected = planar_moment(joined, k1, k2)
+        assert abs(table[k1][k2] - expected) <= 1e-13 * abs(expected), (k1, k2)
 
 
 class TestMomentTable:
-    """The interpolation's table of mu's moments is the left sum of the
-    terms in atom order, to the bit, and raises exactly when some moment it
-    holds raises."""
+    """The interpolation's table of mu's moments, made from its pieces one
+    axis at a time, holds the moments of mu's joined atoms within rounding,
+    and raises exactly when some moment it holds raises."""
 
     @settings(max_examples=300)
-    @given(mu=measures_with_shared_locations(), order=st.integers(0, 12))
-    # 0.0 and -0.0 are one dict key, so the two atoms share one row of powers
-    @example(
-        mu=PlanarAtoms(((0.0, 5e-324, 0.25), (-0.0, 1.0, 0.25), (5e-324, -0.0, 0.5))),
-        order=3,
-    )
-    def test_equals_the_measure_moments(self, mu, order):
-        indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
-        outcomes = {index: moment_or_error(mu, *index) for index in indices}
-        try:
-            table = _moment_table(mu, order)
-        except ArithmeticError as exc:
-            assert (type(exc), str(exc)) in outcomes.values()
-            return
-        assert {(k1, k2): bits(table[k1][k2]) for k1, k2 in indices} == outcomes
+    @given(mu=berger_pieces(), order=st.integers(0, 12))
+    def test_equals_the_moments_of_the_joined_atoms(self, mu, order):
+        assert_table_close(mu, order)
 
-    @pytest.mark.parametrize(
-        "masses",
-        [(0.25, 0.25, 0.25, 0.25), (0.5, -0.25, -1.0, 2.0)],
-        ids=["positive", "signed"],
-    )
-    def test_both_zeros_on_each_axis(self, masses):
-        # an atom at s = -0.0 and one at s = 0.0, and the same for t: every
-        # entry has the bits of the left sum, the sign of a zero included
-        points = ((-0.0, 1.0), (0.0, 2.0), (1.0, -0.0), (2.0, 0.0))
-        mu = PlanarAtoms(tuple((s, t, mass) for (s, t), mass in zip(points, masses)))
-        order = 8
-        table = _moment_table(mu, order)
-        indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
-        assert [bits(table[k1][k2]) for k1, k2 in indices] == [
-            bits(planar_moment(mu, k1, k2)) for k1, k2 in indices
-        ]
+    @pytest.mark.parametrize("origin", [0.0, -0.0])
+    def test_phi_at_either_zero(self, origin):
+        # phi's atom at the origin, 0.0 or -0.0, is in row 0 only: its
+        # power 0 is 1.0, every other a zero
+        mu = tensor_berger(
+            m1((1.0, 0.25), (2.0, 0.25)),
+            m1((0.5, 0.5), (3.0, 0.5)),
+            0.5,
+            0.5,
+            m1((1.5, 1.0)),
+            m1((origin, 0.125), (2.0, 0.125)),
+        )
+        assert_table_close(mu, 8)
+        table = mu.moment_table(8)
+        assert table[0][0] == 1.0
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("order", [0, 12])
-    def test_a_measure_of_several_blocks(self, order):
-        # every pair of 31 locations, the origin and 1e20 among them, so each
-        # location is shared by many atoms and by both axes; masses of both
-        # signs up to 1e300 make terms that overflow and sums that are NaN
-        rng = random.Random(26)
-        pool = [0.0, 1e-160, 1e20] + [rng.uniform(0.0, 4.0) for _ in range(28)]
-        masses = [1e300, -1e300] + [
-            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
-            for _ in range(len(pool) ** 2 - 2)
-        ]
-        points = [(s, t) for s in pool for t in pool]
-        mu = PlanarAtoms(tuple((s, t, mass) for (s, t), mass in zip(points, masses)))
-        assert len(mu.atoms) > 2 * _TABLE_BLOCK
-        table = _moment_table(mu, order)
-        indices = [(k1, k2) for k1 in range(order + 1) for k2 in range(order + 1 - k1)]
-        assert [bits(table[k1][k2]) for k1, k2 in indices] == [
-            bits(planar_moment(mu, k1, k2)) for k1, k2 in indices
-        ]
-        if order:
-            assert any(math.isnan(value) for row in table for value in row)
-            assert any(math.isinf(value) for row in table for value in row)
+    @pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("tc*_subnormal*.json"))])
+    def test_each_subnormal_fixture(self, name):
+        inst = parse_instance(str(FIXTURES / f"{name}.json")).instance
+        verdict = subnormality_verdict(inst)
+        assert_table_close(berger_measure(inst, psi=verdict.psi, phi=verdict.phi), 12)
 
-    def test_memory_does_not_grow_with_the_terms(self):
-        # one block of terms at a time: the whole atoms x (order + 1)^2 array
-        # of terms would hold 54 MB here
+    def test_a_power_past_the_float_range_raises(self):
+        mu = tensor_berger(dirac(1e30), dirac(1.0))
+        assert len(mu.moment_table(10)) == 11
+        with pytest.raises(OverflowError):
+            mu.moment_table(11)
+
+    def test_memory_does_not_grow_with_the_core(self):
+        # the table never builds the core's atoms: 40,000 of them at 200
+        # atoms per axis, where the pieces hold 400
         order = 12
-        pool = [1.0 + k / 200.0 for k in range(200)]
-        mu = PlanarAtoms(tuple((s, t, 1.0) for s in pool for t in pool))
-        whole = len(mu.atoms) * (order + 1) ** 2 * 8
+        side = m1(*((1.0 + k / 200.0, 1.0 / 200.0) for k in range(200)))
+        mu = tensor_berger(side, side)
+        whole = len(mu.joined().atoms) * 3 * 8
         tracemalloc.start()
         try:
-            _moment_table(mu, order)
+            mu.moment_table(order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert whole > 50e6
         assert peak < whole / 10
 
 
@@ -466,7 +490,7 @@ class TestMomentMatrix:
                 return 2.0
             return inst.moment(k1, k2)
 
-        assert not moment_matrix_2d(types.SimpleNamespace(moment=gamma), 2).passed
+        assert not moment_matrix_2d(entrywise_source(gamma), 2).passed
 
     def test_exact_measure_moments_always_pass(self):
         rng = random.Random(42)
