@@ -48,9 +48,13 @@ from helpers import (
 )
 
 
+# the unit point mass at (1, 1), as a joint measure of one core atom
+POINT_MASS = tensor_berger(dirac(1.0), dirac(1.0))
+
+
 class TestMomentInterpolation:
     def test_trivial_pair(self):
-        report = moment_interpolation_check(trivial_instance(), tensor_berger(dirac(1.0), dirac(1.0)), 10)
+        report = moment_interpolation_check(trivial_instance(), POINT_MASS, 10)
         assert report.passed
         assert report.max_rel_error == 0.0
 
@@ -62,7 +66,7 @@ class TestMomentInterpolation:
         assert report.max_rel_error <= 1e-12
 
     def test_wrong_measure_fails_at_the_first_moment(self):
-        report = moment_interpolation_check(f1_instance(), tensor_berger(dirac(1.0), dirac(1.0)), 2)
+        report = moment_interpolation_check(f1_instance(), POINT_MASS, 2)
         assert not report.passed
         k1, k2, expected, actual = report.first_failure
         assert (k1, k2) == (1, 0)
@@ -75,7 +79,7 @@ class TestMomentInterpolation:
         # with the tolerance catches
         source = entrywise_source(lambda k1, k2: value if (k1, k2) == (1, 0) else 1.0)
         with pytest.raises(NonFinite, match=r"moment \(1, 0\)"):
-            moment_interpolation_check(source, tensor_berger(dirac(1.0), dirac(1.0)), 2)
+            moment_interpolation_check(source, POINT_MASS, 2)
 
     @pytest.mark.parametrize("name", ["f1", "tc10_subnormal", "tc30_subnormal_wide"])
     @pytest.mark.parametrize("piece", ["phi", "psi_tilde"])
@@ -188,7 +192,7 @@ class TestMomentTable:
         table = mu.moment_table(8)
         assert table[0][0] == 1.0
 
-    @pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("tc*_subnormal*.json"))])
+    @pytest.mark.parametrize("name", ["f1", "tc10_subnormal", "tc30_subnormal_wide"])
     def test_each_subnormal_fixture(self, name):
         inst = parse_instance(str(FIXTURES / f"{name}.json")).instance
         verdict = subnormality_verdict(inst)
