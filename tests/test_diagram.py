@@ -30,6 +30,7 @@ from helpers import (
     FIXTURES,
     assert_measures_close,
     assert_scalar_close,
+    entrywise_source,
     f1_instance,
     half_half,
     m1,
@@ -285,16 +286,6 @@ def _first_reads_past(depth: int):
         yield TCInstance.moment, k1, k2
 
 
-def _entrywise_table(inst: TCInstance, order: int) -> list:
-    """``inst.moment_table(order)`` from one ``moment`` call per entry, by
-    total order, k1 from the largest, as the moment interpolation reads."""
-    table = [[None] * (order + 1 - k1) for k1 in range(order + 1)]
-    for total in range(order + 1):
-        for k1 in range(total, -1, -1):
-            table[k1][total - k1] = inst.moment(k1, total - k1)
-    return table
-
-
 def _entrywise_row(inst: TCInstance, row: int, count: int) -> tuple:
     base = inst.moment(0, row)
     return tuple(inst.moment(k, row) / base for k in range(count))
@@ -377,7 +368,7 @@ class TestWithDepth:
             shallow = inst.with_depth(depth)
             for order in range(depth + 4):
                 got = outcome(shallow.moment_table, order)
-                assert got == outcome(_entrywise_table, shallow, order), order
+                assert got == outcome(entrywise_source(shallow.moment).moment_table, order)
             for index in range(depth + 4):
                 for count in range(depth + 5):
                     for read, entrywise in (
