@@ -178,8 +178,8 @@ def parse_instance(path: str) -> ParsedFile:
     return ParsedFile(instance, options)
 
 
-def _verdict_name(verdict: Verdict) -> str:
-    return "subnormal" if verdict.subnormal else "not-subnormal"
+def _verdict_name(subnormal: bool) -> str:
+    return "subnormal" if subnormal else "not-subnormal"
 
 
 # Payloads are the field dicts of the result records, from _asdict(): their
@@ -322,15 +322,16 @@ def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str,
     flat = isinstance(instance, FlatInstance)
     if command == "flat" and not flat:
         raise ValidationError("the flat command requires a kind='flat' instance file")
-    # flat decides by the scalar criterion, which the general one must confirm
-    scalar = flat_verdict(instance, opts.tol) if command == "flat" else None
     tc = instance.embed() if flat else instance
     verdict = subnormality_verdict(tc, opts.tol)
-    if scalar is not None and scalar.subnormal != verdict.subnormal:
-        raise ValidationError(
-            f"the scalar criterion says {_verdict_name(scalar)} but the general"
-            f" criterion says {_verdict_name(verdict)}"
-        )
+    if command == "flat":
+        # the scalar criterion must confirm the general verdict
+        scalar = flat_verdict(instance, opts.tol) is None
+        if scalar != verdict.subnormal:
+            raise ValidationError(
+                f"the scalar criterion says {_verdict_name(scalar)} but the general"
+                f" criterion says {_verdict_name(verdict.subnormal)}"
+            )
     # check prints no measure; the others print phi, which a verdict
     # decided by psi has not built
     measures = command != "check"
@@ -343,7 +344,7 @@ def _execute(command: str, parsed: ParsedFile, opts: Options) -> tuple[dict[str,
     report = {
         "command": command,
         "kind": "flat" if flat else "tc",
-        "verdict": _verdict_name(verdict),
+        "verdict": _verdict_name(verdict.subnormal),
         "witness": _witness_payload(verdict),
         "diagnostics": verdict.diagnostics._asdict(),
         "psi": verdict.psi.atoms if measures else None,
@@ -403,9 +404,9 @@ def _point_text(param: str, value: float, outcome: Verdict | str) -> str:
         return f"{head} invalid: {outcome}"
     w = outcome.witness
     if w is None:
-        return f"{head} {_verdict_name(outcome)}"
+        return f"{head} {_verdict_name(outcome.subnormal)}"
     return (
-        f"{head} {_verdict_name(outcome)}"
+        f"{head} {_verdict_name(outcome.subnormal)}"
         f" witness={w.measure}@{_fmt6(w.location)} mass={_fmt6(w.mass)}"
     )
 
@@ -426,7 +427,8 @@ def _json_points(param: str) -> Callable[[float, Verdict | str], str]:
     def line(value: float, outcome: Verdict | str) -> str:
         if isinstance(outcome, str):
             return json.dumps({"param": param, "value": value, "error": outcome}, sort_keys=True)
-        head = f'{{"param": {quoted}, "value": {value!r}, "verdict": "{_verdict_name(outcome)}"'
+        verdict = _verdict_name(outcome.subnormal)
+        head = f'{{"param": {quoted}, "value": {value!r}, "verdict": "{verdict}"'
         w = outcome.witness
         if w is None:
             return f'{head}, "witness": null}}'

@@ -31,9 +31,9 @@ verdict, so phi is built only when psi is positive: a verdict whose
 witness is psi holds no phi, and a caller that reports phi builds it with
 ``compute_phi`` and the verdict's ``recip_t_psi``.  The joint measure is
 ``berger_measure`` of the verdict's psi and phi, assembled only when a
-caller asks for it.  Flat instances also have
-the scalar criterion ``flat_verdict``, which must reach the verdict of the
-embedded instance.
+caller asks for it.  A flat instance (xi = delta_1, eta = delta_{b^2})
+also has the scalar criterion ``flat_verdict``: three inequalities that
+build no measure and must reach the verdict of the embedded instance.
 
 When psi fails positivity the diagram is not even subnormal after deleting
 row 0; when only phi fails, the upper part is subnormal but no backward
@@ -46,7 +46,7 @@ import math
 from bisect import bisect_left
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import NonFinite, NotProbability
 from .diagram import FlatInstance, TCInstance
@@ -54,7 +54,6 @@ from .measures import (
     POSITIVITY_REL_TOL,
     PROBABILITY_TOL,
     AtomicMeasure1D,
-    MergeRuns,
     PlanarAtoms,
     SignedMeasure1D,
     combine,
@@ -107,51 +106,43 @@ def compute_psi(instance: TCInstance) -> SignedMeasure1D:
 
 
 def compute_phi(instance: TCInstance, recip_t_psi: float) -> SignedMeasure1D:
-    """The horizontal slack measure, given ||1/t||_{L1(psi)}.
+    """The horizontal slack measure, given ||1/t||_{L1(psi)}: xi_x minus
+    y0^2 ||1/t||_{L1(psi)} at the origin minus a^2 y0^2 r_s r_t xi~.
 
-    That is the signed integral of 1/t against psi (psi's
-    ``reciprocal_norm``), so phi is defined whether or not psi is positive;
-    an atom of psi at the origin, which only the tail can carry, makes that
-    integral raise.
+    ||1/t||_{L1(psi)} is psi's signed ``reciprocal_norm``, so phi is defined
+    whether or not psi is positive; an atom of psi at the origin, which
+    only the tail can carry, makes that integral raise.  The coefficient's
+    left factors can overflow while the whole product is finite: one that
+    is not finite is named, unless the origin's mass, which comes first and
+    which combine names, is not finite either.
     """
-    return _phi(
-        instance.xi_x,
-        instance.y0_sq * recip_t_psi,
-        instance.a**2 * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta,
-        instance.xi_tilde,
-        instance.phi_runs if instance.in_family else None,
-    )
-
-
-def _phi(
-    xi_x: AtomicMeasure1D,
-    origin: float,
-    coefficient: float,
-    xi_tilde: AtomicMeasure1D,
-    runs: MergeRuns | None = None,
-) -> SignedMeasure1D:
-    """xi_x - origin delta_0 - coefficient xi~, where coefficient is
-    a^2 y0^2 r_s r_t, merged in ``runs`` when given.  Its left factors can
-    overflow while the whole product is finite; a coefficient that is not
-    finite is named, unless the origin's mass, which comes first and which
-    combine names, is not finite either."""
+    origin = instance.y0_sq * recip_t_psi
+    coefficient = instance.a**2 * instance.y0_sq * instance.recip_s_xi * instance.recip_t_eta
     if math.isfinite(origin) and not math.isfinite(coefficient):
         raise ArithmeticError(
             f"phi's coefficient a^2 y0^2 r_s r_t is not finite, got {coefficient!r}"
         )
-    return combine([(1.0, xi_x), (-origin, _ORIGIN), (-coefficient, xi_tilde)], runs)
+    return combine(
+        [(1.0, instance.xi_x), (-origin, _ORIGIN), (-coefficient, instance.xi_tilde)],
+        instance.phi_runs if instance.in_family else None,
+    )
 
 
-def _decide(
-    psi: SignedMeasure1D,
-    build_phi: Callable[[], SignedMeasure1D],
-    diag: Diagnostics,
-    tol: float,
-) -> Verdict:
-    """The verdict once psi is known.  A diagnostic that is not finite is
-    refused by name, so that no report holds one.  A negative atom of psi
-    is the witness, and phi is then never built; otherwise ``build_phi``
-    makes it, and a negative atom of phi is the witness."""
+def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verdict:
+    """Decide subnormality via positivity of psi and then of phi.
+
+    A diagnostic that is not finite is refused by name, so that no report
+    holds one.  psi is checked first.  When it fails, phi is not built and
+    the verdict's phi is None; a report that shows phi builds it with
+    ``compute_phi(instance, verdict.diagnostics.recip_t_psi)``, the signed
+    reciprocal integral that a verdict on phi uses.
+    """
+    psi = compute_psi(instance)
+    recip_t_psi = psi.reciprocal_norm()
+    # positional: keywords would cost every sweep point their parsing
+    diag = Diagnostics(
+        instance.recip_s_xi, instance.recip_t_eta, recip_t_psi, instance.recip_t_eta_y_tail
+    )
     # one sum tests all four: it is not finite when a term is not, or on overflow
     if not math.isfinite(sum(diag)):
         for name, value in zip(diag._fields, diag):
@@ -160,28 +151,11 @@ def _decide(
     check = positivity(psi, tol, "psi")
     if not check.positive:
         return Verdict(False, Witness("psi", check.location, check.mass), diag, psi, None)
-    phi = build_phi()
+    phi = compute_phi(instance, recip_t_psi)
     check = positivity(phi, tol, "phi")
     if not check.positive:
         return Verdict(False, Witness("phi", check.location, check.mass), diag, psi, phi)
     return Verdict(True, None, diag, psi, phi)
-
-
-def subnormality_verdict(instance: TCInstance, tol: float = DEFAULT_TOL) -> Verdict:
-    """Decide subnormality via positivity of psi and then of phi.
-
-    psi is checked first.  When it fails, phi is not built and the
-    verdict's phi is None; a report that shows phi builds it with
-    ``compute_phi(instance, verdict.diagnostics.recip_t_psi)``, the
-    signed reciprocal integral that a verdict on phi uses.
-    """
-    psi = compute_psi(instance)
-    recip_t_psi = psi.reciprocal_norm()
-    # positional: keywords would cost every sweep point their parsing
-    diag = Diagnostics(
-        instance.recip_s_xi, instance.recip_t_eta, recip_t_psi, instance.recip_t_eta_y_tail
-    )
-    return _decide(psi, lambda: compute_phi(instance, recip_t_psi), diag, tol)
 
 
 class BergerMeasure(NamedTuple):
@@ -307,37 +281,39 @@ def berger_measure(
     return BergerMeasure(rows, c_tensor, instance.xi_tilde, eta_tilde, c_axis, psi_tilde, phi_pos)
 
 
-def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Verdict:
-    """Subnormality of a flat instance through the scalar criterion.
+def flat_verdict(flat: FlatInstance, tol: float = DEFAULT_TOL) -> Witness | None:
+    """The witness of a flat instance by the scalar criterion, or None
+    when the pair is subnormal; it must agree with ``subnormality_verdict``
+    of the embedded instance.
 
-    psi, phi and the diagnostics come from the closed forms available in
-    the flat case: psi is supported on {b^2} union supp(sigma) and the
-    domination condition on xi_x involves only the atoms at 0 and 1.  The
-    decision is then the general one and must coincide with
-    ``subnormality_verdict`` of the embedded instance.
+    With xi = delta_1 and eta = delta_{b^2}, every atom of psi but b^2 and
+    of phi but 0 and 1 is a reweighted atom of sigma or rho, so positive.
+    Each of the three masses
+
+        psi(b^2) = m b^2 / y0^2 - a^2
+        phi(0)   = p - (m + rest_y) + y0^2 a^2 / b^2  (p - y0^2 ||1/t||_psi)
+        phi(1)   = q - y0^2 a^2 / b^2
+
+    is held to the bound of ``positivity``, -tol times the total variation,
+    whose rest is 1 - m b^2 / y0^2 for psi and rest_x for phi (rest_x and
+    rest_y count only above ``PROBABILITY_TOL``, as in ``FlatInstance``).
+    psi is decided first; phi's witness is its more negative atom, 0 on a
+    tie.
     """
     b_sq = flat.b**2
     a_sq = flat.a**2
+    # the value the embedding reads
+    y0_sq = flat.eta_y.moment(1)
+    tail_b = flat.m * b_sq / y0_sq
+    psi_b = tail_b - a_sq
+    if psi_b < -tol * (abs(psi_b) + (1.0 - tail_b)):
+        return Witness("psi", b_sq, psi_b)
+    rest_x = flat.rest_x if flat.rest_x > PROBABILITY_TOL else 0.0
     rest_y = flat.rest_y if flat.rest_y > PROBABILITY_TOL else 0.0
-    sigma_atoms = flat.sigma.atoms if rest_y else ()
-    y0_sq = flat.m * b_sq + rest_y * left_sum(t * mass for t, mass in sigma_atoms)
-    tail_atoms = [(b_sq, flat.m * b_sq / y0_sq)]
-    tail_atoms.extend((t, rest_y * t * mass / y0_sq) for t, mass in sigma_atoms)
-    tail = AtomicMeasure1D(tuple(tail_atoms), probability=True)
-    recip_tail = tail.reciprocal_norm()
-
-    # (b/a) sqrt(m) >= y0 is exactly positivity of psi at the atom b^2.
-    psi = combine([(1.0, tail), (-a_sq, dirac(b_sq))])
-    recip_t_psi = recip_tail - a_sq / b_sq
-    diag = Diagnostics(
-        recip_s_xi=1.0,
-        recip_t_eta=1.0 / b_sq,
-        recip_t_psi=recip_t_psi,
-        recip_t_eta_y_tail=recip_tail,
-    )
-    return _decide(
-        psi,
-        lambda: _phi(flat.xi_x, y0_sq * recip_t_psi, y0_sq * a_sq / b_sq, dirac(1.0)),
-        diag,
-        tol,
-    )
+    coefficient = y0_sq * a_sq / b_sq
+    phi_0 = flat.p - (flat.m + rest_y) + coefficient
+    phi_1 = flat.q - coefficient
+    worst, location = (phi_0, 0.0) if phi_0 <= phi_1 else (phi_1, 1.0)
+    if worst < -tol * (abs(phi_0) + abs(phi_1) + rest_x):
+        return Witness("phi", location, worst)
+    return None

@@ -475,6 +475,35 @@ def slack_measures(inst: TCInstance) -> tuple:
     return psi, compute_phi(inst, psi.reciprocal_norm())
 
 
+def flat_slack_measures(flat: FlatInstance) -> tuple:
+    """psi and phi of a flat instance from their closed forms in the flat
+    parameters: the tail is m b^2 / y0^2 at b^2 plus rest_y t sigma(t) / y0^2,
+    psi = tail - a^2 delta_{b^2} and
+
+        phi = xi_x - y0^2 ||1/t||_psi delta_0 - y0^2 a^2 / b^2 delta_1.
+
+    They share no code with ``compute_psi`` and ``compute_phi`` of the
+    embedded instance, which must agree with them within rounding."""
+    b_sq = flat.b**2
+    a_sq = flat.a**2
+    rest_y = flat.rest_y if flat.rest_y > PROBABILITY_TOL else 0.0
+    sigma_atoms = flat.sigma.atoms if rest_y else ()
+    y0_sq = flat.m * b_sq + rest_y * left_sum(t * mass for t, mass in sigma_atoms)
+    tail_atoms = [(b_sq, flat.m * b_sq / y0_sq)]
+    tail_atoms.extend((t, rest_y * t * mass / y0_sq) for t, mass in sigma_atoms)
+    tail = AtomicMeasure1D(tuple(tail_atoms), probability=True)
+    psi = combine([(1.0, tail), (-a_sq, dirac(b_sq))])
+    recip_t_psi = tail.reciprocal_norm() - a_sq / b_sq
+    phi = combine(
+        [
+            (1.0, flat.xi_x),
+            (-y0_sq * recip_t_psi, dirac(0.0)),
+            (-y0_sq * a_sq / b_sq, dirac(1.0)),
+        ]
+    )
+    return psi, phi
+
+
 def _split_parts(inst: TCInstance, tol, psi, phi) -> tuple:
     """The positive parts of psi and phi, eta~, and the coefficients
     a^2 y0^2 r_s r_t and y0^2 ||1/t||_psi of the split form."""

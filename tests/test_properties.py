@@ -28,6 +28,10 @@ A flat file and the tc file of its embedding describe one shift, so they
 get one report.  Whatever one value of a file is changed to, every command
 ends in a report or in an exit code, never in an exception.
 
+The scalar criterion of a flat file reaches the general verdict of its
+embedding, failing at the same measure, also for joining weights within
+10^-k of each edge where psi(b^2), phi(0) or phi(1) changes sign.
+
 Every row and column shift of a subnormal shift is subnormal, so a
 subnormal verdict comes with a passing H0 report, also at the ends of the
 interval of joining weights a that keep the verdict subnormal.
@@ -56,6 +60,7 @@ from tcshift.cli import (
     render_json,
     run,
 )
+from tcshift.diagram import FlatInstance
 from tcshift.errors import TCShiftError
 from tcshift.measures import positivity
 from tcshift.reconstruct import (
@@ -500,7 +505,43 @@ def test_deciding_psi_first_keeps_the_decision(seed):
         assert_psi_first_keeps_the_decision(point, tol)
     flat = random_flat_instance(rng)
     via_flat = flat_verdict(flat, tol)
-    assert (via_flat.phi is None) == decided_by_psi(via_flat)
     subnormal, witness = decision_with_both_measures(flat.embed(), tol)
-    assert via_flat.subnormal == subnormal
-    assert (via_flat.witness and via_flat.witness.measure) == (witness and witness.measure)
+    assert (via_flat is None) == subnormal
+    assert (via_flat and via_flat.measure) == (witness and witness.measure)
+
+
+def flat_edges(flat) -> dict[str, float]:
+    """The joining weights a at which psi(b^2), phi(0) and phi(1) of a
+    flat instance vanish, from their closed forms
+
+        psi(b^2) = m b^2 / y0^2 - a^2,
+        phi(0) = p - (m + rest_y) + y0^2 a^2 / b^2,
+        phi(1) = q - y0^2 a^2 / b^2;
+
+    phi(0) has no edge when p covers eta_y's mass off the origin."""
+    y0_sq = flat.eta_y.moment(1)
+    off_origin = sum(mass for t, mass in flat.eta_y.atoms if t > 0.0)
+    masses = {"psi": flat.m, "phi@1": flat.q}
+    if off_origin > flat.p:
+        masses["phi@0"] = off_origin - flat.p
+    return {name: flat.b * math.sqrt(mass / y0_sq) for name, mass in masses.items()}
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-12, 1e-10]))
+def test_the_flat_criterion_agrees_near_each_edge(seed, tol):
+    # a = a_edge (1 +- 10^-k), k = 1 to 11, at each edge that a admits:
+    # the scalar criterion and the embedding's general verdict reach one
+    # verdict and fail at one measure
+    flat = random_flat_instance(random.Random(seed))
+    fields = {name: getattr(flat, name) for name in FlatInstance._fields}
+    for edge in flat_edges(flat).values():
+        for k in range(1, 12):
+            for sign in (-1.0, 1.0):
+                a = edge * (1.0 + sign * 10.0**-k)
+                if a > flat.b:
+                    continue
+                point = FlatInstance(**{**fields, "a": a})
+                witness = flat_verdict(point, tol)
+                general = subnormality_verdict(point.embed(), tol).witness
+                assert (witness and witness.measure) == (general and general.measure), (a, tol)

@@ -28,8 +28,6 @@ from tcshift.measures import (
 from tcshift.oracles import DEFAULT_INTERPOLATION_TOL, moment_interpolation_check
 from tcshift.reconstruct import (
     DEFAULT_TOL,
-    Diagnostics,
-    _decide,
     _laid_out,
     berger_measure,
     compute_phi,
@@ -49,6 +47,7 @@ from helpers import (
     f1_flat,
     f1_instance,
     fixture_instances,
+    flat_slack_measures,
     half_half,
     m1,
     marginal,
@@ -114,7 +113,12 @@ class TestSlackMeasures:
             ]
         )
         assert_measures_close(compute_psi(flat.embed()), expected, 1e-12)
-        assert_measures_close(flat_verdict(flat).psi, expected, 1e-12)
+        psi, _ = flat_slack_measures(flat)
+        assert_measures_close(psi, expected, 1e-12)
+        # the slope condition (b/a) sqrt(m) >= y0 fails: psi is negative at b^2
+        witness = flat_verdict(flat)
+        assert witness[:2] == ("psi", b_sq)
+        assert witness.mass == pytest.approx(0.5 * b_sq / y0_sq - 0.8**2, abs=1e-12)
 
     def test_norm_identity(self):
         rng = random.Random(314)
@@ -161,21 +165,34 @@ class TestVerdict:
         assert verdict.phi is None
 
     @pytest.mark.parametrize(
-        "values, message",
+        "eta_y, eta, xi, a, message",
         [
-            ((1.0, math.inf, 1.0, 1.0), "recip_t_eta is not finite, got inf"),
-            ((1.0, 1.0, -math.inf, 1.0), "recip_t_psi is not finite, got -inf"),
-            ((1.0, 1.0, 1.0, math.nan), "recip_t_eta_y_tail is not finite, got nan"),
+            # 1/t at eta's atom overflows (so does psi's, which comes later)
+            (half_half(), dirac(1e-310), dirac(1.0), 1e-3, "recip_t_eta is not finite, got inf"),
+            # psi's negative atom at 1e-5 is -1e305, and over t it overflows
+            (half_half(), dirac(1e-5), dirac(1e-5), 1e150, "recip_t_psi is not finite, got -inf"),
+            # the tail is a unit mass at 5e-309 and eta half of one, so only
+            # the tail's reciprocal integral overflows
+            (
+                m1((0.0, 0.5), (5e-309, 0.5)),
+                m1((5e-309, 0.5), (1.0, 0.5)),
+                dirac(1.0),
+                math.sqrt(1.5),
+                "recip_t_eta_y_tail is not finite, got inf",
+            ),
         ],
     )
-    def test_a_non_finite_diagnostic_is_refused_by_name(self, values, message):
+    def test_a_non_finite_diagnostic_is_refused_by_name(self, eta_y, eta, xi, a, message):
+        inst = TCInstance(half_half(), eta_y, xi, eta, a)
         with pytest.raises(NonFinite, match=f"^the diagnostic {message}$"):
-            _decide(dirac(1.0), lambda: dirac(1.0), Diagnostics(*values), DEFAULT_TOL)
+            subnormality_verdict(inst)
 
     def test_finite_diagnostics_whose_sum_overflows_are_kept(self):
-        diag = Diagnostics(1e308, 1e308, 1.0, 1.0)
-        verdict = _decide(dirac(1.0), lambda: dirac(1.0), diag, DEFAULT_TOL)
-        assert verdict.subnormal and verdict.diagnostics == diag
+        # r_s + r_t overflows, and each diagnostic is finite
+        inst = TCInstance(half_half(), half_half(), dirac(1e-308), dirac(1e-308), 1e-154)
+        verdict = subnormality_verdict(inst)
+        assert verdict.diagnostics == (1e308, 1e308, -1e308, 1.0)
+        assert verdict.witness.measure == "psi"
 
     def test_degenerate_column_measure(self):
         inst = TCInstance(dirac(1.0), dirac(0.0), dirac(1.0), dirac(1.0), 1.0)
@@ -582,37 +599,40 @@ class TestBackwardExtension:
 
 
 class TestFlatVerdict:
+    """The scalar criterion against the general verdict of the embedded
+    instance, and the joint measure of the flat closed forms (the
+    reference ``flat_slack_measures``) against ``berger_measure``."""
+
     def test_f1(self):
-        verdict = flat_verdict(f1_flat())
-        assert verdict.subnormal
+        assert flat_verdict(f1_flat()) is None
         inst = f1_flat().embed()
         direct = subnormality_verdict(inst)
         assert_measures_close(
-            reference_berger_correction(inst, DEFAULT_TOL, verdict.psi, verdict.phi),
+            reference_berger_correction(inst, DEFAULT_TOL, *flat_slack_measures(f1_flat())),
             berger_measure(inst, psi=direct.psi, phi=direct.phi).joined(),
             1e-12,
         )
 
     def test_n1_fails_the_domination_condition(self):
-        verdict = flat_verdict(n1_flat())
-        assert not verdict.subnormal
-        assert verdict.witness.measure == "phi"
-        assert verdict.witness.location == 0.0
+        witness = flat_verdict(n1_flat())
+        assert witness[:2] == ("phi", 0.0)
+        assert witness.mass == pytest.approx(
+            subnormality_verdict(n1_flat().embed()).witness.mass, abs=1e-12
+        )
         # the slope condition (b/a) sqrt(m) >= y0 still holds
-        assert positivity(verdict.psi).positive
+        psi, _ = flat_slack_measures(n1_flat())
+        assert positivity(psi).positive
 
     def test_degenerate_tensor_pair(self):
         flat = FlatInstance(p=0.0, q=1.0, l=0.0, m=1.0, b=1.0, a=1.0)
-        verdict = flat_verdict(flat)
-        assert verdict.subnormal
-        mu = reference_berger_correction(flat.embed(), DEFAULT_TOL, verdict.psi, verdict.phi)
+        assert flat_verdict(flat) is None
+        mu = reference_berger_correction(flat.embed(), DEFAULT_TOL, *flat_slack_measures(flat))
         assert mu.atoms == ((1.0, 1.0, 1.0),)
 
     def test_degenerate_tensor_pair_with_tall_core(self):
         flat = FlatInstance(p=0.0, q=1.0, l=0.0, m=1.0, b=1.5, a=1.0)
-        verdict = flat_verdict(flat)
-        assert verdict.subnormal
-        mu = reference_berger_correction(flat.embed(), DEFAULT_TOL, verdict.psi, verdict.phi)
+        assert flat_verdict(flat) is None
+        mu = reference_berger_correction(flat.embed(), DEFAULT_TOL, *flat_slack_measures(flat))
         assert_measures_close(mu, dirac2(1.0, 2.25), 1e-12)
 
     def test_matches_the_general_criterion_on_random_instances(self):
@@ -620,25 +640,63 @@ class TestFlatVerdict:
         seen = {True: 0, False: 0}
         for _ in range(200):
             flat = random_flat_instance(rng)
-            via_flat = flat_verdict(flat)
+            witness = flat_verdict(flat)
             via_general = subnormality_verdict(flat.embed())
-            assert via_flat.subnormal == via_general.subnormal, flat
-            # the closed forms round differently: 500 instances differed by 2.3e-14 at most
-            for got, expected in zip(via_flat.diagnostics, via_general.diagnostics):
-                assert abs(got - expected) <= 1e-12 * abs(expected), (flat, got, expected)
-            if via_flat.subnormal:
+            assert (witness is None) == via_general.subnormal, flat
+            # the closed forms round differently from the general measures
+            psi, phi = flat_slack_measures(flat)
+            assert_measures_close(psi, via_general.psi, 1e-12)
+            if via_general.phi is not None:
+                assert_measures_close(phi, via_general.phi, 1e-12)
+            if witness is None:
                 inst = flat.embed()
                 assert_measures_close(
-                    reference_berger_correction(inst, DEFAULT_TOL, via_flat.psi, via_flat.phi),
+                    reference_berger_correction(inst, DEFAULT_TOL, psi, phi),
                     berger_measure(inst, psi=via_general.psi, phi=via_general.phi).joined(),
                     1e-12,
                 )
             else:
-                assert via_flat.witness.measure == via_general.witness.measure
-            seen[via_flat.subnormal] += 1
+                assert witness[:2] == via_general.witness[:2], flat
+                assert witness.mass == pytest.approx(via_general.witness.mass, abs=1e-12)
+            seen[witness is None] += 1
         assert seen[True] >= 10 and seen[False] >= 10
 
     @pytest.mark.parametrize("name", FLAT_FIXTURES)
-    def test_diagnostics_of_the_flat_fixtures_are_the_general_ones(self, name):
+    def test_the_flat_fixtures_fail_where_the_general_criterion_fails(self, name):
         flat = parse_instance(str(FIXTURES / f"{name}.json")).instance
-        assert flat_verdict(flat).diagnostics == subnormality_verdict(flat.embed()).diagnostics
+        witness = flat_verdict(flat)
+        general = subnormality_verdict(flat.embed()).witness
+        assert (witness is None) == (general is None)
+        if witness is not None:
+            assert witness[:2] == general[:2]
+            assert witness.mass == pytest.approx(general.mass, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "fields, tol, expected",
+        [
+            # l + m is 5e-10 short of 1, so eta_y has no sigma part, and phi(0)
+            # is p - m (1 - a^2) = +3e-10: counting eta_y's mass off the
+            # origin as 1 - l would read it as -2e-10
+            (
+                dict(p=0.25 + 3e-10, q=0.75 - 3e-10, l=0.5 - 5e-10, m=0.5, b=1.0, a=0.5**0.5),
+                DEFAULT_TOL,
+                None,
+            ),
+            # p + q is 5e-10 short of 1, so xi_x has no rho part; at tol 1/2
+            # phi fails exactly when |phi(0)| > phi(1), here by 2.5e-10,
+            # which counting rest_x in phi's variation would hide
+            (dict(p=0.5 - 5e-10, q=0.5, l=2.5e-10, m=1.0 - 2.5e-10, b=1.0, a=0.5), 0.5, "phi@0"),
+            # phi(0) = phi(1) = -1/8 exactly: the first atom is the witness
+            (
+                dict(p=0.625, q=0.125, l=0.0, m=1.0, b=1.0, a=0.5, rho=m1((2.0, 1.0))),
+                DEFAULT_TOL,
+                "phi@0",
+            ),
+        ],
+        ids=["rest-y-below-the-tolerance", "rest-x-below-the-tolerance", "tie"],
+    )
+    def test_the_failing_atom_is_the_general_one(self, fields, tol, expected):
+        flat = FlatInstance(**fields)
+        general = subnormality_verdict(flat.embed(), tol).witness
+        for witness in (flat_verdict(flat, tol), general):
+            assert (witness and f"{witness.measure}@{witness.location:g}") == expected
