@@ -5,24 +5,27 @@ Commands: check (verdict only), reconstruct (verdict plus the joint
 measure), flat (reconstruct's report of a flat file, whose verdict the
 scalar criterion must confirm), verify (verdict plus every brute-force
 oracle) and sweep (grid over one scalar parameter).
-Exit codes: 0 subnormal, 1 not subnormal, 2 invalid instance, 3 parse
-error.  Every failure after parsing, including a numeric one, exits 2 with
-a message instead of a traceback.  Reports are byte-identical across runs;
+Exit codes: 0 subnormal, 1 not subnormal, 2 invalid instance or a
+refused command line, 3 parse error, 4 internal error.  Every failure after
+parsing, including a numeric one, exits 2 with a message instead of a
+traceback; an exception that the program does not expect (such as a
+MemoryError) exits 4 with one ``internal error:`` line, never 1, which
+would read as a verdict.  Reports are byte-identical across runs;
 wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import math
 import operator
+import re
 import signal
 import sys
 import time
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .errors import ParseError, TCShiftError, ValidationError
 from .diagram import FlatInstance, TCInstance
@@ -47,6 +50,7 @@ EXIT_SUBNORMAL = 0
 EXIT_NOT_SUBNORMAL = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_CLI_TOL = 1e-10
 DEFAULT_ORDER = 12
@@ -460,34 +464,188 @@ def _run_sweep(parsed: ParsedFile, args, opts: Options, out) -> int:
     return EXIT_SUBNORMAL
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it
-    unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="tcshift",
-        description="Subnormality and Berger-measure reconstruction for "
-        "2-variable weighted shifts with a tensor-form core.",
+#: (name, help) of each command; each reads one instance file.
+COMMANDS = (
+    ("check", "decide subnormality, report the verdict only"),
+    ("reconstruct", "decide subnormality and reconstruct the joint measure"),
+    ("flat", "decide a flat instance via the scalar criterion"),
+    ("verify", "decide subnormality and run every brute-force oracle"),
+    ("sweep", "re-evaluate the verdict over a grid of one parameter"),
+)
+#: (name, help) of the two report modes, of which at most one is given.
+MODES = (("json", "JSON report"), ("text", "text report (default)"))
+#: (name, help) of the flags that sweep requires and no other command takes.
+SWEEP_FLAGS = (("param", "scalar parameter to vary"), ("range", "grid as lo:hi:step"))
+_HELP = {"-h": ("help", None), "--help": ("help", None)}
+# argparse's pattern of a negative number, which is a value and not a flag
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+
+
+class Args(NamedTuple):
+    """A parsed command line: each flag that is not given is None, and
+    ``json`` False."""
+
+    command: str
+    path: str
+    json: bool = False
+    param: str | None = None
+    range: str | None = None
+    tol: float | None = None
+    order: int | None = None
+    window: int | None = None
+
+
+def _split_flag(arg: str, flags: dict) -> tuple[str, str | None] | None:
+    """(flag, the value after its ``=`` or None) when ``arg`` reads as a
+    flag, known or not, as argparse reads it; None when it is a value.  A
+    known flag's abbreviation is a whole unknown flag, and ``-h`` with more
+    letters after it is ``-h`` with those letters as its value."""
+    if arg in flags:
+        return arg, None
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, equals, value = arg.partition("=")
+    if equals and name in flags:
+        return name, value
+    if arg[1] == "h":
+        return "-h", arg[2:]
+    if arg[1] == "-" and any(flag.startswith(name) for flag in flags):
+        return arg, None
+    if " " in arg or re.match(_NEGATIVE, arg):
+        return None
+    return arg, None
+
+
+class Parser:
+    """The command line of ``tcshift``: a command, its instance file and its
+    flags, read from the tables above as argparse read them.  Flags may
+    come before or after the path, as ``--flag value`` or ``--flag=value``;
+    the last of a repeated flag wins, and after ``--`` every argument is a
+    value.  An abbreviated flag is unknown.  A refused command line prints
+    the usage and the reason to stderr and exits 2; ``-h`` or ``--help``
+    prints the help to stdout and exits 0."""
+
+    def __init__(self) -> None:
+        common = {f"--{name}": (name, type(default)) for name, default, *_ in OPTIONS}
+        common.update((f"--{name}", (name, None)) for name, _ in MODES)
+        common.update(_HELP)
+        sweep = {f"--{name}": (name, str) for name, _ in SWEEP_FLAGS}
+        self.flags = {
+            name: {**common, **sweep} if name == "sweep" else common for name, _ in COMMANDS
+        }
+
+    def parse_args(self, argv: Sequence[str] | None = None) -> Args:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        extras: list[str] = []
+        # before the command only the help flags are known
+        for index, arg in enumerate(argv):
+            flag = None if arg == "--" else _split_flag(arg, _HELP)
+            if flag is None:
+                break
+            if flag[0] in _HELP:
+                _read_help(None, *flag)
+            extras.append(arg)
+        else:
+            _fail(None, "the following arguments are required: command")
+        command, rest = arg, argv[index + 1 :]
+        if command not in self.flags:
+            choices = ", ".join(repr(name) for name, _ in COMMANDS)
+            _fail(None, f"invalid choice: {command!r} (choose from {choices})")
+        flags = self.flags[command]
+        head, dashes, tail = rest, False, []
+        if "--" in rest:
+            split = rest.index("--")
+            head, dashes, tail = rest[:split], True, rest[split + 1 :]
+        values: dict[str, Any] = {}
+        positionals: list[str] = []
+        mode = last_was_path = None
+        tokens = iter(head)
+        for arg in tokens:
+            flag = _split_flag(arg, flags)
+            last_was_path = flag is None and not positionals
+            if flag is None:
+                positionals.append(arg)
+                continue
+            name, value = flag
+            field, kind = flags.get(name, (None, None))
+            if field is None:
+                extras.append(arg)
+            elif field == "help":
+                _read_help(command, name, value)
+            elif kind is None:
+                if value is not None:
+                    _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+                if mode not in (None, field):
+                    _fail(command, f"argument {name}: not allowed with argument --{mode}")
+                mode = field
+            else:
+                if value is None:
+                    value = next(tokens, None)
+                    if value is None or _split_flag(value, flags) is not None:
+                        _fail(command, f"argument {name}: expected one argument")
+                try:
+                    values[field] = kind(value)
+                except ValueError:
+                    _fail(
+                        command, f"argument {name}: invalid {kind.__name__} value: {value!r}"
+                    )
+        # argparse drops the first ``--`` only next to the path
+        if dashes and positionals and not last_was_path:
+            extras.append("--")
+        positionals += tail
+        given = {"path": bool(positionals)}
+        if command == "sweep":
+            given.update((f"--{name}", name in values) for name, _ in SWEEP_FLAGS)
+        missing = [name for name, present in given.items() if not present]
+        if missing:
+            _fail(command, f"the following arguments are required: {', '.join(missing)}")
+        if extras or positionals[1:]:
+            _fail(None, f"unrecognized arguments: {' '.join(extras + positionals[1:])}")
+        return Args(command, positionals[0], mode == "json", **values)
+
+
+def _read_help(command: str | None, name: str, value: str | None) -> NoReturn:
+    """``-h``, ``--help`` or ``-hh...`` print the help and exit 0; a help
+    flag with any other value is refused."""
+    if value is None or (name == "-h" and value and not value.strip("h")):
+        print(f"{_usage(command)}\n\n{_help_text()}")
+        raise SystemExit(0)
+    _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    print(f"{_usage(command)}\ntcshift: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _usage(command: str | None) -> str:
+    names = command or "{" + ",".join(name for name, _ in COMMANDS) + "}"
+    flags = "".join(f" [--{name} {name.upper()}]" for name, *_ in OPTIONS) + " [--json | --text]"
+    if command == "sweep":
+        flags += "".join(f" --{name} {name.upper()}" for name, _ in SWEEP_FLAGS)
+    return f"usage: tcshift {names} path{flags}"
+
+
+def _help_text() -> str:
+    rows = [("commands:", None), *COMMANDS, ("", None), ("arguments:", None)]
+    rows.append(("path", "JSON instance file"))
+    rows += [(f"--{name} {name.upper()}", text) for name, _, _, text in OPTIONS]
+    rows += [(f"--{name}", text) for name, text in MODES]
+    rows += [(f"--{name} {name.upper()}", f"{text} (sweep only)") for name, text in SWEEP_FLAGS]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, text in rows if text)
+    lines = [left if text is None else f"  {left:<{width}}  {text}" for left, text in rows]
+    return (
+        "Subnormality and Berger-measure reconstruction for 2-variable weighted\n"
+        "shifts with a tensor-form core.\n\n" + "\n".join(lines)
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "decide subnormality, report the verdict only"),
-        ("reconstruct", "decide subnormality and reconstruct the joint measure"),
-        ("flat", "decide a flat instance via the scalar criterion"),
-        ("verify", "decide subnormality and run every brute-force oracle"),
-        ("sweep", "re-evaluate the verdict over a grid of one parameter"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("path", help="JSON instance file")
-        for option, default, _, option_help in OPTIONS:
-            cmd.add_argument(f"--{option}", type=type(default), help=option_help)
-        mode = cmd.add_mutually_exclusive_group()
-        mode.add_argument("--json", action="store_true", help="JSON report")
-        mode.add_argument("--text", action="store_true", help="text report (default)")
-        if name == "sweep":
-            cmd.add_argument("--param", required=True, help="scalar parameter to vary")
-            cmd.add_argument("--range", required=True, help="grid as lo:hi:step")
-    return parser
+
+
+@functools.cache
+def build_parser() -> Parser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
+    return Parser()
 
 
 def _resolve_options(args, file_options: Options) -> Options:
@@ -527,4 +685,9 @@ def main() -> None:
     # quietly, as it does any other command-line filter.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    raise SystemExit(run())
+    try:
+        code = run()
+    except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        code = EXIT_INTERNAL
+    raise SystemExit(code)

@@ -47,13 +47,12 @@ import math
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Literal, NamedTuple
+from typing import Literal
 
 from .errors import (
     AtomAtZero, DepthExceeded, InvalidFlat, InvalidWeight, NotProbability
 )
 from .measures import (
-    POSITIVITY_REL_TOL,
     PROBABILITY_TOL,
     AtomicMeasure1D,
     Frozen,
@@ -63,17 +62,9 @@ from .measures import (
     same_location,
     to_float,
 )
-from .shifts import relative_moments, restriction_measure, weights_from_measure
+from .shifts import restriction_measure, weights_from_measure
 
 Direction = Literal["h", "v"]
-
-
-class H0Report(NamedTuple):
-    """Finite-depth check that every row and column shift is subnormal."""
-
-    passed: bool
-    depth: int
-    first_failure: tuple[str, int] | None = None
 
 
 def _joining_weight(a: float) -> float:
@@ -262,37 +253,6 @@ class TCInstance(Frozen):
         if k1 <= depth and k2 <= depth + 1:
             return core_h[k1 - 1] * core_v[k2 - 1]
         raise DepthExceeded(f"moment ({k1}, {k2}) beyond the depth limit {depth}")
-
-    def check_membership_h0(self, depth: int = 8) -> H0Report:
-        """Decide, to the given depth, whether every row and column shift
-        is subnormal.
-
-        Row 0 and column 0 are subnormal by construction.  Row k >= 1 is
-        the backward extension of the horizontal core shift by alpha(0, k),
-        so it is subnormal exactly when alpha(0, k)^2 ||1/s||_xi <= 1, where
-        alpha(0, k)^2 = a^2 y0^2 gamma^eta_{k-1} / gamma^eta_y_k.  Column k
-        likewise needs beta(k, 0)^2 ||1/t||_eta <= 1, where beta(k, 0)^2 =
-        a^2 y0^2 gamma^xi_{k-1} / gamma^xi_x_k.  Each moment is read relative
-        to its measure's largest location, so nothing overflows at any scale.
-        """
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        xi_x, eta_y, xi, eta = (
-            relative_moments(m, depth + 1) for m in (self.xi_x, self.eta_y, self.xi, self.eta)
-        )
-        y0_sq = self.y0_sq / self.eta_y.total_mass  # the diagram's y0^2 = gamma_1 / gamma_0
-        for line, recip, (core_top, core), (top, moments) in (
-            ("row", self.recip_s_xi, eta, eta_y),
-            ("column", self.recip_t_eta, xi, xi_x),
-        ):
-            # a^2 y0^2 ||1/.|| gamma^core_{k-1} / top^k, with the power of
-            # core_top / top multiplied in one step at a time
-            scale = self.a * self.a * recip * (y0_sq / top)
-            for k in range(1, depth + 1):
-                if scale * core[k - 1] > (1.0 + POSITIVITY_REL_TOL) * moments[k]:
-                    return H0Report(False, depth, (line, k))
-                scale *= core_top / top
-        return H0Report(True, depth)
 
     def moment_table(self, order: int) -> list[list[float]]:
         """``table[k1][k2]`` is ``moment(k1, k2)`` for k1 + k2 <= order, to

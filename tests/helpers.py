@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import math
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tcshift.cli import parse_instance
+from tcshift.cli import OPTIONS, parse_instance
 from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.errors import (
     AtomAtZero,
@@ -25,6 +26,7 @@ from tcshift.errors import (
 )
 from tcshift.measures import (
     MERGE_REL_TOL,
+    POSITIVITY_REL_TOL,
     PROBABILITY_TOL,
     AtomicMeasure1D,
     PlanarAtoms,
@@ -40,6 +42,7 @@ from tcshift.reconstruct import (
     compute_phi,
     compute_psi,
 )
+from tcshift.shifts import relative_moments
 
 #: The empty measure, as ``berger_measure`` keeps a psi~ or phi with no atom.
 EMPTY = AtomicMeasure1D(())
@@ -88,6 +91,46 @@ def f1_flat() -> FlatInstance:
 
 def n1_flat() -> FlatInstance:
     return FlatInstance(p=0.1, q=0.9, l=0.5, m=0.5, b=1.0, a=math.sqrt(0.5))
+
+
+class H0Report(NamedTuple):
+    """Finite-depth check that every row and column shift is subnormal."""
+
+    passed: bool
+    depth: int
+    first_failure: tuple[str, int] | None = None
+
+
+def check_membership_h0(inst: TCInstance, depth: int = 8) -> H0Report:
+    """Decide, to the given depth, whether every row and column shift of
+    ``inst`` is subnormal.
+
+    Row 0 and column 0 are subnormal by construction.  Row k >= 1 is
+    the backward extension of the horizontal core shift by alpha(0, k),
+    so it is subnormal exactly when alpha(0, k)^2 ||1/s||_xi <= 1, where
+    alpha(0, k)^2 = a^2 y0^2 gamma^eta_{k-1} / gamma^eta_y_k.  Column k
+    likewise needs beta(k, 0)^2 ||1/t||_eta <= 1, where beta(k, 0)^2 =
+    a^2 y0^2 gamma^xi_{k-1} / gamma^xi_x_k.  Each moment is read relative
+    to its measure's largest location, so nothing overflows at any scale.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    xi_x, eta_y, xi, eta = (
+        relative_moments(m, depth + 1) for m in (inst.xi_x, inst.eta_y, inst.xi, inst.eta)
+    )
+    y0_sq = inst.y0_sq / inst.eta_y.total_mass  # the diagram's y0^2 = gamma_1 / gamma_0
+    for line, recip, (core_top, core), (top, moments) in (
+        ("row", inst.recip_s_xi, eta, eta_y),
+        ("column", inst.recip_t_eta, xi, xi_x),
+    ):
+        # a^2 y0^2 ||1/.|| gamma^core_{k-1} / top^k, with the power of
+        # core_top / top multiplied in one step at a time
+        scale = inst.a * inst.a * recip * (y0_sq / top)
+        for k in range(1, depth + 1):
+            if scale * core[k - 1] > (1.0 + POSITIVITY_REL_TOL) * moments[k]:
+                return H0Report(False, depth, (line, k))
+            scale *= core_top / top
+    return H0Report(True, depth)
 
 
 def assert_scalar_close(actual: float, expected: float, tol: float = 1e-12) -> None:
@@ -876,3 +919,34 @@ def same_array(actual: np.ndarray, expected: np.ndarray) -> bool:
         and actual.dtype == expected.dtype
         and actual.tobytes() == expected.tobytes()
     )
+
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that read the command line before the table
+    parser of ``cli.build_parser``, kept as the reference that it must
+    match."""
+    parser = argparse.ArgumentParser(
+        prog="tcshift",
+        description="Subnormality and Berger-measure reconstruction for "
+        "2-variable weighted shifts with a tensor-form core.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in (
+        ("check", "decide subnormality, report the verdict only"),
+        ("reconstruct", "decide subnormality and reconstruct the joint measure"),
+        ("flat", "decide a flat instance via the scalar criterion"),
+        ("verify", "decide subnormality and run every brute-force oracle"),
+        ("sweep", "re-evaluate the verdict over a grid of one parameter"),
+    ):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("path", help="JSON instance file")
+        for option, default, _, option_help in OPTIONS:
+            cmd.add_argument(f"--{option}", type=type(default), help=option_help)
+        mode = cmd.add_mutually_exclusive_group()
+        mode.add_argument("--json", action="store_true", help="JSON report")
+        mode.add_argument("--text", action="store_true", help="text report (default)")
+        if name == "sweep":
+            cmd.add_argument("--param", required=True, help="scalar parameter to vary")
+            cmd.add_argument("--range", required=True, help="grid as lo:hi:step")
+    return parser

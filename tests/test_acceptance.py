@@ -25,6 +25,7 @@ from tcshift.reconstruct import DEFAULT_TOL, berger_measure, flat_verdict, subno
 from helpers import (
     atom_difference,
     backward_extension,
+    check_membership_h0,
     dirac2,
     extremal,
     f1_instance,
@@ -72,7 +73,7 @@ def test_criterion_1_f1_reconstruction():
 
 def test_criterion_2_n1_two_refutation_routes():
     inst = n1_instance()
-    membership = inst.check_membership_h0(8)
+    membership = check_membership_h0(inst, 8)
     assert membership.passed
     verdict = subnormality_verdict(inst)
     assert not verdict.subnormal

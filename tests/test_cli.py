@@ -1,9 +1,11 @@
 """Command-line surface: parsing, exit codes, determinism, sweeps."""
 
+import contextlib
 import io
 import json
 import math
 import os
+import random
 import resource
 import signal
 import subprocess
@@ -28,6 +30,7 @@ from helpers import (
     f1_instance,
     flat_files,
     oracle_statuses,
+    reference_parser,
     refuse_constant,
     rows_only,
     scaled_tc,
@@ -1038,6 +1041,201 @@ class TestParser:
         assert (code, out) == (expected["code"], expected["stdout"])
 
 
+ARGS = ("command", "path", "json", "param", "range", "tol", "order", "window")
+SWEEP = ["--param", "a", "--range", "0.1:1.5:0.1"]
+# the bench's sweep grid: reprs of 0.5 a, 1.5 a and a / 40
+BENCH_GRID = ["--param", "a", "--range", "0.2865:0.8595:0.007162500000000001"]
+ACCEPTED = [
+    ["check", "f.json"],
+    ["reconstruct", "f.json", "--json"],
+    ["flat", "f.json"],
+    ["verify", "f.json", "--json"],
+    ["verify", "f.json", "--text"],
+    ["sweep", "f.json", *BENCH_GRID, "--json"],
+    ["sweep", "f.json", *SWEEP],
+    ["sweep", "--json", *SWEEP, "f.json"],
+    # flags before or after the path, ``--flag value`` and ``--flag=value``
+    ["check", "--order", "5", "f.json"],
+    ["check", "--order=5", "f.json", "--window=3", "--tol=1e-3"],
+    ["sweep", "f.json", "--param=b", "--range=1e150:1e150:1"],
+    ["verify", "f.json", "--order", "33", "--window", "15"],
+    ["verify", "f.json", "--window", str(10**400)],
+    ["verify", "f.json", "--order", "100000"],
+    # the last of a repeated flag wins
+    ["check", "f.json", "--tol", "1", "--tol", "2", "--json", "--json"],
+    ["check", "f.json", "--order=3", "--order", "4"],
+    ["sweep", "f.json", *SWEEP, "--param", "xi"],
+    # a negative number is a value, an inf or a NaN too
+    ["check", "f.json", "--tol", "-1"],
+    ["check", "f.json", "--tol", "-.5", "--order", "-3", "--window=-1"],
+    ["check", "f.json", "--tol=-1e5"],
+    ["check", "f.json", "--tol", "inf", "--window", " 7 "],
+    ["check", "f.json", "--tol=nan"],
+    # a value with a space is not a flag, nor is a lone dash
+    ["sweep", "f.json", "--param", "-a b", "--range", "-"],
+    ["sweep", "f.json", "--param=", "--range", "x"],
+    # after ``--`` every argument is a value; the first is dropped next to the path
+    ["check", "--", "--json"],
+    ["check", "--json", "--", "f.json"],
+    ["check", "f.json", "--"],
+    ["check", "-"],
+    ["check", "-1"],
+]
+REFUSED = [
+    [],
+    ["--json"],
+    ["bogus", "f.json"],
+    ["--", "check", "f.json"],
+    ["check"],
+    ["check", "--json"],
+    ["check", "f.json", "g.json"],
+    ["check", "f.json", "--bogus"],
+    ["check", "--bogus", "f.json"],
+    ["check", "f.json", "--order"],
+    ["check", "f.json", "--order", "--json"],
+    ["check", "f.json", "--tol", "-1e-3"],
+    ["check", "f.json", "--tol", "--", "1"],
+    ["check", "f.json", "--order", "many"],
+    ["check", "f.json", "--order", "5.0"],
+    ["check", "f.json", "--window", "1e3"],
+    ["check", "f.json", "--tol", "x"],
+    ["check", "f.json", "--tol="],
+    ["check", "f.json", "--json", "--text"],
+    ["check", "f.json", "--text", "--json"],
+    ["check", "f.json", "--json=1"],
+    ["check", "f.json", "--param", "a"],
+    ["verify", "f.json", "--range", "0:1:1"],
+    ["sweep", "f.json"],
+    ["sweep", "f.json", "--param", "a"],
+    ["sweep", "f.json", "--range", "0:1:1"],
+    ["check", "f.json", "--json", "--"],
+    ["check", "f.json", "--", "g.json"],
+    ["check", "f.json", "-hx"],
+    ["check", "f.json", "--help=x"],
+    ["-h=x"],
+]
+# Drawn from to make argvs for both parsers: values, flags, mistakes, and
+# the corners of argparse's reading (``-hh`` is help, ``-h=h`` too).
+TOKENS = (
+    "check", "sweep", "verify", "f.json", "g", "--json", "--text", "--tol", "1e-3",
+    "-1", "-1.5", "-.5", "-1e5", "-inf", "x", "--", "-h", "--help", "-hh", "-hx",
+    "--param", "a", "--range", "0:1:0.5", "--order", "5", "5.0", "--window", "--tol=-1",
+    "--json=1", "--json=", "--bogus", "-", "", "-a b", "--order=3", "--param=-x",
+    "-h=h", "--tol=1 2", " x", "-1\n", "---", "-x=1", "10",
+)
+
+
+def parsed(parser, argv):
+    """The eight values that ``parser`` reads from ``argv``, or ("exit",
+    code), with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code), out.getvalue(), err.getvalue()
+    return tuple(getattr(args, name, None) for name in ARGS), "", ""
+
+
+class TestParserMatchesArgparse:
+    """``cli.build_parser`` reads every argv as argparse read it
+    (``helpers.reference_parser``), but for abbreviated flags."""
+
+    @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+    def test_an_accepted_argv_gives_the_same_values(self, argv):
+        values, _, err = parsed(cli.build_parser(), argv)
+        assert values[0] != "exit", err
+        # by repr, so that a NaN equals itself
+        assert repr(values) == repr(parsed(reference_parser(), argv)[0])
+        assert repr(tuple(cli.build_parser().parse_args(argv))) == repr(values)
+
+    @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+    def test_a_refused_argv_exits_2_with_the_usage_and_the_reason(self, argv):
+        assert parsed(reference_parser(), argv)[0] == ("exit", 2)
+        values, out, err = parsed(cli.build_parser(), argv)
+        assert (values, out) == (("exit", 2), "")
+        usage, reason = err.splitlines()
+        assert usage.startswith("usage: tcshift ")
+        assert reason.startswith("tcshift: error: ")
+
+    def test_an_abbreviated_flag_is_unknown(self):
+        argv = ["check", "f.json", "--ord", "5"]
+        assert parsed(reference_parser(), argv)[0][ARGS.index("order")] == 5
+        values, _, err = parsed(cli.build_parser(), argv)
+        assert values == ("exit", 2)
+        assert err.endswith("tcshift: error: unrecognized arguments: --ord 5\n")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_argvs_read_the_same(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(1500):
+            argv = [rng.choice(TOKENS) for _ in range(rng.randint(0, 7))]
+            if argv and rng.random() < 0.7:
+                argv[0] = rng.choice(["check", "sweep"])
+                if rng.random() < 0.7:
+                    argv.insert(1, "f.json")
+            values = parsed(cli.build_parser(), argv)[0]
+            assert repr(values) == repr(parsed(reference_parser(), argv)[0]), argv
+            outcomes.add(values[1] if values[0] == "exit" else "values")
+        assert outcomes == {0, 2, "values"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["-hh"], *(["--bogus", name, "-h"] for name, _ in cli.COMMANDS)],
+    )
+    def test_help_prints_every_help_string_and_exits_0(self, argv):
+        values, out, err = parsed(cli.build_parser(), argv)
+        assert (values, err) == (("exit", 0), "")
+        assert parsed(reference_parser(), argv)[0] == ("exit", 0)
+        assert out.startswith("usage: tcshift ")
+        command = argv[1] if len(argv) > 1 else "{check,"
+        assert out.splitlines()[0].startswith(f"usage: tcshift {command}")
+        for text in [*(text for *_, text in cli.OPTIONS), *(text for _, text in cli.COMMANDS)]:
+            assert text in out
+
+    def test_help_wins_over_a_later_mistake_only_when_it_comes_first(self):
+        assert parsed(cli.build_parser(), ["check", "-h", "--json", "--text"])[0] == ("exit", 0)
+        assert parsed(cli.build_parser(), ["check", "--json", "--text", "-h"])[0] == ("exit", 2)
+        # an unknown flag or a missing path is refused only at the end
+        assert parsed(cli.build_parser(), ["check", "--bogus", "-h"])[0] == ("exit", 0)
+
+
+_INTERNAL_ERROR = """
+import sys
+from tcshift import cli
+def fail(*args):
+    raise {exception}
+cli._execute = fail
+sys.argv = ["tcshift", "check", sys.argv[1]]
+cli.main()
+"""
+
+
+class TestInternalError:
+    """An exception that ``run`` does not expect exits 4 with one line,
+    never 1, which reads as "not subnormal"."""
+
+    def run_child(self, exception):
+        return subprocess.run(
+            [sys.executable, "-c", _INTERNAL_ERROR.format(exception=exception), "f1.json"],
+            cwd=FIXTURES,
+            capture_output=True,
+            env=child_env(),
+            timeout=60,
+        )
+
+    def test_a_memory_error_exits_4_without_a_traceback(self):
+        proc = self.run_child("MemoryError")
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_INTERNAL, b"")
+        assert proc.stderr == b"internal error: MemoryError()\n"
+
+    def test_an_interrupt_is_not_an_internal_error(self):
+        proc = self.run_child("KeyboardInterrupt")
+        assert proc.returncode == -signal.SIGINT
+        assert b"internal error" not in proc.stderr
+
+
 # Run in a child with numpy blocked: the outcome of each (fixture, case),
 # as test_golden records it, as one JSON list on stdout.
 _WITHOUT_NUMPY = """
@@ -1067,9 +1265,35 @@ print(json.dumps(results))
 """
 
 
+# Run check and sweep on f1 in a child; _PARSER_MODULES then prints which
+# of argparse, gettext and locale are loaded.
+_CHECK_AND_SWEEP = """
+import io
+from tcshift.cli import run
+for argv in (["check", "f1.json"], ["sweep", "f1.json", "--param", "a", "--range", "0.1:1.5:0.1"]):
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+"""
+_PARSER_MODULES = "import sys; print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+
+
 class TestColdStart:
     """Only verify takes eigenvalues, so only verify loads numpy; no command
-    loads dataclasses, and none but verify, through numpy, loads inspect."""
+    loads dataclasses, and none but verify, through numpy, loads inspect.
+    The command line is read without argparse, so neither an import nor a
+    command loads argparse, gettext or locale."""
+
+    @pytest.mark.parametrize(
+        "code", ["import tcshift.cli", _CHECK_AND_SWEEP], ids=["import", "check and sweep"]
+    )
+    def test_argparse_gettext_and_locale_stay_unloaded(self, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\n{_PARSER_MODULES}"],
+            capture_output=True,
+            cwd=FIXTURES,
+            env=child_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
 
     @pytest.mark.parametrize("module", ["tcshift", "tcshift.cli"])
     def test_import_leaves_numpy_unloaded(self, module):

@@ -30,6 +30,7 @@ from helpers import (
     FIXTURES,
     assert_measures_close,
     assert_scalar_close,
+    check_membership_h0,
     entrywise_source,
     f1_instance,
     half_half,
@@ -613,25 +614,25 @@ DEPTHS = range(1, 9)
 
 class TestMembership:
     def test_trivial_pair_passes(self):
-        assert trivial_instance().check_membership_h0(8).passed
+        assert check_membership_h0(trivial_instance(), 8).passed
 
     def test_f1_passes(self):
-        assert f1_instance().check_membership_h0(8).passed
+        assert check_membership_h0(f1_instance(), 8).passed
 
     def test_n1_passes(self):
         # in the base class yet not subnormal: the point of the criterion
-        assert n1_instance().check_membership_h0(8).passed
+        assert check_membership_h0(n1_instance(), 8).passed
 
     def test_oversized_joining_weight_fails_in_row_one(self):
-        report = spike_instance(2.0).check_membership_h0(8)
+        report = check_membership_h0(spike_instance(2.0), 8)
         assert not report.passed
         assert report.first_failure == ("row", 1)
 
     def test_growing_core_fails_first_in_column_four(self):
         # rows: alpha(0, k)^2 ||1/s||_xi = 1/8; columns: beta(k, 0)^2 = 2^(k - 3)
         inst = TCInstance(dirac(1.0), dirac(1.0), dirac(2.0), dirac(1.0), 0.5)
-        assert inst.check_membership_h0(3) == (True, 3, None)
-        assert inst.check_membership_h0(8) == (False, 8, ("column", 4))
+        assert check_membership_h0(inst, 3) == (True, 3, None)
+        assert check_membership_h0(inst, 8) == (False, 8, ("column", 4))
 
     def test_matches_the_weights_of_the_diagram(self):
         rng = random.Random(20261019)
@@ -645,7 +646,7 @@ class TestMembership:
                 continue
             failures = [line for line, ratio in lines if ratio > 1.0 + 1e-12]
             first = failures[0] if failures else None
-            assert inst.check_membership_h0(8) == (first is None, 8, first)
+            assert check_membership_h0(inst, 8) == (first is None, 8, first)
             seen.add(first and first[0])
         assert seen == {None, "row", "column"}
 
@@ -654,11 +655,11 @@ class TestMembership:
         measures = {"xi_x": half_half(), "eta_y": half_half(), "xi": dirac(1.0), "eta": dirac(1.0)}
         inst = TCInstance(**{**measures, name: dirac(0.0)}, a=0.5)
         with pytest.raises(DegenerateMeasure):
-            inst.check_membership_h0(8)
+            check_membership_h0(inst, 8)
 
     def test_depth_below_one_is_refused(self):
         with pytest.raises(ValueError, match="depth must be at least 1"):
-            f1_instance().check_membership_h0(0)
+            check_membership_h0(f1_instance(), 0)
 
 
 class TestRestriction:

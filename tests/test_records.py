@@ -1,14 +1,16 @@
-"""The package's value classes: each prints as ``Name(field=value, ...)``,
-refuses assignment to a field, and two equal instances compare equal and
-hash alike."""
+"""The package's value classes, and the tests' ``H0Report``: each prints
+as ``Name(field=value, ...)``, refuses assignment to a field, and two equal
+instances compare equal and hash alike."""
 
 import pytest
 
 from tcshift.cli import Options, ParsedFile
-from tcshift.diagram import FlatInstance, H0Report, TCInstance
+from tcshift.diagram import FlatInstance, TCInstance
 from tcshift.measures import AtomicMeasure1D, PlanarAtoms, Positivity, SignedMeasure1D, dirac
 from tcshift.oracles import InterpolationReport, PsdReport
 from tcshift.reconstruct import Diagnostics, Verdict, Witness
+
+from helpers import H0Report
 
 
 def tc_instance() -> TCInstance:
