@@ -1071,13 +1071,8 @@ ACCEPTED = [
     ["check", "f.json", "--tol=-1e5"],
     ["check", "f.json", "--tol", "inf", "--window", " 7 "],
     ["check", "f.json", "--tol=nan"],
-    # a value with a space is not a flag, nor is a lone dash
-    ["sweep", "f.json", "--param", "-a b", "--range", "-"],
-    ["sweep", "f.json", "--param=", "--range", "x"],
-    # after ``--`` every argument is a value; the first is dropped next to the path
-    ["check", "--", "--json"],
-    ["check", "--json", "--", "f.json"],
-    ["check", "f.json", "--"],
+    # neither an empty value nor a lone dash is a flag
+    ["sweep", "f.json", "--param=", "--range", "-"],
     ["check", "-"],
     ["check", "-1"],
 ]
@@ -1085,7 +1080,6 @@ REFUSED = [
     [],
     ["--json"],
     ["bogus", "f.json"],
-    ["--", "check", "f.json"],
     ["check"],
     ["check", "--json"],
     ["check", "f.json", "g.json"],
@@ -1093,8 +1087,6 @@ REFUSED = [
     ["check", "--bogus", "f.json"],
     ["check", "f.json", "--order"],
     ["check", "f.json", "--order", "--json"],
-    ["check", "f.json", "--tol", "-1e-3"],
-    ["check", "f.json", "--tol", "--", "1"],
     ["check", "f.json", "--order", "many"],
     ["check", "f.json", "--order", "5.0"],
     ["check", "f.json", "--window", "1e3"],
@@ -1108,21 +1100,43 @@ REFUSED = [
     ["sweep", "f.json"],
     ["sweep", "f.json", "--param", "a"],
     ["sweep", "f.json", "--range", "0:1:1"],
-    ["check", "f.json", "--json", "--"],
-    ["check", "f.json", "--", "g.json"],
-    ["check", "f.json", "-hx"],
     ["check", "f.json", "--help=x"],
-    ["-h=x"],
 ]
-# Drawn from to make argvs for both parsers: values, flags, mistakes, and
-# the corners of argparse's reading (``-hh`` is help, ``-h=h`` too).
+# Corners where argparse of Python 3.12 and later reads differently from
+# the argparse of 3.10 and 3.11, on which the goldens were recorded: a
+# negative number in scientific notation, ``--``, ``-h`` with more letters
+# and a flag-like value with a space.  Each with its 3.11 reading, which
+# this parser keeps on every version.
+CORNERS = [
+    (["check", "f.json", "--tol", "-1e-3"], 2),
+    (["check", "f.json", "--tol", "-inf"], 2),
+    (["check", "-1e5"], 2),
+    (["check", "--", "--json"], ("check", "--json", False, None, None, None, None, None)),
+    (["check", "--json", "--", "f.json"], ("check", "f.json", True, None, None, None, None, None)),
+    (["check", "f.json", "--"], ("check", "f.json", False, None, None, None, None, None)),
+    (["check", "f.json", "--json", "--"], 2),
+    (["check", "f.json", "--", "g.json"], 2),
+    (["check", "f.json", "--tol", "--", "1"], 2),
+    (["--", "check", "f.json"], 2),
+    (["-hh"], 0),
+    (["check", "f.json", "-h=h"], 0),
+    (["check", "f.json", "-hx"], 2),
+    (["-h=x"], 2),
+    (
+        ["sweep", "f.json", "--param", "-a b", "--range", "x"],
+        ("sweep", "f.json", False, "-a b", "x", None, None, None),
+    ),
+    (["check", "f.json", "--tol=1 2"], 2),
+]
+# Drawn from to make argvs for both parsers: commands, values, flags and
+# mistakes; CORNER_TOKENS add the corners above.
 TOKENS = (
     "check", "sweep", "verify", "f.json", "g", "--json", "--text", "--tol", "1e-3",
-    "-1", "-1.5", "-.5", "-1e5", "-inf", "x", "--", "-h", "--help", "-hh", "-hx",
-    "--param", "a", "--range", "0:1:0.5", "--order", "5", "5.0", "--window", "--tol=-1",
-    "--json=1", "--json=", "--bogus", "-", "", "-a b", "--order=3", "--param=-x",
-    "-h=h", "--tol=1 2", " x", "-1\n", "---", "-x=1", "10",
+    "-1", "-1.5", "-.5", "x", "-h", "--help", "--param", "a", "--range", "0:1:0.5",
+    "--order", "5", "5.0", "--window", "--tol=-1", "--json=1", "--json=", "--bogus",
+    "-", "", "--order=3", "--param=-x", "10",
 )
+CORNER_TOKENS = ("-1e5", "-inf", "--", "-hh", "-hx", "-a b", "-h=h", "--tol=1 2", " x", "-1\n")
 
 
 def parsed(parser, argv):
@@ -1135,6 +1149,28 @@ def parsed(parser, argv):
     except SystemExit as exc:
         return ("exit", exc.code), out.getvalue(), err.getvalue()
     return tuple(getattr(args, name, None) for name in ARGS), "", ""
+
+
+def assert_random_argvs_read_the_same(seed: int, tokens) -> None:
+    """1500 argvs drawn from ``tokens`` read alike by both parsers, by repr
+    so that a NaN equals itself; they are accepted, refused and help."""
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(1500):
+        argv = [rng.choice(tokens) for _ in range(rng.randint(0, 7))]
+        if argv and rng.random() < 0.7:
+            argv[0] = rng.choice(["check", "sweep"])
+            if rng.random() < 0.7:
+                argv.insert(1, "f.json")
+        values = parsed(cli.build_parser(), argv)[0]
+        assert repr(values) == repr(parsed(reference_parser(), argv)[0]), argv
+        outcomes.add(values[1] if values[0] == "exit" else "values")
+    assert outcomes == {0, 2, "values"}
+
+
+OLD_ARGPARSE = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="argparse of 3.12 and later reads the corners otherwise"
+)
 
 
 class TestParserMatchesArgparse:
@@ -1158,6 +1194,13 @@ class TestParserMatchesArgparse:
         assert usage.startswith("usage: tcshift ")
         assert reason.startswith("tcshift: error: ")
 
+    @pytest.mark.parametrize("argv, outcome", CORNERS, ids=[" ".join(a) for a, _ in CORNERS])
+    def test_a_corner_reads_as_on_python_3_11(self, argv, outcome):
+        expected = ("exit", outcome) if isinstance(outcome, int) else outcome
+        assert parsed(cli.build_parser(), argv)[0] == expected
+        if sys.version_info < (3, 12):
+            assert parsed(reference_parser(), argv)[0] == expected
+
     def test_an_abbreviated_flag_is_unknown(self):
         argv = ["check", "f.json", "--ord", "5"]
         assert parsed(reference_parser(), argv)[0][ARGS.index("order")] == 5
@@ -1165,24 +1208,17 @@ class TestParserMatchesArgparse:
         assert values == ("exit", 2)
         assert err.endswith("tcshift: error: unrecognized arguments: --ord 5\n")
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(2))
     def test_random_argvs_read_the_same(self, seed):
-        rng = random.Random(seed)
-        outcomes = set()
-        for _ in range(1500):
-            argv = [rng.choice(TOKENS) for _ in range(rng.randint(0, 7))]
-            if argv and rng.random() < 0.7:
-                argv[0] = rng.choice(["check", "sweep"])
-                if rng.random() < 0.7:
-                    argv.insert(1, "f.json")
-            values = parsed(cli.build_parser(), argv)[0]
-            assert repr(values) == repr(parsed(reference_parser(), argv)[0]), argv
-            outcomes.add(values[1] if values[0] == "exit" else "values")
-        assert outcomes == {0, 2, "values"}
+        assert_random_argvs_read_the_same(seed, TOKENS)
+
+    @OLD_ARGPARSE
+    @pytest.mark.parametrize("seed", range(2, 4))
+    def test_random_argvs_with_corners_read_the_same(self, seed):
+        assert_random_argvs_read_the_same(seed, TOKENS + CORNER_TOKENS)
 
     @pytest.mark.parametrize(
-        "argv",
-        [["-h"], ["--help"], ["-hh"], *(["--bogus", name, "-h"] for name, _ in cli.COMMANDS)],
+        "argv", [["-h"], ["--help"], *(["--bogus", name, "-h"] for name, _ in cli.COMMANDS)]
     )
     def test_help_prints_every_help_string_and_exits_0(self, argv):
         values, out, err = parsed(cli.build_parser(), argv)
